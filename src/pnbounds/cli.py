@@ -230,14 +230,18 @@ def _cell(event_spec: str, event: EventSpec, y: int, assumptions: Assumptions) -
     }
 
 
-def run_analysis(cfg: AnalysisConfig) -> dict[str, Any]:
+def run_analysis(
+    cfg: AnalysisConfig, loaded: tuple[MarginalPair, dict[str, Any]] | None = None
+) -> dict[str, Any]:
     """Produce the attribution report as a JSON-ready dict.
 
     Every numeric cell carries the method that produced it; identification
     under the one-level-lift assumption is refused (with the LP
     cross-confirmation) when the gap brackets fail, never extrapolated.
+    ``loaded`` is the result of ``load_marginals(cfg)`` when the caller
+    already has it; otherwise the tables are loaded here.
     """
-    pair, provenance = load_marginals(cfg)
+    pair, provenance = load_marginals(cfg) if loaded is None else loaded
     levels = pair.levels
     evidence = cfg.evidence or list(range(1, levels))
     for y in evidence:
@@ -335,45 +339,60 @@ def _compute_cell(
 
 def verify(cfg: AnalysisConfig) -> dict[str, Any]:
     """Run the analysis and re-check every cell; see verify_report."""
-    pair, _ = load_marginals(cfg)
-    return verify_report(cfg, pair, run_analysis(cfg))
+    pair, provenance = load_marginals(cfg)
+    return verify_report(cfg, pair, run_analysis(cfg, (pair, provenance)))
 
 
 def verify_report(
     cfg: AnalysisConfig, pair: MarginalPair, report: dict[str, Any]
 ) -> dict[str, Any]:
-    """Re-check every cell by sampling and witness attainment."""
-    levels = pair.levels
-    outcome: dict[str, Any] = {"samples": cfg.samples, "seed": cfg.seed, "cells": []}
-    all_ok = True
-    for cell in report["cells"]:
-        entry = dict(cell)
-        if cell["kind"] == "refused":
+    """Re-check every cell by sampling and witness attainment.
+
+    The samples depend only on the assumption level (the pair, the sample
+    count and the seed are fixed), so one batch is drawn per level and
+    shared by its cells, one level at a time.  A cell with an estimate
+    whose level cannot be sampled fails the verification.
+    """
+    entries = [dict(cell) for cell in report["cells"]]
+    by_level: dict[Assumptions, list[dict[str, Any]]] = {}
+    for entry in entries:
+        if entry["kind"] == "refused":
             entry["verification"] = "skipped: no estimate to verify"
-            outcome["cells"].append(entry)
-            continue
-        assumptions = Assumptions(cell["assumptions"])
-        event = parse_event(cell["event"], levels)
-        if cell["kind"] == "point":
-            lower = upper = cell["value"]
         else:
-            lower, upper = cell["lower"], cell["upper"]
-        lower = max(0.0, lower - cfg.inject_widen)
-        upper = min(1.0, upper + cfg.inject_widen)
+            by_level.setdefault(Assumptions(entry["assumptions"]), []).append(entry)
+    level_ok = [_verify_level(cfg, pair, a, cells) for a, cells in by_level.items()]
+    return {"samples": cfg.samples, "seed": cfg.seed, "cells": entries, "passed": all(level_ok)}
+
+
+def _verify_level(
+    cfg: AnalysisConfig,
+    pair: MarginalPair,
+    assumptions: Assumptions,
+    entries: list[dict[str, Any]],
+) -> bool:
+    """Verify the cells of one assumption level against one shared batch."""
+    try:
+        samples = oracle.draw_samples(pair, assumptions, cfg.samples, cfg.seed)
+    except oracle.SamplingError as exc:
+        for entry in entries:
+            entry["verification"] = f"skipped: {exc}"
+        return False
+    ok = True
+    for entry in entries:
+        if entry["kind"] == "point":
+            lower = upper = entry["value"]
+        else:
+            lower, upper = entry["lower"], entry["upper"]
         claim = bounds_mod.BoundsResult(
-            lower=lower,
-            upper=upper,
+            lower=max(0.0, lower - cfg.inject_widen),
+            upper=min(1.0, upper + cfg.inject_widen),
             assumptions=assumptions,
             method=bounds_mod.Method.CLOSED_FORM,
         )
-        try:
-            check = oracle.verify_bounds(
-                pair, event, cell["evidence"], assumptions, claim, cfg.samples, cfg.seed
-            )
-        except oracle.SamplingError as exc:
-            entry["verification"] = f"skipped: {exc}"
-            outcome["cells"].append(entry)
-            continue
+        check = oracle.verify_bounds(
+            pair, parse_event(entry["event"], pair.levels), entry["evidence"],
+            assumptions, claim, cfg.samples, cfg.seed, samples=samples,
+        )
         sharp = (
             check.sharpness_gap_lower <= _SHARPNESS_TOL
             and check.sharpness_gap_upper <= _SHARPNESS_TOL
@@ -386,11 +405,8 @@ def verify_report(
             "n_samples": check.n_samples,
             "sharp": sharp,
         }
-        if not (check.contained and sharp):
-            all_ok = False
-        outcome["cells"].append(entry)
-    outcome["passed"] = all_ok
-    return outcome
+        ok = ok and check.contained and sharp
+    return ok
 
 
 def render_table(report: dict[str, Any]) -> str:
@@ -455,8 +471,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
     try:
-        pair, _ = load_marginals(cfg)
-        report = run_analysis(cfg)
+        pair, provenance = load_marginals(cfg)
+        report = run_analysis(cfg, (pair, provenance))
         verification = None
         if cfg.verify:
             verification = verify_report(cfg, pair, report)

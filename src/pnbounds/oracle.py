@@ -39,6 +39,8 @@ IPF_TARGET = 1e-12
 IPF_ACCEPT = 1e-10
 #: Margin accuracy every returned sample is guaranteed to meet.
 SAMPLE_MARGIN_TOL = 1e-7
+#: Draws fitted together in place; bounds the sampler's working memory.
+IPF_SLICE = 2048
 
 
 class ConstructionError(CausalAttributionError):
@@ -222,45 +224,77 @@ def _cut_partitions(
     return partitions
 
 
+def _fit_slice(
+    x: np.ndarray,
+    treated: np.ndarray,
+    control: np.ndarray,
+    partitions: list[tuple[np.ndarray, np.ndarray, float]],
+) -> np.ndarray:
+    """Proportional fitting of the draws in ``x``, in place; their final errors.
+
+    A draw leaves the sweep as soon as its margin error falls below
+    ``IPF_TARGET``; the others go on to at most ``IPF_MAX_SWEEPS`` sweeps.
+    Each draw's sweep uses only its own entries, so stopping one draw
+    leaves the others as they would be without it, up to rounding.
+    """
+    row_t = treated[None, :, None]
+    col_t = control[None, None, :]
+    err = np.empty(x.shape[0])
+    active = np.arange(x.shape[0])
+    y = x  # the draws still sweeping; a compacted copy once some have stopped
+    for _ in range(IPF_MAX_SWEEPS):
+        rs = y.sum(axis=2, keepdims=True)
+        y *= row_t / np.where(rs > 0, rs, 1.0)
+        cs = y.sum(axis=1, keepdims=True)
+        y *= col_t / np.where(cs > 0, cs, 1.0)
+        for region, rest, target in partitions:
+            inside = y[:, region].sum(axis=1)
+            outside = y[:, rest].sum(axis=1)
+            y[:, region] *= np.where(inside > 0, target / np.where(inside > 0, inside, 1.0), 1.0)[:, None]
+            y[:, rest] *= np.where(outside > 0, (1.0 - target) / np.where(outside > 0, outside, 1.0), 1.0)[:, None]
+        sweep_err = np.maximum(
+            np.abs(y.sum(axis=2) - treated).max(axis=1),
+            np.abs(y.sum(axis=1) - control).max(axis=1),
+        )
+        err[active] = sweep_err
+        done = sweep_err < IPF_TARGET
+        if done.any():
+            x[active[done]] = y[done]
+            y, active = y[~done], active[~done]
+            if not active.size:
+                break
+    x[active] = y
+    return err
+
+
 def _sample_matrices(
     pair: MarginalPair, assumptions: Assumptions, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """(n, J, J) feasible matrices via Dirichlet starts + proportional fitting."""
+    """(m, J, J) feasible matrices, m <= n, via Dirichlet starts + proportional fitting.
+
+    The n starts are fitted in slices of ``IPF_SLICE`` draws, each in place,
+    and every draw stops on its own convergence (see ``_fit_slice``).  Draws
+    whose final margin error is not below ``IPF_ACCEPT`` are dropped.
+    """
     levels = pair.levels
     bool_mask = _support_mask(pair, assumptions)
-    mask = bool_mask.astype(float)
     treated = pair.treated_law.probs
     control = pair.control_law.probs
     partitions = _cut_partitions(pair, assumptions, bool_mask)
-    x = rng.gamma(1.0, size=(n, levels, levels)) * mask
+    x = rng.gamma(1.0, size=(n, levels, levels))
+    x *= bool_mask
     x /= x.sum(axis=(1, 2), keepdims=True)
-    row_t = treated[None, :, None]
-    col_t = control[None, None, :]
-    for _ in range(IPF_MAX_SWEEPS):
-        rs = x.sum(axis=2, keepdims=True)
-        x *= row_t / np.where(rs > 0, rs, 1.0)
-        cs = x.sum(axis=1, keepdims=True)
-        x *= col_t / np.where(cs > 0, cs, 1.0)
-        for region, rest, target in partitions:
-            inside = x[:, region].sum(axis=1)
-            outside = x[:, rest].sum(axis=1)
-            x[:, region] *= np.where(inside > 0, target / np.where(inside > 0, inside, 1.0), 1.0)[:, None]
-            x[:, rest] *= np.where(outside > 0, (1.0 - target) / np.where(outside > 0, outside, 1.0), 1.0)[:, None]
-        rs_err = np.abs(x.sum(axis=2) - treated).max(axis=1)
-        cs_err = np.abs(x.sum(axis=1) - control).max(axis=1)
-        if max(rs_err.max(), cs_err.max()) < IPF_TARGET:
-            break
-    err = np.maximum(
-        np.abs(x.sum(axis=2) - treated).max(axis=1),
-        np.abs(x.sum(axis=1) - control).max(axis=1),
-    )
+    err = np.concatenate([
+        _fit_slice(x[start : start + IPF_SLICE], treated, control, partitions)
+        for start in range(0, n, IPF_SLICE)
+    ])
     converged = err < IPF_ACCEPT
     if not converged.any():
         raise SamplingError(
             f"proportional fitting failed for every draw under "
             f"{assumptions.value!r}; worst margin error {err.min():.3g}"
         )
-    return x[converged]
+    return x if converged.all() else x[converged]
 
 
 def _sample_array(
@@ -280,20 +314,28 @@ def _sample_array(
             break
     if remaining > 0:
         raise SamplingError(f"{remaining} of {n} draws failed to converge")
-    return np.concatenate(collected)[:n]
+    return collected[0] if len(collected) == 1 else np.concatenate(collected)
+
+
+def draw_samples(
+    pair: MarginalPair, assumptions: Assumptions, n: int, seed: int
+) -> np.ndarray:
+    """(n, J, J) array of feasible joint matrices; deterministic in the seed.
+
+    Each sample satisfies the margins within ``SAMPLE_MARGIN_TOL`` and the
+    assumption's zero pattern exactly (masked cells start and stay at
+    zero).  Non-convergent draws are rejected and replaced.  The batch
+    depends only on (pair, assumptions, n, seed), so every cell of one
+    assumption level can be checked against the same batch.
+    """
+    return _sample_array(pair, assumptions, n, np.random.default_rng(seed))
 
 
 def sample_feasible(
     pair: MarginalPair, assumptions: Assumptions, n: int, seed: int
 ) -> list[JointProbabilityMatrix]:
-    """Draw n feasible joint matrices; deterministic in the seed.
-
-    Each sample satisfies the margins within ``SAMPLE_MARGIN_TOL`` and the
-    assumption's zero pattern exactly (masked cells start and stay at
-    zero).  Non-convergent draws are rejected and replaced.
-    """
-    stacked = _sample_array(pair, assumptions, n, np.random.default_rng(seed))
-    return [JointProbabilityMatrix(entries=q) for q in stacked]
+    """Draw n feasible joint matrices; see ``draw_samples``."""
+    return [JointProbabilityMatrix(entries=q) for q in draw_samples(pair, assumptions, n, seed)]
 
 
 def endpoint_witnesses(
@@ -339,6 +381,8 @@ def verify_bounds(
     n: int,
     seed: int,
     samples_csv: str | Path | None = None,
+    *,
+    samples: np.ndarray | None = None,
 ) -> VerificationReport:
     """Check claimed bounds against samples and endpoint witnesses.
 
@@ -347,8 +391,11 @@ def verify_bounds(
     bound to the probability its witness attains.  Findings are report
     fields, never exceptions.  With ``samples_csv`` the sampled event
     probabilities are also written one per line, for external plotting.
+    ``samples`` is a batch the caller already drew with
+    ``draw_samples(pair, assumptions, n, seed)``; without it the batch is
+    drawn here.
     """
-    x = _sample_array(pair, assumptions, n, np.random.default_rng(seed))
+    x = draw_samples(pair, assumptions, n, seed) if samples is None else samples
     coeffs = np.asarray(event.coeffs, dtype=float)
     row = x[:, y, :]
     mass = row.sum(axis=1)

@@ -196,6 +196,70 @@ def test_verify_entry_point():
     assert outcome["samples"] == 200
 
 
+def test_verify_fails_when_an_estimate_cannot_be_sampled(tmp_path):
+    # monotone-inconsistent table: closed-form mono intervals, empty polytope
+    exp = tmp_path / "exp.json"
+    exp.write_text('{"counts": [[10, 10, 80], [80, 10, 10]]}')
+    code, report = report_from(
+        tmp_path,
+        ["--mode", "pc", "--exp", str(exp), "--all-canonical", "--assume", "mono",
+         "--verify"],
+    )
+    assert code == 3
+    verification = report["verification"]
+    assert verification["passed"] is False
+    assert len(verification["cells"]) == 10
+    for entry in verification["cells"]:
+        assert entry["kind"] == "interval"
+        assert entry["verification"].startswith("skipped: monotone feasible set is empty")
+
+
+def test_verify_draws_one_batch_per_assumption_level(tmp_path, monkeypatch):
+    from pnbounds import oracle
+    from pnbounds.bounds import BoundsResult, Method
+    from pnbounds.cli import load_marginals, parse_event
+    from pnbounds.core import Assumptions
+
+    drawn = []
+    sample_array = oracle._sample_array
+
+    def counting(pair, assumptions, n, rng):
+        drawn.append(assumptions)
+        return sample_array(pair, assumptions, n, rng)
+
+    monkeypatch.setattr(oracle, "_sample_array", counting)
+    code, report = report_from(
+        tmp_path,
+        ["--exp", EXP, "--obs", OBS, "--all-canonical", "--verify",
+         "--samples", "2000", "--seed", "42"],
+    )
+    assert code == 0
+    assert len(report["cells"]) == 30
+    assert sorted(a.value for a in drawn) == ["incr", "marginal", "mono"]
+    # each shared-batch entry equals a direct per-cell oracle call
+    pair, _ = load_marginals(AnalysisConfig(exp=EXP, obs=OBS))
+    for entry in report["verification"]["cells"]:
+        assumptions = Assumptions(entry["assumptions"])
+        if entry["kind"] == "point":
+            lower = upper = entry["value"]
+        else:
+            lower, upper = entry["lower"], entry["upper"]
+        claim = BoundsResult(
+            lower=lower, upper=upper, assumptions=assumptions, method=Method.CLOSED_FORM
+        )
+        direct = oracle.verify_bounds(
+            pair, parse_event(entry["event"], 3), entry["evidence"], assumptions,
+            claim, 2000, 42,
+        )
+        check = entry["verification"]
+        assert check["sharp"] is True
+        assert check["contained"] == direct.contained
+        assert check["max_violation"] == direct.max_violation
+        assert check["sharpness_gap_lower"] == direct.sharpness_gap_lower
+        assert check["sharpness_gap_upper"] == direct.sharpness_gap_upper
+        assert check["n_samples"] == direct.n_samples == 2000
+
+
 def test_verify_widened_bounds_fail(tmp_path):
     code = main(
         ["--exp", EXP, "--obs", OBS, "--event", "noteq:2", "--evidence", "2",

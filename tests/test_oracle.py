@@ -21,13 +21,20 @@ from pnbounds import (
     sample_feasible,
     verify_bounds,
 )
+from pnbounds.oracle import (
+    SAMPLE_MARGIN_TOL,
+    _feasibility_precheck,
+    _sample_matrices,
+)
 from helpers import (
     arbitrary_pair,
     canonical_events,
     lalonde_pair,
     lower_triangular_pair,
     pair_from_laws,
+    staircase_joint,
     staircase_pair,
+    whole_batch_sample_matrices,
 )
 
 
@@ -164,6 +171,53 @@ def test_sampling_rejects_empty_feasible_sets():
         sample_feasible(reversed_pair, Assumptions.MONOTONICITY, 5, seed=1)
     with pytest.raises(SamplingError):
         sample_feasible(lalonde_pair(), Assumptions.MARGINAL_ONLY, 0, seed=1)
+
+
+def _thinned_staircase_pair(seed: int, levels: int):
+    """Staircase marginals with one sub-diagonal and one diagonal cell scaled
+    by 1e-6; fitting is slow enough that some draws miss ``IPF_ACCEPT``."""
+    rng = np.random.default_rng(seed)
+    q = staircase_joint(rng, levels)
+    k = int(rng.integers(1, levels))
+    q[k, k - 1] *= 1e-6
+    d = int(rng.integers(0, levels))
+    q[d, d] *= 1e-6
+    q /= q.sum()
+    return pair_from_laws(q.sum(axis=1), q.sum(axis=0))
+
+
+def test_per_draw_stop_matches_whole_batch_sweep():
+    rng = np.random.default_rng(83)
+    pairs = [lalonde_pair(), _thinned_staircase_pair(13, 6)]
+    for levels in range(3, 7):
+        pairs += [lower_triangular_pair(rng, levels), staircase_pair(rng, levels)]
+    n = 300
+    partial = all_rejected = 0
+    for pair in pairs:
+        for assumptions in Assumptions:
+            try:
+                _feasibility_precheck(pair, assumptions)
+            except SamplingError:
+                continue
+            mask = allowed_mask(assumptions, pair.levels)
+            for seed in (0, 1, 2):
+                reference = whole_batch_sample_matrices(
+                    pair, assumptions, n, np.random.default_rng(seed)
+                )
+                if reference.shape[0] == 0:
+                    with pytest.raises(SamplingError):
+                        _sample_matrices(pair, assumptions, n, np.random.default_rng(seed))
+                    all_rejected += 1
+                    continue
+                x = _sample_matrices(pair, assumptions, n, np.random.default_rng(seed))
+                assert x.shape == reference.shape
+                assert np.abs(x - reference).max() <= 1e-10
+                assert np.abs(x.sum(axis=2) - pair.treated_law.probs).max() <= SAMPLE_MARGIN_TOL
+                assert np.abs(x.sum(axis=1) - pair.control_law.probs).max() <= SAMPLE_MARGIN_TOL
+                assert np.all(x[:, ~mask] == 0.0)
+                partial += x.shape[0] < n
+    # the thinned pair exercises rejection: some draws under mono, all under incr
+    assert partial >= 1 and all_rejected >= 1
 
 
 # --- verification -------------------------------------------------------------------
