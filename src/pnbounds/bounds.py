@@ -2,14 +2,21 @@
 
 Two regimes: bounds that use only the two marginal laws (valid for any
 event), and narrower bounds that additionally assume the treatment never
-lowers the outcome (available in closed form for the single-level and
-all-but-one-level event families; other events go through the LP module).
+lowers the outcome.  Under that monotone ordering the joint law is lower
+triangular, so each column's support is a suffix of rows.  By Gale's
+supply-demand theorem (Gale, Pacific J. Math. 7, 1957) such a transport
+problem is feasible iff every cut k has a nonnegative cumulative gap, and
+fixing the evidence row adds only suffix cuts.  That gives an exact O(J)
+formula for every event on monotone-consistent data; the paper's
+single-level and all-but-one-level families keep their own closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .core import (
     ATOL,
@@ -24,7 +31,11 @@ from .identify import gap_sequence
 
 
 class UnsupportedEventError(CausalAttributionError):
-    """No closed form for this event under monotonicity; use the LP route."""
+    """No closed form: the data contradict monotonicity (a negative gap).
+
+    Raised only for events outside the paper's families; the LP route then
+    reports the empty feasible set.
+    """
 
 
 class Method(Enum):
@@ -140,27 +151,47 @@ def pn_bounds_monotone(pair: MarginalPair, event: EventSpec, y: int) -> BoundsRe
     * single level y' = y: same lower; the gap terms in the upper bound run
       over an empty range and are omitted;
     * single level y' > y: impossible given the ordering, returns [0, 0];
-    * events certain given the ordering return [1, 1].
+    * events certain given the ordering return [1, 1];
+    * any other event, with S = {l <= y : c_l = 1}, C = {l <= y : c_l = 0},
+      G_0 = 0 and G_t = gap_t:
+        lower = max(0, max_{t<=y} (treated[y] - G_t - control(C & [t, y]))
+                                  / treated[y]),
+        upper = min(1, min_{t<=y} (control(S & [t, y]) + G_t) / treated[y]).
 
-    Gaps are used unclipped: if the data contradict the monotone ordering
-    the interval can cross, which is reported via ``note`` rather than
-    silently clamped.
+    Why the last formula is sharp: the joint is lower triangular, so with
+    the evidence row r fixed the rest is feasible iff every gap is >= 0 and
+    sum_{l=t..y} r_l >= treated[y] - G_t for t <= y (suffix cuts).  Filling
+    S, or C, from the top maximizes every suffix sum at once, so r(S) can
+    take exactly the values between the two endpoints.  The families above
+    are special cases.  This formula needs monotone-consistent data; on
+    other data it raises ``UnsupportedEventError``.
+
+    Gaps are used unclipped in the family forms: if the data contradict the
+    monotone ordering the interval can cross, which is reported via
+    ``note`` rather than silently clamped.
     """
     mass = _check_evidence(pair, event, y)
     treated = pair.treated_law.probs
     control = pair.control_law.probs
     kind, level = _classify_monotone(event, y)
-    if kind == "unsupported":
-        raise UnsupportedEventError(
-            f"event {event.label!r} with evidence {y} has no closed form under "
-            "monotonicity; use the LP bounds"
-        )
     if kind == "impossible":
         return BoundsResult(0.0, 0.0, Assumptions.MONOTONICITY, Method.CLOSED_FORM)
     if kind == "certain":
         return BoundsResult(1.0, 1.0, Assumptions.MONOTONICITY, Method.CLOSED_FORM)
     gaps = gap_sequence(pair)
-    if kind == "noteq":
+    if kind == "unsupported":
+        reason = monotone_falsified(pair)
+        if reason is not None:
+            raise UnsupportedEventError(f"event {event.label!r} with evidence {y}: {reason}")
+        head = np.array(event.coeffs[: y + 1], dtype=bool)
+        reachable = control[: y + 1]
+        # control mass of S and of C on [t, y], for t = 0..y
+        in_s = np.cumsum(np.where(head, reachable, 0.0)[::-1])[::-1]
+        in_c = np.cumsum(np.where(head, 0.0, reachable)[::-1])[::-1]
+        cuts = np.concatenate(([0.0], gaps.gaps[:y]))
+        lower = max(0.0, float((mass - cuts - in_c).max()) / mass)
+        upper = min(1.0, float((in_s + cuts).min()) / mass)
+    elif kind == "noteq":
         lower = max(0.0, (mass - control[y]) / mass)
         upper = min(1.0, gaps[y - 1] / mass)
     else:  # single level y' <= y
@@ -192,4 +223,19 @@ def pn_bounds_monotone(pair: MarginalPair, event: EventSpec, y: int) -> BoundsRe
 
 def monotone_consistent(pair: MarginalPair) -> bool:
     """Data-checkable implication of the monotone ordering: all gaps >= 0."""
-    return bool(gap_sequence(pair).gaps.min() >= -ATOL)
+    return monotone_falsified(pair) is None
+
+
+def monotone_falsified(pair: MarginalPair) -> str | None:
+    """Why the data contradict monotonicity, or None if they do not.
+
+    Names every cut k whose cumulative gap is negative (below ``-ATOL``).
+    """
+    bad = [
+        f"k={k}: gap {g:.6g}"
+        for k, g in enumerate(gap_sequence(pair).gaps.tolist(), start=1)
+        if g < -ATOL
+    ]
+    if not bad:
+        return None
+    return "monotonicity falsified by the data: negative cumulative gap at " + ", ".join(bad)

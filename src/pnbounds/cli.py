@@ -237,7 +237,8 @@ def run_analysis(
 
     Every numeric cell carries the method that produced it; identification
     under the one-level-lift assumption is refused (with the LP
-    cross-confirmation) when the gap brackets fail, never extrapolated.
+    cross-confirmation) when the gap brackets fail, never extrapolated, and
+    monotone cells are refused when a cumulative gap is negative.
     ``loaded`` is the result of ``load_marginals(cfg)`` when the caller
     already has it; otherwise the tables are loaded here.
     """
@@ -255,6 +256,7 @@ def run_analysis(
         grid = [(spec, y) for y in evidence for spec in cfg.events]
     falsification = identify_mod.falsification_check(pair)
     gaps = identify_mod.gap_sequence(pair)
+    mono_refusal = bounds_mod.monotone_falsified(pair)
     report: dict[str, Any] = {
         "mode": cfg.mode,
         "route": "randomized" if cfg.mode == "pc" else cfg.route,
@@ -279,14 +281,16 @@ def run_analysis(
                 for c in falsification.checks
             ],
         },
-        "monotone_consistent": bounds_mod.monotone_consistent(pair),
+        "monotone_consistent": mono_refusal is None,
         "seed": cfg.seed,
         "cells": [],
     }
     for spec, y in grid:
         event = parse_event(spec, levels)
         for assumptions in _assumption_list(cfg.assume):
-            report["cells"].append(_compute_cell(pair, spec, event, y, assumptions))
+            report["cells"].append(
+                _compute_cell(pair, spec, event, y, assumptions, mono_refusal)
+            )
     return report
 
 
@@ -296,7 +300,9 @@ def _compute_cell(
     event: EventSpec,
     y: int,
     assumptions: Assumptions,
+    mono_refusal: str | None,
 ) -> dict[str, Any]:
+    """One report cell; ``mono_refusal`` is ``monotone_falsified(pair)``."""
     cell = _cell(spec, event, y, assumptions)
     try:
         if assumptions is Assumptions.MONOTONIC_INCREMENT:
@@ -315,11 +321,11 @@ def _compute_cell(
             return cell
         if assumptions is Assumptions.MARGINAL_ONLY:
             result = bounds_mod.pn_bounds_marginal(pair, event, y)
+        elif mono_refusal is not None:  # the monotone polytope is empty
+            cell.update(kind="refused", note=mono_refusal, method="closed-form")
+            return cell
         else:
-            try:
-                result = bounds_mod.pn_bounds_monotone(pair, event, y)
-            except bounds_mod.UnsupportedEventError:
-                result = pn_bounds_lp(pair, event, y, assumptions)
+            result = bounds_mod.pn_bounds_monotone(pair, event, y)
         cell.update(
             kind="interval",
             lower=result.lower,
@@ -331,9 +337,6 @@ def _compute_cell(
         return cell
     except ZeroEvidenceError as exc:
         cell.update(kind="refused", note=str(exc), method="none")
-        return cell
-    except LpInfeasibleError as exc:
-        cell.update(kind="refused", note=str(exc), method="lp")
         return cell
 
 

@@ -45,8 +45,10 @@ def pc_bounds(
 ) -> BoundsResult:
     """Sharp bounds under the chosen assumption level, unconditional laws.
 
-    Dispatch mirrors the necessity side: closed forms where they exist,
-    the LP otherwise.
+    Dispatch mirrors the necessity side: closed forms where they exist
+    (under monotonicity, every event on monotone-consistent data), the LP
+    otherwise; on monotone-inconsistent data the LP reports the empty
+    feasible set.
     """
     _require_unconditional(pair)
     if assumptions is Assumptions.MARGINAL_ONLY:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pnbounds import (
     Assumptions,
@@ -16,6 +18,9 @@ from pnbounds import (
     pn_point,
     sample_feasible,
 )
+from pnbounds.bounds import _classify_monotone
+from pnbounds.core import ATOL
+from pnbounds.lp import LpInfeasibleError, pn_bounds_lp
 from helpers import (
     arbitrary_pair,
     canonical_events,
@@ -116,13 +121,22 @@ def test_event_certain_under_ordering_is_pinned_to_one():
     assert (result.lower, result.upper) == (1.0, 1.0)
 
 
-def test_unsupported_event_family_is_routed_to_lp():
-    with pytest.raises(UnsupportedEventError):
-        pn_bounds_monotone(lalonde_pair(), make_event("noteq", 3, level=1), 2)
-    with pytest.raises(UnsupportedEventError):
-        pn_bounds_monotone(
-            lalonde_pair(), make_event("custom", 3, coeffs=[1, 0, 1]), 2
-        )
+def test_events_outside_the_families_get_the_general_closed_form():
+    pair = lalonde_pair()
+    for event in (
+        make_event("noteq", 3, level=1),
+        make_event("custom", 3, coeffs=[1, 0, 1]),
+    ):
+        result = pn_bounds_monotone(pair, event, 2)
+        reference = pn_bounds_lp(pair, event, 2, Assumptions.MONOTONICITY)
+        assert result.method is Method.CLOSED_FORM
+        assert type(result.lower) is float and type(result.upper) is float
+        assert abs(result.lower - reference.lower) <= 1e-9
+        assert abs(result.upper - reference.upper) <= 1e-9
+    # on monotone-inconsistent data the formula refuses, naming the cut
+    inconsistent = pair_from_laws([0.1, 0.1, 0.8], [0.05, 0.9, 0.05])
+    with pytest.raises(UnsupportedEventError, match="k=1: gap -0.05"):
+        pn_bounds_monotone(inconsistent, make_event("custom", 3, coeffs=[1, 0, 1]), 2)
 
 
 def test_less_than_at_evidence_equals_complement_of_evidence_level():
@@ -144,6 +158,120 @@ def test_crossed_interval_is_surfaced_not_clamped():
 
 def test_monotone_consistent_on_lalonde():
     assert monotone_consistent(lalonde_pair())
+
+
+def _fuzz_pair(rng, levels, shape):
+    if shape == "inconsistent":
+        return arbitrary_pair(rng, levels)
+    q = np.tril(rng.random((levels, levels)))
+    if shape == "sparse":
+        q *= rng.random(q.shape) < 0.3
+    elif shape == "tied":
+        q = np.tril(rng.integers(0, 3, q.shape)).astype(float)
+    elif shape == "zero-mass":
+        q[int(rng.integers(levels)), :] = 0.0
+        q[:, int(rng.integers(levels))] = 0.0
+    if q.sum() == 0.0:
+        q[0, 0] = 1.0
+    q /= q.sum()
+    return pair_from_laws(q.sum(axis=1), q.sum(axis=0))
+
+
+def test_monotone_bounds_match_lp_on_random_events():
+    rng = np.random.default_rng(2024)
+    shapes = ("dense", "sparse", "tied", "zero-mass", "inconsistent")
+    checked = refused = 0
+    for i in range(450):
+        levels = 2 + i % 9
+        pair = _fuzz_pair(rng, levels, shapes[i // 9 % len(shapes)])
+        consistent = monotone_consistent(pair)
+        for y in range(levels):
+            if pair.treated_law[y] <= ATOL:
+                continue
+            event = make_event(
+                "custom", levels, coeffs=rng.integers(0, 2, size=levels).tolist()
+            )
+            try:
+                reference = pn_bounds_lp(pair, event, y, Assumptions.MONOTONICITY)
+            except LpInfeasibleError:
+                reference = None
+            assert (reference is None) == (not consistent)
+            if reference is None:
+                if _classify_monotone(event, y)[0] == "unsupported":
+                    with pytest.raises(UnsupportedEventError):
+                        pn_bounds_monotone(pair, event, y)
+                refused += 1
+                continue
+            result = pn_bounds_monotone(pair, event, y)
+            assert result.method is Method.CLOSED_FORM
+            assert abs(result.lower - reference.lower) <= 1e-9
+            assert abs(result.upper - reference.upper) <= 1e-9
+            checked += 1
+    assert checked > 1000 and refused > 100
+
+
+def _shift_gap(treated, control, cut, delta):
+    """Copies of the laws with gap_cut lowered by delta, moving mass between
+    levels cut-1 and cut of whichever law has it; None when neither has."""
+    for law in (control, treated):
+        # gap_cut = sum_{l<cut} (control - treated)[l]: moving control mass
+        # up, or treated mass down, across the cut lowers it
+        up = (law is control) == (delta >= 0)
+        source, target = (cut - 1, cut) if up else (cut, cut - 1)
+        if law[source] >= abs(delta):
+            moved = law.copy()
+            moved[source] -= abs(delta)
+            moved[target] += abs(delta)
+            if law is control:
+                return treated, moved
+            return moved, control
+    return None
+
+
+@st.composite
+def tied_monotone_cells(draw):
+    """A monotone joint with integer weights (zero-mass levels) and a gap
+    tied at zero, and the same pair with that gap moved by a multiple of
+    ATOL."""
+    levels = draw(st.integers(2, 6))
+    weights = draw(
+        st.lists(st.integers(0, 3), min_size=levels * levels, max_size=levels * levels)
+    )
+    q = np.tril(np.asarray(weights, dtype=float).reshape(levels, levels))
+    cut = draw(st.integers(1, levels - 1))
+    q[cut:, :cut] = 0.0  # no mass crosses the cut: gap_cut is zero
+    assume(q.sum() > 0)
+    q /= q.sum()
+    treated, control = q.sum(axis=1), q.sum(axis=0)
+    delta = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])) * ATOL
+    shifted = _shift_gap(treated, control, cut, delta)
+    assume(shifted is not None)
+    evidence = [l for l in range(levels) if min(treated[l], shifted[0][l]) > ATOL]
+    y = draw(st.sampled_from(evidence))
+    coeffs = draw(st.lists(st.integers(0, 1), min_size=levels, max_size=levels))
+    event = make_event("custom", levels, coeffs=coeffs)
+    return pair_from_laws(*shifted), pair_from_laws(treated, control), event, y, delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_monotone_cells())
+def test_monotone_bounds_at_zero_mass_levels_and_tolerance_ties(cell):
+    pair, exact_pair, event, y, delta = cell
+    if not monotone_consistent(pair):
+        if _classify_monotone(event, y)[0] == "unsupported":
+            with pytest.raises(UnsupportedEventError):
+                pn_bounds_monotone(pair, event, y)
+        return
+    result = pn_bounds_monotone(pair, event, y)
+    assert 0.0 <= result.lower and result.upper <= 1.0
+    # the LP runs on the unshifted pair: a gap within ATOL below zero lies
+    # inside the simplex's feasibility tolerance, where its witnesses are
+    # not probability matrices.  Moving delta of mass moves each bound by
+    # at most 4 |delta| / treated[y].
+    reference = pn_bounds_lp(exact_pair, event, y, Assumptions.MONOTONICITY)
+    tol = 1e-9 + 4.0 * abs(delta) / pair.treated_law[y]
+    assert abs(result.lower - reference.lower) <= tol
+    assert abs(result.upper - reference.upper) <= tol
 
 
 # --- ladder and containment properties -------------------------------------------

@@ -3,7 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from pnbounds.cli import AnalysisConfig, main, render_table, run_analysis
+from pnbounds import (
+    Assumptions,
+    LpInfeasibleError,
+    Source,
+    load_table,
+    make_event,
+    pn_bounds_lp,
+    randomized_margins,
+)
+from pnbounds.cli import AnalysisConfig, main, parse_event, render_table, run_analysis
+from helpers import lalonde_pair
 
 DATA = Path(__file__).parent / "data"
 EXP = str(DATA / "lalonde_experimental.csv")
@@ -92,7 +102,13 @@ def test_custom_event_spec(tmp_path):
     )
     assert code == 0
     (cell,) = report["cells"]
-    assert cell["method"] == "lp"  # no closed form for this family
+    assert cell["method"] == "closed-form"  # the general monotone formula
+    reference = pn_bounds_lp(
+        lalonde_pair(), make_event("custom", 3, coeffs=[1, 0, 1]), 2,
+        Assumptions.MONOTONICITY,
+    )
+    assert abs(cell["lower"] - reference.lower) <= 1e-9
+    assert abs(cell["upper"] - reference.upper) <= 1e-9
 
 
 def test_unconfounded_route(tmp_path):
@@ -196,13 +212,16 @@ def test_verify_entry_point():
     assert outcome["samples"] == 200
 
 
-def test_verify_fails_when_an_estimate_cannot_be_sampled(tmp_path):
-    # monotone-inconsistent table: closed-form mono intervals, empty polytope
-    exp = tmp_path / "exp.json"
-    exp.write_text('{"counts": [[10, 10, 80], [80, 10, 10]]}')
+def test_verify_fails_when_an_estimate_cannot_be_sampled(tmp_path, monkeypatch):
+    from pnbounds import oracle
+
+    def empty(pair, assumptions, n, seed):
+        raise oracle.SamplingError("no draw met the margins")
+
+    monkeypatch.setattr(oracle, "draw_samples", empty)
     code, report = report_from(
         tmp_path,
-        ["--mode", "pc", "--exp", str(exp), "--all-canonical", "--assume", "mono",
+        ["--exp", EXP, "--obs", OBS, "--all-canonical", "--assume", "mono",
          "--verify"],
     )
     assert code == 3
@@ -211,7 +230,29 @@ def test_verify_fails_when_an_estimate_cannot_be_sampled(tmp_path):
     assert len(verification["cells"]) == 10
     for entry in verification["cells"]:
         assert entry["kind"] == "interval"
-        assert entry["verification"].startswith("skipped: monotone feasible set is empty")
+        assert entry["verification"] == "skipped: no draw met the margins"
+
+
+def test_mono_cells_refused_on_monotone_inconsistent_data(tmp_path):
+    exp = tmp_path / "exp.json"
+    exp.write_text('{"counts": [[10, 10, 80], [80, 10, 10]]}')
+    code, report = report_from(
+        tmp_path,
+        ["--mode", "pc", "--exp", str(exp), "--all-canonical", "--assume", "mono",
+         "--verify"],
+    )
+    assert code == 0
+    assert report["monotone_consistent"] is False
+    assert report["verification"]["passed"] is True
+    assert len(report["cells"]) == 10
+    pair = randomized_margins(load_table(str(exp), Source.EXPERIMENTAL))
+    for cell, entry in zip(report["cells"], report["verification"]["cells"]):
+        assert cell["kind"] == "refused"
+        assert "k=1: gap -0.7, k=2: gap -0.7" in cell["note"]
+        assert entry["verification"] == "skipped: no estimate to verify"
+        event = parse_event(cell["event"], 3)
+        with pytest.raises(LpInfeasibleError):
+            pn_bounds_lp(pair, event, cell["evidence"], Assumptions.MONOTONICITY)
 
 
 def test_verify_draws_one_batch_per_assumption_level(tmp_path, monkeypatch):
