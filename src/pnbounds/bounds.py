@@ -25,7 +25,7 @@ from .core import (
     EventSpec,
     JointProbabilityMatrix,
     MarginalPair,
-    ZeroEvidenceError,
+    check_evidence,
 )
 from .identify import gap_sequence
 
@@ -78,19 +78,6 @@ class BoundsResult:
         return self.lower - slack <= value <= self.upper + slack
 
 
-def _check_evidence(pair: MarginalPair, event: EventSpec, y: int) -> float:
-    if len(event.coeffs) != pair.levels:
-        raise CausalAttributionError(
-            f"event has {len(event.coeffs)} levels, marginal pair {pair.levels}"
-        )
-    if not 0 <= y < pair.levels:
-        raise CausalAttributionError(f"evidence level {y} out of range")
-    mass = pair.treated_law[y]
-    if mass <= ATOL:
-        raise ZeroEvidenceError(f"treated outcome level {y} has zero probability")
-    return mass
-
-
 def pn_bounds_marginal(pair: MarginalPair, event: EventSpec, y: int) -> BoundsResult:
     """Sharp bounds from the marginal laws alone, for any event.
 
@@ -101,7 +88,7 @@ def pn_bounds_marginal(pair: MarginalPair, event: EventSpec, y: int) -> BoundsRe
 
     Both endpoints are attained by explicit joint constructions.
     """
-    mass = _check_evidence(pair, event, y)
+    mass = check_evidence(pair, event, y)
     omega = float(event.vector @ pair.control_law.probs)
     lower = min(1.0, max(0.0, (mass - (1.0 - omega)) / mass))
     upper = min(1.0, omega / mass)
@@ -170,7 +157,7 @@ def pn_bounds_monotone(pair: MarginalPair, event: EventSpec, y: int) -> BoundsRe
     monotone ordering the interval can cross, which is reported via
     ``note`` rather than silently clamped.
     """
-    mass = _check_evidence(pair, event, y)
+    mass = check_evidence(pair, event, y)
     treated = pair.treated_law.probs
     control = pair.control_law.probs
     kind, level = _classify_monotone(event, y)
@@ -207,7 +194,10 @@ def pn_bounds_monotone(pair: MarginalPair, event: EventSpec, y: int) -> BoundsRe
     lower = min(1.0, lower)
     upper = max(0.0, upper)
     note = None
-    if lower > upper + ATOL:
+    # The crossing is measured in probability units, the band of the gap
+    # test.  Rounding can push a gap of about -ATOL just past that band, so
+    # the note also needs monotone-inconsistent data.
+    if (lower - upper) * mass > ATOL and not monotone_consistent(pair):
         note = (
             "monotonicity falsified by data: lower bound "
             f"{lower:.6g} exceeds upper bound {upper:.6g}"

@@ -22,8 +22,10 @@ from .core import (
     Assumptions,
     CausalAttributionError,
     EventSpec,
+    GapSequence,
     MarginalPair,
     ZeroEvidenceError,
+    check_evidence,
     make_event,
 )
 from .lp import LpInfeasibleError, pn_bounds_lp
@@ -221,15 +223,6 @@ def _assumption_list(word: str) -> list[Assumptions]:
     return [Assumptions.from_cli(word)]
 
 
-def _cell(event_spec: str, event: EventSpec, y: int, assumptions: Assumptions) -> dict:
-    return {
-        "event": event_spec,
-        "label": event.label,
-        "evidence": y,
-        "assumptions": assumptions.value,
-    }
-
-
 def run_analysis(
     cfg: AnalysisConfig, loaded: tuple[MarginalPair, dict[str, Any]] | None = None
 ) -> dict[str, Any]:
@@ -238,9 +231,12 @@ def run_analysis(
     Every numeric cell carries the method that produced it; identification
     under the one-level-lift assumption is refused (with the LP
     cross-confirmation) when the gap brackets fail, never extrapolated, and
-    monotone cells are refused when a cumulative gap is negative.
-    ``loaded`` is the result of ``load_marginals(cfg)`` when the caller
-    already has it; otherwise the tables are loaded here.
+    monotone cells are refused when a cumulative gap is negative.  The
+    facts of the pair are computed once per report (gaps, brackets, the
+    monotone refusal, the LP cross-check); ``_compute_cell`` adds the
+    per-event arithmetic.  ``loaded`` is the result of
+    ``load_marginals(cfg)`` when the caller already has it; otherwise the
+    tables are loaded here.
     """
     pair, provenance = load_marginals(cfg) if loaded is None else loaded
     levels = pair.levels
@@ -257,6 +253,11 @@ def run_analysis(
     falsification = identify_mod.falsification_check(pair)
     gaps = identify_mod.gap_sequence(pair)
     mono_refusal = bounds_mod.monotone_falsified(pair)
+    incr_refusal = None if falsification.passed else {
+        "kind": "refused",
+        "note": str(identify_mod.FalsificationError(falsification)),
+        "method": "point-identification",
+    }
     report: dict[str, Any] = {
         "mode": cfg.mode,
         "route": "randomized" if cfg.mode == "pc" else cfg.route,
@@ -289,7 +290,9 @@ def run_analysis(
         event = parse_event(spec, levels)
         for assumptions in _assumption_list(cfg.assume):
             report["cells"].append(
-                _compute_cell(pair, spec, event, y, assumptions, mono_refusal)
+                _compute_cell(
+                    pair, spec, event, y, assumptions, gaps, mono_refusal, incr_refusal
+                )
             )
     return report
 
@@ -300,44 +303,55 @@ def _compute_cell(
     event: EventSpec,
     y: int,
     assumptions: Assumptions,
+    gaps: GapSequence,
     mono_refusal: str | None,
+    incr_refusal: dict[str, str] | None,
 ) -> dict[str, Any]:
-    """One report cell; ``mono_refusal`` is ``monotone_falsified(pair)``."""
-    cell = _cell(spec, event, y, assumptions)
+    """One report cell: O(J) arithmetic on the facts of the pair.
+
+    ``gaps`` is ``gap_sequence(pair)``, ``mono_refusal`` is
+    ``monotone_falsified(pair)`` and ``incr_refusal`` holds the fields of a
+    refused ``incr`` cell (None when the brackets pass).  Whether the
+    ``incr`` polytope is empty does not depend on the event, so the first
+    refused cell asks the LP and stores the answer there for the rest.
+    """
+    cell = {"event": spec, "label": event.label, "evidence": y,
+            "assumptions": assumptions.value}
+    if assumptions is Assumptions.MONOTONICITY and mono_refusal is not None:
+        cell.update(kind="refused", note=mono_refusal, method="closed-form")
+        return cell
     try:
         if assumptions is Assumptions.MONOTONIC_INCREMENT:
-            try:
-                value = identify_mod.pn_point(pair, event, y)
-            except identify_mod.FalsificationError as exc:
-                cell.update(kind="refused", note=str(exc), method="point-identification")
+            mass = check_evidence(pair, event, y)
+            if incr_refusal is None:
+                value = identify_mod.point_from_gaps(event, y, gaps, mass)
+                cell.update(kind="point", value=value, method="point-identification")
+                return cell
+            if "lp_cross_check" not in incr_refusal:
                 try:
                     pn_bounds_lp(pair, event, y, assumptions)
                 except LpInfeasibleError:
-                    cell["lp_cross_check"] = "infeasible"
+                    incr_refusal["lp_cross_check"] = "infeasible"
                 else:  # brackets failed but the LP found a point: a bug
-                    cell["lp_cross_check"] = "feasible (inconsistent)"
-                return cell
-            cell.update(kind="point", value=value, method="point-identification")
+                    incr_refusal["lp_cross_check"] = "feasible (inconsistent)"
+            cell.update(incr_refusal)
             return cell
         if assumptions is Assumptions.MARGINAL_ONLY:
             result = bounds_mod.pn_bounds_marginal(pair, event, y)
-        elif mono_refusal is not None:  # the monotone polytope is empty
-            cell.update(kind="refused", note=mono_refusal, method="closed-form")
-            return cell
         else:
             result = bounds_mod.pn_bounds_monotone(pair, event, y)
-        cell.update(
-            kind="interval",
-            lower=result.lower,
-            upper=result.upper,
-            method=result.method.value,
-        )
-        if result.note:
-            cell["note"] = result.note
-        return cell
     except ZeroEvidenceError as exc:
         cell.update(kind="refused", note=str(exc), method="none")
         return cell
+    cell.update(
+        kind="interval",
+        lower=result.lower,
+        upper=result.upper,
+        method=result.method.value,
+    )
+    if result.note:
+        cell["note"] = result.note
+    return cell
 
 
 def verify(cfg: AnalysisConfig) -> dict[str, Any]:

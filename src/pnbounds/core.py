@@ -319,6 +319,23 @@ def make_event(
     return EventSpec(coeffs=bits, label=label)
 
 
+def check_evidence(pair: MarginalPair, event: EventSpec, y: int) -> float:
+    """Validate (event, evidence y) against the pair; returns treated[y].
+
+    Raises ``ZeroEvidenceError`` when level y has no treated mass.
+    """
+    if len(event.coeffs) != pair.levels:
+        raise CausalAttributionError(
+            f"event has {len(event.coeffs)} levels, marginal pair {pair.levels}"
+        )
+    if not 0 <= y < pair.levels:
+        raise CausalAttributionError(f"evidence level {y} out of range")
+    mass = pair.treated_law[y]
+    if mass <= ATOL:
+        raise ZeroEvidenceError(f"treated outcome level {y} has zero probability")
+    return mass
+
+
 def pn_from_joint(joint: JointProbabilityMatrix, event: EventSpec, y: int) -> float:
     """Probability of the event among units with treated outcome level y.
 

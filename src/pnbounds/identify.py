@@ -22,7 +22,7 @@ from .core import (
     GapSequence,
     JointProbabilityMatrix,
     MarginalPair,
-    ZeroEvidenceError,
+    check_evidence,
 )
 
 #: Exactness tolerance for algebraic identities (margin reproduction, the
@@ -135,24 +135,25 @@ def identify_joint(pair: MarginalPair) -> JointProbabilityMatrix:
 def pn_point(pair: MarginalPair, event: EventSpec, y: int) -> float:
     """Point value of the event probability given treated-outcome evidence y.
 
-    Equals c_y + (c_{y-1} - c_y) * gap_y / treated[y]; for y = 0 the gap term
-    is an empty sum, so the value is just c_0.  Agrees with direct evaluation
-    on the reconstructed joint to within ``EXACT_ATOL``.
+    Refuses zero evidence first (``ZeroEvidenceError``), then failed gap
+    brackets (``FalsificationError``); the value is ``point_from_gaps``.
+    Agrees with direct evaluation on the reconstructed joint to within
+    ``EXACT_ATOL``.
     """
-    if len(event.coeffs) != pair.levels:
-        raise CausalAttributionError(
-            f"event has {len(event.coeffs)} levels, marginal pair {pair.levels}"
-        )
-    if not 0 <= y < pair.levels:
-        raise CausalAttributionError(f"evidence level {y} out of range")
-    mass = pair.treated_law[y]
-    if mass <= ATOL:
-        raise ZeroEvidenceError(f"treated outcome level {y} has zero probability")
+    mass = check_evidence(pair, event, y)
     report = falsification_check(pair)
     if not report.passed:
         raise FalsificationError(report)
+    return point_from_gaps(event, y, gap_sequence(pair), mass)
+
+
+def point_from_gaps(event: EventSpec, y: int, gaps: GapSequence, mass: float) -> float:
+    """The point formula, with no checks: c_y + (c_{y-1} - c_y) * gap_y / mass.
+
+    ``gaps`` is ``gap_sequence(pair)`` and ``mass`` is treated[y] > 0; for
+    y = 0 the gap term is an empty sum, so the value is just c_0.
+    """
     c_y = event.coeffs[y]
     if y == 0:
         return float(c_y)
-    gap = gap_sequence(pair)[y - 1]
-    return float(c_y + (event.coeffs[y - 1] - c_y) * gap / mass)
+    return float(c_y + (event.coeffs[y - 1] - c_y) * gaps[y - 1] / mass)

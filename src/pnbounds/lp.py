@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import BoundsResult, Method, _check_evidence
+from .bounds import BoundsResult, Method
 from .core import (
     ATOL,
     Assumptions,
@@ -26,12 +26,19 @@ from .core import (
     EventSpec,
     JointProbabilityMatrix,
     MarginalPair,
+    check_evidence,
     fixed_zero_cells,
 )
 from .identify import falsification_check
 
 PIVOT_TOL = 1e-10
+#: Residual allowed in the dual certificate and in the optimal point's Ax = b.
 FEAS_TOL = 1e-8
+#: Row violation beyond which a program is infeasible, and entry below whose
+#: negative an optimum is no witness: the ``ATOL`` band of the gap tests
+#: (under ``mono`` phase one leaves the most negative cumulative gap), plus
+#: rounding headroom so the LP never refuses a gap those tests accept.
+INFEAS_TOL = ATOL + 1e-12
 #: Consecutive degenerate pivots before switching to Bland's anti-cycling rule.
 _BLAND_TRIGGER = 24
 
@@ -194,7 +201,7 @@ def _presolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | N
         nonzero = pos | neg
         has_nz = nonzero.any(axis=1)
         dead = active_row & ~has_nz
-        if np.any(dead & (np.abs(b) > FEAS_TOL)):
+        if np.any(dead & (np.abs(b) > INFEAS_TOL)):
             return None
         single_signed = ~(pos.any(axis=1) & neg.any(axis=1))
         fixing = active_row & has_nz & zero_rhs & single_signed
@@ -228,7 +235,7 @@ def _phase1(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[int]] | None
     status = _run_simplex(t, basis, n_enter=n)
     if status != "optimal":  # phase-one objective is bounded above by zero
         raise LpError("phase one reported unbounded; the tableau is corrupt")
-    if t[-1, -1] < -FEAS_TOL:
+    if t[-1, -1] < -INFEAS_TOL:
         return None
     drop: list[int] = []
     for i in range(m):
@@ -364,7 +371,7 @@ def _solve_reduced(
             _certify(a_red, b_red, c_red, x_red, value, basis)
         x = np.zeros(n_full)
         x[active_col] = x_red
-        if np.abs(a @ x - b).max() > FEAS_TOL or x.min() < -ATOL:
+        if np.abs(a @ x - b).max() > FEAS_TOL or x.min() < -INFEAS_TOL:
             raise CertificateError("optimal point violates the original constraints")
         results.append(("optimal", x, value))
     return results
@@ -432,9 +439,10 @@ def build_lp(
 
 
 def _as_joint(x: np.ndarray, levels: int) -> JointProbabilityMatrix:
-    return JointProbabilityMatrix(
-        entries=np.clip(x.reshape(levels, levels), 0.0, None)
-    )
+    # clipping entries down to -INFEAS_TOL can push the sum past 1 + ATOL;
+    # rescaling restores it and leaves every conditional probability as is
+    q = np.clip(x.reshape(levels, levels), 0.0, None)
+    return JointProbabilityMatrix(entries=q / q.sum())
 
 
 def pn_bounds_lp(
@@ -448,7 +456,7 @@ def pn_bounds_lp(
     under the one-level-lift assumption is cross-checked against the gap
     brackets before being reported.
     """
-    mass = _check_evidence(pair, event, y)
+    mass = check_evidence(pair, event, y)
     program = build_lp(pair, event, y, assumptions, Sense.MAX)
     a, b, c = program.constraint_matrix, program.rhs, program.objective
     cache_key = (

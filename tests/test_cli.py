@@ -1,18 +1,32 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pnbounds import (
     Assumptions,
+    FalsificationError,
     LpInfeasibleError,
     Source,
+    ZeroEvidenceError,
     load_table,
     make_event,
     pn_bounds_lp,
+    pn_bounds_marginal,
+    pn_bounds_monotone,
+    pn_point,
     randomized_margins,
 )
-from pnbounds.cli import AnalysisConfig, main, parse_event, render_table, run_analysis
+from pnbounds.bounds import monotone_falsified
+from pnbounds.cli import (
+    AnalysisConfig,
+    load_marginals,
+    main,
+    parse_event,
+    render_table,
+    run_analysis,
+)
 from helpers import lalonde_pair
 
 DATA = Path(__file__).parent / "data"
@@ -181,6 +195,144 @@ def test_refusal_with_lp_cross_check(tmp_path):
     assert cell["kind"] == "refused"
     assert cell["lp_cross_check"] == "infeasible"
     assert "value" not in cell
+
+
+# --- per-report facts ----------------------------------------------------------------
+
+def _class_counts(rng, cls, levels):
+    """Integer joint counts (rows treated, columns control) of one class.
+
+    Zero-level tables empty one treated level of a staircase joint (odd J)
+    or of a monotone-inconsistent one (even J).
+    """
+    k, l = np.indices((levels, levels))
+    mask = {
+        "staircase": (k == l) | (k == l + 1),
+        "zerolevel": (k == l) | (k == l + 1) if levels % 2 else k <= l,
+        "lowertri": k >= l,
+        "inconsistent": k <= l,  # the treatment lowers the outcome
+    }[cls]
+    q = rng.integers(0, 20, (levels, levels)) * mask
+    q[np.diag_indices(levels)] += 1
+    if cls == "zerolevel":
+        q[int(rng.integers(1, levels))] = 0
+    return q
+
+
+def _route_configs(tmp_path, name, q, rng):
+    """One config per ingest route, each identifying the margins of q."""
+    treated, control = q.sum(axis=1), q.sum(axis=0)
+    other = rng.integers(1, 30, q.shape[0])
+
+    def write(suffix, payload):
+        path = tmp_path / f"{name}.{suffix}.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    # the observational z = 0 arm peels `other` off the experiment's control
+    # arm again, exactly, since q's row and column totals are equal
+    exp = write("exp", {"counts": [(control + other).tolist(), treated.tolist()]})
+    obs = write("obs", {"counts": [other.tolist(), treated.tolist()]})
+    strata = write("strata", [{"id": "s0", "counts": [control.tolist(), treated.tolist()]}])
+    pc = write("pc", {"counts": [control.tolist(), treated.tolist()]})
+    return [
+        AnalysisConfig(exp=exp, obs=obs, all_canonical=True),
+        AnalysisConfig(route="unconfounded", strata=strata, all_canonical=True),
+        AnalysisConfig(mode="pc", exp=pc, all_canonical=True),
+    ]
+
+
+def _library_cell(pair, event, y, assumptions):
+    """A report cell's outcome from one library call per cell."""
+    try:
+        if assumptions is Assumptions.MONOTONIC_INCREMENT:
+            try:
+                return {"kind": "point", "value": pn_point(pair, event, y),
+                        "method": "point-identification"}
+            except FalsificationError as exc:
+                try:
+                    pn_bounds_lp(pair, event, y, assumptions)
+                    cross_check = "feasible (inconsistent)"
+                except LpInfeasibleError:
+                    cross_check = "infeasible"
+                return {"kind": "refused", "note": str(exc),
+                        "method": "point-identification", "lp_cross_check": cross_check}
+        if assumptions is Assumptions.MARGINAL_ONLY:
+            result = pn_bounds_marginal(pair, event, y)
+        elif monotone_falsified(pair) is not None:
+            return {"kind": "refused", "note": monotone_falsified(pair),
+                    "method": "closed-form"}
+        else:
+            result = pn_bounds_monotone(pair, event, y)
+    except ZeroEvidenceError as exc:
+        return {"kind": "refused", "note": str(exc), "method": "none"}
+    expected = {"kind": "interval", "lower": result.lower, "upper": result.upper,
+                "method": result.method.value}
+    if result.note:
+        expected["note"] = result.note
+    return expected
+
+
+def test_report_cells_equal_per_cell_library_calls(tmp_path):
+    rng = np.random.default_rng(4)
+    seen = set()
+    for levels in range(3, 9):
+        for cls in ("staircase", "lowertri", "inconsistent", "zerolevel"):
+            q = _class_counts(rng, cls, levels)
+            for cfg in _route_configs(tmp_path, f"{cls}{levels}", q, rng):
+                pair, _ = load_marginals(cfg)
+                report = run_analysis(cfg)
+                assert len(report["cells"]) == (levels - 1) * (levels + 2) * 3
+                for cell in report["cells"]:
+                    outcome = dict(cell)
+                    event = parse_event(outcome.pop("event"), levels)
+                    assert outcome.pop("label") == event.label
+                    y = outcome.pop("evidence")
+                    assumptions = Assumptions(outcome.pop("assumptions"))
+                    assert outcome == _library_cell(pair, event, y, assumptions)
+                    seen.add((assumptions.value, outcome["kind"], outcome["method"]))
+    assert seen == {  # every branch of the report was taken
+        ("incr", "point", "point-identification"),
+        ("incr", "refused", "point-identification"),
+        ("incr", "refused", "none"),
+        ("marginal", "interval", "closed-form"),
+        ("marginal", "refused", "none"),
+        ("mono", "interval", "closed-form"),
+        ("mono", "refused", "closed-form"),
+        ("mono", "refused", "none"),
+    }
+
+
+def test_one_lp_cross_check_per_report(tmp_path, monkeypatch):
+    from pnbounds import cli, identify, lp
+
+    calls = []
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(cli, "pn_bounds_lp")
+    for module in (identify, lp):  # every binding the report path reaches
+        count(module, "falsification_check")
+    exp, obs = falsifying_files(tmp_path)
+    code, report = report_from(
+        tmp_path, ["--exp", exp, "--obs", obs, "--all-canonical", "--assume", "incr"]
+    )
+    assert code == 0
+    assert len(report["cells"]) == 4
+    assert all(c["lp_cross_check"] == "infeasible" for c in report["cells"])
+    # the report's bracket check, the LP call and the bracket check inside it
+    assert sorted(calls) == [
+        "pnbounds.cli.pn_bounds_lp",
+        "pnbounds.identify.falsification_check",
+        "pnbounds.lp.falsification_check",
+    ]
 
 
 # --- verification -------------------------------------------------------------------

@@ -12,6 +12,7 @@ from pnbounds import (
     build_lp,
     falsification_check,
     make_event,
+    monotone_consistent,
     pn_bounds_lp,
     pn_bounds_marginal,
     pn_bounds_monotone,
@@ -291,3 +292,28 @@ def test_infeasible_monotone_set_when_ordering_violated():
     pair = pair_from_laws([0.7, 0.3], [0.2, 0.8])
     with pytest.raises(LpInfeasibleError):
         pn_bounds_lp(pair, make_event("eq", 2, level=0), 1, Assumptions.MONOTONICITY)
+
+
+def test_gap_just_below_the_band_is_refused_not_crashed():
+    # cumulative gap -5e-9: outside ATOL, inside the simplex's FEAS_TOL
+    pair = pair_from_laws([0.5, 0.5], [0.5 - 5e-9, 0.5 + 5e-9])
+    assert not monotone_consistent(pair)
+    for y in (0, 1):
+        with pytest.raises(LpInfeasibleError):
+            pn_bounds_lp(pair, make_event("eq", 2, level=0), y, Assumptions.MONOTONICITY)
+
+
+def test_gap_at_the_band_edge_gets_bounds_and_witnesses():
+    # cumulative gap -ATOL: consistent, so the LP must answer
+    pair = pair_from_laws([1.0, 0.0], [1.0 - 1e-9, 1e-9])
+    assert monotone_consistent(pair)
+    for level, expected in ((0, 1.0), (1, 0.0)):
+        event = make_event("eq", 2, level=level)
+        result = pn_bounds_lp(pair, event, 0, Assumptions.MONOTONICITY)
+        closed = pn_bounds_monotone(pair, event, 0)
+        assert (closed.lower, closed.upper) == (expected, expected)
+        assert abs(result.lower - expected) <= 1e-9
+        assert abs(result.upper - expected) <= 1e-9
+        for witness in result.witnesses:
+            assert witness.entries.min() >= 0.0
+            assert abs(witness.entries.sum() - 1.0) <= 1e-12
