@@ -64,7 +64,8 @@ class BoundsResult:
 
     @property
     def crossed(self) -> bool:
-        return self.lower > self.upper + ATOL
+        # as the note: a gap inside the band can cross by a few ATOL as a ratio
+        return self.note is not None and self.lower > self.upper
 
     @property
     def width(self) -> float:
@@ -191,8 +192,8 @@ def pn_bounds_monotone(pair: MarginalPair, event: EventSpec, y: int) -> BoundsRe
         terms = [1.0, control[y_prime] / mass]
         terms += [gaps[k - 1] / mass for k in range(y_prime + 1, y + 1)]
         upper = min(terms)
-    lower = min(1.0, lower)
-    upper = max(0.0, upper)
+    lower = float(min(1.0, lower))
+    upper = float(max(0.0, upper))
     note = None
     # The crossing is measured in probability units, the band of the gap
     # test.  Rounding can push a gap of about -ATOL just past that band, so

@@ -10,6 +10,7 @@ and endpoint witnesses.  Exit codes: 0 ok, 1 usage, 2 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -62,6 +63,7 @@ class AnalysisConfig:
     inject_widen: float = 0.0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="pnbounds",
@@ -126,21 +128,9 @@ def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
             if not hasattr(cfg, attr):
                 raise _UsageError(f"unknown config key {key!r}")
             setattr(cfg, attr, value)
-    overrides = {
-        "mode": args.mode,
-        "route": args.route,
-        "exp": args.exp,
-        "obs": args.obs,
-        "strata": args.strata,
-        "events": args.events,
-        "evidence": args.evidence,
-        "assume": args.assume,
-        "samples": args.samples,
-        "seed": args.seed,
-        "out": args.out,
-        "inject_widen": args.inject_widen,
-    }
-    for attr, value in overrides.items():
+    for attr in ("mode", "route", "exp", "obs", "strata", "events", "evidence",
+                 "assume", "samples", "seed", "out", "inject_widen"):
+        value = getattr(args, attr)
         if value is not None:
             setattr(cfg, attr, value)
     cfg.all_canonical = cfg.all_canonical or args.all_canonical
@@ -155,10 +145,9 @@ class _UsageError(Exception):
 
 def _validate(cfg: AnalysisConfig) -> None:
     if cfg.mode == "pc":
-        if cfg.route not in ("experimental", None, ""):
-            # causation always uses the randomized route
-            if cfg.route == "unconfounded":
-                raise _UsageError("--route unconfounded is a pn-mode option")
+        # causation always uses the randomized route
+        if cfg.route == "unconfounded":
+            raise _UsageError("--route unconfounded is a pn-mode option")
         if not cfg.exp:
             raise _UsageError("pc mode needs --exp")
     elif cfg.route == "unconfounded":
@@ -286,8 +275,10 @@ def run_analysis(
         "seed": cfg.seed,
         "cells": [],
     }
+    specs = dict.fromkeys(spec for spec, _ in grid)
+    events = {spec: parse_event(spec, levels) for spec in specs}
     for spec, y in grid:
-        event = parse_event(spec, levels)
+        event = events[spec]
         for assumptions in _assumption_list(cfg.assume):
             report["cells"].append(
                 _compute_cell(
@@ -394,6 +385,7 @@ def _verify_level(
         for entry in entries:
             entry["verification"] = f"skipped: {exc}"
         return False
+    events = {s: parse_event(s, pair.levels) for s in {e["event"] for e in entries}}
     ok = True
     for entry in entries:
         if entry["kind"] == "point":
@@ -407,7 +399,7 @@ def _verify_level(
             method=bounds_mod.Method.CLOSED_FORM,
         )
         check = oracle.verify_bounds(
-            pair, parse_event(entry["event"], pair.levels), entry["evidence"],
+            pair, events[entry["event"]], entry["evidence"],
             assumptions, claim, cfg.samples, cfg.seed, samples=samples,
         )
         sharp = (
@@ -424,6 +416,43 @@ def _verify_level(
         }
         ok = ok and check.contained and sharp
     return ok
+
+
+#: Exact types that the C encoder writes as ``json.dumps`` does
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _layout(indent: str) -> tuple[str, str, Any]:
+    inner = indent + "  "
+    encode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", "," + inner, False, False, True,
+    )
+    return inner, "," + inner, encode
+
+
+def _dumps(obj: Any, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` byte for byte; its indent path is pure Python.
+
+    Each container of scalars goes to the C encoder in one call, with the
+    newline and indent of its depth in the item separator (an encoded value
+    holds no raw newline); other containers are walked here.
+    """
+    inner, separator, encode = _layout(indent)
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+        return "".join(encode(obj, 0))
+    values = obj.values() if is_dict else obj
+    if _SCALARS.issuperset(map(type, values)):
+        body = "".join(encode(obj, 0))[1:-1]
+    else:
+        items = [_dumps(v, inner) for v in values]
+        if is_dict:  # '{"key": 0}' -> '"key": '
+            items = ["".join(encode({k: 0}, 0))[1:-2] + v for k, v in zip(obj, items)]
+        body = separator.join(items)
+    brackets = "{}" if is_dict else "[]"
+    return brackets[0] + inner + body + indent + brackets[1]
 
 
 def render_table(report: dict[str, Any]) -> str:
@@ -490,25 +519,22 @@ def main(argv: list[str] | None = None) -> int:
     try:
         pair, provenance = load_marginals(cfg)
         report = run_analysis(cfg, (pair, provenance))
-        verification = None
         if cfg.verify:
-            verification = verify_report(cfg, pair, report)
-            report["verification"] = verification
+            report["verification"] = verify_report(cfg, pair, report)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except CausalAttributionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
-    payload = json.dumps(report, indent=2)
     if cfg.out:
         with open(cfg.out, "w") as fh:
-            fh.write(payload + "\n")
+            fh.write(_dumps(report) + "\n")
     if cfg.table:
         sys.stdout.write(render_table(report))
     elif not cfg.out:
-        sys.stdout.write(payload + "\n")
-    if verification is not None and not verification["passed"]:
+        sys.stdout.write(_dumps(report) + "\n")
+    if cfg.verify and not report["verification"]["passed"]:
         print("verification failed", file=sys.stderr)
         return VERIFY_EXIT
     return 0

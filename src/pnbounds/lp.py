@@ -483,11 +483,10 @@ def pn_bounds_lp(
     (st_min, x_min, neg_min), (st_max, x_max, v_max) = outcome
     if st_min != "optimal" or st_max != "optimal":  # polytope is bounded
         raise LpError("bounds program reported unbounded; formulation is corrupt")
-    lower = -neg_min / mass
-    upper = v_max / mass
+    # clamped after the feasibility test; max(0.0, -0.0) is 0.0, never -0.0
     return BoundsResult(
-        lower=float(lower),
-        upper=float(upper),
+        lower=float(min(1.0, max(0.0, -neg_min / mass))),
+        upper=float(min(1.0, max(0.0, v_max / mass))),
         assumptions=assumptions,
         method=Method.LP,
         witnesses=(_as_joint(x_min, pair.levels), _as_joint(x_max, pair.levels)),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -169,6 +171,44 @@ def test_no_falsified_note_on_a_gap_inside_the_band():
     assert result.note is None
 
 
+def test_crossed_agrees_with_the_falsification_note():
+    third = 1.0 / 3.0
+    inside_band = pair_from_laws(
+        [third, third, 0.0, third], [third - 5e-10, third + 5e-10, 1 / 6, 1 / 6]
+    )
+    falsified = pair_from_laws([0.1, 0.1, 0.8], [0.05, 0.9, 0.05])
+    for pair, event, y, crossed in (
+        (inside_band, make_event("eq", 4, level=1), 3, False),
+        (falsified, make_event("eq", 3, level=1), 2, True),
+    ):
+        result = pn_bounds_monotone(pair, event, y)
+        assert result.crossed is crossed
+        assert (result.note is not None) is crossed
+
+
+@pytest.mark.parametrize(
+    "kind,level,y,branch",
+    [
+        ("eq", 2, 1, "impossible"),
+        ("lt", 2, 1, "certain"),
+        ("noteq", 2, 2, "noteq"),
+        ("eq", 0, 2, "eq"),
+        ("eq", 2, 2, "eq"),
+        ("custom", None, 2, "unsupported"),
+    ],
+)
+def test_closed_forms_return_plain_floats(kind, level, y, branch):
+    pair = lalonde_pair()
+    if kind == "custom":
+        event = make_event("custom", 3, coeffs=[1, 0, 1])
+    else:
+        event = make_event(kind, 3, level=level)
+    assert _classify_monotone(event, y)[0] == branch
+    for result in (pn_bounds_monotone(pair, event, y), pn_bounds_marginal(pair, event, y)):
+        assert type(result.lower) is type(result.upper) is float
+        assert math.copysign(1.0, result.lower) == math.copysign(1.0, result.upper) == 1.0
+
+
 def test_monotone_consistent_on_lalonde():
     assert monotone_consistent(lalonde_pair())
 
@@ -279,7 +319,7 @@ def test_monotone_bounds_at_zero_mass_levels_and_tolerance_ties(cell):
     assert 0.0 <= result.lower and result.upper <= 1.0
     assert result.note is None  # no "falsified" note on consistent data
     # a gap up to ATOL below zero is no exact polytope: each engine may
-    # move a bound by |delta| of evidence mass (the LP does not clamp)
+    # move a bound by |delta| of evidence mass
     reference = pn_bounds_lp(pair, event, y, Assumptions.MONOTONICITY)
     tol = 1e-9 + abs(delta) / pair.treated_law[y]
     assert abs(result.lower - reference.lower) <= tol

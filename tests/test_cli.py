@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnbounds import (
     Assumptions,
@@ -18,14 +20,17 @@ from pnbounds import (
     pn_point,
     randomized_margins,
 )
+from pnbounds import cli
 from pnbounds.bounds import monotone_falsified
 from pnbounds.cli import (
     AnalysisConfig,
+    _dumps,
     load_marginals,
     main,
     parse_event,
     render_table,
     run_analysis,
+    verify_report,
 )
 from helpers import lalonde_pair
 
@@ -170,6 +175,89 @@ def test_config_file_with_flag_override(tmp_path):
     )
     assert code == 0
     assert {c["assumptions"] for c in report["cells"]} == {"marginal"}
+
+
+def test_table_alone_encodes_no_json(tmp_path, capsys, monkeypatch):
+    encoded = []
+
+    def counting(obj, *indent):
+        if not indent:  # the whole report, not a nested value
+            encoded.append(obj)
+        return _dumps(obj, *indent)
+
+    monkeypatch.setattr(cli, "_dumps", counting)
+    argv = ["--exp", EXP, "--obs", OBS, "--all-canonical", "--table"]
+    report = run_analysis(AnalysisConfig(exp=EXP, obs=OBS, all_canonical=True))
+    table = render_table(report)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == table
+    assert encoded == []
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == table
+    assert out.read_text() == json.dumps(report, indent=2) + "\n"
+    assert len(encoded) == 1
+
+
+def test_successive_main_calls_share_no_parser_state(capsys, monkeypatch):
+    first = ["--exp", EXP, "--obs", OBS, "--event", "eq:0", "--event", "noteq:2",
+             "--evidence", "2"]
+    second = ["--exp", EXP, "--obs", OBS, "--event", "lt:1", "--evidence", "1",
+              "--evidence", "2", "--assume", "mono"]
+    runs = (first, second, first)
+    shared = []
+    for argv in runs:
+        assert main(argv) == 0
+        shared.append(capsys.readouterr().out)
+    assert cli._build_parser() is cli._build_parser()
+    assert len(json.loads(shared[0])["cells"]) == 6
+    assert len(json.loads(shared[1])["cells"]) == 2
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    for argv, expected in zip(runs, shared):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+# --- JSON encoding ------------------------------------------------------------------
+
+_STRINGS = st.one_of(
+    st.text(),
+    st.sampled_from(["", "\n", "a\nb", "\u00e9\u2028\U0001f600", "\x00\x1f\x7f", "\ud800"]),
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**40, -(10**40), -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.floats(),
+    st.floats().map(np.float64),
+    _STRINGS,
+)
+_KEYS = st.one_of(_STRINGS, st.integers(), st.floats(), st.booleans(), st.none())
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_dumps_is_json_dumps_with_indent_2(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2)
+
+
+def test_verify_report_encodes_like_json_dumps():
+    cfg = AnalysisConfig(exp=EXP, obs=OBS, all_canonical=True, verify=True, samples=2000)
+    pair, provenance = load_marginals(cfg)
+    report = run_analysis(cfg, (pair, provenance))
+    report["verification"] = verify_report(cfg, pair, report)
+    assert any(isinstance(c["verification"], dict) for c in report["verification"]["cells"])
+    assert _dumps(report) == json.dumps(report, indent=2)
 
 
 # --- refusal path -------------------------------------------------------------------

@@ -317,3 +317,25 @@ def test_gap_at_the_band_edge_gets_bounds_and_witnesses():
         for witness in result.witnesses:
             assert witness.entries.min() >= 0.0
             assert abs(witness.entries.sum() - 1.0) <= 1e-12
+
+
+def test_bounds_stay_in_the_unit_interval_at_the_band():
+    # gap_4 = -5e-10, inside the band: the unclamped optimum divided by
+    # treated[4] = 3/22 gave lower 1.0000000037 for eq:4 and [-0.0, -3.7e-9]
+    # for eq:3
+    treated = np.array([3, 4, 1, 8, 3, 3]) / 22
+    control = np.array([8, 3, 2, 3, 4, 2]) / 22
+    control[3] -= 5e-10
+    control[4] += 5e-10
+    pair = pair_from_laws(treated, control)
+    assert monotone_consistent(pair)
+    for level, expected in ((4, 1.0), (3, 0.0)):
+        event = make_event("eq", 6, level=level)
+        result = pn_bounds_lp(pair, event, 4, Assumptions.MONOTONICITY)
+        closed = pn_bounds_monotone(pair, event, 4)
+        assert (result.lower, result.upper) == (closed.lower, closed.upper) == (
+            expected, expected,
+        )
+        for bound in (result.lower, result.upper):
+            assert type(bound) is float
+            assert np.copysign(1.0, bound) == 1.0
