@@ -117,6 +117,8 @@ def identify_joint(pair: MarginalPair) -> JointProbabilityMatrix:
     q[0,0] = treated[0]; q[k,k-1] = gap_k; q[k,k] = treated[k] - gap_k; all
     other entries zero.  Refuses (raises FalsificationError) when the gap
     brackets fail, rather than silently returning a non-probability matrix.
+    An entry that the brackets accept inside the ``ATOL`` band can be just
+    below zero; it is clipped and the matrix rescaled to sum to one.
     """
     report = falsification_check(pair)
     if not report.passed:
@@ -129,7 +131,8 @@ def identify_joint(pair: MarginalPair) -> JointProbabilityMatrix:
     for k in range(1, levels):
         entries[k, k - 1] = gaps[k - 1]
         entries[k, k] = treated[k] - gaps[k - 1]
-    return JointProbabilityMatrix(entries=np.clip(entries, 0.0, None))
+    entries = np.clip(entries, 0.0, None)
+    return JointProbabilityMatrix(entries=entries / entries.sum())
 
 
 def pn_point(pair: MarginalPair, event: EventSpec, y: int) -> float:

@@ -1,11 +1,13 @@
 """Independent verification of bounds: sampling, witnesses, certification.
 
-Nothing here trusts the closed forms or the LP.  Feasible joint matrices
-are explored by seeded Dirichlet starts driven to the prescribed margins
-with iterative proportional fitting, bound endpoints are re-attained by
-explicit constructions (marginal-only case) or LP optima (otherwise), and
-for three or fewer levels the polytope's vertices can be enumerated
-outright as an exhaustive cross-check.
+Nothing here trusts the closed forms or the LP.  Every feasible set on the
+ladder is a set of joint matrices with fixed margins and a staircase zero
+pattern, so Gale's supply-demand theorem gives each cell an exact feasible
+interval given the cells before it.  Seeded draws fill one cell at a time
+inside those intervals and meet the margins exactly; bound endpoints are
+re-attained by explicit constructions at every level; and for three or
+fewer levels the polytope's vertices can be enumerated outright as an
+exhaustive cross-check.
 """
 
 from __future__ import annotations
@@ -29,18 +31,11 @@ from .core import (
     allowed_mask,
     pn_from_joint,
 )
-from .identify import falsification_check
-from .lp import build_lp, pn_bounds_lp
+from .identify import EXACT_ATOL, falsification_check, gap_sequence, identify_joint
+from .lp import build_lp
 
-IPF_MAX_SWEEPS = 500
-#: Sweeps stop early once margins are reproduced this well.
-IPF_TARGET = 1e-12
-#: Draws whose final margin error exceeds this are rejected as non-convergent.
-IPF_ACCEPT = 1e-10
-#: Margin accuracy every returned sample is guaranteed to meet.
-SAMPLE_MARGIN_TOL = 1e-7
-#: Draws fitted together in place; bounds the sampler's working memory.
-IPF_SLICE = 2048
+#: Draws are split into this many groups, each with its own fill order.
+MIX_GROUPS = 16
 
 
 class ConstructionError(CausalAttributionError):
@@ -48,7 +43,7 @@ class ConstructionError(CausalAttributionError):
 
 
 class SamplingError(CausalAttributionError):
-    """The requested feasible set is empty or fitting repeatedly failed."""
+    """The requested feasible set is empty, or a batch failed its self-check."""
 
 
 class Endpoint(Enum):
@@ -79,81 +74,6 @@ def product_completion(row_sums: np.ndarray, col_sums: np.ndarray) -> np.ndarray
     return np.outer(rows, cols) / s_rows
 
 
-def _greedy_row_fill(
-    total: float, caps: np.ndarray, allowed: np.ndarray
-) -> np.ndarray:
-    """Fill left to right over allowed columns, each capped by its margin."""
-    fill = np.zeros(caps.size)
-    remaining = total
-    for l in range(caps.size):
-        if not allowed[l] or remaining <= 0:
-            continue
-        take = min(remaining, caps[l])
-        fill[l] = take
-        remaining -= take
-    if remaining > ATOL:
-        raise ConstructionError(
-            f"greedy fill left {remaining:.3g} unplaced; allowed columns cannot "
-            "absorb the row mass"
-        )
-    return fill
-
-
-def extremal_witness_marginal(
-    pair: MarginalPair, event: EventSpec, y: int, endpoint: Endpoint
-) -> JointProbabilityMatrix:
-    """Joint matrix attaining one marginal-only bound endpoint.
-
-    The evidence row is filled first: greedily over the complement columns
-    (lower endpoint, small case) or event columns (upper endpoint, large
-    case), or set to its forced values when the binding constraint
-    determines entire columns; the remaining block is a product completion
-    of the residual margins.
-    """
-    treated = pair.treated_law.probs.copy()
-    control = pair.control_law.probs.copy()
-    levels = pair.levels
-    mass = treated[y]
-    in_event = np.asarray(event.coeffs, dtype=bool)
-    omega = float(control[in_event].sum())
-    entries = np.zeros((levels, levels))
-    others = [k for k in range(levels) if k != y]
-
-    if endpoint is Endpoint.LOWER:
-        if mass + omega - 1.0 <= 0:
-            # bound is 0: keep the evidence row entirely off the event
-            row = _greedy_row_fill(mass, control, ~in_event)
-            entries[y] = row
-            block = product_completion(treated[others], control - row)
-            entries[others, :] = block
-        else:
-            # bound is mass + omega - 1: the evidence row absorbs all
-            # complement mass, other rows vanish on complement columns
-            entries[y, ~in_event] = control[~in_event]
-            row_rest = treated.copy()
-            row_rest[y] = mass - (1.0 - omega)
-            block = product_completion(row_rest, control[in_event])
-            entries[:, in_event] = block
-    else:
-        if omega <= mass:
-            # bound is omega: the evidence row absorbs all event mass
-            entries[y, in_event] = control[in_event]
-            row_rest = treated.copy()
-            row_rest[y] = mass - omega
-            block = product_completion(row_rest, control[~in_event])
-            entries[:, ~in_event] = block
-        else:
-            # bound is 1 (row mass entirely inside the event)
-            row = _greedy_row_fill(mass, control, in_event)
-            entries[y] = row
-            block = product_completion(treated[others], control - row)
-            entries[others, :] = block
-
-    joint = JointProbabilityMatrix(entries=np.clip(entries, 0.0, None))
-    _check_margins(joint, pair, ATOL)
-    return joint
-
-
 def _check_margins(
     joint: JointProbabilityMatrix, pair: MarginalPair, tol: float
 ) -> None:
@@ -179,142 +99,138 @@ def _feasibility_precheck(pair: MarginalPair, assumptions: Assumptions) -> None:
         )
 
 
-def _support_mask(pair: MarginalPair, assumptions: Assumptions) -> np.ndarray:
-    """Allowed-cell mask with cells that cannot carry mass pruned away.
+def _margin_tol(pair: MarginalPair, assumptions: Assumptions) -> float:
+    """Margin tolerance of a draw or witness.
 
-    For the monotone-type masks every cell above a cut h is forbidden, so
-    the mass below-left of the cut equals the cumulative gap at h for any
-    feasible matrix.  A vanishing gap therefore forces that whole region to
-    zero; pruning it keeps the fitting target off the support boundary,
-    where proportional fitting would stall.
-    """
-    levels = pair.levels
-    mask = allowed_mask(assumptions, levels)
-    if assumptions is not Assumptions.MARGINAL_ONLY:
-        gaps = np.cumsum(pair.control_law.probs - pair.treated_law.probs)
-        for h in range(levels - 1):
-            if gaps[h] <= 1e-12:
-                mask[h + 1 :, : h + 1] = False
-    return mask
-
-
-def _cut_partitions(
-    pair: MarginalPair, assumptions: Assumptions, mask: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Two-block partitions implied by the margins on monotone-type masks.
-
-    With every cell above cut h forbidden, the region {k > h, l <= h} of any
-    feasible matrix carries exactly the cumulative gap at h.  Rescaling a
-    two-block partition to its known totals is itself an exact information
-    projection, so adding these steps to the fitting cycle keeps it a
-    correct cyclic-projection scheme while eliminating the slow modes that
-    thin cuts otherwise cause.
+    ``EXACT_ATOL``, or ``ATOL + EXACT_ATOL`` on a pair that meets the
+    level's conditions only inside the ``ATOL`` band: a gap (``mono``) or
+    an entry of the one-level-lift joint (``incr``) just below zero.
     """
     if assumptions is Assumptions.MARGINAL_ONLY:
-        return []
-    levels = pair.levels
-    gaps = np.cumsum(pair.control_law.probs - pair.treated_law.probs)
-    partitions = []
-    for h in range(levels - 1):
-        region = np.zeros((levels, levels), dtype=bool)
-        region[h + 1 :, : h + 1] = True
-        region &= mask
-        if gaps[h] > 1e-12 and region.any():
-            partitions.append((region, mask & ~region, float(gaps[h])))
-    return partitions
+        return EXACT_ATOL
+    gaps = gap_sequence(pair).gaps
+    low = gaps.min()
+    if assumptions is Assumptions.MONOTONIC_INCREMENT:
+        low = min(low, (pair.treated_law.probs[1:] - gaps).min())
+    return EXACT_ATOL + (ATOL if low < 0 else 0.0)
 
 
-def _fit_slice(
-    x: np.ndarray,
-    treated: np.ndarray,
-    control: np.ndarray,
-    partitions: list[tuple[np.ndarray, np.ndarray, float]],
+def _fill_margins(
+    pair: MarginalPair, assumptions: Assumptions
+) -> tuple[np.ndarray, np.ndarray]:
+    """The margins a fill meets exactly: the pair's, except that under
+    ``mono`` the control law is moved so that a gap inside the band becomes
+    zero (the clipped gap), which moves each level by at most ``ATOL``."""
+    treated, control = pair.treated_law.probs, pair.control_law.probs
+    gaps = gap_sequence(pair).gaps
+    if assumptions is Assumptions.MONOTONICITY and gaps.min() < 0:
+        clipped = np.append(np.maximum(gaps, 0.0), 0.0)
+        control = np.maximum(treated + np.diff(clipped, prepend=0.0), 0.0)
+    return treated, control
+
+
+def _fill(
+    rows: np.ndarray, cols: np.ndarray, orders: list[np.ndarray], u: np.ndarray
 ) -> np.ndarray:
-    """Proportional fitting of the draws in ``x``, in place; their final errors.
+    """(m, J, J) matrices filled row by row, one cell at a time.
 
-    A draw leaves the sweep as soon as its margin error falls below
-    ``IPF_TARGET``; the others go on to at most ``IPF_MAX_SWEEPS`` sweeps.
-    Each draw's sweep uses only its own entries, so stopping one draw
-    leaves the others as they would be without it, up to rounding.
+    ``orders[k]`` lists the allowed columns of row k in visiting order; the
+    last row must allow every column.  A cell takes lo + u * (hi - lo) with
+    hi = min(row residual, column residual) and lo = what the row's later
+    columns cannot absorb; a row's last cell and the last row are forced.
+    The margins come out exact whenever every split of a row over its
+    allowed columns can be completed: with the full mask in any row order,
+    and with the lower-triangular mask top-down, since filling row k leaves
+    each later prefix cut (rows k+1..h into columns <= h) as it was (Gale).
     """
-    row_t = treated[None, :, None]
-    col_t = control[None, None, :]
-    err = np.empty(x.shape[0])
-    active = np.arange(x.shape[0])
-    y = x  # the draws still sweeping; a compacted copy once some have stopped
-    for _ in range(IPF_MAX_SWEEPS):
-        rs = y.sum(axis=2, keepdims=True)
-        y *= row_t / np.where(rs > 0, rs, 1.0)
-        cs = y.sum(axis=1, keepdims=True)
-        y *= col_t / np.where(cs > 0, cs, 1.0)
-        for region, rest, target in partitions:
-            inside = y[:, region].sum(axis=1)
-            outside = y[:, rest].sum(axis=1)
-            y[:, region] *= np.where(inside > 0, target / np.where(inside > 0, inside, 1.0), 1.0)[:, None]
-            y[:, rest] *= np.where(outside > 0, (1.0 - target) / np.where(outside > 0, outside, 1.0), 1.0)[:, None]
-        sweep_err = np.maximum(
-            np.abs(y.sum(axis=2) - treated).max(axis=1),
-            np.abs(y.sum(axis=1) - control).max(axis=1),
-        )
-        err[active] = sweep_err
-        done = sweep_err < IPF_TARGET
-        if done.any():
-            x[active[done]] = y[done]
-            y, active = y[~done], active[~done]
-            if not active.size:
-                break
-    x[active] = y
-    return err
+    m, levels = u.shape[0], rows.size
+    x = np.zeros((m, levels, levels))
+    res = np.tile(cols, (m, 1))
+    for k in range(levels - 1):
+        left = np.full(m, rows[k])
+        rest = res[:, orders[k]].sum(axis=1)
+        for l in orders[k][:-1]:
+            rest -= res[:, l]
+            lo = _floor(left, rest)
+            cell = lo + u[:, k, l] * (np.minimum(left, res[:, l]) - lo)
+            x[:, k, l] = cell
+            res[:, l] -= cell
+            left -= cell
+        x[:, k, orders[k][-1]] = left
+        res[:, orders[k][-1]] -= left
+    x[:, -1] = res
+    return x
 
 
-def _sample_matrices(
-    pair: MarginalPair, assumptions: Assumptions, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(m, J, J) feasible matrices, m <= n, via Dirichlet starts + proportional fitting.
+def _floor(left: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """A cell's least value: the row mass its later columns cannot absorb."""
+    return np.maximum(left - rest, 0.0)
 
-    The n starts are fitted in slices of ``IPF_SLICE`` draws, each in place,
-    and every draw stops on its own convergence (see ``_fit_slice``).  Draws
-    whose final margin error is not below ``IPF_ACCEPT`` are dropped.
+
+def _self_check(
+    x: np.ndarray, pair: MarginalPair, mask: np.ndarray, tol: float
+) -> None:
+    """Raise ``SamplingError`` unless every draw in x is feasible within tol.
+
+    Rounding negatives are clipped and each draw renormalized, in place.
     """
-    levels = pair.levels
-    bool_mask = _support_mask(pair, assumptions)
-    treated = pair.treated_law.probs
-    control = pair.control_law.probs
-    partitions = _cut_partitions(pair, assumptions, bool_mask)
-    x = rng.gamma(1.0, size=(n, levels, levels))
-    x *= bool_mask
-    x /= x.sum(axis=(1, 2), keepdims=True)
-    err = np.concatenate([
-        _fit_slice(x[start : start + IPF_SLICE], treated, control, partitions)
-        for start in range(0, n, IPF_SLICE)
-    ])
-    converged = err < IPF_ACCEPT
-    if not converged.any():
+    low = float(-x.min())
+    if low > tol or x[:, ~mask].any():
         raise SamplingError(
-            f"proportional fitting failed for every draw under "
-            f"{assumptions.value!r}; worst margin error {err.min():.3g}"
+            f"sampler self-check failed: entry {-low:.3g} or mass off the zero pattern"
         )
-    return x if converged.all() else x[converged]
+    np.maximum(x, 0.0, out=x)
+    x /= x.sum(axis=(1, 2), keepdims=True)
+    err = max(
+        np.abs(x.sum(axis=2) - pair.treated_law.probs).max(),
+        np.abs(x.sum(axis=1) - pair.control_law.probs).max(),
+    )
+    if err > tol:
+        raise SamplingError(
+            f"sampler self-check failed: margins off by {err:.3g} (tolerance {tol:.3g})"
+        )
 
 
 def _sample_array(
     pair: MarginalPair, assumptions: Assumptions, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Exactly n feasible matrices, topping up rejected draws."""
+    """n feasible matrices, drawn exactly in ``MIX_GROUPS`` groups.
+
+    ``marginal``: each group fills its own random row order.  ``mono``:
+    rows top-down, and every other group fills the mirrored problem (rows
+    and columns swapped, indices reversed), which is lower triangular too.
+    Each row visits its allowed columns in a random order per group.  The
+    fractions u follow the arcsine law, which puts more draws near the ends
+    of each cell's interval than a uniform u does; measured, that widens
+    the sampled range of every event.  ``incr``: the one feasible point,
+    broadcast.
+    """
     if n < 1:
         raise SamplingError("need at least one sample")
     _feasibility_precheck(pair, assumptions)
-    collected: list[np.ndarray] = []
-    remaining = n
-    for _ in range(8):
-        batch = _sample_matrices(pair, assumptions, remaining, rng)
-        collected.append(batch)
-        remaining -= batch.shape[0]
-        if remaining <= 0:
-            break
-    if remaining > 0:
-        raise SamplingError(f"{remaining} of {n} draws failed to converge")
-    return collected[0] if len(collected) == 1 else np.concatenate(collected)
+    levels = pair.levels
+    treated, control = _fill_margins(pair, assumptions)
+    mask = allowed_mask(assumptions, levels)
+    tol = _margin_tol(pair, assumptions)
+    if assumptions is Assumptions.MONOTONIC_INCREMENT:
+        point = identify_joint(pair).entries[None].copy()
+        _self_check(point, pair, mask, tol)
+        return np.broadcast_to(point[0], (n, levels, levels))
+    x = np.empty((n, levels, levels))
+    edges = np.linspace(0, n, MIX_GROUPS + 1).astype(int)
+    marginal = assumptions is Assumptions.MARGINAL_ONLY
+    for g in range(MIX_GROUPS):
+        part = x[edges[g] : edges[g + 1]]
+        perm = rng.permutation(levels) if marginal else np.arange(levels)
+        orders = [rng.permutation(levels if marginal else k + 1) for k in range(levels)]
+        u = 0.5 - 0.5 * np.cos(np.pi * rng.random(part.shape))
+        if marginal or g % 2 == 0:
+            part[:, perm] = _fill(treated[perm], control, orders, u)
+        else:
+            mirrored = _fill(control[::-1], treated[::-1], orders, u)
+            part[:] = mirrored[:, ::-1, ::-1].transpose(0, 2, 1)
+    _self_check(x, pair, mask, tol)
+    return x
 
 
 def draw_samples(
@@ -322,11 +238,13 @@ def draw_samples(
 ) -> np.ndarray:
     """(n, J, J) array of feasible joint matrices; deterministic in the seed.
 
-    Each sample satisfies the margins within ``SAMPLE_MARGIN_TOL`` and the
-    assumption's zero pattern exactly (masked cells start and stay at
-    zero).  Non-convergent draws are rejected and replaced.  The batch
-    depends only on (pair, assumptions, n, seed), so every cell of one
-    assumption level can be checked against the same batch.
+    Every cell is drawn inside its exact feasible interval given the
+    residual margins (see ``_sample_array``), so each sample meets the
+    margins within ``EXACT_ATOL`` (``ATOL + EXACT_ATOL`` on pairs accepted
+    only inside the ``ATOL`` band) and the assumption's zero pattern
+    exactly.  No draw is rejected: a batch that fails this self-check
+    raises ``SamplingError``.  The batch depends only on (pair, assumptions, n,
+    seed), so every cell of one assumption level can be checked against it.
     """
     return _sample_array(pair, assumptions, n, np.random.default_rng(seed))
 
@@ -338,23 +256,86 @@ def sample_feasible(
     return [JointProbabilityMatrix(entries=q) for q in draw_samples(pair, assumptions, n, seed)]
 
 
+def extremal_witness_marginal(
+    pair: MarginalPair, event: EventSpec, y: int, endpoint: Endpoint
+) -> JointProbabilityMatrix:
+    """Joint attaining one ``marginal`` bound endpoint; see ``_extremal_witness``."""
+    return _extremal_witness(pair, event, y, endpoint, Assumptions.MARGINAL_ONLY)
+
+
+def _extremal_witness(
+    pair: MarginalPair,
+    event: EventSpec,
+    y: int,
+    endpoint: Endpoint,
+    assumptions: Assumptions,
+) -> JointProbabilityMatrix:
+    """Joint attaining one ``marginal`` or ``mono`` bound endpoint.
+
+    The construction behind both closed forms, without their numbers.  The
+    evidence row r is filled greedily over the columns it may use (all, or
+    0..y under ``mono``): the event's columns S first for the upper
+    endpoint, the others first for the lower one, each from the top, every
+    cell as large as its column mass and the caps allow.  The caps are the
+    row total and, under ``mono``, gap_t on the mass of r below each cut t
+    (see ``pn_bounds_monotone``; a gap in the band counts as zero).  They
+    form a nested family, so the greedy fill maximizes r(S), or its
+    complement, over the rows that leave the rest feasible.  The other rows
+    are a deterministic run of the sampler's fill on the residual columns.
+    """
+    treated, control = _fill_margins(pair, assumptions)
+    levels = pair.levels
+    mono = assumptions is Assumptions.MONOTONICITY
+    span = y + 1 if mono else levels
+    first = np.asarray(event.coeffs[:span], dtype=bool)
+    if endpoint is Endpoint.LOWER:
+        first = ~first
+    top_down = np.arange(span - 1, -1, -1)
+    # budget[t - 1] caps the mass of r below cut t; the last entry, all of r
+    cuts = np.cumsum(control - treated)[:y] if mono else np.full(span - 1, np.inf)
+    budget = np.append(cuts, treated[y])
+    row = np.zeros(levels)
+    for l in np.concatenate((top_down[first[top_down]], top_down[~first[top_down]])):
+        row[l] = max(0.0, min(control[l], budget[l:].min()))
+        budget[l:] -= row[l]
+    rows = treated.copy()
+    rows[y] = 0.0
+    orders = [np.arange(k + 1 if mono else levels) for k in range(levels)]
+    q = _fill(rows, control - row, orders, np.ones((1, levels, levels)))[0]
+    q[y] = row
+    return _checked_witness(q, pair, assumptions)
+
+
+def _checked_witness(
+    q: np.ndarray, pair: MarginalPair, assumptions: Assumptions
+) -> JointProbabilityMatrix:
+    """q as a joint, clipped at zero and rescaled, once its zero pattern and
+    margins pass; a witness is checked, not trusted (``ConstructionError``)."""
+    q = np.clip(q, 0.0, None)
+    joint = JointProbabilityMatrix(entries=q / q.sum())
+    if joint.entries[~allowed_mask(assumptions, pair.levels)].any():
+        raise ConstructionError("witness has mass outside the zero pattern")
+    _check_margins(joint, pair, _margin_tol(pair, assumptions))
+    return joint
+
+
 def endpoint_witnesses(
     pair: MarginalPair, event: EventSpec, y: int, assumptions: Assumptions
 ) -> tuple[JointProbabilityMatrix, JointProbabilityMatrix]:
     """Feasible matrices attaining the lower and upper bound endpoints.
 
-    Marginal-only endpoints use the explicit constructions; the narrower
-    assumption levels reuse the LP optima, whose attainability the solver
-    certifies.
+    Explicit constructions at every level, with no LP and no bound
+    formula: the extremal fills for ``marginal`` and ``mono``, and for
+    ``incr`` the one feasible joint, ``identify_joint(pair)``, as both.  A
+    wrong closed form therefore shows as a sharpness gap.
     """
-    if assumptions is Assumptions.MARGINAL_ONLY:
-        return (
-            extremal_witness_marginal(pair, event, y, Endpoint.LOWER),
-            extremal_witness_marginal(pair, event, y, Endpoint.UPPER),
-        )
-    result = pn_bounds_lp(pair, event, y, assumptions)
-    assert result.witnesses is not None
-    return result.witnesses
+    if assumptions is Assumptions.MONOTONIC_INCREMENT:
+        joint = _checked_witness(identify_joint(pair).entries, pair, assumptions)
+        return joint, joint
+    return (
+        _extremal_witness(pair, event, y, Endpoint.LOWER, assumptions),
+        _extremal_witness(pair, event, y, Endpoint.UPPER, assumptions),
+    )
 
 
 @dataclass(frozen=True)
@@ -444,7 +425,7 @@ def enumerate_vertices(
         if np.linalg.matrix_rank(sub) < rank:
             continue
         sol, *_ = np.linalg.lstsq(sub, b, rcond=None)
-        if np.abs(sub @ sol - b).max() > 1e-9 or sol.min() < -1e-9:
+        if np.abs(sub @ sol - b).max() > ATOL or sol.min() < -ATOL:
             continue
         x = np.zeros(n)
         x[list(cols)] = sol

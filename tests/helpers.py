@@ -82,54 +82,6 @@ def arbitrary_pair(
     )
 
 
-def whole_batch_sample_matrices(
-    pair: MarginalPair, assumptions: Assumptions, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Reference sampler: sweeps the whole batch until its slowest draw
-    converges, then keeps the draws that meet ``IPF_ACCEPT``.
-
-    ``oracle._sample_matrices`` stops each draw on its own convergence
-    instead; the two must accept the same draws with the same values.
-    """
-    from pnbounds.oracle import (
-        IPF_ACCEPT,
-        IPF_MAX_SWEEPS,
-        IPF_TARGET,
-        _cut_partitions,
-        _support_mask,
-    )
-
-    levels = pair.levels
-    bool_mask = _support_mask(pair, assumptions)
-    mask = bool_mask.astype(float)
-    treated = pair.treated_law.probs
-    control = pair.control_law.probs
-    partitions = _cut_partitions(pair, assumptions, bool_mask)
-    x = rng.gamma(1.0, size=(n, levels, levels)) * mask
-    x /= x.sum(axis=(1, 2), keepdims=True)
-    row_t = treated[None, :, None]
-    col_t = control[None, None, :]
-    for _ in range(IPF_MAX_SWEEPS):
-        rs = x.sum(axis=2, keepdims=True)
-        x *= row_t / np.where(rs > 0, rs, 1.0)
-        cs = x.sum(axis=1, keepdims=True)
-        x *= col_t / np.where(cs > 0, cs, 1.0)
-        for region, rest, target in partitions:
-            inside = x[:, region].sum(axis=1)
-            outside = x[:, rest].sum(axis=1)
-            x[:, region] *= np.where(inside > 0, target / np.where(inside > 0, inside, 1.0), 1.0)[:, None]
-            x[:, rest] *= np.where(outside > 0, (1.0 - target) / np.where(outside > 0, outside, 1.0), 1.0)[:, None]
-        rs_err = np.abs(x.sum(axis=2) - treated).max(axis=1)
-        cs_err = np.abs(x.sum(axis=1) - control).max(axis=1)
-        if max(rs_err.max(), cs_err.max()) < IPF_TARGET:
-            break
-    err = np.maximum(
-        np.abs(x.sum(axis=2) - treated).max(axis=1),
-        np.abs(x.sum(axis=1) - control).max(axis=1),
-    )
-    return x[err < IPF_ACCEPT]
-
-
 def canonical_events(levels: int, y: int):
     """The five canonical families at evidence y."""
     events = [make_event("noteq", levels, level=y)]

@@ -473,6 +473,26 @@ def test_verify_fails_when_an_estimate_cannot_be_sampled(tmp_path, monkeypatch):
         assert entry["verification"] == "skipped: no draw met the margins"
 
 
+def test_verify_passes_on_a_gap_inside_the_band(tmp_path):
+    # gap -1e-9 (the ATOL band): the report accepts the data, and every
+    # level must then be sampled and pass, not be skipped
+    exp = tmp_path / "exp.json"
+    exp.write_text('{"counts": [[999999999, 1], [1000000000, 0]]}')
+    code, report = report_from(
+        tmp_path,
+        ["--mode", "pc", "--exp", str(exp), "--event", "eq:0", "--event", "eq:1",
+         "--evidence", "0", "--verify"],
+    )
+    assert code == 0
+    assert report["monotone_consistent"] is True
+    verification = report["verification"]
+    assert verification["passed"] is True
+    assert {e["assumptions"] for e in verification["cells"]} == {"marginal", "mono", "incr"}
+    for entry in verification["cells"]:
+        assert entry["verification"]["contained"] is True
+        assert entry["verification"]["sharp"] is True
+
+
 def test_mono_cells_refused_on_monotone_inconsistent_data(tmp_path):
     exp = tmp_path / "exp.json"
     exp.write_text('{"counts": [[10, 10, 80], [80, 10, 10]]}')

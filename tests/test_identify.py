@@ -86,6 +86,19 @@ def test_reconstructed_margins_are_exact():
         assert np.abs(joint.col_margins() - pair.control_law.probs).max() < 1e-12
 
 
+def test_identified_joint_at_the_band_edge_is_a_probability_matrix():
+    # gap_1 = -1e-9 passes the brackets; clipping the subdiagonal entry to
+    # zero used to leave entries summing to 1.000000001
+    pair = pair_from_laws([1.0, 0.0], [1 - 1e-9, 1e-9])
+    assert falsification_check(pair).passed
+    joint = identify_joint(pair)
+    assert joint.entries.min() >= 0.0
+    assert abs(joint.entries.sum() - 1.0) <= 1e-15
+    # margins within the band the brackets allow (ATOL), plus rounding
+    assert np.abs(joint.row_margins() - pair.treated_law.probs).max() <= 1e-9 + 1e-12
+    assert np.abs(joint.col_margins() - pair.control_law.probs).max() <= 1e-9 + 1e-12
+
+
 # --- falsification ----------------------------------------------------------------
 
 def test_lalonde_brackets():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pnbounds import (
+    ATOL,
     Assumptions,
     BoundsResult,
     ConstructionError,
@@ -9,6 +12,7 @@ from pnbounds import (
     Method,
     SamplingError,
     allowed_mask,
+    endpoint_witnesses,
     enumerate_vertices,
     extremal_witness_marginal,
     identify_joint,
@@ -21,20 +25,16 @@ from pnbounds import (
     sample_feasible,
     verify_bounds,
 )
-from pnbounds.oracle import (
-    SAMPLE_MARGIN_TOL,
-    _feasibility_precheck,
-    _sample_matrices,
-)
+from pnbounds import oracle
+from pnbounds.identify import EXACT_ATOL
+from pnbounds.oracle import _feasibility_precheck, _sample_array, draw_samples
 from helpers import (
     arbitrary_pair,
     canonical_events,
     lalonde_pair,
     lower_triangular_pair,
     pair_from_laws,
-    staircase_joint,
     staircase_pair,
-    whole_batch_sample_matrices,
 )
 
 
@@ -173,51 +173,185 @@ def test_sampling_rejects_empty_feasible_sets():
         sample_feasible(lalonde_pair(), Assumptions.MARGINAL_ONLY, 0, seed=1)
 
 
-def _thinned_staircase_pair(seed: int, levels: int):
-    """Staircase marginals with one sub-diagonal and one diagonal cell scaled
-    by 1e-6; fitting is slow enough that some draws miss ``IPF_ACCEPT``."""
-    rng = np.random.default_rng(seed)
-    q = staircase_joint(rng, levels)
-    k = int(rng.integers(1, levels))
-    q[k, k - 1] *= 1e-6
-    d = int(rng.integers(0, levels))
-    q[d, d] *= 1e-6
+# --- exact sampler ------------------------------------------------------------------
+
+def _assert_exact_batch(pair, assumptions, n, seed, tol=EXACT_ATOL):
+    x = draw_samples(pair, assumptions, n, seed)
+    assert x.shape == (n, pair.levels, pair.levels)
+    assert np.abs(x.sum(axis=2) - pair.treated_law.probs).max() <= tol
+    assert np.abs(x.sum(axis=1) - pair.control_law.probs).max() <= tol
+    assert x.min() >= 0.0
+    assert np.all(x[:, ~allowed_mask(assumptions, pair.levels)] == 0.0)
+    assert np.array_equal(x, draw_samples(pair, assumptions, n, seed))
+
+
+def _tied_pair(rng, levels):
+    """Monotone integer joint with an empty treated level, an empty control
+    level and a gap tied at zero."""
+    q = np.tril(rng.integers(1, 4, (levels, levels)).astype(float))
+    cut = int(rng.integers(1, levels))
+    q[cut:, :cut] = 0.0
+    q[int(rng.integers(0, levels))] = 0.0
+    q[:, int(rng.integers(0, levels))] = 0.0
+    if q.sum() == 0:
+        q[-1, -1] = 1.0
     q /= q.sum()
     return pair_from_laws(q.sum(axis=1), q.sum(axis=0))
 
 
-def test_per_draw_stop_matches_whole_batch_sweep():
-    rng = np.random.default_rng(83)
-    pairs = [lalonde_pair(), _thinned_staircase_pair(13, 6)]
-    for levels in range(3, 7):
-        pairs += [lower_triangular_pair(rng, levels), staircase_pair(rng, levels)]
-    n = 300
-    partial = all_rejected = 0
-    for pair in pairs:
-        for assumptions in Assumptions:
-            try:
-                _feasibility_precheck(pair, assumptions)
-            except SamplingError:
-                continue
-            mask = allowed_mask(assumptions, pair.levels)
-            for seed in (0, 1, 2):
-                reference = whole_batch_sample_matrices(
-                    pair, assumptions, n, np.random.default_rng(seed)
-                )
-                if reference.shape[0] == 0:
+def _band_pairs():
+    """Pairs whose one negative gap lies inside the ATOL band."""
+    treated = np.array([3, 4, 1, 8, 3, 3]) / 22
+    control = np.array([8, 3, 2, 3, 4, 2]) / 22
+    control[3] -= 5e-10
+    control[4] += 5e-10
+    return [pair_from_laws([1.0, 0.0], [1 - 1e-9, 1e-9]), pair_from_laws(treated, control)]
+
+
+def test_draws_meet_margins_and_zero_pattern_exactly():
+    rng = np.random.default_rng(97)
+    drawn = refused = 0
+    for levels in range(2, 21):
+        pairs = [lower_triangular_pair(rng, levels), staircase_pair(rng, levels)]
+        pairs.append(_tied_pair(rng, levels))
+        for pair in pairs:
+            for assumptions in Assumptions:
+                try:
+                    _feasibility_precheck(pair, assumptions)
+                except SamplingError:
                     with pytest.raises(SamplingError):
-                        _sample_matrices(pair, assumptions, n, np.random.default_rng(seed))
-                    all_rejected += 1
+                        draw_samples(pair, assumptions, 100, seed=levels)
+                    refused += 1
                     continue
-                x = _sample_matrices(pair, assumptions, n, np.random.default_rng(seed))
-                assert x.shape == reference.shape
-                assert np.abs(x - reference).max() <= 1e-10
-                assert np.abs(x.sum(axis=2) - pair.treated_law.probs).max() <= SAMPLE_MARGIN_TOL
-                assert np.abs(x.sum(axis=1) - pair.control_law.probs).max() <= SAMPLE_MARGIN_TOL
-                assert np.all(x[:, ~mask] == 0.0)
-                partial += x.shape[0] < n
-    # the thinned pair exercises rejection: some draws under mono, all under incr
-    assert partial >= 1 and all_rejected >= 1
+                _assert_exact_batch(pair, assumptions, 100, seed=levels)
+                drawn += 1
+    assert drawn >= 120 and refused >= 10
+
+
+def test_band_pairs_are_sampled_within_the_band():
+    two_levels, six_levels = _band_pairs()
+    cases = [(two_levels, a) for a in Assumptions]
+    cases += [(six_levels, Assumptions.MARGINAL_ONLY), (six_levels, Assumptions.MONOTONICITY)]
+    for pair, assumptions in cases:
+        _assert_exact_batch(pair, assumptions, 500, seed=3, tol=ATOL + EXACT_ATOL)
+
+
+@st.composite
+def ladder_pairs(draw):
+    """Integer joints (zero-mass levels) that are unrestricted, lower
+    triangular or staircase, with one gap tied at zero and maybe then moved
+    up to ATOL below it."""
+    levels = draw(st.integers(2, 20))
+    size = levels * levels
+    weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    q = np.asarray(weights, dtype=float).reshape(levels, levels)
+    shape = draw(st.sampled_from(["full", "lower", "staircase"]))
+    if shape != "full":
+        q = np.tril(q) if shape == "lower" else np.tril(np.triu(q, -1))
+    cut = draw(st.integers(1, levels - 1))
+    q[cut:, :cut] = 0.0
+    assume(q.sum() > 0)
+    q /= q.sum()
+    treated, control = q.sum(axis=1), q.sum(axis=0)
+    delta = draw(st.sampled_from([0.0, 0.0, 0.5, 1.0])) * ATOL
+    if delta and control[cut - 1] >= delta:
+        # moving control mass up across the cut lowers gap_cut by delta
+        control[cut - 1] -= delta
+        control[cut] += delta
+    return pair_from_laws(treated, control), delta
+
+
+@settings(max_examples=40, deadline=None)
+@given(ladder_pairs(), st.integers(0, 2**32 - 1))
+def test_draws_are_exact_at_ties_zero_levels_and_the_band(case, seed):
+    pair, delta = case
+    for assumptions in Assumptions:
+        try:
+            _feasibility_precheck(pair, assumptions)
+        except SamplingError:
+            with pytest.raises(SamplingError):
+                draw_samples(pair, assumptions, 48, seed)
+            continue
+        banded = delta and assumptions is not Assumptions.MARGINAL_ONLY
+        _assert_exact_batch(pair, assumptions, 48, seed, EXACT_ATOL + ATOL * bool(banded))
+
+
+@pytest.mark.parametrize(
+    "floor",
+    [lambda left, rest: np.zeros_like(left), lambda left, rest: np.maximum(left - rest + 0.05, 0.0)],
+    ids=["cut-dropped", "cut-overstated"],
+)
+def test_a_corrupted_cut_bound_fails_the_self_check(monkeypatch, floor):
+    pair = lower_triangular_pair(np.random.default_rng(606), 6)
+    monkeypatch.setattr(oracle, "_floor", floor)
+    for assumptions in (Assumptions.MARGINAL_ONLY, Assumptions.MONOTONICITY):
+        with pytest.raises(SamplingError, match="self-check"):
+            draw_samples(pair, assumptions, 1000, seed=0)
+
+
+# Figures of the iterative proportional fitting sampler that the exact one
+# replaced, measured on the same pairs, batch size and generator seeds and
+# rounded down.  Coverage of a cell: sampled range over claimed width.
+IPF_COVERAGE = {  # (levels, assumptions): (min, median) over canonical events
+    (3, Assumptions.MARGINAL_ONLY): (0.943091, 0.999138),
+    (3, Assumptions.MONOTONICITY): (0.999935, 0.999935),
+    (6, Assumptions.MARGINAL_ONLY): (0.715836, 0.905505),
+    (6, Assumptions.MONOTONICITY): (0.753194, 0.987381),
+    (10, Assumptions.MARGINAL_ONLY): (0.172889, 0.784857),
+    (10, Assumptions.MONOTONICITY): (0.594210, 0.915510),
+    (20, Assumptions.MARGINAL_ONLY): (0.100382, 0.494821),
+    (20, Assumptions.MONOTONICITY): (0.354961, 0.617474),
+}
+IPF_CAUGHT = {  # (pair, assumptions): (narrowed bounds caught, of)
+    ("lalonde", Assumptions.MARGINAL_ONLY): (28, 28),
+    ("lalonde", Assumptions.MONOTONICITY): (12, 12),
+    (6, Assumptions.MARGINAL_ONLY): (47, 94),
+    (6, Assumptions.MONOTONICITY): (39, 54),
+    (10, Assumptions.MARGINAL_ONLY): (116, 238),
+    (10, Assumptions.MONOTONICITY): (79, 138),
+}
+
+
+def _claimed_cells(pair, assumptions):
+    """Canonical cells of nonzero claimed width, with their closed forms."""
+    closed = pn_bounds_marginal if assumptions is Assumptions.MARGINAL_ONLY else pn_bounds_monotone
+    for y in range(pair.levels):
+        if pair.treated_law[y] <= 1e-9:
+            continue
+        for event in canonical_events(pair.levels, y):
+            result = closed(pair, event, y)
+            if result.width > 1e-6:
+                yield event, y, result
+
+
+def _coverage_pair(levels):
+    return lower_triangular_pair(np.random.default_rng(600 + levels), levels)
+
+
+def test_coverage_is_no_worse_than_proportional_fitting():
+    for (levels, assumptions), (ipf_min, ipf_median) in IPF_COVERAGE.items():
+        pair = _coverage_pair(levels)
+        x = _sample_array(pair, assumptions, 10_000, np.random.default_rng(0))
+        ratios = []
+        for event, y, result in _claimed_cells(pair, assumptions):
+            values = (x[:, y, :] @ event.vector) / x[:, y, :].sum(axis=1)
+            ratios.append((values.max() - values.min()) / result.width)
+        assert min(ratios) >= ipf_min and np.median(ratios) >= ipf_median
+
+
+def test_narrowed_bounds_are_caught_at_least_as_often_as_by_proportional_fitting():
+    for (name, assumptions), (ipf_caught, claims) in IPF_CAUGHT.items():
+        pair = lalonde_pair() if name == "lalonde" else _coverage_pair(name)
+        x = draw_samples(pair, assumptions, 10_000, seed=42)
+        caught = total = 0
+        for event, y, result in _claimed_cells(pair, assumptions):
+            shift = 0.01 * result.width
+            for lower, upper in ((result.lower + shift, result.upper), (result.lower, result.upper - shift)):
+                claim = BoundsResult(lower, upper, assumptions, Method.CLOSED_FORM)
+                report = verify_bounds(pair, event, y, assumptions, claim, 10_000, 42, samples=x)
+                caught += not report.contained
+                total += 1
+        assert total == claims and caught >= ipf_caught
 
 
 # --- verification -------------------------------------------------------------------
@@ -274,6 +408,86 @@ def test_verify_can_dump_sampled_values(tmp_path):
 
     payload = json.loads(report.to_json())
     assert payload["contained"] is True and payload["n_samples"] == 50
+
+
+def test_monotone_witnesses_attain_the_closed_forms():
+    rng = np.random.default_rng(43)
+    cells = 0
+    for _ in range(60):
+        levels = int(rng.integers(2, 9))
+        pair = lower_triangular_pair(rng, levels)
+        mask = allowed_mask(Assumptions.MONOTONICITY, levels)
+        for y in range(levels):
+            if pair.treated_law[y] <= 1e-9:
+                continue
+            custom = make_event("custom", levels, coeffs=rng.integers(0, 2, levels).tolist())
+            for event in canonical_events(levels, y) + [custom]:
+                res = pn_bounds_monotone(pair, event, y)
+                low, up = endpoint_witnesses(pair, event, y, Assumptions.MONOTONICITY)
+                assert pn_from_joint(low, event, y) == pytest.approx(res.lower, abs=1e-12)
+                assert pn_from_joint(up, event, y) == pytest.approx(res.upper, abs=1e-12)
+                for witness in (low, up):
+                    assert np.all(witness.entries[~mask] == 0.0)
+                    assert np.abs(witness.row_margins() - pair.treated_law.probs).max() <= 1e-12
+                    assert np.abs(witness.col_margins() - pair.control_law.probs).max() <= 1e-12
+                cells += 1
+    assert cells > 1000
+
+
+def test_increment_witnesses_are_the_identified_joint():
+    rng = np.random.default_rng(47)
+    for levels in range(2, 8):
+        pair = staircase_pair(rng, levels)
+        low, up = endpoint_witnesses(
+            pair, canonical_events(levels, 1)[0], 1, Assumptions.MONOTONIC_INCREMENT
+        )
+        assert np.array_equal(low.entries, identify_joint(pair).entries)
+        assert np.array_equal(up.entries, identify_joint(pair).entries)
+
+
+def test_verification_never_calls_the_lp(monkeypatch):
+    import pnbounds.lp
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called the LP")
+
+    assert not hasattr(oracle, "pn_bounds_lp")
+    monkeypatch.setattr(pnbounds.lp, "pn_bounds_lp", forbidden)
+    pair = lalonde_pair()
+    for assumptions, closed in (
+        (Assumptions.MARGINAL_ONLY, pn_bounds_marginal),
+        (Assumptions.MONOTONICITY, pn_bounds_monotone),
+    ):
+        for event in canonical_events(3, 2):
+            report = verify_bounds(pair, event, 2, assumptions, closed(pair, event, 2), 500, seed=1)
+            assert report.contained
+            assert max(report.sharpness_gap_lower, report.sharpness_gap_upper) <= 1e-12
+
+
+def test_band_pair_cells_are_contained_and_sharp_under_mono():
+    _, pair = _band_pairs()  # gap_4 = -5e-10
+    for level in range(6):
+        event = make_event("eq", 6, level=level)
+        res = pn_bounds_monotone(pair, event, 4)
+        report = verify_bounds(pair, event, 4, Assumptions.MONOTONICITY, res, 2000, seed=7)
+        assert report.contained
+        assert max(report.sharpness_gap_lower, report.sharpness_gap_upper) <= 1e-8
+
+
+def test_verify_flags_widened_monotone_bounds_as_unsharp():
+    pair = lalonde_pair()
+    ev = make_event("eq", 3, level=0)
+    res = pn_bounds_monotone(pair, ev, 1)
+    widened = BoundsResult(
+        lower=res.lower - 0.05,
+        upper=res.upper + 0.05,
+        assumptions=res.assumptions,
+        method=Method.CLOSED_FORM,
+    )
+    report = verify_bounds(pair, ev, 1, Assumptions.MONOTONICITY, widened, 500, seed=1)
+    assert report.contained
+    assert report.sharpness_gap_lower == pytest.approx(0.05, abs=1e-12)
+    assert report.sharpness_gap_upper == pytest.approx(0.05, abs=1e-12)
 
 
 def test_verify_flags_narrowed_bounds_as_uncontained():
