@@ -378,9 +378,15 @@ def _verify_level(
     assumptions: Assumptions,
     entries: list[dict[str, Any]],
 ) -> bool:
-    """Verify the cells of one assumption level against one shared batch."""
+    """Verify the cells of one assumption level against one shared batch.
+
+    The cells also share one ``oracle._Level``: its witnesses are built
+    once per distinct construction, and the batch's rows of each evidence
+    level once.
+    """
     try:
         samples = oracle.draw_samples(pair, assumptions, cfg.samples, cfg.seed)
+        level = oracle._Level(pair, assumptions)
     except oracle.SamplingError as exc:
         for entry in entries:
             entry["verification"] = f"skipped: {exc}"
@@ -400,7 +406,7 @@ def _verify_level(
         )
         check = oracle.verify_bounds(
             pair, events[entry["event"]], entry["evidence"],
-            assumptions, claim, cfg.samples, cfg.seed, samples=samples,
+            assumptions, claim, cfg.samples, cfg.seed, samples=samples, level=level,
         )
         sharp = (
             check.sharpness_gap_lower <= _SHARPNESS_TOL

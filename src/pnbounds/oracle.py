@@ -31,7 +31,7 @@ from .core import (
     allowed_mask,
     pn_from_joint,
 )
-from .identify import EXACT_ATOL, falsification_check, gap_sequence, identify_joint
+from .identify import EXACT_ATOL, FalsificationError, gap_sequence, identify_joint
 from .lp import build_lp
 
 #: Draws are split into this many groups, each with its own fill order.
@@ -85,48 +85,75 @@ def _check_margins(
         )
 
 
-def _feasibility_precheck(pair: MarginalPair, assumptions: Assumptions) -> None:
+def _feasibility_precheck(
+    pair: MarginalPair, assumptions: Assumptions
+) -> JointProbabilityMatrix | None:
+    """Raise ``SamplingError`` if the level's feasible set is empty; under
+    ``incr`` return its one joint (``identify_joint`` checks the brackets)."""
     if assumptions is Assumptions.MONOTONIC_INCREMENT:
-        report = falsification_check(pair)
-        if not report.passed:
+        try:
+            return identify_joint(pair)
+        except FalsificationError as exc:
             raise SamplingError(
                 "one-level-lift feasible set is empty: gap brackets violated at "
-                + ", ".join(f"k={c.k}" for c in report.violations())
-            )
-    elif assumptions is Assumptions.MONOTONICITY and not monotone_consistent(pair):
+                + ", ".join(f"k={c.k}" for c in exc.report.violations())
+            ) from None
+    if assumptions is Assumptions.MONOTONICITY and not monotone_consistent(pair):
         raise SamplingError(
             "monotone feasible set is empty: some cumulative gap is negative"
         )
+    return None
 
 
-def _margin_tol(pair: MarginalPair, assumptions: Assumptions) -> float:
-    """Margin tolerance of a draw or witness.
+class _Level:
+    """The facts that the draws, witnesses and cells of one (pair, level) share.
 
-    ``EXACT_ATOL``, or ``ATOL + EXACT_ATOL`` on a pair that meets the
-    level's conditions only inside the ``ATOL`` band: a gap (``mono``) or
-    an entry of the one-level-lift joint (``incr``) just below zero.
+    Raises ``SamplingError`` when the feasible set is empty.  ``treated`` and
+    ``control``: the margins a fill meets exactly, the pair's except that a
+    ``mono`` gap inside the band is clipped to zero (moving a level by at
+    most ``ATOL``).  ``tol``: the margin tolerance of a draw or witness,
+    ``EXACT_ATOL`` plus ``ATOL`` on a pair that meets the level's conditions
+    only inside the band.  ``joint``: the ``incr`` point.  ``witnesses``:
+    memo of checked witnesses.  ``rows``: the evidence rows of the last
+    batch seen, per evidence level.  A level is made by the caller that
+    uses it and passed on explicitly; nothing keeps one beyond that.
     """
-    if assumptions is Assumptions.MARGINAL_ONLY:
-        return EXACT_ATOL
-    gaps = gap_sequence(pair).gaps
-    low = gaps.min()
-    if assumptions is Assumptions.MONOTONIC_INCREMENT:
-        low = min(low, (pair.treated_law.probs[1:] - gaps).min())
-    return EXACT_ATOL + (ATOL if low < 0 else 0.0)
 
+    def __init__(self, pair: MarginalPair, assumptions: Assumptions):
+        self.pair, self.assumptions = pair, assumptions
+        self.joint = _feasibility_precheck(pair, assumptions)
+        self.mask = allowed_mask(assumptions, pair.levels)
+        self.treated = treated = pair.treated_law.probs
+        self.control = pair.control_law.probs
+        gaps = gap_sequence(pair).gaps
+        low = gaps.min() if assumptions is not Assumptions.MARGINAL_ONLY else 0.0
+        if self.joint is not None:
+            low = min(low, (treated[1:] - gaps).min())
+        elif assumptions is Assumptions.MONOTONICITY and low < 0:
+            clipped = np.append(np.maximum(gaps, 0.0), 0.0)
+            self.control = np.maximum(treated + np.diff(clipped, prepend=0.0), 0.0)
+        self.tol = EXACT_ATOL + (ATOL if low < 0 else 0.0)
+        self.witnesses: dict[object, JointProbabilityMatrix] = {}
+        self.rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-def _fill_margins(
-    pair: MarginalPair, assumptions: Assumptions
-) -> tuple[np.ndarray, np.ndarray]:
-    """The margins a fill meets exactly: the pair's, except that under
-    ``mono`` the control law is moved so that a gap inside the band becomes
-    zero (the clipped gap), which moves each level by at most ``ATOL``."""
-    treated, control = pair.treated_law.probs, pair.control_law.probs
-    gaps = gap_sequence(pair).gaps
-    if assumptions is Assumptions.MONOTONICITY and gaps.min() < 0:
-        clipped = np.append(np.maximum(gaps, 0.0), 0.0)
-        control = np.maximum(treated + np.diff(clipped, prepend=0.0), 0.0)
-    return treated, control
+    def evidence(self, x: np.ndarray, y: int) -> tuple[np.ndarray, np.ndarray]:
+        """The evidence rows x[:, y, :] and their mass, once per y per batch.
+
+        The memo entry is read once, so the rows returned are always x's.
+        """
+        rows = self.rows.get(y)
+        if rows is None or rows[0] is not x:
+            rows = self.rows[y] = (x, x[:, y, :], x[:, y, :].sum(axis=1))
+        return rows[1], rows[2]
+
+    def witness(self, y: int, first: np.ndarray) -> JointProbabilityMatrix:
+        """The checked ``_extremal_fill(self, y, first)``, or under ``incr``
+        the level's joint, built once per level."""
+        key = None if self.joint is not None else (y, first.tobytes())
+        if key not in self.witnesses:
+            q = self.joint.entries if key is None else _extremal_fill(self, y, first)
+            self.witnesses[key] = _checked_witness(q, self)
+        return self.witnesses[key]
 
 
 def _fill(
@@ -135,26 +162,30 @@ def _fill(
     """(m, J, J) matrices filled row by row, one cell at a time.
 
     ``orders[k]`` lists the allowed columns of row k in visiting order; the
-    last row must allow every column.  A cell takes lo + u * (hi - lo) with
-    hi = min(row residual, column residual) and lo = what the row's later
-    columns cannot absorb; a row's last cell and the last row are forced.
-    The margins come out exact whenever every split of a row over its
-    allowed columns can be completed: with the full mask in any row order,
-    and with the lower-triangular mask top-down, since filling row k leaves
-    each later prefix cut (rows k+1..h into columns <= h) as it was (Gale).
+    last row must allow every column.  The i-th free cell visited takes
+    lo + u[:, i] * (hi - lo) with hi = min(row residual, column residual)
+    and lo = what the row's later columns cannot absorb; a row's last cell
+    and the last row are forced.  The margins come out exact whenever every
+    split of a row over its allowed columns can be completed: with the full
+    mask in any row order, and with the lower-triangular mask top-down, since
+    filling row k leaves each later prefix cut (rows k+1..h into columns
+    <= h) as it was (Gale).
     """
     m, levels = u.shape[0], rows.size
     x = np.zeros((m, levels, levels))
     res = np.tile(cols, (m, 1))
+    i = 0
     for k in range(levels - 1):
         left = np.full(m, rows[k])
         rest = res[:, orders[k]].sum(axis=1)
         for l in orders[k][:-1]:
-            rest -= res[:, l]
+            col = res[:, l]
+            rest -= col
             lo = _floor(left, rest)
-            cell = lo + u[:, k, l] * (np.minimum(left, res[:, l]) - lo)
+            cell = lo + u[:, i] * (np.minimum(left, col) - lo)
+            i += 1
             x[:, k, l] = cell
-            res[:, l] -= cell
+            col -= cell
             left -= cell
         x[:, k, orders[k][-1]] = left
         res[:, orders[k][-1]] -= left
@@ -167,24 +198,26 @@ def _floor(left: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return np.maximum(left - rest, 0.0)
 
 
-def _self_check(
-    x: np.ndarray, pair: MarginalPair, mask: np.ndarray, tol: float
-) -> None:
+def _self_check(x: np.ndarray, level: _Level) -> None:
     """Raise ``SamplingError`` unless every draw in x is feasible within tol.
 
     Rounding negatives are clipped and each draw renormalized, in place.
     """
-    low = float(-x.min())
-    if low > tol or x[:, ~mask].any():
+    low, tol = float(-x.min()), level.tol
+    if low > tol or x[:, ~level.mask].any():
         raise SamplingError(
             f"sampler self-check failed: entry {-low:.3g} or mass off the zero pattern"
         )
     np.maximum(x, 0.0, out=x)
     x /= x.sum(axis=(1, 2), keepdims=True)
-    err = max(
-        np.abs(x.sum(axis=2) - pair.treated_law.probs).max(),
-        np.abs(x.sum(axis=1) - pair.control_law.probs).max(),
-    )
+    pair, err = level.pair, 0.0
+    # row sums, then column sums, accumulated along the short axis in place
+    for view, law in ((x.transpose(0, 2, 1), pair.treated_law), (x, pair.control_law)):
+        total = view[:, 0].copy()
+        for l in range(1, x.shape[1]):
+            total += view[:, l]
+        total -= law.probs
+        err = max(err, np.abs(total, out=total).max())
     if err > tol:
         raise SamplingError(
             f"sampler self-check failed: margins off by {err:.3g} (tolerance {tol:.3g})"
@@ -202,34 +235,35 @@ def _sample_array(
     Each row visits its allowed columns in a random order per group.  The
     fractions u follow the arcsine law, which puts more draws near the ends
     of each cell's interval than a uniform u does; measured, that widens
-    the sampled range of every event.  ``incr``: the one feasible point,
-    broadcast.
+    the sampled range of every event; each group transforms only the
+    uniforms its fill reads.  ``incr``: the one feasible point, broadcast.
+    The draw makes its own ``_Level``: the facts it reads cost a few
+    vectors of length J, and under ``incr`` one bracket check.
     """
     if n < 1:
         raise SamplingError("need at least one sample")
-    _feasibility_precheck(pair, assumptions)
-    levels = pair.levels
-    treated, control = _fill_margins(pair, assumptions)
-    mask = allowed_mask(assumptions, levels)
-    tol = _margin_tol(pair, assumptions)
-    if assumptions is Assumptions.MONOTONIC_INCREMENT:
-        point = identify_joint(pair).entries[None].copy()
-        _self_check(point, pair, mask, tol)
+    level, levels = _Level(pair, assumptions), pair.levels
+    if level.joint is not None:
+        point = level.joint.entries[None].copy()
+        _self_check(point, level)
         return np.broadcast_to(point[0], (n, levels, levels))
     x = np.empty((n, levels, levels))
     edges = np.linspace(0, n, MIX_GROUPS + 1).astype(int)
     marginal = assumptions is Assumptions.MARGINAL_ONLY
+    # the row of each cell that _fill draws, in visiting order
+    ks = np.repeat(np.arange(levels - 1), levels - 1 if marginal else np.arange(levels - 1))
     for g in range(MIX_GROUPS):
         part = x[edges[g] : edges[g + 1]]
         perm = rng.permutation(levels) if marginal else np.arange(levels)
         orders = [rng.permutation(levels if marginal else k + 1) for k in range(levels)]
-        u = 0.5 - 0.5 * np.cos(np.pi * rng.random(part.shape))
+        ls = np.concatenate([o[:-1] for o in orders[:-1]])
+        u = 0.5 - 0.5 * np.cos(np.pi * rng.random(part.shape)[:, ks, ls])
         if marginal or g % 2 == 0:
-            part[:, perm] = _fill(treated[perm], control, orders, u)
+            part[:, perm] = _fill(level.treated[perm], level.control, orders, u)
         else:
-            mirrored = _fill(control[::-1], treated[::-1], orders, u)
+            mirrored = _fill(level.control[::-1], level.treated[::-1], orders, u)
             part[:] = mirrored[:, ::-1, ::-1].transpose(0, 2, 1)
-    _self_check(x, pair, mask, tol)
+    _self_check(x, level)
     return x
 
 
@@ -240,11 +274,10 @@ def draw_samples(
 
     Every cell is drawn inside its exact feasible interval given the
     residual margins (see ``_sample_array``), so each sample meets the
-    margins within ``EXACT_ATOL`` (``ATOL + EXACT_ATOL`` on pairs accepted
-    only inside the ``ATOL`` band) and the assumption's zero pattern
-    exactly.  No draw is rejected: a batch that fails this self-check
-    raises ``SamplingError``.  The batch depends only on (pair, assumptions, n,
-    seed), so every cell of one assumption level can be checked against it.
+    margins within the level's tolerance (``_Level.tol``) and its zero
+    pattern exactly.  No draw is rejected: a batch that fails this
+    self-check raises ``SamplingError``.  The batch depends only on (pair,
+    assumptions, n, seed), so every cell of one level can be checked on it.
     """
     return _sample_array(pair, assumptions, n, np.random.default_rng(seed))
 
@@ -259,40 +292,31 @@ def sample_feasible(
 def extremal_witness_marginal(
     pair: MarginalPair, event: EventSpec, y: int, endpoint: Endpoint
 ) -> JointProbabilityMatrix:
-    """Joint attaining one ``marginal`` bound endpoint; see ``_extremal_witness``."""
-    return _extremal_witness(pair, event, y, endpoint, Assumptions.MARGINAL_ONLY)
+    """Joint attaining one ``marginal`` bound endpoint; see ``_extremal_fill``."""
+    first = np.asarray(event.coeffs, dtype=bool)
+    level = _Level(pair, Assumptions.MARGINAL_ONLY)
+    return level.witness(y, first if endpoint is Endpoint.UPPER else ~first)
 
 
-def _extremal_witness(
-    pair: MarginalPair,
-    event: EventSpec,
-    y: int,
-    endpoint: Endpoint,
-    assumptions: Assumptions,
-) -> JointProbabilityMatrix:
+def _extremal_fill(level: _Level, y: int, first: np.ndarray) -> np.ndarray:
     """Joint attaining one ``marginal`` or ``mono`` bound endpoint.
 
     The construction behind both closed forms, without their numbers.  The
     evidence row r is filled greedily over the columns it may use (all, or
-    0..y under ``mono``): the event's columns S first for the upper
-    endpoint, the others first for the lower one, each from the top, every
-    cell as large as its column mass and the caps allow.  The caps are the
-    row total and, under ``mono``, gap_t on the mass of r below each cut t
-    (see ``pn_bounds_monotone``; a gap in the band counts as zero).  They
-    form a nested family, so the greedy fill maximizes r(S), or its
-    complement, over the rows that leave the rest feasible.  The other rows
-    are a deterministic run of the sampler's fill on the residual columns.
+    0..y under ``mono``): those marked ``first`` (the event's columns S for
+    the upper endpoint, the others for the lower one) before the rest, each
+    from the top, every cell as large as its column mass and the caps allow.
+    The caps are the row total and, under ``mono``, gap_t on the mass of r
+    below each cut t (see ``pn_bounds_monotone``; a gap in the band counts
+    as zero).  They form a nested family, so the greedy fill maximizes r(S),
+    or its complement, over the rows that leave the rest feasible.  The
+    other rows are a deterministic run of ``_fill`` on the residual columns.
     """
-    treated, control = _fill_margins(pair, assumptions)
-    levels = pair.levels
-    mono = assumptions is Assumptions.MONOTONICITY
-    span = y + 1 if mono else levels
-    first = np.asarray(event.coeffs[:span], dtype=bool)
-    if endpoint is Endpoint.LOWER:
-        first = ~first
-    top_down = np.arange(span - 1, -1, -1)
+    treated, control, levels = level.treated, level.control, level.pair.levels
+    mono = level.assumptions is Assumptions.MONOTONICITY
+    top_down = np.arange(first.size - 1, -1, -1)
     # budget[t - 1] caps the mass of r below cut t; the last entry, all of r
-    cuts = np.cumsum(control - treated)[:y] if mono else np.full(span - 1, np.inf)
+    cuts = np.cumsum(control - treated)[:y] if mono else np.full(levels - 1, np.inf)
     budget = np.append(cuts, treated[y])
     row = np.zeros(levels)
     for l in np.concatenate((top_down[first[top_down]], top_down[~first[top_down]])):
@@ -301,41 +325,46 @@ def _extremal_witness(
     rows = treated.copy()
     rows[y] = 0.0
     orders = [np.arange(k + 1 if mono else levels) for k in range(levels)]
-    q = _fill(rows, control - row, orders, np.ones((1, levels, levels)))[0]
+    q = _fill(rows, control - row, orders, np.ones((1, levels * levels)))[0]
     q[y] = row
-    return _checked_witness(q, pair, assumptions)
+    return q
 
 
-def _checked_witness(
-    q: np.ndarray, pair: MarginalPair, assumptions: Assumptions
-) -> JointProbabilityMatrix:
+def _checked_witness(q: np.ndarray, level: _Level) -> JointProbabilityMatrix:
     """q as a joint, clipped at zero and rescaled, once its zero pattern and
     margins pass; a witness is checked, not trusted (``ConstructionError``)."""
     q = np.clip(q, 0.0, None)
     joint = JointProbabilityMatrix(entries=q / q.sum())
-    if joint.entries[~allowed_mask(assumptions, pair.levels)].any():
+    if joint.entries[~level.mask].any():
         raise ConstructionError("witness has mass outside the zero pattern")
-    _check_margins(joint, pair, _margin_tol(pair, assumptions))
+    _check_margins(joint, level.pair, level.tol)
     return joint
 
 
 def endpoint_witnesses(
-    pair: MarginalPair, event: EventSpec, y: int, assumptions: Assumptions
+    pair: MarginalPair,
+    event: EventSpec,
+    y: int,
+    assumptions: Assumptions,
+    *,
+    level: _Level | None = None,
 ) -> tuple[JointProbabilityMatrix, JointProbabilityMatrix]:
     """Feasible matrices attaining the lower and upper bound endpoints.
 
     Explicit constructions at every level, with no LP and no bound
     formula: the extremal fills for ``marginal`` and ``mono``, and for
     ``incr`` the one feasible joint, ``identify_joint(pair)``, as both.  A
-    wrong closed form therefore shows as a sharpness gap.
+    wrong closed form therefore shows as a sharpness gap.  ``level`` is
+    the ``_Level(pair, assumptions)`` the caller holds; each distinct
+    construction (y and the columns filled first) is built and checked once
+    per level, so the lower witness of an event is the upper witness of its
+    complement, and ``incr`` cells share one joint.  Without it the two
+    are built here.
     """
-    if assumptions is Assumptions.MONOTONIC_INCREMENT:
-        joint = _checked_witness(identify_joint(pair).entries, pair, assumptions)
-        return joint, joint
-    return (
-        _extremal_witness(pair, event, y, Endpoint.LOWER, assumptions),
-        _extremal_witness(pair, event, y, Endpoint.UPPER, assumptions),
-    )
+    level = _Level(pair, assumptions) if level is None else level
+    span = y + 1 if assumptions is Assumptions.MONOTONICITY else pair.levels
+    first = np.asarray(event.coeffs[:span], dtype=bool)
+    return level.witness(y, ~first), level.witness(y, first)
 
 
 @dataclass(frozen=True)
@@ -364,6 +393,7 @@ def verify_bounds(
     samples_csv: str | Path | None = None,
     *,
     samples: np.ndarray | None = None,
+    level: _Level | None = None,
 ) -> VerificationReport:
     """Check claimed bounds against samples and endpoint witnesses.
 
@@ -373,21 +403,24 @@ def verify_bounds(
     fields, never exceptions.  With ``samples_csv`` the sampled event
     probabilities are also written one per line, for external plotting.
     ``samples`` is a batch the caller already drew with
-    ``draw_samples(pair, assumptions, n, seed)``; without it the batch is
-    drawn here.
+    ``draw_samples(pair, assumptions, n, seed)`` and ``level`` the
+    ``_Level(pair, assumptions)`` it holds, whose witnesses and evidence
+    rows the cells of the batch share; without them both are made here,
+    so a call that passes neither shares nothing with any other call.
     """
+    level = _Level(pair, assumptions) if level is None else level
     x = draw_samples(pair, assumptions, n, seed) if samples is None else samples
-    coeffs = np.asarray(event.coeffs, dtype=float)
-    row = x[:, y, :]
-    mass = row.sum(axis=1)
-    values = (row @ coeffs) / mass
+    row, mass = level.evidence(x, y)
+    values = (row @ np.asarray(event.coeffs, dtype=float)) / mass
     if samples_csv is not None:
         lines = ["value"] + [f"{v:.17g}" for v in values]
         Path(samples_csv).write_text("\n".join(lines) + "\n")
     max_violation = max(
         0.0, float(bounds.lower - values.min()), float(values.max() - bounds.upper)
     )
-    witness_lower, witness_upper = endpoint_witnesses(pair, event, y, assumptions)
+    witness_lower, witness_upper = endpoint_witnesses(
+        pair, event, y, assumptions, level=level
+    )
     gap_lower = abs(pn_from_joint(witness_lower, event, y) - bounds.lower)
     gap_upper = abs(pn_from_joint(witness_upper, event, y) - bounds.upper)
     return VerificationReport(

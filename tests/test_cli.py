@@ -561,6 +561,123 @@ def test_verify_draws_one_batch_per_assumption_level(tmp_path, monkeypatch):
         assert check["n_samples"] == direct.n_samples == 2000
 
 
+def _joint_table(tmp_path, q):
+    """A ``--mode pc`` count table whose laws are the margins of joint q."""
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({"counts": [q.sum(axis=0).tolist(), q.sum(axis=1).tolist()]}))
+    return str(exp)
+
+
+@pytest.mark.parametrize("shape", ["lower-triangular", "staircase"])
+def test_verify_entries_equal_direct_oracle_calls_beyond_three_levels(tmp_path, shape):
+    from pnbounds import oracle
+    from pnbounds.bounds import BoundsResult, Method
+
+    q = np.tril(np.random.default_rng(71).integers(1, 9, (7, 7)))
+    if shape == "staircase":
+        q = np.triu(q, -1)
+    exp = _joint_table(tmp_path, q)
+    pair = randomized_margins(load_table(exp, Source.EXPERIMENTAL))
+    grids = [
+        ["--all-canonical"],
+        ["--event", "custom:1011001", "--event", "custom:0110110",
+         "--evidence", "3", "--evidence", "6"],
+    ]
+    checked = set()
+    for grid in grids:
+        code, report = report_from(
+            tmp_path,
+            ["--mode", "pc", "--exp", exp, *grid, "--verify", "--samples", "500", "--seed", "9"],
+        )
+        assert code == 0
+        for entry in report["verification"]["cells"]:
+            if entry["kind"] == "refused":
+                continue
+            assumptions = Assumptions(entry["assumptions"])
+            if entry["kind"] == "point":
+                lower = upper = entry["value"]
+            else:
+                lower, upper = entry["lower"], entry["upper"]
+            claim = BoundsResult(
+                lower=lower, upper=upper, assumptions=assumptions, method=Method.CLOSED_FORM
+            )
+            direct = oracle.verify_bounds(
+                pair, parse_event(entry["event"], 7), entry["evidence"], assumptions,
+                claim, 500, 9,
+            )
+            check = entry["verification"]
+            assert check["sharp"] is True and check["contained"] is direct.contained is True
+            assert check["max_violation"] == direct.max_violation
+            assert check["sharpness_gap_lower"] == direct.sharpness_gap_lower
+            assert check["sharpness_gap_upper"] == direct.sharpness_gap_upper
+            assert check["n_samples"] == direct.n_samples == 500
+            checked.add((entry["event"], assumptions))
+    levels = {a for _, a in checked}
+    expected = {Assumptions.MARGINAL_ONLY, Assumptions.MONOTONICITY}
+    if shape == "staircase":
+        expected.add(Assumptions.MONOTONIC_INCREMENT)
+    assert levels == expected
+    assert {e for e, _ in checked} >= {"custom:1011001", "custom:0110110", "noteq:6"}
+
+
+def test_verify_builds_each_distinct_witness_once(tmp_path, monkeypatch):
+    from pnbounds import oracle
+
+    built, checked = [], []
+    fill, check = oracle._extremal_fill, oracle._checked_witness
+
+    def counting_fill(level, y, first):
+        built.append((level.assumptions, y, first.tobytes()))
+        return fill(level, y, first)
+
+    def counting_check(q, level):
+        checked.append(level.assumptions)
+        return check(q, level)
+
+    monkeypatch.setattr(oracle, "_extremal_fill", counting_fill)
+    monkeypatch.setattr(oracle, "_checked_witness", counting_check)
+    code, report = report_from(
+        tmp_path,
+        ["--exp", EXP, "--obs", OBS, "--all-canonical", "--verify", "--samples", "500"],
+    )
+    assert code == 0
+    # the columns filled first: the event's (upper) and the others (lower)
+    patterns = set()
+    for entry in report["verification"]["cells"]:
+        assumptions, y = Assumptions(entry["assumptions"]), entry["evidence"]
+        if assumptions is Assumptions.MONOTONIC_INCREMENT:
+            continue
+        span = y + 1 if assumptions is Assumptions.MONOTONICITY else 3
+        head = np.array(parse_event(entry["event"], 3).coeffs[:span], dtype=bool)
+        patterns |= {(assumptions, y, head.tobytes()), (assumptions, y, (~head).tobytes())}
+    assert sorted(built, key=repr) == sorted(patterns, key=repr)
+    assert len(built) == 22  # 20 interval cells, 40 endpoints
+    assert checked.count(Assumptions.MONOTONIC_INCREMENT) == 1
+    assert len(checked) == len(built) + 1
+
+
+def test_verify_checks_the_brackets_three_times_per_report(tmp_path, monkeypatch):
+    from pnbounds import identify, lp
+
+    calls = []
+    check = identify.falsification_check
+
+    def counting(pair):
+        calls.append(pair)
+        return check(pair)
+
+    monkeypatch.setattr(identify, "falsification_check", counting)
+    monkeypatch.setattr(lp, "falsification_check", counting)
+    code, report = report_from(
+        tmp_path,
+        ["--exp", EXP, "--obs", OBS, "--all-canonical", "--verify", "--samples", "500"],
+    )
+    assert code == 0 and report["verification"]["passed"] is True
+    # one for the report; for the incr level of --verify, one in its draw
+    # and one in the level its cells share (13 when each witness checked)
+    assert len(calls) == 3
+
+
 def test_verify_widened_bounds_fail(tmp_path):
     code = main(
         ["--exp", EXP, "--obs", OBS, "--event", "noteq:2", "--evidence", "2",

@@ -445,6 +445,70 @@ def test_increment_witnesses_are_the_identified_joint():
         assert np.array_equal(up.entries, identify_joint(pair).entries)
 
 
+def test_lower_witness_is_the_upper_witness_of_the_complement():
+    rng = np.random.default_rng(53)
+    cells = 0
+    for _ in range(30):
+        levels = int(rng.integers(2, 9))
+        pair = lower_triangular_pair(rng, levels)
+        for assumptions in (Assumptions.MARGINAL_ONLY, Assumptions.MONOTONICITY):
+            for y in range(levels):
+                if pair.treated_law[y] <= 1e-9:
+                    continue
+                event = make_event("custom", levels, coeffs=rng.integers(0, 2, levels).tolist())
+                # unheld, every call builds its own witnesses
+                lower = endpoint_witnesses(pair, event, y, assumptions)[0]
+                upper = endpoint_witnesses(pair, event.complement(), y, assumptions)[1]
+                assert np.array_equal(lower.entries, upper.entries)
+                # with one level passed, the two are one construction
+                level = oracle._Level(pair, assumptions)
+                assert endpoint_witnesses(pair, event, y, assumptions, level=level)[0] is (
+                    endpoint_witnesses(pair, event.complement(), y, assumptions, level=level)[1]
+                )
+                cells += 1
+    assert cells > 150
+
+
+def test_a_passed_level_reads_the_evidence_rows_of_each_batch():
+    pair = lalonde_pair()
+    level = oracle._Level(pair, Assumptions.MARGINAL_ONLY)
+    event = canonical_events(3, 2)[0]
+    mid = pn_bounds_marginal(pair, event, 2).midpoint
+    # a point claim: max_violation is the batch's distance from it
+    claim = BoundsResult(mid, mid, Assumptions.MARGINAL_ONLY, Method.CLOSED_FORM)
+    for seed in (1, 2, 1):
+        batch = draw_samples(pair, Assumptions.MARGINAL_ONLY, 300, seed)
+        shared = verify_bounds(
+            pair, event, 2, Assumptions.MARGINAL_ONLY, claim, 300, seed,
+            samples=batch, level=level,
+        )
+        assert level.rows[2][0] is batch
+        # a call without a level draws its own batch and leaves this one alone
+        assert shared == verify_bounds(pair, event, 2, Assumptions.MARGINAL_ONLY, claim, 300, seed)
+        assert level.rows[2][0] is batch
+
+
+def test_concurrent_verification_matches_serial():
+    from concurrent.futures import ThreadPoolExecutor
+
+    pair = lower_triangular_pair(np.random.default_rng(103), 4)
+    event = make_event("eq", 4, level=1)
+    cases = [(a, seed) for a in (Assumptions.MARGINAL_ONLY, Assumptions.MONOTONICITY)
+             for seed in range(24)]
+
+    def run(case):
+        assumptions, seed = case
+        claim = BoundsResult(0.2, 0.6, assumptions, Method.CLOSED_FORM)
+        return verify_bounds(pair, event, 2, assumptions, claim, 400, seed)
+
+    serial = [run(c) for c in cases]
+    with ThreadPoolExecutor(max_workers=6) as pool:
+        threaded = list(pool.map(run, cases))
+    assert serial == threaded
+    # equal margins, different batches: no call may read another's rows
+    assert len({r.max_violation for r in serial}) > len(cases) // 2
+
+
 def test_verification_never_calls_the_lp(monkeypatch):
     import pnbounds.lp
 
