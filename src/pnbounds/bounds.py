@@ -27,14 +27,14 @@ from .core import (
     MarginalPair,
     check_evidence,
 )
-from .identify import gap_sequence
+from .identify import PairFacts, pair_facts
 
 
 class UnsupportedEventError(CausalAttributionError):
     """No closed form: the data contradict monotonicity (a negative gap).
 
-    Raised only for events outside the paper's families; the LP route then
-    reports the empty feasible set.
+    Raised only for events outside the paper's families, whose monotone
+    feasible set is then empty (the LP reports it infeasible).
     """
 
 
@@ -158,6 +158,26 @@ def pn_bounds_monotone(pair: MarginalPair, event: EventSpec, y: int) -> BoundsRe
     monotone ordering the interval can cross, which is reported via
     ``note`` rather than silently clamped.
     """
+    return cell_bounds(pair_facts(pair), event, y, Assumptions.MONOTONICITY)
+
+
+def cell_bounds(
+    facts: PairFacts, event: EventSpec, y: int, assumptions: Assumptions
+) -> BoundsResult:
+    """The result of one (event, evidence, assumption) cell on a pair's facts.
+
+    ``marginal``: ``pn_bounds_marginal``.  ``incr``: the identified point
+    as a zero-width closed-form interval, or ``FalsificationError`` when
+    the gap brackets fail.  ``mono``: the forms of ``pn_bounds_monotone``
+    on the facts' gaps.  Zero evidence raises ``ZeroEvidenceError`` first
+    at every level.  No level calls the LP.
+    """
+    if assumptions is Assumptions.MARGINAL_ONLY:
+        return pn_bounds_marginal(facts.pair, event, y)
+    if assumptions is Assumptions.MONOTONIC_INCREMENT:
+        value = facts.point(event, y)
+        return BoundsResult(value, value, assumptions, Method.CLOSED_FORM)
+    pair = facts.pair
     mass = check_evidence(pair, event, y)
     treated = pair.treated_law.probs
     control = pair.control_law.probs
@@ -166,9 +186,9 @@ def pn_bounds_monotone(pair: MarginalPair, event: EventSpec, y: int) -> BoundsRe
         return BoundsResult(0.0, 0.0, Assumptions.MONOTONICITY, Method.CLOSED_FORM)
     if kind == "certain":
         return BoundsResult(1.0, 1.0, Assumptions.MONOTONICITY, Method.CLOSED_FORM)
-    gaps = gap_sequence(pair)
+    gaps = facts.gaps
     if kind == "unsupported":
-        reason = monotone_falsified(pair)
+        reason = facts.mono_refusal
         if reason is not None:
             raise UnsupportedEventError(f"event {event.label!r} with evidence {y}: {reason}")
         head = np.array(event.coeffs[: y + 1], dtype=bool)
@@ -198,7 +218,7 @@ def pn_bounds_monotone(pair: MarginalPair, event: EventSpec, y: int) -> BoundsRe
     # The crossing is measured in probability units, the band of the gap
     # test.  Rounding can push a gap of about -ATOL just past that band, so
     # the note also needs monotone-inconsistent data.
-    if (lower - upper) * mass > ATOL and not monotone_consistent(pair):
+    if (lower - upper) * mass > ATOL and facts.mono_refusal is not None:
         note = (
             "monotonicity falsified by data: lower bound "
             f"{lower:.6g} exceeds upper bound {upper:.6g}"
@@ -222,11 +242,4 @@ def monotone_falsified(pair: MarginalPair) -> str | None:
 
     Names every cut k whose cumulative gap is negative (below ``-ATOL``).
     """
-    bad = [
-        f"k={k}: gap {g:.6g}"
-        for k, g in enumerate(gap_sequence(pair).gaps.tolist(), start=1)
-        if g < -ATOL
-    ]
-    if not bad:
-        return None
-    return "monotonicity falsified by the data: negative cumulative gap at " + ", ".join(bad)
+    return pair_facts(pair).mono_refusal

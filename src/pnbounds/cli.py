@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import identify as identify_mod
 from . import ingest, oracle
@@ -23,7 +25,6 @@ from .core import (
     Assumptions,
     CausalAttributionError,
     EventSpec,
-    GapSequence,
     MarginalPair,
     ZeroEvidenceError,
     check_evidence,
@@ -123,10 +124,14 @@ def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
             raise ingest.DataFormatError(
                 f"{args.config}:{exc.lineno}: invalid JSON: {exc.msg}"
             ) from exc
+        if not isinstance(payload, dict):
+            raise _UsageError(f"{args.config}: config must be a JSON object")
+        flags = {action.dest: action for action in _build_parser()._actions}
         for key, value in payload.items():
             attr = key.replace("-", "_")
             if not hasattr(cfg, attr):
                 raise _UsageError(f"unknown config key {key!r}")
+            _check_config_value(key, value, flags[attr], getattr(cfg, attr))
             setattr(cfg, attr, value)
     for attr in ("mode", "route", "exp", "obs", "strata", "events", "evidence",
                  "assume", "samples", "seed", "out", "inject_widen"):
@@ -141,6 +146,20 @@ def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
 
 class _UsageError(Exception):
     pass
+
+
+def _check_config_value(key: str, value: Any, flag: argparse.Action, default: Any) -> None:
+    """Refuse a config value that its flag would refuse: one not of the
+    flag's type (a list of them for a repeatable flag) or not among its
+    choices.  A key left out leaves the value unset."""
+    kind = bool if flag.nargs == 0 else flag.type or str
+    items = value if isinstance(default, list) else [value]
+    if not isinstance(items, list) or not all(
+        (type(v) is kind or (kind is float and type(v) is int))
+        and (flag.choices is None or v in flag.choices)
+        for v in items
+    ):
+        raise _UsageError(f"config {key!r}: {value!r} is not valid for {flag.option_strings[0]}")
 
 
 def _validate(cfg: AnalysisConfig) -> None:
@@ -221,9 +240,9 @@ def run_analysis(
     under the one-level-lift assumption is refused (with the LP
     cross-confirmation) when the gap brackets fail, never extrapolated, and
     monotone cells are refused when a cumulative gap is negative.  The
-    facts of the pair are computed once per report (gaps, brackets, the
-    monotone refusal, the LP cross-check); ``_compute_cell`` adds the
-    per-event arithmetic.  ``loaded`` is the result of
+    facts of the pair (``identify.pair_facts``) and the LP cross-check are
+    computed once per report; ``_compute_cell`` adds the per-event
+    arithmetic.  ``loaded`` is the result of
     ``load_marginals(cfg)`` when the caller already has it; otherwise the
     tables are loaded here.
     """
@@ -239,12 +258,10 @@ def run_analysis(
         grid = [(spec, y) for y in evidence for spec in canonical_event_specs(levels, y)]
     else:
         grid = [(spec, y) for y in evidence for spec in cfg.events]
-    falsification = identify_mod.falsification_check(pair)
-    gaps = identify_mod.gap_sequence(pair)
-    mono_refusal = bounds_mod.monotone_falsified(pair)
-    incr_refusal = None if falsification.passed else {
+    facts = identify_mod.pair_facts(pair)
+    incr_refusal = None if facts.brackets.passed else {
         "kind": "refused",
-        "note": str(identify_mod.FalsificationError(falsification)),
+        "note": str(identify_mod.FalsificationError(facts.brackets)),
         "method": "point-identification",
     }
     report: dict[str, Any] = {
@@ -257,9 +274,9 @@ def run_analysis(
             "control_law": pair.control_law.probs.tolist(),
             "conditioning": pair.conditioning.value,
         },
-        "gaps": gaps.gaps.tolist(),
+        "gaps": facts.gaps.gaps.tolist(),
         "falsification": {
-            "passed": falsification.passed,
+            "passed": facts.brackets.passed,
             "brackets": [
                 {
                     "k": c.k,
@@ -268,10 +285,10 @@ def run_analysis(
                     "upper": c.upper,
                     "ok": c.ok,
                 }
-                for c in falsification.checks
+                for c in facts.brackets.checks
             ],
         },
-        "monotone_consistent": mono_refusal is None,
+        "monotone_consistent": facts.mono_refusal is None,
         "seed": cfg.seed,
         "cells": [],
     }
@@ -281,58 +298,52 @@ def run_analysis(
         event = events[spec]
         for assumptions in _assumption_list(cfg.assume):
             report["cells"].append(
-                _compute_cell(
-                    pair, spec, event, y, assumptions, gaps, mono_refusal, incr_refusal
-                )
+                _compute_cell(facts, spec, event, y, assumptions, incr_refusal)
             )
     return report
 
 
 def _compute_cell(
-    pair: MarginalPair,
+    facts: identify_mod.PairFacts,
     spec: str,
     event: EventSpec,
     y: int,
     assumptions: Assumptions,
-    gaps: GapSequence,
-    mono_refusal: str | None,
     incr_refusal: dict[str, str] | None,
 ) -> dict[str, Any]:
-    """One report cell: O(J) arithmetic on the facts of the pair.
+    """One report cell: ``bounds.cell_bounds`` on the facts of the pair.
 
-    ``gaps`` is ``gap_sequence(pair)``, ``mono_refusal`` is
-    ``monotone_falsified(pair)`` and ``incr_refusal`` holds the fields of a
-    refused ``incr`` cell (None when the brackets pass).  Whether the
-    ``incr`` polytope is empty does not depend on the event, so the first
-    refused cell asks the LP and stores the answer there for the rest.
+    ``incr_refusal`` holds the fields of a refused ``incr`` cell (None when
+    the brackets pass).  A ``mono`` cell on monotone-inconsistent data is
+    refused before its evidence is checked; zero evidence comes before the
+    ``incr`` refusal.  Whether the ``incr`` polytope is empty does not
+    depend on the event, so the first refused cell asks the LP and stores
+    the answer there for the rest.
     """
     cell = {"event": spec, "label": event.label, "evidence": y,
             "assumptions": assumptions.value}
-    if assumptions is Assumptions.MONOTONICITY and mono_refusal is not None:
-        cell.update(kind="refused", note=mono_refusal, method="closed-form")
+    if assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
+        cell.update(kind="refused", note=facts.mono_refusal, method="closed-form")
         return cell
+    incr = assumptions is Assumptions.MONOTONIC_INCREMENT
     try:
-        if assumptions is Assumptions.MONOTONIC_INCREMENT:
-            mass = check_evidence(pair, event, y)
-            if incr_refusal is None:
-                value = identify_mod.point_from_gaps(event, y, gaps, mass)
-                cell.update(kind="point", value=value, method="point-identification")
-                return cell
+        if incr and incr_refusal is not None:
+            check_evidence(facts.pair, event, y)
             if "lp_cross_check" not in incr_refusal:
                 try:
-                    pn_bounds_lp(pair, event, y, assumptions)
+                    pn_bounds_lp(facts.pair, event, y, assumptions)
                 except LpInfeasibleError:
                     incr_refusal["lp_cross_check"] = "infeasible"
                 else:  # brackets failed but the LP found a point: a bug
                     incr_refusal["lp_cross_check"] = "feasible (inconsistent)"
             cell.update(incr_refusal)
             return cell
-        if assumptions is Assumptions.MARGINAL_ONLY:
-            result = bounds_mod.pn_bounds_marginal(pair, event, y)
-        else:
-            result = bounds_mod.pn_bounds_monotone(pair, event, y)
+        result = bounds_mod.cell_bounds(facts, event, y, assumptions)
     except ZeroEvidenceError as exc:
         cell.update(kind="refused", note=str(exc), method="none")
+        return cell
+    if incr:
+        cell.update(kind="point", value=result.lower, method="point-identification")
         return cell
     cell.update(
         kind="interval",
@@ -358,9 +369,11 @@ def verify_report(
 
     The samples depend only on the assumption level (the pair, the sample
     count and the seed are fixed), so one batch is drawn per level and
-    shared by its cells, one level at a time.  A cell with an estimate
-    whose level cannot be sampled fails the verification.
+    shared by its cells, one level at a time.  The levels share the facts
+    of the pair.  A cell with an estimate whose level cannot be sampled
+    fails the verification.
     """
+    facts = identify_mod.pair_facts(pair)
     entries = [dict(cell) for cell in report["cells"]]
     by_level: dict[Assumptions, list[dict[str, Any]]] = {}
     for entry in entries:
@@ -368,25 +381,26 @@ def verify_report(
             entry["verification"] = "skipped: no estimate to verify"
         else:
             by_level.setdefault(Assumptions(entry["assumptions"]), []).append(entry)
-    level_ok = [_verify_level(cfg, pair, a, cells) for a, cells in by_level.items()]
+    level_ok = [_verify_level(cfg, facts, a, cells) for a, cells in by_level.items()]
     return {"samples": cfg.samples, "seed": cfg.seed, "cells": entries, "passed": all(level_ok)}
 
 
 def _verify_level(
     cfg: AnalysisConfig,
-    pair: MarginalPair,
+    facts: identify_mod.PairFacts,
     assumptions: Assumptions,
     entries: list[dict[str, Any]],
 ) -> bool:
     """Verify the cells of one assumption level against one shared batch.
 
-    The cells also share one ``oracle._Level``: its witnesses are built
-    once per distinct construction, and the batch's rows of each evidence
-    level once.
+    One ``oracle._Level`` draws the batch and is shared by the cells: its
+    witnesses are built once per distinct construction, and the batch's
+    rows of each evidence level once.
     """
+    pair = facts.pair
     try:
-        samples = oracle.draw_samples(pair, assumptions, cfg.samples, cfg.seed)
-        level = oracle._Level(pair, assumptions)
+        level = oracle._Level(facts, assumptions)
+        samples = oracle._draw(level, cfg.samples, np.random.default_rng(cfg.seed))
     except oracle.SamplingError as exc:
         for entry in entries:
             entry["verification"] = f"skipped: {exc}"

@@ -76,8 +76,49 @@ def gap_sequence(pair: MarginalPair) -> GapSequence:
     return GapSequence(gaps=np.cumsum(diff)[: pair.levels - 1])
 
 
-def falsification_check(pair: MarginalPair) -> FalsificationReport:
-    """Test the data-checkable implication of the one-level-lift assumption.
+@dataclass(frozen=True)
+class PairFacts:
+    """What every cell of one marginal pair reads, computed once by ``pair_facts``.
+
+    ``gaps`` is ``gap_sequence(pair)``; ``brackets`` is the
+    ``falsification_check`` report on those gaps; ``mono_refusal`` names
+    every cut whose gap is below ``-ATOL`` (the data contradict
+    monotonicity), or is None.
+    """
+
+    pair: MarginalPair
+    gaps: GapSequence
+    brackets: FalsificationReport
+    mono_refusal: str | None
+
+    def point(self, event: EventSpec, y: int) -> float:
+        """The point formula c_y + (c_{y-1} - c_y) * gap_y / treated[y].
+
+        Refuses zero evidence first (``ZeroEvidenceError``), then failed gap
+        brackets (``FalsificationError``); for y = 0 the gap term is an
+        empty sum, so the value is just c_0.
+        """
+        mass = check_evidence(self.pair, event, y)
+        if not self.brackets.passed:
+            raise FalsificationError(self.brackets)
+        c_y = event.coeffs[y]
+        if y == 0:
+            return float(c_y)
+        return float(c_y + (event.coeffs[y - 1] - c_y) * self.gaps[y - 1] / mass)
+
+    def joint(self) -> JointProbabilityMatrix:
+        """The one joint on the diagonal-plus-subdiagonal pattern; see ``identify_joint``."""
+        if not self.brackets.passed:
+            raise FalsificationError(self.brackets)
+        gaps = self.gaps.gaps
+        # treated[0], then treated[k] - gap_k on the diagonal; gap_k below it
+        entries = np.diag(self.pair.treated_law.probs - np.append(0.0, gaps)) + np.diag(gaps, -1)
+        entries = np.clip(entries, 0.0, None)
+        return JointProbabilityMatrix(entries=entries / entries.sum())
+
+
+def pair_facts(pair: MarginalPair) -> PairFacts:
+    """The gaps, the bracket report and the monotone refusal of a pair.
 
     For each k = 1..J-1 the subdiagonal entry of the reconstructed joint
     equals the cumulative gap and must satisfy its two-event probability
@@ -86,9 +127,7 @@ def falsification_check(pair: MarginalPair) -> FalsificationReport:
         max(0, treated[k] + control[k-1] - 1) <= gap_k
                                               <= min(treated[k], control[k-1]),
 
-    and the diagonal entry treated[k] - gap_k must be nonnegative.  Failure
-    is a report outcome, not an error; passing does not validate the
-    assumption.
+    and the diagonal entry treated[k] - gap_k must be nonnegative.
     """
     treated = pair.treated_law.probs
     control = pair.control_law.probs
@@ -108,7 +147,19 @@ def falsification_check(pair: MarginalPair) -> FalsificationReport:
                 diag_nonnegative=bool(treated[k] - gap >= -ATOL),
             )
         )
-    return FalsificationReport(passed=all(c.ok for c in checks), checks=tuple(checks))
+    brackets = FalsificationReport(passed=all(c.ok for c in checks), checks=tuple(checks))
+    bad = ", ".join(f"k={c.k}: gap {c.gap:.6g}" for c in checks if c.gap < -ATOL)
+    note = "monotonicity falsified by the data: negative cumulative gap at " + bad
+    return PairFacts(pair, gaps, brackets, note if bad else None)
+
+
+def falsification_check(pair: MarginalPair) -> FalsificationReport:
+    """Test the data-checkable implication of the one-level-lift assumption.
+
+    The gap brackets of ``pair_facts``.  Failure is a report outcome, not
+    an error; passing does not validate the assumption.
+    """
+    return pair_facts(pair).brackets
 
 
 def identify_joint(pair: MarginalPair) -> JointProbabilityMatrix:
@@ -120,43 +171,13 @@ def identify_joint(pair: MarginalPair) -> JointProbabilityMatrix:
     An entry that the brackets accept inside the ``ATOL`` band can be just
     below zero; it is clipped and the matrix rescaled to sum to one.
     """
-    report = falsification_check(pair)
-    if not report.passed:
-        raise FalsificationError(report)
-    levels = pair.levels
-    treated = pair.treated_law.probs
-    gaps = gap_sequence(pair)
-    entries = np.zeros((levels, levels))
-    entries[0, 0] = treated[0]
-    for k in range(1, levels):
-        entries[k, k - 1] = gaps[k - 1]
-        entries[k, k] = treated[k] - gaps[k - 1]
-    entries = np.clip(entries, 0.0, None)
-    return JointProbabilityMatrix(entries=entries / entries.sum())
+    return pair_facts(pair).joint()
 
 
 def pn_point(pair: MarginalPair, event: EventSpec, y: int) -> float:
     """Point value of the event probability given treated-outcome evidence y.
 
-    Refuses zero evidence first (``ZeroEvidenceError``), then failed gap
-    brackets (``FalsificationError``); the value is ``point_from_gaps``.
-    Agrees with direct evaluation on the reconstructed joint to within
-    ``EXACT_ATOL``.
+    ``PairFacts.point`` on ``pair_facts(pair)``.  Agrees with direct
+    evaluation on the reconstructed joint to within ``EXACT_ATOL``.
     """
-    mass = check_evidence(pair, event, y)
-    report = falsification_check(pair)
-    if not report.passed:
-        raise FalsificationError(report)
-    return point_from_gaps(event, y, gap_sequence(pair), mass)
-
-
-def point_from_gaps(event: EventSpec, y: int, gaps: GapSequence, mass: float) -> float:
-    """The point formula, with no checks: c_y + (c_{y-1} - c_y) * gap_y / mass.
-
-    ``gaps`` is ``gap_sequence(pair)`` and ``mass`` is treated[y] > 0; for
-    y = 0 the gap term is an empty sum, so the value is just c_0.
-    """
-    c_y = event.coeffs[y]
-    if y == 0:
-        return float(c_y)
-    return float(c_y + (event.coeffs[y - 1] - c_y) * gaps[y - 1] / mass)
+    return pair_facts(pair).point(event, y)

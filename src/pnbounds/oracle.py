@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from enum import Enum
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import BoundsResult, monotone_consistent
+from .bounds import BoundsResult
 from .core import (
     ATOL,
     Assumptions,
@@ -31,7 +30,7 @@ from .core import (
     allowed_mask,
     pn_from_joint,
 )
-from .identify import EXACT_ATOL, FalsificationError, gap_sequence, identify_joint
+from .identify import EXACT_ATOL, PairFacts, pair_facts
 from .lp import build_lp
 
 #: Draws are split into this many groups, each with its own fill order.
@@ -46,34 +45,6 @@ class SamplingError(CausalAttributionError):
     """The requested feasible set is empty, or a batch failed its self-check."""
 
 
-class Endpoint(Enum):
-    LOWER = "lower"
-    UPPER = "upper"
-
-
-def product_completion(row_sums: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
-    """Nonnegative matrix with exactly the given margins: outer(r, c) / S.
-
-    Requires both margin vectors nonnegative with equal totals S.  S = 0 is
-    allowed when both vectors vanish (the unique completion is the zero
-    matrix); a total mismatch beyond tolerance is an error.
-    """
-    rows = np.asarray(row_sums, dtype=float)
-    cols = np.asarray(col_sums, dtype=float)
-    if rows.min(initial=0.0) < -ATOL or cols.min(initial=0.0) < -ATOL:
-        raise ConstructionError("margins must be nonnegative")
-    rows = np.clip(rows, 0.0, None)
-    cols = np.clip(cols, 0.0, None)
-    s_rows, s_cols = rows.sum(), cols.sum()
-    if abs(s_rows - s_cols) > ATOL:
-        raise ConstructionError(
-            f"margin totals differ: rows {s_rows:.12g}, columns {s_cols:.12g}"
-        )
-    if s_rows <= ATOL:
-        return np.zeros((rows.size, cols.size))
-    return np.outer(rows, cols) / s_rows
-
-
 def _check_margins(
     joint: JointProbabilityMatrix, pair: MarginalPair, tol: float
 ) -> None:
@@ -85,30 +56,11 @@ def _check_margins(
         )
 
 
-def _feasibility_precheck(
-    pair: MarginalPair, assumptions: Assumptions
-) -> JointProbabilityMatrix | None:
-    """Raise ``SamplingError`` if the level's feasible set is empty; under
-    ``incr`` return its one joint (``identify_joint`` checks the brackets)."""
-    if assumptions is Assumptions.MONOTONIC_INCREMENT:
-        try:
-            return identify_joint(pair)
-        except FalsificationError as exc:
-            raise SamplingError(
-                "one-level-lift feasible set is empty: gap brackets violated at "
-                + ", ".join(f"k={c.k}" for c in exc.report.violations())
-            ) from None
-    if assumptions is Assumptions.MONOTONICITY and not monotone_consistent(pair):
-        raise SamplingError(
-            "monotone feasible set is empty: some cumulative gap is negative"
-        )
-    return None
-
-
 class _Level:
     """The facts that the draws, witnesses and cells of one (pair, level) share.
 
-    Raises ``SamplingError`` when the feasible set is empty.  ``treated`` and
+    Built on the pair's facts (``identify.pair_facts``).  Raises
+    ``SamplingError`` when the feasible set is empty.  ``treated`` and
     ``control``: the margins a fill meets exactly, the pair's except that a
     ``mono`` gap inside the band is clipped to zero (moving a level by at
     most ``ATOL``).  ``tol``: the margin tolerance of a draw or witness,
@@ -119,13 +71,22 @@ class _Level:
     uses it and passed on explicitly; nothing keeps one beyond that.
     """
 
-    def __init__(self, pair: MarginalPair, assumptions: Assumptions):
-        self.pair, self.assumptions = pair, assumptions
-        self.joint = _feasibility_precheck(pair, assumptions)
+    def __init__(self, facts: PairFacts, assumptions: Assumptions):
+        self.pair = pair = facts.pair
+        self.assumptions, self.joint = assumptions, None
+        if assumptions is Assumptions.MONOTONIC_INCREMENT:
+            if not facts.brackets.passed:
+                raise SamplingError(
+                    "one-level-lift feasible set is empty: gap brackets violated at "
+                    + ", ".join(f"k={c.k}" for c in facts.brackets.violations())
+                )
+            self.joint = facts.joint()
+        elif assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
+            raise SamplingError("monotone feasible set is empty: some cumulative gap is negative")
         self.mask = allowed_mask(assumptions, pair.levels)
         self.treated = treated = pair.treated_law.probs
         self.control = pair.control_law.probs
-        gaps = gap_sequence(pair).gaps
+        gaps = facts.gaps.gaps
         low = gaps.min() if assumptions is not Assumptions.MARGINAL_ONLY else 0.0
         if self.joint is not None:
             low = min(low, (treated[1:] - gaps).min())
@@ -227,7 +188,12 @@ def _self_check(x: np.ndarray, level: _Level) -> None:
 def _sample_array(
     pair: MarginalPair, assumptions: Assumptions, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """n feasible matrices, drawn exactly in ``MIX_GROUPS`` groups.
+    """n feasible matrices of the level; see ``_draw``."""
+    return _draw(_Level(pair_facts(pair), assumptions), n, rng)
+
+
+def _draw(level: _Level, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n feasible matrices of a level, drawn exactly in ``MIX_GROUPS`` groups.
 
     ``marginal``: each group fills its own random row order.  ``mono``:
     rows top-down, and every other group fills the mirrored problem (rows
@@ -237,19 +203,17 @@ def _sample_array(
     of each cell's interval than a uniform u does; measured, that widens
     the sampled range of every event; each group transforms only the
     uniforms its fill reads.  ``incr``: the one feasible point, broadcast.
-    The draw makes its own ``_Level``: the facts it reads cost a few
-    vectors of length J, and under ``incr`` one bracket check.
     """
     if n < 1:
         raise SamplingError("need at least one sample")
-    level, levels = _Level(pair, assumptions), pair.levels
+    levels = level.pair.levels
     if level.joint is not None:
         point = level.joint.entries[None].copy()
         _self_check(point, level)
         return np.broadcast_to(point[0], (n, levels, levels))
     x = np.empty((n, levels, levels))
     edges = np.linspace(0, n, MIX_GROUPS + 1).astype(int)
-    marginal = assumptions is Assumptions.MARGINAL_ONLY
+    marginal = level.assumptions is Assumptions.MARGINAL_ONLY
     # the row of each cell that _fill draws, in visiting order
     ks = np.repeat(np.arange(levels - 1), levels - 1 if marginal else np.arange(levels - 1))
     for g in range(MIX_GROUPS):
@@ -273,7 +237,7 @@ def draw_samples(
     """(n, J, J) array of feasible joint matrices; deterministic in the seed.
 
     Every cell is drawn inside its exact feasible interval given the
-    residual margins (see ``_sample_array``), so each sample meets the
+    residual margins (see ``_draw``), so each sample meets the
     margins within the level's tolerance (``_Level.tol``) and its zero
     pattern exactly.  No draw is rejected: a batch that fails this
     self-check raises ``SamplingError``.  The batch depends only on (pair,
@@ -287,15 +251,6 @@ def sample_feasible(
 ) -> list[JointProbabilityMatrix]:
     """Draw n feasible joint matrices; see ``draw_samples``."""
     return [JointProbabilityMatrix(entries=q) for q in draw_samples(pair, assumptions, n, seed)]
-
-
-def extremal_witness_marginal(
-    pair: MarginalPair, event: EventSpec, y: int, endpoint: Endpoint
-) -> JointProbabilityMatrix:
-    """Joint attaining one ``marginal`` bound endpoint; see ``_extremal_fill``."""
-    first = np.asarray(event.coeffs, dtype=bool)
-    level = _Level(pair, Assumptions.MARGINAL_ONLY)
-    return level.witness(y, first if endpoint is Endpoint.UPPER else ~first)
 
 
 def _extremal_fill(level: _Level, y: int, first: np.ndarray) -> np.ndarray:
@@ -355,13 +310,13 @@ def endpoint_witnesses(
     formula: the extremal fills for ``marginal`` and ``mono``, and for
     ``incr`` the one feasible joint, ``identify_joint(pair)``, as both.  A
     wrong closed form therefore shows as a sharpness gap.  ``level`` is
-    the ``_Level(pair, assumptions)`` the caller holds; each distinct
+    the ``_Level`` of (pair, assumptions) the caller holds; each distinct
     construction (y and the columns filled first) is built and checked once
     per level, so the lower witness of an event is the upper witness of its
     complement, and ``incr`` cells share one joint.  Without it the two
     are built here.
     """
-    level = _Level(pair, assumptions) if level is None else level
+    level = _Level(pair_facts(pair), assumptions) if level is None else level
     span = y + 1 if assumptions is Assumptions.MONOTONICITY else pair.levels
     first = np.asarray(event.coeffs[:span], dtype=bool)
     return level.witness(y, ~first), level.witness(y, first)
@@ -404,12 +359,12 @@ def verify_bounds(
     probabilities are also written one per line, for external plotting.
     ``samples`` is a batch the caller already drew with
     ``draw_samples(pair, assumptions, n, seed)`` and ``level`` the
-    ``_Level(pair, assumptions)`` it holds, whose witnesses and evidence
+    ``_Level`` of (pair, assumptions) it holds, whose witnesses and evidence
     rows the cells of the batch share; without them both are made here,
     so a call that passes neither shares nothing with any other call.
     """
-    level = _Level(pair, assumptions) if level is None else level
-    x = draw_samples(pair, assumptions, n, seed) if samples is None else samples
+    level = _Level(pair_facts(pair), assumptions) if level is None else level
+    x = _draw(level, n, np.random.default_rng(seed)) if samples is None else samples
     row, mass = level.evidence(x, y)
     values = (row @ np.asarray(event.coeffs, dtype=float)) / mass
     if samples_csv is not None:

@@ -9,12 +9,7 @@ tag and reuse the necessity code paths.
 
 from __future__ import annotations
 
-from .bounds import (
-    BoundsResult,
-    UnsupportedEventError,
-    pn_bounds_marginal,
-    pn_bounds_monotone,
-)
+from .bounds import BoundsResult, cell_bounds
 from .core import (
     Assumptions,
     CausalAttributionError,
@@ -22,8 +17,7 @@ from .core import (
     EventSpec,
     MarginalPair,
 )
-from .identify import pn_point
-from .lp import pn_bounds_lp
+from .identify import pair_facts, pn_point
 
 
 def _require_unconditional(pair: MarginalPair) -> None:
@@ -45,17 +39,12 @@ def pc_bounds(
 ) -> BoundsResult:
     """Sharp bounds under the chosen assumption level, unconditional laws.
 
-    Dispatch mirrors the necessity side: closed forms where they exist
-    (under monotonicity, every event on monotone-consistent data), the LP
-    otherwise; on monotone-inconsistent data the LP reports the empty
-    feasible set.
+    The CLI's dispatch, ``bounds.cell_bounds``, with no LP: ``incr`` gives
+    the identified point as a closed-form [v, v] or raises
+    ``FalsificationError``, and ``mono`` raises ``UnsupportedEventError``
+    for an event outside the paper's families on monotone-inconsistent
+    data (the families' forms can then cross, with a ``note``).  Both used
+    to come from the LP, which raised ``LpInfeasibleError``.
     """
     _require_unconditional(pair)
-    if assumptions is Assumptions.MARGINAL_ONLY:
-        return pn_bounds_marginal(pair, event, y)
-    if assumptions is Assumptions.MONOTONICITY:
-        try:
-            return pn_bounds_monotone(pair, event, y)
-        except UnsupportedEventError:
-            return pn_bounds_lp(pair, event, y, assumptions)
-    return pn_bounds_lp(pair, event, y, assumptions)
+    return cell_bounds(pair_facts(pair), event, y, assumptions)

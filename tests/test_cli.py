@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -391,23 +392,109 @@ def test_report_cells_equal_per_cell_library_calls(tmp_path):
     }
 
 
-def test_one_lp_cross_check_per_report(tmp_path, monkeypatch):
-    from pnbounds import cli, identify, lp
+def test_pc_bounds_equal_the_pc_report_cells(tmp_path):
+    from pnbounds import UnsupportedEventError, pc_bounds
+    from pnbounds.bounds import Method
 
+    rng = np.random.default_rng(8)
+    refusals = {  # the error behind each refusal method of the report
+        "none": ZeroEvidenceError,
+        "point-identification": FalsificationError,
+    }
+    seen = set()
+    for levels in range(3, 9):
+        for cls in ("staircase", "lowertri", "inconsistent", "zerolevel"):
+            for draw in range(3):
+                q = _class_counts(rng, cls, levels)
+                cfg = _route_configs(tmp_path, f"{cls}{levels}-{draw}", q, rng)[2]
+                pair, _ = load_marginals(cfg)
+                customs = ["custom:" + "".join(map(str, rng.integers(0, 2, levels)))
+                           for _ in range(3)]
+                cells = run_analysis(cfg)["cells"] + run_analysis(
+                    replace(cfg, all_canonical=False, events=customs)
+                )["cells"]
+                for cell in cells:
+                    event = parse_event(cell["event"], levels)
+                    y, assumptions = cell["evidence"], Assumptions(cell["assumptions"])
+                    try:
+                        result = pc_bounds(pair, event, y, assumptions)
+                    except (*refusals.values(), UnsupportedEventError) as exc:
+                        assert cell["kind"] == "refused"
+                        seen.add((cell["assumptions"], cell["method"], type(exc).__name__))
+                        if cell["method"] == "closed-form":
+                            # the report refuses before checking the evidence
+                            assert cell["note"] == monotone_falsified(pair)
+                            if not isinstance(exc, ZeroEvidenceError):
+                                assert type(exc) is UnsupportedEventError
+                                assert str(exc).endswith(": " + cell["note"])
+                        else:
+                            assert type(exc) is refusals[cell["method"]]
+                            assert str(exc) == cell["note"]
+                        continue
+                    assert result.method is Method.CLOSED_FORM
+                    if cell["kind"] == "point":
+                        assert result.lower == result.upper == cell["value"]
+                    elif cell["kind"] == "interval":
+                        assert (result.lower, result.upper) == (cell["lower"], cell["upper"])
+                        assert result.note == cell.get("note")
+                    else:  # a family's forms on monotone-inconsistent data
+                        assert cell["method"] == "closed-form"
+                        assert cell["note"] == monotone_falsified(pair)
+                    seen.add((cell["assumptions"], cell["kind"], result.note is not None))
+    assert seen >= {
+        ("incr", "point", False),
+        ("incr", "point-identification", "FalsificationError"),
+        ("incr", "none", "ZeroEvidenceError"),
+        ("marginal", "interval", False),
+        ("marginal", "none", "ZeroEvidenceError"),
+        ("mono", "interval", False),
+        ("mono", "none", "ZeroEvidenceError"),
+        ("mono", "refused", True),  # crossed family forms, with their note
+        ("mono", "closed-form", "UnsupportedEventError"),
+        ("mono", "closed-form", "ZeroEvidenceError"),
+    }
+
+
+def count_every_binding(monkeypatch, *functions):
+    """Record each call of the functions at every pnbounds module binding.
+
+    A call is recorded as ``module.attribute`` of the binding it went
+    through, including calls that the functions make to each other.
+    """
+    import importlib
+    import pkgutil
+
+    import pnbounds
+
+    modules = [pnbounds] + [
+        importlib.import_module(f"pnbounds.{info.name}")
+        for info in pkgutil.iter_modules(pnbounds.__path__)
+    ]
     calls = []
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if any(value is f for f in functions):
+                def counting(*args, _binding=f"{module.__name__}.{attr}", _f=value, **kwargs):
+                    calls.append(_binding)
+                    return _f(*args, **kwargs)
 
-    def count(module, name):
-        original = getattr(module, name)
+                monkeypatch.setattr(module, attr, counting)
+    return calls
 
-        def counting(*args, **kwargs):
-            calls.append(f"{module.__name__}.{name}")
-            return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+def test_one_lp_cross_check_per_report(tmp_path, monkeypatch):
+    from pnbounds import identify, lp
 
-    count(cli, "pn_bounds_lp")
-    for module in (identify, lp):  # every binding the report path reaches
-        count(module, "falsification_check")
+    calls = count_every_binding(
+        monkeypatch, lp.pn_bounds_lp, identify.pair_facts, identify.falsification_check
+    )
+    init = identify.FalsificationError.__init__
+
+    def counting_init(self, report):
+        calls.append("FalsificationError")
+        init(self, report)
+
+    monkeypatch.setattr(identify.FalsificationError, "__init__", counting_init)
     exp, obs = falsifying_files(tmp_path)
     code, report = report_from(
         tmp_path, ["--exp", exp, "--obs", obs, "--all-canonical", "--assume", "incr"]
@@ -415,12 +502,43 @@ def test_one_lp_cross_check_per_report(tmp_path, monkeypatch):
     assert code == 0
     assert len(report["cells"]) == 4
     assert all(c["lp_cross_check"] == "infeasible" for c in report["cells"])
-    # the report's bracket check, the LP call and the bracket check inside it
+    # one refusal note for the report, not one error per refused cell
+    assert calls.count("FalsificationError") == 1
+    calls.remove("FalsificationError")
+    # the report's facts, the LP call, and the bracket check inside it with
+    # the facts that check builds
     assert sorted(calls) == [
         "pnbounds.cli.pn_bounds_lp",
-        "pnbounds.identify.falsification_check",
+        "pnbounds.identify.pair_facts",
+        "pnbounds.identify.pair_facts",
         "pnbounds.lp.falsification_check",
     ]
+
+
+LALONDE_ROUTES = {
+    "experimental": ["--exp", EXP, "--obs", OBS],
+    "unconfounded": ["--route", "unconfounded", "--strata", STRATA],
+    "pc": ["--mode", "pc", "--exp", EXP],
+}
+
+
+@pytest.mark.parametrize("route", sorted(LALONDE_ROUTES))
+def test_a_default_report_computes_the_pair_facts_once(tmp_path, monkeypatch, route):
+    from pnbounds import bounds, identify, lp
+
+    calls = count_every_binding(
+        monkeypatch, identify.pair_facts, identify.gap_sequence,
+        identify.falsification_check, bounds.monotone_falsified, lp.pn_bounds_lp,
+    )
+    code, report = report_from(tmp_path, LALONDE_ROUTES[route] + ["--all-canonical"])
+    assert code == 0 and len(report["cells"]) == 30
+    facts = ["pnbounds.identify.pair_facts", "pnbounds.identify.gap_sequence"]
+    assert calls[:2] == facts
+    # the strata example fails the brackets: the one LP cross-check then
+    # runs the LP's own bracket check, on facts of its own
+    cross_check = ["pnbounds.cli.pn_bounds_lp", "pnbounds.lp.falsification_check", *facts]
+    assert calls[2:] == ([] if report["falsification"]["passed"] else cross_check)
+    assert report["falsification"]["passed"] is (route != "unconfounded")
 
 
 # --- verification -------------------------------------------------------------------
@@ -455,10 +573,10 @@ def test_verify_entry_point():
 def test_verify_fails_when_an_estimate_cannot_be_sampled(tmp_path, monkeypatch):
     from pnbounds import oracle
 
-    def empty(pair, assumptions, n, seed):
+    def empty(level, n, rng):
         raise oracle.SamplingError("no draw met the margins")
 
-    monkeypatch.setattr(oracle, "draw_samples", empty)
+    monkeypatch.setattr(oracle, "_draw", empty)
     code, report = report_from(
         tmp_path,
         ["--exp", EXP, "--obs", OBS, "--all-canonical", "--assume", "mono",
@@ -522,13 +640,13 @@ def test_verify_draws_one_batch_per_assumption_level(tmp_path, monkeypatch):
     from pnbounds.core import Assumptions
 
     drawn = []
-    sample_array = oracle._sample_array
+    draw = oracle._draw
 
-    def counting(pair, assumptions, n, rng):
-        drawn.append(assumptions)
-        return sample_array(pair, assumptions, n, rng)
+    def counting(level, n, rng):
+        drawn.append(level.assumptions)
+        return draw(level, n, rng)
 
-    monkeypatch.setattr(oracle, "_sample_array", counting)
+    monkeypatch.setattr(oracle, "_draw", counting)
     code, report = report_from(
         tmp_path,
         ["--exp", EXP, "--obs", OBS, "--all-canonical", "--verify",
@@ -656,26 +774,22 @@ def test_verify_builds_each_distinct_witness_once(tmp_path, monkeypatch):
     assert len(checked) == len(built) + 1
 
 
-def test_verify_checks_the_brackets_three_times_per_report(tmp_path, monkeypatch):
-    from pnbounds import identify, lp
+def test_verify_checks_the_brackets_at_most_twice_per_report(tmp_path, monkeypatch):
+    from pnbounds import identify
 
-    calls = []
-    check = identify.falsification_check
-
-    def counting(pair):
-        calls.append(pair)
-        return check(pair)
-
-    monkeypatch.setattr(identify, "falsification_check", counting)
-    monkeypatch.setattr(lp, "falsification_check", counting)
+    calls = count_every_binding(
+        monkeypatch, identify.pair_facts, identify.gap_sequence, identify.falsification_check
+    )
     code, report = report_from(
         tmp_path,
         ["--exp", EXP, "--obs", OBS, "--all-canonical", "--verify", "--samples", "500"],
     )
     assert code == 0 and report["verification"]["passed"] is True
-    # one for the report; for the incr level of --verify, one in its draw
-    # and one in the level its cells share (13 when each witness checked)
-    assert len(calls) == 3
+    # the report's facts and those the --verify levels share (the draw and
+    # the cells of a level share one level built on them)
+    checks = [c for c in calls if not c.endswith("gap_sequence")]
+    assert len(checks) <= 2
+    assert calls.count("pnbounds.identify.gap_sequence") <= 2
 
 
 def test_verify_widened_bounds_fail(tmp_path):
@@ -702,6 +816,32 @@ def test_usage_errors_exit_one(tmp_path):
     assert run(
         ["--mode", "pc", "--exp", EXP, "--route", "unconfounded", "--all-canonical"]
     ) == 1
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"mode": "xx"},
+        {"all_canonical": "no"},
+        {"samples": "10"},
+        {"evidence": 2},
+        {"evidence": [1, "2"]},
+        {"seed": 1.5},
+        {"seed": True},
+        [1, 2],
+        {"assume": "bogus"},
+        {"events": "eq:1"},
+        {"inject-widen": "0.1"},
+    ],
+    ids=repr,
+)
+def test_config_values_are_checked_like_their_flags(tmp_path, capsys, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert run(["--config", str(cfg), "--exp", EXP, "--obs", OBS, "--all-canonical"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_data_errors_exit_two(tmp_path):

@@ -211,3 +211,15 @@ def test_ladder_ordering():
     assert Assumptions.MONOTONIC_INCREMENT.narrower_than(Assumptions.MONOTONICITY)
     assert Assumptions.MONOTONICITY.narrower_than(Assumptions.MARGINAL_ONLY)
     assert not Assumptions.MARGINAL_ONLY.narrower_than(Assumptions.MONOTONICITY)
+
+
+# --- package surface ------------------------------------------------------------
+
+def test_every_exported_name_resolves():
+    import pnbounds
+
+    namespace = {}
+    exec("from pnbounds import *", namespace)
+    assert len(set(pnbounds.__all__)) == len(pnbounds.__all__)
+    for name in pnbounds.__all__:
+        assert namespace[name] is getattr(pnbounds, name)

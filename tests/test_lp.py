@@ -3,13 +3,9 @@ import pytest
 
 from pnbounds import (
     Assumptions,
-    LinearProgram,
     LpError,
     LpInfeasibleError,
-    LpStatus,
     Method,
-    Sense,
-    build_lp,
     falsification_check,
     make_event,
     monotone_consistent,
@@ -18,8 +14,8 @@ from pnbounds import (
     pn_bounds_monotone,
     pn_from_joint,
     pn_point,
-    solve,
 )
+from pnbounds.lp import LinearProgram, LpStatus, Sense, build_lp, solve
 from helpers import (
     arbitrary_pair,
     canonical_events,

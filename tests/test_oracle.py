@@ -7,27 +7,23 @@ from pnbounds import (
     ATOL,
     Assumptions,
     BoundsResult,
-    ConstructionError,
-    Endpoint,
     Method,
     SamplingError,
     allowed_mask,
     endpoint_witnesses,
     enumerate_vertices,
-    extremal_witness_marginal,
     identify_joint,
     make_event,
     pn_bounds_lp,
     pn_bounds_marginal,
     pn_bounds_monotone,
     pn_from_joint,
-    product_completion,
     sample_feasible,
     verify_bounds,
 )
 from pnbounds import oracle
-from pnbounds.identify import EXACT_ATOL
-from pnbounds.oracle import _feasibility_precheck, _sample_array, draw_samples
+from pnbounds.identify import EXACT_ATOL, pair_facts
+from pnbounds.oracle import _sample_array, draw_samples
 from helpers import (
     arbitrary_pair,
     canonical_events,
@@ -38,51 +34,19 @@ from helpers import (
 )
 
 
-# --- product completion ---------------------------------------------------------
-
-def test_product_completion_examples():
-    assert product_completion([1.0], [1.0]).tolist() == [[1.0]]
-    assert np.allclose(product_completion([0.5, 0.5], [0.5, 0.5]), 0.25)
-    expected = [[0.12, 0.08], [0.48, 0.32]]
-    assert np.allclose(product_completion([0.2, 0.8], [0.6, 0.4]), expected, atol=1e-12)
-
-
-def test_product_completion_margin_mismatch():
-    with pytest.raises(ConstructionError):
-        product_completion([0.5, 0.5], [0.3, 0.3])
-
-
-def test_product_completion_zero_total():
-    out = product_completion([0.0, 0.0], [0.0])
-    assert out.shape == (2, 1) and np.all(out == 0.0)
-
-
-def test_product_completion_margins_exact():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        rows = rng.random(int(rng.integers(1, 6)))
-        cols = rng.random(int(rng.integers(1, 6)))
-        cols *= rows.sum() / cols.sum()
-        out = product_completion(rows, cols)
-        assert np.abs(out.sum(axis=1) - rows).max() < 1e-12
-        assert np.abs(out.sum(axis=0) - cols).max() < 1e-12
-        assert out.min() >= 0.0
-
-
 # --- extremal witnesses -----------------------------------------------------------
 
 def test_upper_witness_attains_published_bound():
     pair = lalonde_pair()
     ev = make_event("noteq", 3, level=2)
-    witness = extremal_witness_marginal(pair, ev, 2, Endpoint.UPPER)
+    witness = endpoint_witnesses(pair, ev, 2, Assumptions.MARGINAL_ONLY)[1]
     assert pn_from_joint(witness, ev, 2) == pytest.approx(0.88, abs=0.005)
 
 
 def test_full_space_event_witnesses():
     pair = lalonde_pair()
     ev = make_event("custom", 3, coeffs=[1, 1, 1])
-    for endpoint in Endpoint:
-        witness = extremal_witness_marginal(pair, ev, 2, endpoint)
+    for witness in endpoint_witnesses(pair, ev, 2, Assumptions.MARGINAL_ONLY):
         assert pn_from_joint(witness, ev, 2) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -94,7 +58,7 @@ def test_binary_lower_witness_matches_two_event_bracket():
         if t1 <= 1e-9:
             continue
         ev = make_event("eq", 2, level=0)
-        witness = extremal_witness_marginal(pair, ev, 1, Endpoint.LOWER)
+        witness = endpoint_witnesses(pair, ev, 1, Assumptions.MARGINAL_ONLY)[0]
         assert pn_from_joint(witness, ev, 1) == pytest.approx(
             max(0.0, (t1 + c0 - 1) / t1), abs=1e-9
         )
@@ -110,8 +74,7 @@ def test_witnesses_attain_marginal_bounds_everywhere():
             continue
         for event in canonical_events(levels, y):
             res = pn_bounds_marginal(pair, event, y)
-            low = extremal_witness_marginal(pair, event, y, Endpoint.LOWER)
-            up = extremal_witness_marginal(pair, event, y, Endpoint.UPPER)
+            low, up = endpoint_witnesses(pair, event, y, Assumptions.MARGINAL_ONLY)
             assert pn_from_joint(low, event, y) == pytest.approx(res.lower, abs=1e-9)
             assert pn_from_joint(up, event, y) == pytest.approx(res.upper, abs=1e-9)
             for witness in (low, up):
@@ -217,7 +180,7 @@ def test_draws_meet_margins_and_zero_pattern_exactly():
         for pair in pairs:
             for assumptions in Assumptions:
                 try:
-                    _feasibility_precheck(pair, assumptions)
+                    oracle._Level(pair_facts(pair), assumptions)
                 except SamplingError:
                     with pytest.raises(SamplingError):
                         draw_samples(pair, assumptions, 100, seed=levels)
@@ -267,7 +230,7 @@ def test_draws_are_exact_at_ties_zero_levels_and_the_band(case, seed):
     pair, delta = case
     for assumptions in Assumptions:
         try:
-            _feasibility_precheck(pair, assumptions)
+            oracle._Level(pair_facts(pair), assumptions)
         except SamplingError:
             with pytest.raises(SamplingError):
                 draw_samples(pair, assumptions, 48, seed)
@@ -461,7 +424,7 @@ def test_lower_witness_is_the_upper_witness_of_the_complement():
                 upper = endpoint_witnesses(pair, event.complement(), y, assumptions)[1]
                 assert np.array_equal(lower.entries, upper.entries)
                 # with one level passed, the two are one construction
-                level = oracle._Level(pair, assumptions)
+                level = oracle._Level(pair_facts(pair), assumptions)
                 assert endpoint_witnesses(pair, event, y, assumptions, level=level)[0] is (
                     endpoint_witnesses(pair, event.complement(), y, assumptions, level=level)[1]
                 )
@@ -471,7 +434,7 @@ def test_lower_witness_is_the_upper_witness_of_the_complement():
 
 def test_a_passed_level_reads_the_evidence_rows_of_each_batch():
     pair = lalonde_pair()
-    level = oracle._Level(pair, Assumptions.MARGINAL_ONLY)
+    level = oracle._Level(pair_facts(pair), Assumptions.MARGINAL_ONLY)
     event = canonical_events(3, 2)[0]
     mid = pn_bounds_marginal(pair, event, 2).midpoint
     # a point claim: max_violation is the batch's distance from it
