@@ -115,15 +115,7 @@ def _build_parser() -> _Parser:
 def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
     cfg = AnalysisConfig()
     if args.config:
-        try:
-            with open(args.config) as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise ingest.DataFormatError(f"{args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ingest.DataFormatError(
-                f"{args.config}:{exc.lineno}: invalid JSON: {exc.msg}"
-            ) from exc
+        payload = ingest._read_json(args.config)
         if not isinstance(payload, dict):
             raise _UsageError(f"{args.config}: config must be a JSON object")
         flags = {action.dest: action for action in _build_parser()._actions}
@@ -228,25 +220,29 @@ def _assumption_list(word: str) -> list[Assumptions]:
             Assumptions.MARGINAL_ONLY,
             Assumptions.MONOTONICITY,
         ]
-    return [Assumptions.from_cli(word)]
+    return [Assumptions(word)]
 
 
 def run_analysis(
-    cfg: AnalysisConfig, loaded: tuple[MarginalPair, dict[str, Any]] | None = None
+    cfg: AnalysisConfig,
+    loaded: tuple[identify_mod.PairFacts, dict[str, Any]] | None = None,
 ) -> dict[str, Any]:
     """Produce the attribution report as a JSON-ready dict.
 
     Every numeric cell carries the method that produced it; identification
     under the one-level-lift assumption is refused (with the LP
     cross-confirmation) when the gap brackets fail, never extrapolated, and
-    monotone cells are refused when a cumulative gap is negative.  The
-    facts of the pair (``identify.pair_facts``) and the LP cross-check are
-    computed once per report; ``_compute_cell`` adds the per-event
-    arithmetic.  ``loaded`` is the result of
-    ``load_marginals(cfg)`` when the caller already has it; otherwise the
-    tables are loaded here.
+    monotone cells are refused when a cumulative gap is negative.  The LP
+    cross-check runs once per report; ``_compute_cell`` adds the per-event
+    arithmetic to the facts of the pair.  ``loaded`` holds those facts
+    (``identify.pair_facts``) and the provenance of ``load_marginals(cfg)``
+    when the caller already has them; otherwise both are computed here.
     """
-    pair, provenance = load_marginals(cfg) if loaded is None else loaded
+    if loaded is None:
+        pair, provenance = load_marginals(cfg)
+        loaded = identify_mod.pair_facts(pair), provenance
+    facts, provenance = loaded
+    pair = facts.pair
     levels = pair.levels
     evidence = cfg.evidence or list(range(1, levels))
     for y in evidence:
@@ -258,7 +254,6 @@ def run_analysis(
         grid = [(spec, y) for y in evidence for spec in canonical_event_specs(levels, y)]
     else:
         grid = [(spec, y) for y in evidence for spec in cfg.events]
-    facts = identify_mod.pair_facts(pair)
     incr_refusal = None if facts.brackets.passed else {
         "kind": "refused",
         "note": str(identify_mod.FalsificationError(facts.brackets)),
@@ -356,24 +351,17 @@ def _compute_cell(
     return cell
 
 
-def verify(cfg: AnalysisConfig) -> dict[str, Any]:
-    """Run the analysis and re-check every cell; see verify_report."""
-    pair, provenance = load_marginals(cfg)
-    return verify_report(cfg, pair, run_analysis(cfg, (pair, provenance)))
-
-
 def verify_report(
-    cfg: AnalysisConfig, pair: MarginalPair, report: dict[str, Any]
+    cfg: AnalysisConfig, facts: identify_mod.PairFacts, report: dict[str, Any]
 ) -> dict[str, Any]:
     """Re-check every cell by sampling and witness attainment.
 
     The samples depend only on the assumption level (the pair, the sample
     count and the seed are fixed), so one batch is drawn per level and
     shared by its cells, one level at a time.  The levels share the facts
-    of the pair.  A cell with an estimate whose level cannot be sampled
-    fails the verification.
+    of the pair, those the report was built on.  A cell with an estimate
+    whose level cannot be sampled fails the verification.
     """
-    facts = identify_mod.pair_facts(pair)
     entries = [dict(cell) for cell in report["cells"]]
     by_level: dict[Assumptions, list[dict[str, Any]]] = {}
     for entry in entries:
@@ -538,9 +526,10 @@ def main(argv: list[str] | None = None) -> int:
         return DATA_EXIT
     try:
         pair, provenance = load_marginals(cfg)
-        report = run_analysis(cfg, (pair, provenance))
+        facts = identify_mod.pair_facts(pair)
+        report = run_analysis(cfg, (facts, provenance))
         if cfg.verify:
-            report["verification"] = verify_report(cfg, pair, report)
+            report["verification"] = verify_report(cfg, facts, report)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -76,16 +76,6 @@ class Assumptions(Enum):
         """True if this level's feasible set is contained in ``other``'s."""
         return self.rank >= other.rank
 
-    @classmethod
-    def from_cli(cls, word: str) -> "Assumptions":
-        try:
-            return cls(word)
-        except ValueError:
-            raise EventSpecError(
-                f"unknown assumption level {word!r}; expected one of "
-                f"{[a.value for a in cls]}"
-            ) from None
-
 
 _ASSUMPTION_RANK = {
     Assumptions.MARGINAL_ONLY: 0,

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -245,14 +246,20 @@ def load_table_csv(path: str | Path, source: Source) -> ContingencyTable:
     return ContingencyTable(counts=counts, source=source)
 
 
-def load_table_json(path: str | Path, source: Source) -> ContingencyTable:
-    path = Path(path)
+def _read_json(path: str | Path) -> Any:
+    """Decode one JSON file; an error names ``path`` as the caller passed it."""
     try:
-        payload = json.loads(path.read_text())
+        with open(path) as fh:
+            return json.load(fh)
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+
+
+def load_table_json(path: str | Path, source: Source) -> ContingencyTable:
+    path = Path(path)
+    payload = _read_json(path)
     counts = payload.get("counts") if isinstance(payload, dict) else payload
     try:
         return ContingencyTable(counts=np.asarray(counts, dtype=float), source=source)
@@ -269,12 +276,7 @@ def load_table(path: str | Path, source: Source) -> ContingencyTable:
 
 def load_strata_json(path: str | Path) -> StratifiedTable:
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    payload = _read_json(path)
     if not isinstance(payload, list):
         raise DataFormatError(f"{path}: expected a JSON list of strata")
     strata = []

@@ -11,11 +11,6 @@ complementary, and reproduce the primal value.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from enum import Enum
-from pathlib import Path
-
 import numpy as np
 
 from .bounds import BoundsResult, Method
@@ -44,7 +39,7 @@ _BLAND_TRIGGER = 24
 
 
 class LpError(CausalAttributionError):
-    """Malformed program or solver breakdown (dimension mismatch, stall)."""
+    """Solver breakdown (iteration limit, corrupt tableau, inconsistent result)."""
 
 
 class LpInfeasibleError(LpError):
@@ -53,71 +48,6 @@ class LpInfeasibleError(LpError):
 
 class CertificateError(LpError):
     """The dual optimality certificate failed; the solve cannot be trusted."""
-
-
-class Sense(Enum):
-    MAX = "max"
-    MIN = "min"
-
-
-class LpStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """Equality-form program: optimize objective . x over Ax = b, x >= 0."""
-
-    objective: np.ndarray
-    constraint_matrix: np.ndarray
-    rhs: np.ndarray
-    sense: Sense = Sense.MAX
-
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        a = np.asarray(self.constraint_matrix, dtype=float)
-        b = np.asarray(self.rhs, dtype=float)
-        if a.ndim != 2 or c.ndim != 1 or b.ndim != 1:
-            raise LpError("objective and rhs must be vectors, constraints a matrix")
-        if a.shape[1] != c.size or a.shape[0] != b.size:
-            raise LpError(
-                f"dimension mismatch: A is {a.shape}, objective {c.size}, rhs {b.size}"
-            )
-        for name, arr in (("objective", c), ("constraint_matrix", a), ("rhs", b)):
-            frozen = arr.copy()
-            frozen.setflags(write=False)
-            object.__setattr__(self, name, frozen)
-
-    def to_json(self) -> str:
-        """Dump A, b, and the objective for external solver cross-checks."""
-        return json.dumps(
-            {
-                "sense": self.sense.value,
-                "objective": self.objective.tolist(),
-                "constraint_matrix": self.constraint_matrix.tolist(),
-                "rhs": self.rhs.tolist(),
-            }
-        )
-
-    def dump(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
-
-
-@dataclass(frozen=True)
-class LPSolution:
-    """Solve outcome; on OPTIMAL the point satisfies Ax=b within FEAS_TOL."""
-
-    status: LpStatus
-    value: float | None
-    point: np.ndarray | None
-
-    def __post_init__(self):
-        if self.point is not None:
-            pt = np.array(self.point, dtype=float, copy=True)
-            pt.setflags(write=False)
-            object.__setattr__(self, "point", pt)
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +307,6 @@ def _solve_reduced(
     return results
 
 
-def solve(lp: LinearProgram) -> LPSolution:
-    """Solve one equality-form program with the two-phase simplex."""
-    maximize = lp.sense is Sense.MAX
-    c = lp.objective if maximize else -lp.objective
-    outcome = _solve_reduced(lp.constraint_matrix, lp.rhs, [np.asarray(c, dtype=float)])
-    if outcome is None:
-        return LPSolution(status=LpStatus.INFEASIBLE, value=None, point=None)
-    status, x, value = outcome[0]
-    if status == "unbounded":
-        return LPSolution(status=LpStatus.UNBOUNDED, value=None, point=None)
-    return LPSolution(
-        status=LpStatus.OPTIMAL,
-        value=value if maximize else -value,
-        point=x,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Program construction for the bounds problem.
 # ---------------------------------------------------------------------------
@@ -404,9 +317,8 @@ def build_lp(
     event: EventSpec,
     y: int,
     assumptions: Assumptions,
-    sense: Sense = Sense.MAX,
-) -> LinearProgram:
-    """Assemble the bounds program over the vectorized joint matrix.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assemble the bounds program (A, b, c) over the vectorized joint matrix.
 
     Variables are the J^2 matrix entries in row-major order.  The marginal
     block contributes 2(J-1) row/column-sum rows plus the total-mass row;
@@ -433,9 +345,7 @@ def build_lp(
     for l, c in enumerate(event.coeffs):
         if c:
             objective[y * levels + l] = 1.0
-    return LinearProgram(
-        objective=objective, constraint_matrix=a, rhs=b, sense=sense
-    )
+    return a, b, objective
 
 
 def _as_joint(x: np.ndarray, levels: int) -> JointProbabilityMatrix:
@@ -457,14 +367,13 @@ def pn_bounds_lp(
     brackets before being reported.
     """
     mass = check_evidence(pair, event, y)
-    program = build_lp(pair, event, y, assumptions, Sense.MAX)
-    a, b, c = program.constraint_matrix, program.rhs, program.objective
+    a, b, c = build_lp(pair, event, y, assumptions)
     cache_key = (
         pair.treated_law.probs.tobytes()
         + pair.control_law.probs.tobytes()
         + assumptions.value.encode()
     )
-    outcome = _solve_reduced(np.asarray(a), np.asarray(b), [-c, c], cache_key)
+    outcome = _solve_reduced(a, b, [-c, c], cache_key)
     if outcome is None:
         if assumptions is Assumptions.MONOTONIC_INCREMENT:
             report = falsification_check(pair)

@@ -398,12 +398,11 @@ def enumerate_vertices(
     """
     if pair.levels > 3:
         raise SamplingError("vertex enumeration is only supported for J <= 3")
-    program = build_lp(pair, make_full_event(pair.levels), 0, assumptions)
+    a_full, b_full, _ = build_lp(pair, make_full_event(pair.levels), 0, assumptions)
     mask = allowed_mask(assumptions, pair.levels).reshape(-1)
-    a_full = np.asarray(program.constraint_matrix)
     marginal_rows = 2 * pair.levels - 1
     a = a_full[:marginal_rows][:, mask]
-    b = np.asarray(program.rhs)[:marginal_rows]
+    b = b_full[:marginal_rows]
     rank = np.linalg.matrix_rank(a)
     n = a.shape[1]
     vertices: list[np.ndarray] = []

@@ -23,6 +23,7 @@ from pnbounds import (
 )
 from pnbounds import cli
 from pnbounds.bounds import monotone_falsified
+from pnbounds.identify import pair_facts
 from pnbounds.cli import (
     AnalysisConfig,
     _dumps,
@@ -255,8 +256,9 @@ def test_dumps_is_json_dumps_with_indent_2(tree):
 def test_verify_report_encodes_like_json_dumps():
     cfg = AnalysisConfig(exp=EXP, obs=OBS, all_canonical=True, verify=True, samples=2000)
     pair, provenance = load_marginals(cfg)
-    report = run_analysis(cfg, (pair, provenance))
-    report["verification"] = verify_report(cfg, pair, report)
+    facts = pair_facts(pair)
+    report = run_analysis(cfg, (facts, provenance))
+    report["verification"] = verify_report(cfg, facts, report)
     assert any(isinstance(c["verification"], dict) for c in report["verification"]["cells"])
     assert _dumps(report) == json.dumps(report, indent=2)
 
@@ -558,18 +560,6 @@ def test_verify_passes_on_good_data(tmp_path):
     assert checks and all(c["contained"] for c in checks)
 
 
-def test_verify_entry_point():
-    from pnbounds.cli import verify
-
-    cfg = AnalysisConfig(
-        exp=EXP, obs=OBS, events=["noteq:2"], evidence=[2], assume="marginal",
-        samples=200, seed=3,
-    )
-    outcome = verify(cfg)
-    assert outcome["passed"] is True
-    assert outcome["samples"] == 200
-
-
 def test_verify_fails_when_an_estimate_cannot_be_sampled(tmp_path, monkeypatch):
     from pnbounds import oracle
 
@@ -774,7 +764,7 @@ def test_verify_builds_each_distinct_witness_once(tmp_path, monkeypatch):
     assert len(checked) == len(built) + 1
 
 
-def test_verify_checks_the_brackets_at_most_twice_per_report(tmp_path, monkeypatch):
+def test_verify_computes_the_pair_facts_once_per_report(tmp_path, monkeypatch):
     from pnbounds import identify
 
     calls = count_every_binding(
@@ -785,11 +775,8 @@ def test_verify_checks_the_brackets_at_most_twice_per_report(tmp_path, monkeypat
         ["--exp", EXP, "--obs", OBS, "--all-canonical", "--verify", "--samples", "500"],
     )
     assert code == 0 and report["verification"]["passed"] is True
-    # the report's facts and those the --verify levels share (the draw and
-    # the cells of a level share one level built on them)
-    checks = [c for c in calls if not c.endswith("gap_sequence")]
-    assert len(checks) <= 2
-    assert calls.count("pnbounds.identify.gap_sequence") <= 2
+    # the report and every --verify level read the facts main computed
+    assert calls == ["pnbounds.identify.pair_facts", "pnbounds.identify.gap_sequence"]
 
 
 def test_verify_widened_bounds_fail(tmp_path):

@@ -231,6 +231,33 @@ def test_missing_file_is_a_data_error():
         load_table("/nonexistent/file.csv", Source.EXPERIMENTAL)
 
 
+def read_config(path):
+    from pnbounds.cli import _build_parser, _merge_config
+
+    return _merge_config(_build_parser().parse_args(["--config", path]))
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        lambda path: load_table_json(path, Source.EXPERIMENTAL),
+        load_strata_json,
+        read_config,
+    ],
+    ids=["table", "strata", "config"],
+)
+def test_json_readers_name_the_file_alike(tmp_path, reader):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(DataFormatError) as err:
+        reader(missing)
+    assert str(err.value) == f"{missing}: [Errno 2] No such file or directory: {missing!r}"
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"counts": [[1, 2],\n [3 4]]}')
+    with pytest.raises(DataFormatError) as err:
+        reader(str(bad))
+    assert str(err.value) == f"{bad}:2: invalid JSON: Expecting ',' delimiter"
+
+
 def test_contingency_table_validation():
     with pytest.raises(DataFormatError):
         ContingencyTable(counts=[[1, 2]], source=Source.EXPERIMENTAL)

@@ -3,7 +3,6 @@ import pytest
 
 from pnbounds import (
     Assumptions,
-    LpError,
     LpInfeasibleError,
     Method,
     falsification_check,
@@ -15,7 +14,8 @@ from pnbounds import (
     pn_from_joint,
     pn_point,
 )
-from pnbounds.lp import LinearProgram, LpStatus, Sense, build_lp, solve
+from pnbounds import lp
+from pnbounds.lp import _solve_reduced, build_lp
 from helpers import (
     arbitrary_pair,
     canonical_events,
@@ -31,113 +31,70 @@ from helpers import (
 def test_row_counts_per_assumption_level():
     pair = lalonde_pair()
     ev = make_event("noteq", 3, level=2)
-    marginal = build_lp(pair, ev, 2, Assumptions.MARGINAL_ONLY)
-    assert marginal.constraint_matrix.shape == (5, 9)
-    mono = build_lp(pair, ev, 2, Assumptions.MONOTONICITY)
-    assert mono.constraint_matrix.shape == (8, 9)
-    incr = build_lp(pair, ev, 2, Assumptions.MONOTONIC_INCREMENT)
-    assert incr.constraint_matrix.shape == (9, 9)
+    a, _, _ = build_lp(pair, ev, 2, Assumptions.MARGINAL_ONLY)
+    assert a.shape == (5, 9)
+    a, _, _ = build_lp(pair, ev, 2, Assumptions.MONOTONICITY)
+    assert a.shape == (8, 9)
+    a, _, _ = build_lp(pair, ev, 2, Assumptions.MONOTONIC_INCREMENT)
+    assert a.shape == (9, 9)
 
 
 def test_objective_marks_event_cells_in_evidence_row():
     pair = lalonde_pair()
-    program = build_lp(pair, make_event("lt", 3, level=2), 2, Assumptions.MARGINAL_ONLY)
+    _, _, c = build_lp(pair, make_event("lt", 3, level=2), 2, Assumptions.MARGINAL_ONLY)
     expected = np.zeros(9)
     expected[6] = expected[7] = 1.0  # cells (2,0) and (2,1), row-major
-    assert np.array_equal(program.objective, expected)
-
-
-def test_program_json_dump_round_trip(tmp_path):
-    import json
-
-    program = build_lp(
-        lalonde_pair(), make_event("eq", 3, level=0), 1, Assumptions.MONOTONICITY
-    )
-    path = tmp_path / "lp.json"
-    program.dump(path)
-    payload = json.loads(path.read_text())
-    assert payload["sense"] == "max"
-    assert np.asarray(payload["constraint_matrix"]).shape == (8, 9)
-    assert payload["rhs"][-1] == 0.0
+    assert np.array_equal(c, expected)
 
 
 # --- solver on hand-built programs ------------------------------------------------
 
+def maximize(a, b, c):
+    """The one solve path of ``pn_bounds_lp``: None when infeasible, else
+    (status, point, value) for maximizing c . x over Ax = b, x >= 0."""
+    outcome = _solve_reduced(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                             [np.asarray(c, dtype=float)])
+    return None if outcome is None else outcome[0]
+
+
 def test_solve_trivial_split():
-    lp = LinearProgram(
-        objective=np.array([1.0, 0.0]),
-        constraint_matrix=np.array([[1.0, 1.0]]),
-        rhs=np.array([1.0]),
-        sense=Sense.MAX,
-    )
-    sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.value == pytest.approx(1.0, abs=1e-12)
-    assert sol.point == pytest.approx([1.0, 0.0], abs=1e-12)
+    status, point, value = maximize([[1.0, 1.0]], [1.0], [1.0, 0.0])
+    assert status == "optimal"
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert point == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_solve_min_sense():
-    lp = LinearProgram(
-        objective=np.array([1.0, 0.0]),
-        constraint_matrix=np.array([[1.0, 1.0]]),
-        rhs=np.array([1.0]),
-        sense=Sense.MIN,
-    )
-    sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.value == pytest.approx(0.0, abs=1e-12)
+    # minimizing x0 is maximizing -x0
+    status, _, value = maximize([[1.0, 1.0]], [1.0], [-1.0, 0.0])
+    assert status == "optimal"
+    assert -value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_solve_detects_infeasible():
-    lp = LinearProgram(
-        objective=np.array([1.0, 1.0]),
-        constraint_matrix=np.array([[1.0, 0.0], [1.0, 0.0]]),
-        rhs=np.array([1.0, 2.0]),
-        sense=Sense.MAX,
-    )
-    assert solve(lp).status is LpStatus.INFEASIBLE
+    assert maximize([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0], [1.0, 1.0]) is None
 
 
 def test_solve_detects_unbounded():
-    lp = LinearProgram(
-        objective=np.array([1.0, 0.0]),
-        constraint_matrix=np.array([[1.0, -1.0]]),
-        rhs=np.array([0.0]),
-        sense=Sense.MAX,
-    )
-    assert solve(lp).status is LpStatus.UNBOUNDED
-
-
-def test_dimension_mismatch_is_an_error():
-    with pytest.raises(LpError):
-        LinearProgram(
-            objective=np.array([1.0, 0.0, 0.0]),
-            constraint_matrix=np.array([[1.0, 1.0]]),
-            rhs=np.array([1.0]),
-        )
+    status, _, _ = maximize([[1.0, -1.0]], [0.0], [1.0, 0.0])
+    assert status == "unbounded"
 
 
 def test_optimal_point_satisfies_constraints():
     pair = lalonde_pair()
-    program = build_lp(pair, make_event("noteq", 3, level=2), 2, Assumptions.MONOTONICITY)
-    sol = solve(program)
-    assert sol.status is LpStatus.OPTIMAL
-    assert np.abs(program.constraint_matrix @ sol.point - program.rhs).max() < 1e-8
-    assert sol.point.min() >= -1e-9
+    a, b, c = build_lp(pair, make_event("noteq", 3, level=2), 2, Assumptions.MONOTONICITY)
+    status, point, _ = maximize(a, b, c)
+    assert status == "optimal"
+    assert np.abs(a @ point - b).max() < 1e-8
+    assert point.min() >= -1e-9
 
 
 def test_infeasible_marginals_rhs():
     # column targets exceed the total-mass row: no matrix can satisfy both
     pair = lalonde_pair()
-    program = build_lp(pair, make_event("eq", 3, level=0), 2, Assumptions.MARGINAL_ONLY)
-    rhs = program.rhs.copy()
-    rhs[2] = 1.2  # first column sum forced above the grand total
-    broken = LinearProgram(
-        objective=program.objective,
-        constraint_matrix=program.constraint_matrix,
-        rhs=rhs,
-    )
-    assert solve(broken).status is LpStatus.INFEASIBLE
+    a, b, c = build_lp(pair, make_event("eq", 3, level=0), 2, Assumptions.MARGINAL_ONLY)
+    b[2] = 1.2  # first column sum forced above the grand total
+    assert maximize(a, b, c) is None
 
 
 # --- bounds through the LP ---------------------------------------------------------
@@ -244,9 +201,8 @@ def test_solver_against_brute_force_vertex_search():
         a = np.vstack([np.ones(n), rng.random((extra, n)) * (rng.random((extra, n)) < 0.7)])
         b = a @ x0
         c = rng.normal(size=n)
-        lp = LinearProgram(objective=c, constraint_matrix=a, rhs=b, sense=Sense.MAX)
-        sol = solve(lp)
-        assert sol.status is LpStatus.OPTIMAL
+        status, _, value = maximize(a, b, c)
+        assert status == "optimal"
         rank = np.linalg.matrix_rank(a)
         best = -np.inf
         for cols in combinations(range(n), rank):
@@ -257,7 +213,7 @@ def test_solver_against_brute_force_vertex_search():
             if np.abs(sub @ xb - b).max() > 1e-9 or xb.min() < -1e-9:
                 continue
             best = max(best, float(c[list(cols)] @ xb))
-        assert sol.value == pytest.approx(best, abs=1e-8)
+        assert value == pytest.approx(best, abs=1e-8)
 
 
 def test_concurrent_lp_bounds_match_serial():
@@ -335,3 +291,70 @@ def test_bounds_stay_in_the_unit_interval_at_the_band():
         for bound in (result.lower, result.upper):
             assert type(bound) is float
             assert np.copysign(1.0, bound) == 1.0
+
+
+# --- the phase-one cache ----------------------------------------------------------
+
+def lp_outcome(pair, event, y, assumptions):
+    """Bounds and witness bytes of ``pn_bounds_lp``, or its refusal message."""
+    try:
+        res = pn_bounds_lp(pair, event, y, assumptions)
+    except LpInfeasibleError as exc:
+        return str(exc)
+    return res.lower, res.upper, [w.entries.tobytes() for w in res.witnesses]
+
+
+def test_warm_cache_answers_equal_cold_ones():
+    rng = np.random.default_rng(67)
+    for builder in (arbitrary_pair, lower_triangular_pair, staircase_pair):
+        for _ in range(4):
+            levels = int(rng.integers(2, 6))
+            pair = builder(rng, levels)
+            cells = [
+                (event, y, assumptions)
+                for assumptions in Assumptions
+                for y in range(levels)
+                if pair.treated_law[y] > 1e-9
+                for event in canonical_events(levels, y)
+            ]
+            lp._BASE_CACHE.clear()
+            warm = [lp_outcome(pair, *cell) for cell in cells]
+            # one phase one per assumption level, read by every later cell
+            assert len(lp._BASE_CACHE) == len(Assumptions)
+            cold = []
+            for cell in cells:
+                lp._BASE_CACHE.clear()
+                cold.append(lp_outcome(pair, *cell))
+            assert warm == cold
+
+
+def test_an_infeasible_polytope_stays_infeasible_from_the_cache(monkeypatch):
+    pair = pair_from_laws([0.7, 0.2, 0.1], [0.1, 0.2, 0.7])
+    event = make_event("eq", 3, level=0)
+    cells = [(1, Assumptions.MONOTONICITY), (2, Assumptions.MONOTONIC_INCREMENT)]
+    lp._BASE_CACHE.clear()
+    cold = [lp_outcome(pair, event, y, a) for y, a in cells]
+    assert all(isinstance(outcome, str) for outcome in cold)
+    assert list(lp._BASE_CACHE.values()) == [None, None]
+
+    def uncached(*args):
+        raise AssertionError("the cached answer was not used")
+
+    monkeypatch.setattr(lp, "_presolve", uncached)
+    assert [lp_outcome(pair, event, y, a) for y, a in cells] == cold
+
+
+def test_a_polytope_evicted_by_the_wholesale_clear_is_solved_again():
+    rng = np.random.default_rng(71)
+    pairs = [staircase_pair(rng, 3) for _ in range(lp._BASE_CACHE_CAP + 1)]
+    event = make_event("eq", 3, level=1)
+    lp._BASE_CACHE.clear()
+    first = lp_outcome(pairs[0], event, 2, Assumptions.MONOTONICITY)
+    closed = pn_bounds_monotone(pairs[0], event, 2)
+    assert first[:2] == pytest.approx((closed.lower, closed.upper), abs=1e-8)
+    for pair in pairs[1:]:
+        lp_outcome(pair, event, 2, Assumptions.MONOTONICITY)
+    # the 129th polytope found the cache full and cleared it
+    assert len(lp._BASE_CACHE) == 1
+    assert lp_outcome(pairs[0], event, 2, Assumptions.MONOTONICITY) == first
+    assert len(lp._BASE_CACHE) == 2
