@@ -60,8 +60,7 @@ from .oracle import (
     SamplingError,
     VerificationReport,
     endpoint_witnesses,
-    enumerate_vertices,
-    sample_feasible,
+    draw_samples,
     verify_bounds,
 )
 from .pc import pc_bounds, pc_point
@@ -101,7 +100,7 @@ __all__ = [
     "counterfactual_margin_unconfounded",
     "empirical_margin",
     "endpoint_witnesses",
-    "enumerate_vertices",
+    "draw_samples",
     "falsification_check",
     "fixed_zero_cells",
     "gap_sequence",
@@ -118,7 +117,6 @@ __all__ = [
     "pn_from_joint",
     "pn_point",
     "randomized_margins",
-    "sample_feasible",
     "verify_bounds",
 ]
 

@@ -379,11 +379,11 @@ def _verify_level(
     assumptions: Assumptions,
     entries: list[dict[str, Any]],
 ) -> bool:
-    """Verify the cells of one assumption level against one shared batch.
+    """Verify the cells of one assumption level in one pass over one batch.
 
-    One ``oracle._Level`` draws the batch and is shared by the cells: its
-    witnesses are built once per distinct construction, and the batch's
-    rows of each evidence level once.
+    One ``oracle._Level`` draws the batch and ``oracle._check_cells``
+    checks every cell on it: the level's witnesses are built in one batch,
+    and the batch's rows of each evidence level are read once.
     """
     pair = facts.pair
     try:
@@ -394,7 +394,7 @@ def _verify_level(
             entry["verification"] = f"skipped: {exc}"
         return False
     events = {s: parse_event(s, pair.levels) for s in {e["event"] for e in entries}}
-    ok = True
+    cells = []
     for entry in entries:
         if entry["kind"] == "point":
             lower = upper = entry["value"]
@@ -406,10 +406,9 @@ def _verify_level(
             assumptions=assumptions,
             method=bounds_mod.Method.CLOSED_FORM,
         )
-        check = oracle.verify_bounds(
-            pair, events[entry["event"]], entry["evidence"],
-            assumptions, claim, cfg.samples, cfg.seed, samples=samples, level=level,
-        )
+        cells.append((events[entry["event"]], entry["evidence"], claim))
+    ok = True
+    for entry, check in zip(entries, oracle._check_cells(level, samples, cells, cfg.seed)):
         sharp = (
             check.sharpness_gap_lower <= _SHARPNESS_TOL
             and check.sharpness_gap_upper <= _SHARPNESS_TOL

@@ -4,18 +4,21 @@ Nothing here trusts the closed forms or the LP.  Every feasible set on the
 ladder is a set of joint matrices with fixed margins and a staircase zero
 pattern, so Gale's supply-demand theorem gives each cell an exact feasible
 interval given the cells before it.  Seeded draws fill one cell at a time
-inside those intervals and meet the margins exactly; bound endpoints are
-re-attained by explicit constructions at every level; and for three or
-fewer levels the polytope's vertices can be enumerated outright as an
-exhaustive cross-check.
+inside those intervals and meet the margins exactly, and bound endpoints
+are re-attained by explicit constructions at every level.
+
+A batch is held cell-major, (J, J, n), so that every per-cell step works on
+one contiguous length-n vector.  The cells of one (pair, level) are checked
+in one pass over one batch (``_check_cells``): one evidence level at a
+time, the level's witnesses built in one fill, and under ``incr`` the one
+feasible point evaluated once.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from itertools import combinations
-from pathlib import Path
+from dataclasses import dataclass
+from itertools import accumulate
+from math import inf
 
 import numpy as np
 
@@ -31,7 +34,6 @@ from .core import (
     pn_from_joint,
 )
 from .identify import EXACT_ATOL, PairFacts, pair_facts
-from .lp import build_lp
 
 #: Draws are split into this many groups, each with its own fill order.
 MIX_GROUPS = 16
@@ -65,10 +67,9 @@ class _Level:
     ``mono`` gap inside the band is clipped to zero (moving a level by at
     most ``ATOL``).  ``tol``: the margin tolerance of a draw or witness,
     ``EXACT_ATOL`` plus ``ATOL`` on a pair that meets the level's conditions
-    only inside the band.  ``joint``: the ``incr`` point.  ``witnesses``:
-    memo of checked witnesses.  ``rows``: the evidence rows of the last
-    batch seen, per evidence level.  A level is made by the caller that
-    uses it and passed on explicitly; nothing keeps one beyond that.
+    only inside the band.  ``joint``: the ``incr`` point.  ``built``: memo
+    of checked witnesses.  A level is made by the caller that uses it and
+    passed on explicitly; nothing keeps one beyond that.
     """
 
     def __init__(self, facts: PairFacts, assumptions: Assumptions):
@@ -94,63 +95,69 @@ class _Level:
             clipped = np.append(np.maximum(gaps, 0.0), 0.0)
             self.control = np.maximum(treated + np.diff(clipped, prepend=0.0), 0.0)
         self.tol = EXACT_ATOL + (ATOL if low < 0 else 0.0)
-        self.witnesses: dict[object, JointProbabilityMatrix] = {}
-        self.rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.built: dict[object, JointProbabilityMatrix] = {}
 
-    def evidence(self, x: np.ndarray, y: int) -> tuple[np.ndarray, np.ndarray]:
-        """The evidence rows x[:, y, :] and their mass, once per y per batch.
-
-        The memo entry is read once, so the rows returned are always x's.
-        """
-        rows = self.rows.get(y)
-        if rows is None or rows[0] is not x:
-            rows = self.rows[y] = (x, x[:, y, :], x[:, y, :].sum(axis=1))
-        return rows[1], rows[2]
-
-    def witness(self, y: int, first: np.ndarray) -> JointProbabilityMatrix:
-        """The checked ``_extremal_fill(self, y, first)``, or under ``incr``
-        the level's joint, built once per level."""
-        key = None if self.joint is not None else (y, first.tobytes())
-        if key not in self.witnesses:
-            q = self.joint.entries if key is None else _extremal_fill(self, y, first)
-            self.witnesses[key] = _checked_witness(q, self)
-        return self.witnesses[key]
+    def witnesses(self, specs: list[tuple[int, np.ndarray]]) -> list[JointProbabilityMatrix]:
+        """The checked witness of each (y, first) spec, or under ``incr`` the
+        level's joint.  The specs not built yet are filled in one batch
+        (``_extremal_fills``); each distinct one is built once per level."""
+        if self.joint is not None:
+            if None not in self.built:
+                self.built[None] = _checked_witness(self.joint.entries, self)
+            return [self.built[None]] * len(specs)
+        keys = [(y, first.tobytes()) for y, first in specs]
+        new = {key: spec for key, spec in zip(keys, specs) if key not in self.built}
+        if new:
+            q = _extremal_fills(self, list(new.values()))
+            for i, key in enumerate(new):
+                self.built[key] = _checked_witness(q[:, :, i], self)
+        return [self.built[key] for key in keys]
 
 
 def _fill(
     rows: np.ndarray, cols: np.ndarray, orders: list[np.ndarray], u: np.ndarray
 ) -> np.ndarray:
-    """(m, J, J) matrices filled row by row, one cell at a time.
+    """(J, J, m) matrices filled row by row, one cell at a time.
 
-    ``orders[k]`` lists the allowed columns of row k in visiting order; the
-    last row must allow every column.  The i-th free cell visited takes
-    lo + u[:, i] * (hi - lo) with hi = min(row residual, column residual)
+    ``rows`` and ``cols`` are the margins, (J,) for every matrix or (J, m)
+    for each.  ``orders[k]`` lists the allowed columns of row k in visiting
+    order; the last row must allow every column.  The i-th free cell visited
+    takes lo + u[i] * (hi - lo) with hi = min(row residual, column residual)
     and lo = what the row's later columns cannot absorb; a row's last cell
     and the last row are forced.  The margins come out exact whenever every
     split of a row over its allowed columns can be completed: with the full
     mask in any row order, and with the lower-triangular mask top-down, since
     filling row k leaves each later prefix cut (rows k+1..h into columns
-    <= h) as it was (Gale).
+    <= h) as it was (Gale).  Each cell is a contiguous length-m vector, and
+    each matrix is filled as it would be alone.
     """
-    m, levels = u.shape[0], rows.size
-    x = np.zeros((m, levels, levels))
-    res = np.tile(cols, (m, 1))
+    m, levels = u.shape[1], len(orders)
+    x = np.zeros((levels, levels, m))
+    res = np.empty((levels, m))
+    res[:] = cols.reshape(levels, -1)
+    left = np.empty(m)
     i = 0
     for k in range(levels - 1):
-        left = np.full(m, rows[k])
-        rest = res[:, orders[k]].sum(axis=1)
-        for l in orders[k][:-1]:
-            col = res[:, l]
+        order = orders[k]
+        left[:] = rows[k]
+        rest = res[order[0]].copy()
+        for l in order[1:]:
+            rest += res[l]
+        for l in order[:-1]:
+            col, cell = res[l], x[k, l]
             rest -= col
             lo = _floor(left, rest)
-            cell = lo + u[:, i] * (np.minimum(left, col) - lo)
+            # cell = lo + u[i] * (min(left, col) - lo), in place
+            np.minimum(left, col, out=cell)
+            cell -= lo
+            cell *= u[i]
+            cell += lo
             i += 1
-            x[:, k, l] = cell
             col -= cell
             left -= cell
-        x[:, k, orders[k][-1]] = left
-        res[:, orders[k][-1]] -= left
-    x[:, -1] = res
+        x[k, order[-1]] = left
+        res[order[-1]] -= left
+    x[-1] = res
     return x
 
 
@@ -160,25 +167,22 @@ def _floor(left: np.ndarray, rest: np.ndarray) -> np.ndarray:
 
 
 def _self_check(x: np.ndarray, level: _Level) -> None:
-    """Raise ``SamplingError`` unless every draw in x is feasible within tol.
-
-    Rounding negatives are clipped and each draw renormalized, in place.
+    """Raise ``SamplingError`` unless every draw in x, (J, J, n), is feasible
+    within tol.  Rounding negatives are clipped and each draw renormalized,
+    in place.
     """
     low, tol = float(-x.min()), level.tol
-    if low > tol or x[:, ~level.mask].any():
+    if low > tol or x[~level.mask].any():
         raise SamplingError(
             f"sampler self-check failed: entry {-low:.3g} or mass off the zero pattern"
         )
     np.maximum(x, 0.0, out=x)
-    x /= x.sum(axis=(1, 2), keepdims=True)
-    pair, err = level.pair, 0.0
-    # row sums, then column sums, accumulated along the short axis in place
-    for view, law in ((x.transpose(0, 2, 1), pair.treated_law), (x, pair.control_law)):
-        total = view[:, 0].copy()
-        for l in range(1, x.shape[1]):
-            total += view[:, l]
-        total -= law.probs
-        err = max(err, np.abs(total, out=total).max())
+    x /= x.sum(axis=(0, 1))
+    pair = level.pair
+    err = max(
+        np.abs(x.sum(axis=1) - pair.treated_law.probs[:, None]).max(),
+        np.abs(x.sum(axis=0) - pair.control_law.probs[:, None]).max(),
+    )
     if err > tol:
         raise SamplingError(
             f"sampler self-check failed: margins off by {err:.3g} (tolerance {tol:.3g})"
@@ -188,12 +192,13 @@ def _self_check(x: np.ndarray, level: _Level) -> None:
 def _sample_array(
     pair: MarginalPair, assumptions: Assumptions, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """n feasible matrices of the level; see ``_draw``."""
-    return _draw(_Level(pair_facts(pair), assumptions), n, rng)
+    """n feasible matrices of the level, (n, J, J); see ``_draw``."""
+    return _draw(_Level(pair_facts(pair), assumptions), n, rng).transpose(2, 0, 1)
 
 
 def _draw(level: _Level, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n feasible matrices of a level, drawn exactly in ``MIX_GROUPS`` groups.
+    """n feasible matrices of a level, cell-major (J, J, n), drawn exactly in
+    ``MIX_GROUPS`` groups.
 
     ``marginal``: each group fills its own random row order.  ``mono``:
     rows top-down, and every other group fills the mirrored problem (rows
@@ -208,25 +213,30 @@ def _draw(level: _Level, n: int, rng: np.random.Generator) -> np.ndarray:
         raise SamplingError("need at least one sample")
     levels = level.pair.levels
     if level.joint is not None:
-        point = level.joint.entries[None].copy()
+        point = level.joint.entries[:, :, None].copy()
         _self_check(point, level)
-        return np.broadcast_to(point[0], (n, levels, levels))
-    x = np.empty((n, levels, levels))
+        return np.broadcast_to(point, (levels, levels, n))
+    x = np.empty((levels, levels, n))
     edges = np.linspace(0, n, MIX_GROUPS + 1).astype(int)
     marginal = level.assumptions is Assumptions.MARGINAL_ONLY
     # the row of each cell that _fill draws, in visiting order
     ks = np.repeat(np.arange(levels - 1), levels - 1 if marginal else np.arange(levels - 1))
     for g in range(MIX_GROUPS):
-        part = x[edges[g] : edges[g + 1]]
+        part = x[:, :, edges[g] : edges[g + 1]]
         perm = rng.permutation(levels) if marginal else np.arange(levels)
         orders = [rng.permutation(levels if marginal else k + 1) for k in range(levels)]
         ls = np.concatenate([o[:-1] for o in orders[:-1]])
-        u = 0.5 - 0.5 * np.cos(np.pi * rng.random(part.shape)[:, ks, ls])
+        u = rng.random((part.shape[2], levels, levels)).transpose(1, 2, 0)[ks, ls]
+        # u = 0.5 - 0.5 * cos(pi * u), in place
+        u *= np.pi
+        np.cos(u, out=u)
+        u *= -0.5
+        u += 0.5
         if marginal or g % 2 == 0:
-            part[:, perm] = _fill(level.treated[perm], level.control, orders, u)
+            part[perm] = _fill(level.treated[perm], level.control, orders, u)
         else:
             mirrored = _fill(level.control[::-1], level.treated[::-1], orders, u)
-            part[:] = mirrored[:, ::-1, ::-1].transpose(0, 2, 1)
+            part[:] = mirrored[::-1, ::-1].transpose(1, 0, 2)
     _self_check(x, level)
     return x
 
@@ -242,19 +252,14 @@ def draw_samples(
     pattern exactly.  No draw is rejected: a batch that fails this
     self-check raises ``SamplingError``.  The batch depends only on (pair,
     assumptions, n, seed), so every cell of one level can be checked on it.
+    The array is a view of the cell-major batch.
     """
     return _sample_array(pair, assumptions, n, np.random.default_rng(seed))
 
 
-def sample_feasible(
-    pair: MarginalPair, assumptions: Assumptions, n: int, seed: int
-) -> list[JointProbabilityMatrix]:
-    """Draw n feasible joint matrices; see ``draw_samples``."""
-    return [JointProbabilityMatrix(entries=q) for q in draw_samples(pair, assumptions, n, seed)]
-
-
-def _extremal_fill(level: _Level, y: int, first: np.ndarray) -> np.ndarray:
-    """Joint attaining one ``marginal`` or ``mono`` bound endpoint.
+def _extremal_fills(level: _Level, specs: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """(J, J, w) joints, the i-th attaining one ``marginal`` or ``mono`` bound
+    endpoint of evidence level y for specs[i] = (y, first).
 
     The construction behind both closed forms, without their numbers.  The
     evidence row r is filled greedily over the columns it may use (all, or
@@ -265,23 +270,30 @@ def _extremal_fill(level: _Level, y: int, first: np.ndarray) -> np.ndarray:
     below each cut t (see ``pn_bounds_monotone``; a gap in the band counts
     as zero).  They form a nested family, so the greedy fill maximizes r(S),
     or its complement, over the rows that leave the rest feasible.  The
-    other rows are a deterministic run of ``_fill`` on the residual columns.
+    other rows are one deterministic run of ``_fill`` on the residual
+    columns, with each witness's own margins.
     """
     treated, control, levels = level.treated, level.control, level.pair.levels
     mono = level.assumptions is Assumptions.MONOTONICITY
-    top_down = np.arange(first.size - 1, -1, -1)
-    # budget[t - 1] caps the mass of r below cut t; the last entry, all of r
-    cuts = np.cumsum(control - treated)[:y] if mono else np.full(levels - 1, np.inf)
-    budget = np.append(cuts, treated[y])
-    row = np.zeros(levels)
-    for l in np.concatenate((top_down[first[top_down]], top_down[~first[top_down]])):
-        row[l] = max(0.0, min(control[l], budget[l:].min()))
-        budget[l:] -= row[l]
-    rows = treated.copy()
-    rows[y] = 0.0
+    evidence = np.zeros((levels, len(specs)))
+    rows = np.repeat(treated[:, None], len(specs), axis=1)
+    # scalar work in Python floats: the same IEEE operations as on numpy scalars
+    caps = list(accumulate((control - treated).tolist())) if mono else [inf] * levels
+    column_mass = control.tolist()
+    for i, (y, first) in enumerate(specs):
+        # budget[t - 1] caps the mass of r below cut t; the last entry, all of r
+        budget = caps[: y if mono else levels - 1] + [float(treated[y])]
+        top_down = range(first.size - 1, -1, -1)
+        for l in [l for l in top_down if first[l]] + [l for l in top_down if not first[l]]:
+            cell = max(0.0, min(column_mass[l], min(budget[l:])))
+            evidence[l, i] = cell
+            budget[l:] = [b - cell for b in budget[l:]]
+        rows[y, i] = 0.0
     orders = [np.arange(k + 1 if mono else levels) for k in range(levels)]
-    q = _fill(rows, control - row, orders, np.ones((1, levels * levels)))[0]
-    q[y] = row
+    u = np.ones((levels * levels, len(specs)))
+    q = _fill(rows, control[:, None] - evidence, orders, u)
+    for i, (y, _) in enumerate(specs):
+        q[y, :, i] = evidence[:, i]
     return q
 
 
@@ -294,6 +306,13 @@ def _checked_witness(q: np.ndarray, level: _Level) -> JointProbabilityMatrix:
         raise ConstructionError("witness has mass outside the zero pattern")
     _check_margins(joint, level.pair, level.tol)
     return joint
+
+
+def _witness_specs(level: _Level, event: EventSpec, y: int) -> list[tuple[int, np.ndarray]]:
+    """The (y, first) specs of an event's lower and upper witness."""
+    span = y + 1 if level.assumptions is Assumptions.MONOTONICITY else level.pair.levels
+    first = np.asarray(event.coeffs[:span], dtype=bool)
+    return [(y, ~first), (y, first)]
 
 
 def endpoint_witnesses(
@@ -317,9 +336,8 @@ def endpoint_witnesses(
     are built here.
     """
     level = _Level(pair_facts(pair), assumptions) if level is None else level
-    span = y + 1 if assumptions is Assumptions.MONOTONICITY else pair.levels
-    first = np.asarray(event.coeffs[:span], dtype=bool)
-    return level.witness(y, ~first), level.witness(y, first)
+    lower, upper = level.witnesses(_witness_specs(level, event, y))
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -333,8 +351,52 @@ class VerificationReport:
     n_samples: int
     seed: int
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
+
+def _check_cells(
+    level: _Level,
+    x: np.ndarray,
+    cells: list[tuple[EventSpec, int, BoundsResult]],
+    seed: int,
+) -> list[VerificationReport]:
+    """Check each (event, y, claimed bounds) cell of a level against batch x.
+
+    x is a cell-major batch of the level, (J, J, n).  The witnesses of all
+    cells are built first, in one batch; then per evidence level y the
+    rows x[y] and their mass are read once, and each event's values go
+    through one reused length-n buffer.  Under ``incr`` the batch is n
+    copies of one point, which is evaluated once.
+    """
+    n = x.shape[2]
+    if level.joint is not None:
+        x = x[:, :, :1]
+    witnesses = level.witnesses(
+        [spec for event, y, _ in cells for spec in _witness_specs(level, event, y)]
+    )
+    reports: list[VerificationReport | None] = [None] * len(cells)
+    by_y: dict[int, list[int]] = {}
+    for i, (_, y, _) in enumerate(cells):
+        by_y.setdefault(y, []).append(i)
+    values = np.empty(x.shape[2])
+    for y, indices in by_y.items():
+        rows = x[y]
+        mass = rows.sum(axis=0)
+        for i in indices:
+            event, _, bounds = cells[i]
+            np.matmul(event.vector, rows, out=values)
+            values /= mass
+            max_violation = max(
+                0.0, float(bounds.lower - values.min()), float(values.max() - bounds.upper)
+            )
+            lower, upper = witnesses[2 * i], witnesses[2 * i + 1]
+            reports[i] = VerificationReport(
+                contained=max_violation <= ATOL,
+                max_violation=max_violation,
+                sharpness_gap_lower=float(abs(pn_from_joint(lower, event, y) - bounds.lower)),
+                sharpness_gap_upper=float(abs(pn_from_joint(upper, event, y) - bounds.upper)),
+                n_samples=n,
+                seed=seed,
+            )
+    return reports
 
 
 def verify_bounds(
@@ -345,7 +407,6 @@ def verify_bounds(
     bounds: BoundsResult,
     n: int,
     seed: int,
-    samples_csv: str | Path | None = None,
     *,
     samples: np.ndarray | None = None,
     level: _Level | None = None,
@@ -355,77 +416,16 @@ def verify_bounds(
     Containment: every sampled feasible matrix must give an event
     probability inside the interval.  Sharpness: the distance from each
     bound to the probability its witness attains.  Findings are report
-    fields, never exceptions.  With ``samples_csv`` the sampled event
-    probabilities are also written one per line, for external plotting.
-    ``samples`` is a batch the caller already drew with
-    ``draw_samples(pair, assumptions, n, seed)`` and ``level`` the
-    ``_Level`` of (pair, assumptions) it holds, whose witnesses and evidence
-    rows the cells of the batch share; without them both are made here,
-    so a call that passes neither shares nothing with any other call.
+    fields, never exceptions.  ``samples`` is a batch the caller already
+    drew with ``draw_samples(pair, assumptions, n, seed)`` and ``level``
+    the ``_Level`` of (pair, assumptions) it holds, whose witnesses the
+    cells of the batch share; without them both are made here, so a call
+    that passes neither shares nothing with any other call.  This is the
+    one-cell case of the pass that ``--verify`` makes per level.
     """
     level = _Level(pair_facts(pair), assumptions) if level is None else level
-    x = _draw(level, n, np.random.default_rng(seed)) if samples is None else samples
-    row, mass = level.evidence(x, y)
-    values = (row @ np.asarray(event.coeffs, dtype=float)) / mass
-    if samples_csv is not None:
-        lines = ["value"] + [f"{v:.17g}" for v in values]
-        Path(samples_csv).write_text("\n".join(lines) + "\n")
-    max_violation = max(
-        0.0, float(bounds.lower - values.min()), float(values.max() - bounds.upper)
-    )
-    witness_lower, witness_upper = endpoint_witnesses(
-        pair, event, y, assumptions, level=level
-    )
-    gap_lower = abs(pn_from_joint(witness_lower, event, y) - bounds.lower)
-    gap_upper = abs(pn_from_joint(witness_upper, event, y) - bounds.upper)
-    return VerificationReport(
-        contained=max_violation <= ATOL,
-        max_violation=max_violation,
-        sharpness_gap_lower=float(gap_lower),
-        sharpness_gap_upper=float(gap_upper),
-        n_samples=int(x.shape[0]),
-        seed=seed,
-    )
-
-
-def enumerate_vertices(
-    pair: MarginalPair, assumptions: Assumptions
-) -> list[JointProbabilityMatrix]:
-    """All vertices of the feasible polytope; exhaustive check for J <= 3.
-
-    Basic solutions of the equality system: every full-rank column subset
-    whose solve is nonnegative.  Exponential in J, hence the guard.
-    """
-    if pair.levels > 3:
-        raise SamplingError("vertex enumeration is only supported for J <= 3")
-    a_full, b_full, _ = build_lp(pair, make_full_event(pair.levels), 0, assumptions)
-    mask = allowed_mask(assumptions, pair.levels).reshape(-1)
-    marginal_rows = 2 * pair.levels - 1
-    a = a_full[:marginal_rows][:, mask]
-    b = b_full[:marginal_rows]
-    rank = np.linalg.matrix_rank(a)
-    n = a.shape[1]
-    vertices: list[np.ndarray] = []
-    seen: set[tuple[int, ...]] = set()
-    for cols in combinations(range(n), rank):
-        sub = a[:, cols]
-        if np.linalg.matrix_rank(sub) < rank:
-            continue
-        sol, *_ = np.linalg.lstsq(sub, b, rcond=None)
-        if np.abs(sub @ sol - b).max() > ATOL or sol.min() < -ATOL:
-            continue
-        x = np.zeros(n)
-        x[list(cols)] = sol
-        key = tuple(np.round(x / ATOL).astype(np.int64))
-        if key in seen:
-            continue
-        seen.add(key)
-        full = np.zeros(mask.size)
-        full[mask] = x
-        vertices.append(full.reshape(pair.levels, pair.levels))
-    return [JointProbabilityMatrix(entries=np.clip(v, 0.0, None)) for v in vertices]
-
-
-def make_full_event(levels: int) -> EventSpec:
-    """Whole-space event; handy as a placeholder objective."""
-    return EventSpec(coeffs=(1,) * levels, label="Y0 in full space")
+    if samples is None:
+        x = _draw(level, n, np.random.default_rng(seed))
+    else:
+        x = samples.transpose(1, 2, 0)
+    return _check_cells(level, x, [(event, y, bounds)], seed)[0]

@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from pnbounds import (
+    ATOL,
     Assumptions,
     Conditioning,
     ContingencyTable,
+    EventSpec,
+    JointProbabilityMatrix,
     MarginalPair,
     OrdinalDistribution,
+    SamplingError,
     Source,
+    allowed_mask,
     counterfactual_margin_experimental,
     make_event,
     randomized_margins,
 )
+from pnbounds.lp import build_lp
 
 # Job-training study counts (experimental source and matched observational
 # source); the golden fixture for the whole suite.
@@ -96,3 +104,46 @@ def assumption_levels():
         Assumptions.MONOTONICITY,
         Assumptions.MONOTONIC_INCREMENT,
     ]
+
+
+def enumerate_vertices(
+    pair: MarginalPair, assumptions: Assumptions
+) -> list[JointProbabilityMatrix]:
+    """All vertices of the feasible polytope; exhaustive check for J <= 3.
+
+    Basic solutions of the equality system: every full-rank column subset
+    whose solve is nonnegative.  Exponential in J, hence the guard.
+    """
+    if pair.levels > 3:
+        raise SamplingError("vertex enumeration is only supported for J <= 3")
+    a_full, b_full, _ = build_lp(pair, make_full_event(pair.levels), 0, assumptions)
+    mask = allowed_mask(assumptions, pair.levels).reshape(-1)
+    marginal_rows = 2 * pair.levels - 1
+    a = a_full[:marginal_rows][:, mask]
+    b = b_full[:marginal_rows]
+    rank = np.linalg.matrix_rank(a)
+    n = a.shape[1]
+    vertices: list[np.ndarray] = []
+    seen: set[tuple[int, ...]] = set()
+    for cols in combinations(range(n), rank):
+        sub = a[:, cols]
+        if np.linalg.matrix_rank(sub) < rank:
+            continue
+        sol, *_ = np.linalg.lstsq(sub, b, rcond=None)
+        if np.abs(sub @ sol - b).max() > ATOL or sol.min() < -ATOL:
+            continue
+        x = np.zeros(n)
+        x[list(cols)] = sol
+        key = tuple(np.round(x / ATOL).astype(np.int64))
+        if key in seen:
+            continue
+        seen.add(key)
+        full = np.zeros(mask.size)
+        full[mask] = x
+        vertices.append(full.reshape(pair.levels, pair.levels))
+    return [JointProbabilityMatrix(entries=np.clip(v, 0.0, None)) for v in vertices]
+
+
+def make_full_event(levels: int) -> EventSpec:
+    """Whole-space event; handy as a placeholder objective."""
+    return EventSpec(coeffs=(1,) * levels, label="Y0 in full space")

@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 from pnbounds import (
     Assumptions,
     BoundsResult,
+    JointProbabilityMatrix,
     Method,
     UnsupportedEventError,
     ZeroEvidenceError,
     falsification_check,
+    draw_samples,
     make_event,
     monotone_consistent,
     pn_bounds_marginal,
     pn_bounds_monotone,
     pn_from_joint,
     pn_point,
-    sample_feasible,
 )
 from pnbounds.bounds import _classify_monotone
 from pnbounds.core import ATOL
@@ -364,8 +365,8 @@ def test_sampled_joints_stay_inside_marginal_interval():
     pair = lalonde_pair()
     event = make_event("noteq", 3, level=2)
     result = pn_bounds_marginal(pair, event, 2)
-    for joint in sample_feasible(pair, Assumptions.MARGINAL_ONLY, 400, seed=5):
-        assert result.contains(pn_from_joint(joint, event, 2))
+    for q in draw_samples(pair, Assumptions.MARGINAL_ONLY, 400, seed=5):
+        assert result.contains(pn_from_joint(JointProbabilityMatrix(q), event, 2))
 
 
 # --- binary reduction --------------------------------------------------------------

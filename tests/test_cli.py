@@ -731,18 +731,19 @@ def test_verify_entries_equal_direct_oracle_calls_beyond_three_levels(tmp_path, 
 def test_verify_builds_each_distinct_witness_once(tmp_path, monkeypatch):
     from pnbounds import oracle
 
-    built, checked = [], []
-    fill, check = oracle._extremal_fill, oracle._checked_witness
+    built, batches, checked = [], [], []
+    fill, check = oracle._extremal_fills, oracle._checked_witness
 
-    def counting_fill(level, y, first):
-        built.append((level.assumptions, y, first.tobytes()))
-        return fill(level, y, first)
+    def counting_fill(level, specs):
+        batches.append(level.assumptions)
+        built.extend((level.assumptions, y, first.tobytes()) for y, first in specs)
+        return fill(level, specs)
 
     def counting_check(q, level):
         checked.append(level.assumptions)
         return check(q, level)
 
-    monkeypatch.setattr(oracle, "_extremal_fill", counting_fill)
+    monkeypatch.setattr(oracle, "_extremal_fills", counting_fill)
     monkeypatch.setattr(oracle, "_checked_witness", counting_check)
     code, report = report_from(
         tmp_path,
@@ -760,6 +761,8 @@ def test_verify_builds_each_distinct_witness_once(tmp_path, monkeypatch):
         patterns |= {(assumptions, y, head.tobytes()), (assumptions, y, (~head).tobytes())}
     assert sorted(built, key=repr) == sorted(patterns, key=repr)
     assert len(built) == 22  # 20 interval cells, 40 endpoints
+    # one batch per sampled level
+    assert sorted(a.value for a in batches) == ["marginal", "mono"]
     assert checked.count(Assumptions.MONOTONIC_INCREMENT) == 1
     assert len(checked) == len(built) + 1
 

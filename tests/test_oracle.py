@@ -8,17 +8,16 @@ from pnbounds import (
     Assumptions,
     BoundsResult,
     Method,
+    JointProbabilityMatrix,
     SamplingError,
     allowed_mask,
     endpoint_witnesses,
-    enumerate_vertices,
     identify_joint,
     make_event,
     pn_bounds_lp,
     pn_bounds_marginal,
     pn_bounds_monotone,
     pn_from_joint,
-    sample_feasible,
     verify_bounds,
 )
 from pnbounds import oracle
@@ -27,6 +26,7 @@ from pnbounds.oracle import _sample_array, draw_samples
 from helpers import (
     arbitrary_pair,
     canonical_events,
+    enumerate_vertices,
     lalonde_pair,
     lower_triangular_pair,
     pair_from_laws,
@@ -86,10 +86,10 @@ def test_witnesses_attain_marginal_bounds_everywhere():
 
 def test_identical_laws_single_point_feasible_set():
     pair = pair_from_laws([0.2, 0.3, 0.5], [0.2, 0.3, 0.5])
-    samples = sample_feasible(pair, Assumptions.MONOTONIC_INCREMENT, 25, seed=11)
+    samples = draw_samples(pair, Assumptions.MONOTONIC_INCREMENT, 25, seed=11)
     target = np.diag([0.2, 0.3, 0.5])
-    for joint in samples:
-        assert np.abs(joint.entries - target).max() < 1e-9
+    for q in samples:
+        assert np.abs(q - target).max() < 1e-9
 
 
 def test_samples_satisfy_margins_and_zero_pattern():
@@ -98,20 +98,20 @@ def test_samples_satisfy_margins_and_zero_pattern():
         pair = lower_triangular_pair(rng, 4)
         if assumptions is Assumptions.MONOTONIC_INCREMENT:
             pair = staircase_pair(rng, 4)
-        samples = sample_feasible(pair, assumptions, 60, seed=13)
+        samples = draw_samples(pair, assumptions, 60, seed=13)
         assert len(samples) == 60
         mask = allowed_mask(assumptions, 4)
-        for joint in samples:
-            assert np.abs(joint.row_margins() - pair.treated_law.probs).max() < 1e-7
-            assert np.abs(joint.col_margins() - pair.control_law.probs).max() < 1e-7
-            assert np.all(joint.entries[~mask] == 0.0)
+        for q in samples:
+            assert np.abs(q.sum(axis=1) - pair.treated_law.probs).max() < 1e-7
+            assert np.abs(q.sum(axis=0) - pair.control_law.probs).max() < 1e-7
+            assert np.all(q[~mask] == 0.0)
 
 
 def test_singleton_feasible_set_has_negligible_variance():
     pair = lalonde_pair()
     ev = make_event("noteq", 3, level=2)
-    samples = sample_feasible(pair, Assumptions.MONOTONIC_INCREMENT, 100, seed=5)
-    values = np.array([pn_from_joint(q, ev, 2) for q in samples])
+    samples = draw_samples(pair, Assumptions.MONOTONIC_INCREMENT, 100, seed=5)
+    values = np.array([pn_from_joint(JointProbabilityMatrix(q), ev, 2) for q in samples])
     assert values.var() < 1e-10
     point = pn_from_joint(identify_joint(pair), ev, 2)
     assert np.abs(values - point).max() < 1e-6
@@ -119,21 +119,21 @@ def test_singleton_feasible_set_has_negligible_variance():
 
 def test_sampling_is_deterministic_in_the_seed():
     pair = lalonde_pair()
-    a = sample_feasible(pair, Assumptions.MARGINAL_ONLY, 10, seed=99)
-    b = sample_feasible(pair, Assumptions.MARGINAL_ONLY, 10, seed=99)
+    a = draw_samples(pair, Assumptions.MARGINAL_ONLY, 10, seed=99)
+    b = draw_samples(pair, Assumptions.MARGINAL_ONLY, 10, seed=99)
     for qa, qb in zip(a, b):
-        assert np.array_equal(qa.entries, qb.entries)
+        assert np.array_equal(qa, qb)
 
 
 def test_sampling_rejects_empty_feasible_sets():
     bad = pair_from_laws([0.1, 0.8, 0.1], [0.05, 0.05, 0.9])
     with pytest.raises(SamplingError):
-        sample_feasible(bad, Assumptions.MONOTONIC_INCREMENT, 5, seed=1)
+        draw_samples(bad, Assumptions.MONOTONIC_INCREMENT, 5, seed=1)
     reversed_pair = pair_from_laws([0.7, 0.3], [0.2, 0.8])
     with pytest.raises(SamplingError):
-        sample_feasible(reversed_pair, Assumptions.MONOTONICITY, 5, seed=1)
+        draw_samples(reversed_pair, Assumptions.MONOTONICITY, 5, seed=1)
     with pytest.raises(SamplingError):
-        sample_feasible(lalonde_pair(), Assumptions.MARGINAL_ONLY, 0, seed=1)
+        draw_samples(lalonde_pair(), Assumptions.MARGINAL_ONLY, 0, seed=1)
 
 
 # --- exact sampler ------------------------------------------------------------------
@@ -355,24 +355,6 @@ def test_verify_flags_widened_bounds_as_unsharp():
     assert report.sharpness_gap_upper > 0.01
 
 
-def test_verify_can_dump_sampled_values(tmp_path):
-    pair = lalonde_pair()
-    ev = make_event("noteq", 3, level=2)
-    res = pn_bounds_marginal(pair, ev, 2)
-    csv_path = tmp_path / "values.csv"
-    report = verify_bounds(
-        pair, ev, 2, Assumptions.MARGINAL_ONLY, res, 50, seed=3, samples_csv=csv_path
-    )
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "value" and len(lines) == 51
-    values = np.array([float(v) for v in lines[1:]])
-    assert values.min() >= res.lower - 1e-9 and values.max() <= res.upper + 1e-9
-    import json
-
-    payload = json.loads(report.to_json())
-    assert payload["contained"] is True and payload["n_samples"] == 50
-
-
 def test_monotone_witnesses_attain_the_closed_forms():
     rng = np.random.default_rng(43)
     cells = 0
@@ -439,16 +421,103 @@ def test_a_passed_level_reads_the_evidence_rows_of_each_batch():
     mid = pn_bounds_marginal(pair, event, 2).midpoint
     # a point claim: max_violation is the batch's distance from it
     claim = BoundsResult(mid, mid, Assumptions.MARGINAL_ONLY, Method.CLOSED_FORM)
+    violations = []
     for seed in (1, 2, 1):
         batch = draw_samples(pair, Assumptions.MARGINAL_ONLY, 300, seed)
         shared = verify_bounds(
             pair, event, 2, Assumptions.MARGINAL_ONLY, claim, 300, seed,
             samples=batch, level=level,
         )
-        assert level.rows[2][0] is batch
-        # a call without a level draws its own batch and leaves this one alone
+        # a call without a level draws its own batch: the same cell, unshared
         assert shared == verify_bounds(pair, event, 2, Assumptions.MARGINAL_ONLY, claim, 300, seed)
-        assert level.rows[2][0] is batch
+        violations.append(shared.max_violation)
+    # the level keeps no rows: each call read the batch it was given
+    assert violations[0] == violations[2] != violations[1]
+
+
+def _level_cases():
+    """Random pairs, J 3-8: lower triangular, staircase, tied with zero-mass
+    levels, and the band pairs."""
+    rng = np.random.default_rng(131)
+    for levels in range(3, 9):
+        yield lower_triangular_pair(rng, levels)
+        yield staircase_pair(rng, levels)
+        yield _tied_pair(rng, levels)
+    yield from _band_pairs()
+
+
+def _claims(facts, event, y, assumptions):
+    """The cell's bounds, and the same narrowed and shifted."""
+    from pnbounds.bounds import cell_bounds
+
+    res = cell_bounds(facts, event, y, assumptions)
+    shift = 0.05 * max(res.width, 0.02)
+    for lower, upper in ((res.lower, res.upper), (res.lower + shift, res.upper),
+                         (res.lower, res.upper - shift), (res.lower + shift, res.upper + shift)):
+        yield BoundsResult(min(lower, upper), max(lower, upper), assumptions, Method.CLOSED_FORM)
+
+
+def test_the_level_pass_equals_a_recomputation_from_the_drawn_samples():
+    checked, verdicts = 0, set()
+    for index, pair in enumerate(_level_cases()):
+        facts = pair_facts(pair)
+        levels = pair.levels
+        for assumptions in Assumptions:
+            try:
+                level = oracle._Level(facts, assumptions)
+            except SamplingError:
+                continue
+            n, seed = 300 + 7 * index, 500 + index
+            cells = []
+            for y in range(levels):
+                if pair.treated_law[y] <= 1e-9:
+                    continue
+                custom = make_event("custom", levels, coeffs=[(y + l) % 2 for l in range(levels)])
+                for event in canonical_events(levels, y) + [custom]:
+                    cells += [(event, y, claim) for claim in _claims(facts, event, y, assumptions)]
+            reports = oracle._check_cells(
+                level, oracle._draw(level, n, np.random.default_rng(seed)), cells, seed
+            )
+            x = draw_samples(pair, assumptions, n, seed)
+            for (event, y, claim), report in zip(cells, reports, strict=True):
+                values = x[:, y, :] @ event.vector / x[:, y, :].sum(1)
+                violation = max(
+                    0.0, float(claim.lower - values.min()), float(values.max() - claim.upper)
+                )
+                assert abs(report.max_violation - violation) <= 1e-15
+                assert report.contained is (violation <= ATOL)
+                low, up = endpoint_witnesses(pair, event, y, assumptions)
+                assert report.sharpness_gap_lower == abs(pn_from_joint(low, event, y) - claim.lower)
+                assert report.sharpness_gap_upper == abs(pn_from_joint(up, event, y) - claim.upper)
+                assert (report.n_samples, report.seed) == (n, seed)
+                verdicts.add((assumptions, report.contained))
+                checked += 1
+    assert checked > 2000
+    assert verdicts == {(a, c) for a in Assumptions for c in (True, False)}
+
+
+def test_batched_witnesses_equal_witnesses_built_one_at_a_time():
+    built = 0
+    for pair in _level_cases():
+        for assumptions in (Assumptions.MARGINAL_ONLY, Assumptions.MONOTONICITY):
+            try:
+                level = oracle._Level(pair_facts(pair), assumptions)
+            except SamplingError:
+                continue
+            specs = [
+                spec
+                for y in range(pair.levels) if pair.treated_law[y] > 1e-9
+                for event in canonical_events(pair.levels, y)
+                for spec in oracle._witness_specs(level, event, y)
+            ]
+            batched = level.witnesses(specs)
+            for (y, first), witness in zip(specs, batched, strict=True):
+                alone = oracle._checked_witness(
+                    oracle._extremal_fills(level, [(y, first)])[:, :, 0], level
+                )
+                assert np.array_equal(witness.entries, alone.entries)
+                built += 1
+    assert built > 1000
 
 
 def test_concurrent_verification_matches_serial():
