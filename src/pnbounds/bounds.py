@@ -9,6 +9,10 @@ problem is feasible iff every cut k has a nonnegative cumulative gap, and
 fixing the evidence row adds only suffix cuts.  That gives an exact O(J)
 formula for every event on monotone-consistent data; the paper's
 single-level and all-but-one-level families keep their own closed forms.
+
+Each closed form is written once, over rows: ``level_bounds`` computes N
+(event, evidence) cells of one assumption level in one array pass, and
+``cell_bounds``, which the per-cell functions call, is its one-row case.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ from .core import (
     EventSpec,
     JointProbabilityMatrix,
     MarginalPair,
+    ZeroEvidenceError,
     check_evidence,
+    evidence_mass,
 )
 from .identify import PairFacts, pair_facts
 
@@ -33,8 +39,8 @@ from .identify import PairFacts, pair_facts
 class UnsupportedEventError(CausalAttributionError):
     """No closed form: the data contradict monotonicity (a negative gap).
 
-    Raised only for events outside the paper's families, whose monotone
-    feasible set is then empty (the LP reports it infeasible).
+    Raised for events outside the paper's families, whose monotone feasible
+    set is then empty (the LP reports it infeasible), and for zero evidence.
     """
 
 
@@ -89,57 +95,25 @@ def pn_bounds_marginal(pair: MarginalPair, event: EventSpec, y: int) -> BoundsRe
 
     Both endpoints are attained by explicit joint constructions.
     """
-    mass = check_evidence(pair, event, y)
-    omega = float(event.vector @ pair.control_law.probs)
-    lower = min(1.0, max(0.0, (mass - (1.0 - omega)) / mass))
-    upper = min(1.0, omega / mass)
-    return BoundsResult(
-        lower=lower,
-        upper=upper,
-        assumptions=Assumptions.MARGINAL_ONLY,
-        method=Method.CLOSED_FORM,
-    )
-
-
-def _classify_monotone(event: EventSpec, y: int) -> tuple[str, int | None]:
-    """Classify an event by its coefficients at levels 0..y.
-
-    Under monotonicity the control outcome cannot exceed the treated one, so
-    only the head of the coefficient vector matters given evidence y.  Head
-    patterns: all zeros (event impossible), all ones (event certain),
-    (1,...,1,0) (complement of the evidence level), exactly one 1 at some
-    y' <= y (single level).  Anything else has no closed form.
-    """
-    head = event.coeffs[: y + 1]
-    if all(c == 0 for c in head):
-        return "impossible", None
-    if all(c == 1 for c in head):
-        return "certain", None
-    if head == (1,) * y + (0,):
-        return "noteq", None
-    if sum(head) == 1:
-        return "eq", head.index(1)
-    return "unsupported", None
+    return cell_bounds(pair_facts(pair), event, y, Assumptions.MARGINAL_ONLY)
 
 
 def pn_bounds_monotone(pair: MarginalPair, event: EventSpec, y: int) -> BoundsResult:
     """Sharp bounds assuming the treatment never lowers the outcome.
 
-    Supported families given evidence y (classification looks only at
-    coefficients for levels <= y, the reachable control levels):
+    Families given evidence y (classification looks only at coefficients
+    for levels <= y, the reachable control levels):
 
     * complement of the evidence level:
         lower = max(0, (treated[y] - control[y]) / treated[y]),
         upper = min(1, gap_y / treated[y]);
-    * single level y' < y:
+    * single level y' <= y:
         lower = max(0, (treated[y] + sum_{k<y'} treated[k]
                          - sum_{l<=y} control[l] + control[y']) / treated[y]),
         upper = min(1, control[y'] / treated[y],
                     min_{y' < k <= y} gap_k / treated[y]);
-    * single level y' = y: same lower; the gap terms in the upper bound run
-      over an empty range and are omitted;
-    * single level y' > y: impossible given the ordering, returns [0, 0];
-    * events certain given the ordering return [1, 1];
+    * events impossible (e.g. a single level y' > y) or certain given the
+      ordering return [0, 0] or [1, 1];
     * any other event, with S = {l <= y : c_l = 1}, C = {l <= y : c_l = 0},
       G_0 = 0 and G_t = gap_t:
         lower = max(0, max_{t<=y} (treated[y] - G_t - control(C & [t, y]))
@@ -152,11 +126,9 @@ def pn_bounds_monotone(pair: MarginalPair, event: EventSpec, y: int) -> BoundsRe
     S, or C, from the top maximizes every suffix sum at once, so r(S) can
     take exactly the values between the two endpoints.  The families above
     are special cases.  This formula needs monotone-consistent data; on
-    other data it raises ``UnsupportedEventError``.
-
-    Gaps are used unclipped in the family forms: if the data contradict the
-    monotone ordering the interval can cross, which is reported via
-    ``note`` rather than silently clamped.
+    other data it raises ``UnsupportedEventError``, as does zero evidence.
+    The family forms use the gaps unclipped, so on such data the interval
+    can cross, which ``note`` reports rather than clamping it away.
     """
     return cell_bounds(pair_facts(pair), event, y, Assumptions.MONOTONICITY)
 
@@ -164,72 +136,112 @@ def pn_bounds_monotone(pair: MarginalPair, event: EventSpec, y: int) -> BoundsRe
 def cell_bounds(
     facts: PairFacts, event: EventSpec, y: int, assumptions: Assumptions
 ) -> BoundsResult:
-    """The result of one (event, evidence, assumption) cell on a pair's facts.
+    """One (event, evidence, assumption) cell: the one-row case of ``level_bounds``.
 
-    ``marginal``: ``pn_bounds_marginal``.  ``incr``: the identified point
-    as a zero-width closed-form interval, or ``FalsificationError`` when
-    the gap brackets fail.  ``mono``: the forms of ``pn_bounds_monotone``
-    on the facts' gaps.  Zero evidence raises ``ZeroEvidenceError`` first
-    at every level.  No level calls the LP.
+    Refuses as the report does: on monotone-inconsistent data a ``mono``
+    cell outside the families, or with zero evidence, raises
+    ``UnsupportedEventError`` naming the negative cuts.  Otherwise zero
+    evidence raises ``ZeroEvidenceError`` first at every level.
     """
-    if assumptions is Assumptions.MARGINAL_ONLY:
-        return pn_bounds_marginal(facts.pair, event, y)
-    if assumptions is Assumptions.MONOTONIC_INCREMENT:
-        value = facts.point(event, y)
-        return BoundsResult(value, value, assumptions, Method.CLOSED_FORM)
-    pair = facts.pair
-    mass = check_evidence(pair, event, y)
-    treated = pair.treated_law.probs
-    control = pair.control_law.probs
-    kind, level = _classify_monotone(event, y)
-    if kind == "impossible":
-        return BoundsResult(0.0, 0.0, Assumptions.MONOTONICITY, Method.CLOSED_FORM)
-    if kind == "certain":
-        return BoundsResult(1.0, 1.0, Assumptions.MONOTONICITY, Method.CLOSED_FORM)
-    gaps = facts.gaps
-    if kind == "unsupported":
-        reason = facts.mono_refusal
-        if reason is not None:
-            raise UnsupportedEventError(f"event {event.label!r} with evidence {y}: {reason}")
-        head = np.array(event.coeffs[: y + 1], dtype=bool)
-        reachable = control[: y + 1]
-        # control mass of S and of C on [t, y], for t = 0..y
-        in_s = np.cumsum(np.where(head, reachable, 0.0)[::-1])[::-1]
-        in_c = np.cumsum(np.where(head, 0.0, reachable)[::-1])[::-1]
-        cuts = np.concatenate(([0.0], gaps.gaps[:y]))
-        lower = max(0.0, float((mass - cuts - in_c).max()) / mass)
-        upper = min(1.0, float((in_s + cuts).min()) / mass)
-    elif kind == "noteq":
-        lower = max(0.0, (mass - control[y]) / mass)
-        upper = min(1.0, gaps[y - 1] / mass)
-    else:  # single level y' <= y
-        y_prime = level
-        lower = max(
-            0.0,
-            (mass + treated[:y_prime].sum() - control[: y + 1].sum() + control[y_prime])
-            / mass,
-        )
-        terms = [1.0, control[y_prime] / mass]
-        terms += [gaps[k - 1] / mass for k in range(y_prime + 1, y + 1)]
-        upper = min(terms)
-    lower = float(min(1.0, lower))
-    upper = float(max(0.0, upper))
+    mono = assumptions is Assumptions.MONOTONICITY
+    try:
+        mass = check_evidence(facts.pair, event, y)
+        lower, upper = level_bounds(facts, np.array([event.coeffs]), np.array([y]), assumptions)
+    except (ZeroEvidenceError, UnsupportedEventError):
+        if not mono or facts.mono_refusal is None:
+            raise
+        reason = f"event {event.label!r} with evidence {y}: {facts.mono_refusal}"
+        raise UnsupportedEventError(reason) from None
+    lower, upper = float(lower[0]), float(upper[0])
     note = None
-    # The crossing is measured in probability units, the band of the gap
-    # test.  Rounding can push a gap of about -ATOL just past that band, so
-    # the note also needs monotone-inconsistent data.
-    if (lower - upper) * mass > ATOL and facts.mono_refusal is not None:
-        note = (
-            "monotonicity falsified by data: lower bound "
-            f"{lower:.6g} exceeds upper bound {upper:.6g}"
-        )
-    return BoundsResult(
-        lower=lower,
-        upper=upper,
-        assumptions=Assumptions.MONOTONICITY,
-        method=Method.CLOSED_FORM,
-        note=note,
-    )
+    # Crossing in probability units, the band of the gap test; rounding can push
+    # a gap of about -ATOL just past it, so the note also needs a negative cut.
+    if mono and (lower - upper) * mass > ATOL and facts.mono_refusal is not None:
+        note = (f"monotonicity falsified by data: lower bound {lower:.6g} "
+                f"exceeds upper bound {upper:.6g}")
+    return BoundsResult(lower, upper, assumptions, Method.CLOSED_FORM, note=note)
+
+
+def level_bounds(
+    facts: PairFacts, coeffs: np.ndarray, ys: np.ndarray, assumptions: Assumptions
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (lower, upper) bounds of N cells of one assumption level in one pass.
+
+    Row i is the event with 0/1 integer coefficients ``coeffs[i]`` (shape
+    (N, J)) given evidence ``ys[i]``: the forms of ``pn_bounds_marginal``,
+    of ``pn_bounds_monotone`` (each family on its own rows) or
+    ``PairFacts.points``, with their refusals.  Each row equals the scalar
+    formula bit for bit: the same operations in the same order, the same
+    numpy sums and dot products, and Python's ``max(0, x)``/``min(1, x)``.
+    """
+    if assumptions is Assumptions.MONOTONIC_INCREMENT:
+        value = facts.points(coeffs, ys)
+        return value, value
+    mass = evidence_mass(facts.pair, ys)
+    if assumptions is Assumptions.MONOTONICITY:
+        return _monotone(facts, coeffs, ys, mass)
+    # each row's own dot product, as EventSpec.vector @ control: the matrix
+    # product coeffs @ control rounds differently
+    control = facts.pair.control_law.probs
+    omega = np.array([row.dot(control) for row in np.asarray(coeffs, dtype=float)])
+    return _min1(_max0((mass - (1.0 - omega)) / mass)), _min1(omega / mass)
+
+
+def _max0(x: np.ndarray) -> np.ndarray:  # max(0.0, x) on finite x: + 0.0 turns -0.0 to 0.0
+    return np.maximum(x, 0.0) + 0.0
+
+
+def _min1(x: np.ndarray) -> np.ndarray:  # min(1.0, x) on finite x
+    return np.minimum(x, 1.0)
+
+
+def _monotone(facts: PairFacts, coeffs: np.ndarray, ys: np.ndarray, mass: np.ndarray):
+    """The ``mono`` rows of ``level_bounds``, classified by their head (levels
+    0..y): all zeros, all ones, (1,...,1,0), a single 1 at y', or else the
+    suffix cuts.  Only the families present are computed."""
+    n, levels = coeffs.shape
+    rows = np.arange(n)
+    ones = np.cumsum(coeffs, axis=1)[rows, ys]
+    certain = ones > ys
+    noteq = (ones == ys) & (ys > 0) & (coeffs[rows, ys] == 0)
+    single = (ones == 1) & ~certain & ~noteq
+    general = (ones > 1) & ~certain & ~noteq
+    if general.any() and facts.mono_refusal is not None:
+        reason = f"{general.sum()} cells outside the families: {facts.mono_refusal}"
+        raise UnsupportedEventError(reason)
+    control = facts.pair.control_law.probs
+    gaps = facts.gaps.gaps
+    lower = certain.astype(float)
+    upper = lower.copy()
+    if noteq.any():
+        m, y = mass[noteq], ys[noteq]
+        lower[noteq] = _min1(_max0((m - control[y]) / m))
+        upper[noteq] = _max0(_min1(gaps[y - 1] / m))
+    if single.any():
+        m, y = mass[single], ys[single]
+        at = np.argmax(coeffs[single], axis=1)
+        # numpy's pairwise sums, as the scalar forms take them (not cumsum)
+        below = np.array([facts.pair.treated_law.probs[:k].sum() for k in range(at.max() + 1)])
+        upto = np.array([control[: k + 1].sum() for k in range(y.max() + 1)])
+        lower[single] = _min1(_max0((m + below[at] - upto[y] + control[at]) / m))
+        # gap_k for y' < k <= y is gaps[i] for y' <= i < y
+        cut = np.arange(levels - 1)
+        between = (cut >= at[:, None]) & (cut < y[:, None])
+        least = np.where(between, gaps / m[:, None], np.inf).min(axis=1)
+        upper[single] = _max0(np.minimum(_min1(control[at] / m), least))
+    if general.any():
+        m, y = mass[general], ys[general]
+        reachable = np.arange(levels) <= y[:, None]
+        head = reachable & (coeffs[general] == 1)
+        # control mass of S and of C on [t, y], for t = 0..y
+        in_s = np.cumsum(np.where(head, control, 0.0)[:, ::-1], axis=1)[:, ::-1]
+        in_c = np.cumsum(np.where(reachable & ~head, control, 0.0)[:, ::-1], axis=1)[:, ::-1]
+        cuts = np.concatenate(([0.0], gaps))
+        low = np.where(reachable, m[:, None] - cuts - in_c, -np.inf).max(axis=1)
+        high = np.where(reachable, in_s + cuts, np.inf).min(axis=1)
+        lower[general] = _min1(_max0(low / m))
+        upper[general] = _max0(_min1(high / m))
+    return lower, upper
 
 
 def monotone_consistent(pair: MarginalPair) -> bool:

@@ -27,7 +27,7 @@ from .core import (
     EventSpec,
     MarginalPair,
     ZeroEvidenceError,
-    check_evidence,
+    evidence_mass,
     make_event,
 )
 from .lp import LpInfeasibleError, pn_bounds_lp
@@ -232,9 +232,9 @@ def run_analysis(
     Every numeric cell carries the method that produced it; identification
     under the one-level-lift assumption is refused (with the LP
     cross-confirmation) when the gap brackets fail, never extrapolated, and
-    monotone cells are refused when a cumulative gap is negative.  The LP
-    cross-check runs once per report; ``_compute_cell`` adds the per-event
-    arithmetic to the facts of the pair.  ``loaded`` holds those facts
+    monotone cells are refused when a cumulative gap is negative.  Each
+    assumption level takes one ``_level_cells`` pass (one LP cross-check per
+    report), laid out per (event, evidence).  ``loaded`` holds the facts
     (``identify.pair_facts``) and the provenance of ``load_marginals(cfg)``
     when the caller already has them; otherwise both are computed here.
     """
@@ -254,11 +254,6 @@ def run_analysis(
         grid = [(spec, y) for y in evidence for spec in canonical_event_specs(levels, y)]
     else:
         grid = [(spec, y) for y in evidence for spec in cfg.events]
-    incr_refusal = None if facts.brackets.passed else {
-        "kind": "refused",
-        "note": str(identify_mod.FalsificationError(facts.brackets)),
-        "method": "point-identification",
-    }
     report: dict[str, Any] = {
         "mode": cfg.mode,
         "route": "randomized" if cfg.mode == "pc" else cfg.route,
@@ -273,13 +268,7 @@ def run_analysis(
         "falsification": {
             "passed": facts.brackets.passed,
             "brackets": [
-                {
-                    "k": c.k,
-                    "lower": c.lower,
-                    "gap": c.gap,
-                    "upper": c.upper,
-                    "ok": c.ok,
-                }
+                {"k": c.k, "lower": c.lower, "gap": c.gap, "upper": c.upper, "ok": c.ok}
                 for c in facts.brackets.checks
             ],
         },
@@ -289,66 +278,66 @@ def run_analysis(
     }
     specs = dict.fromkeys(spec for spec, _ in grid)
     events = {spec: parse_event(spec, levels) for spec in specs}
-    for spec, y in grid:
-        event = events[spec]
-        for assumptions in _assumption_list(cfg.assume):
-            report["cells"].append(
-                _compute_cell(facts, spec, event, y, assumptions, incr_refusal)
-            )
+    rows = (np.array([events[spec].coeffs for spec, _ in grid]), np.array([y for _, y in grid]))
+    zero = {}
+    for y in evidence:
+        try:
+            evidence_mass(pair, y)
+        except ZeroEvidenceError as exc:
+            zero[y] = {"kind": "refused", "note": str(exc), "method": "none"}
+    by_level = [(assumptions.value, _level_cells(facts, grid, events, rows, zero, assumptions))
+                for assumptions in _assumption_list(cfg.assume)]
+    report["cells"] = [
+        {"event": spec, "label": events[spec].label, "evidence": y, "assumptions": value,
+         **fields[i]}
+        for i, (spec, y) in enumerate(grid) for value, fields in by_level
+    ]
     return report
 
 
-def _compute_cell(
+def _level_cells(
     facts: identify_mod.PairFacts,
-    spec: str,
-    event: EventSpec,
-    y: int,
+    grid: list[tuple[str, int]],
+    events: dict[str, EventSpec],
+    rows: tuple[np.ndarray, np.ndarray],
+    zero: dict[int, dict[str, str]],
     assumptions: Assumptions,
-    incr_refusal: dict[str, str] | None,
-) -> dict[str, Any]:
-    """One report cell: ``bounds.cell_bounds`` on the facts of the pair.
+) -> list[dict[str, Any]]:
+    """The result fields of one assumption level's cells, in grid order.
 
-    ``incr_refusal`` holds the fields of a refused ``incr`` cell (None when
-    the brackets pass).  A ``mono`` cell on monotone-inconsistent data is
-    refused before its evidence is checked; zero evidence comes before the
-    ``incr`` refusal.  Whether the ``incr`` polytope is empty does not
-    depend on the event, so the first refused cell asks the LP and stores
-    the answer there for the rest.
+    ``rows`` holds the grid's event coefficients and evidence levels, and
+    ``zero`` the refusal of each evidence level without treated mass.  A
+    ``mono`` level on monotone-inconsistent data is refused before the
+    evidence is checked; zero evidence comes before the ``incr`` refusal.
+    Whether the ``incr`` polytope is empty does not depend on the event, so
+    the first refused cell asks the LP and the others share its answer.
+    The cells with an estimate take one ``bounds.level_bounds`` call.
     """
-    cell = {"event": spec, "label": event.label, "evidence": y,
-            "assumptions": assumptions.value}
     if assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
-        cell.update(kind="refused", note=facts.mono_refusal, method="closed-form")
-        return cell
-    incr = assumptions is Assumptions.MONOTONIC_INCREMENT
-    try:
-        if incr and incr_refusal is not None:
-            check_evidence(facts.pair, event, y)
-            if "lp_cross_check" not in incr_refusal:
-                try:
-                    pn_bounds_lp(facts.pair, event, y, assumptions)
-                except LpInfeasibleError:
-                    incr_refusal["lp_cross_check"] = "infeasible"
-                else:  # brackets failed but the LP found a point: a bug
-                    incr_refusal["lp_cross_check"] = "feasible (inconsistent)"
-            cell.update(incr_refusal)
-            return cell
-        result = bounds_mod.cell_bounds(facts, event, y, assumptions)
-    except ZeroEvidenceError as exc:
-        cell.update(kind="refused", note=str(exc), method="none")
-        return cell
-    if incr:
-        cell.update(kind="point", value=result.lower, method="point-identification")
-        return cell
-    cell.update(
-        kind="interval",
-        lower=result.lower,
-        upper=result.upper,
-        method=result.method.value,
-    )
-    if result.note:
-        cell["note"] = result.note
-    return cell
+        refusal = {"kind": "refused", "note": facts.mono_refusal, "method": "closed-form"}
+        return [refusal] * len(grid)
+    fields = [zero.get(y) for _, y in grid]
+    estimates = [i for i, refusal in enumerate(fields) if refusal is None]
+    if not estimates:
+        return fields
+    if assumptions is Assumptions.MONOTONIC_INCREMENT and not facts.brackets.passed:
+        spec, y = grid[estimates[0]]
+        try:
+            pn_bounds_lp(facts.pair, events[spec], y, assumptions)
+            cross_check = "feasible (inconsistent)"  # a bug: the brackets failed
+        except LpInfeasibleError:
+            cross_check = "infeasible"
+        refusal = {"kind": "refused", "note": str(identify_mod.FalsificationError(facts.brackets)),
+                   "method": "point-identification", "lp_cross_check": cross_check}
+        return [refusal if f is None else f for f in fields]
+    lower, upper = bounds_mod.level_bounds(facts, *(a[estimates] for a in rows), assumptions)
+    if assumptions is Assumptions.MONOTONIC_INCREMENT:
+        for i, value in zip(estimates, lower.tolist()):
+            fields[i] = {"kind": "point", "value": value, "method": "point-identification"}
+    else:
+        for i, lo, up in zip(estimates, lower.tolist(), upper.tolist()):
+            fields[i] = {"kind": "interval", "lower": lo, "upper": up, "method": "closed-form"}
+    return fields
 
 
 def verify_report(

@@ -68,21 +68,6 @@ class Assumptions(Enum):
     MONOTONICITY = "mono"
     MONOTONIC_INCREMENT = "incr"
 
-    @property
-    def rank(self) -> int:
-        return _ASSUMPTION_RANK[self]
-
-    def narrower_than(self, other: "Assumptions") -> bool:
-        """True if this level's feasible set is contained in ``other``'s."""
-        return self.rank >= other.rank
-
-
-_ASSUMPTION_RANK = {
-    Assumptions.MARGINAL_ONLY: 0,
-    Assumptions.MONOTONICITY: 1,
-    Assumptions.MONOTONIC_INCREMENT: 2,
-}
-
 
 def fixed_zero_cells(assumptions: Assumptions, levels: int) -> list[tuple[int, int]]:
     """Cells (k, l) of the joint matrix pinned to zero by the assumption level.
@@ -320,8 +305,16 @@ def check_evidence(pair: MarginalPair, event: EventSpec, y: int) -> float:
         )
     if not 0 <= y < pair.levels:
         raise CausalAttributionError(f"evidence level {y} out of range")
-    mass = pair.treated_law[y]
-    if mass <= ATOL:
+    return float(evidence_mass(pair, y))
+
+
+def evidence_mass(pair: MarginalPair, ys: int | np.ndarray) -> np.ndarray:
+    """treated[ys] for an evidence level or an array of them; raises
+    ``ZeroEvidenceError`` for the first level with no treated mass."""
+    mass = pair.treated_law.probs[ys]
+    zero = np.flatnonzero(mass <= ATOL)
+    if zero.size:
+        y = np.atleast_1d(ys)[zero[0]]
         raise ZeroEvidenceError(f"treated outcome level {y} has zero probability")
     return mass
 

@@ -23,6 +23,7 @@ from .core import (
     JointProbabilityMatrix,
     MarginalPair,
     check_evidence,
+    evidence_mass,
 )
 
 #: Exactness tolerance for algebraic identities (margin reproduction, the
@@ -92,19 +93,24 @@ class PairFacts:
     mono_refusal: str | None
 
     def point(self, event: EventSpec, y: int) -> float:
-        """The point formula c_y + (c_{y-1} - c_y) * gap_y / treated[y].
+        """The one-row case of ``points``, after ``check_evidence``."""
+        check_evidence(self.pair, event, y)
+        return float(self.points(np.array([event.coeffs]), np.array([y]))[0])
+
+    def points(self, coeffs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """c_y + (c_{y-1} - c_y) * gap_y / treated[y] for each row's event
+        ``coeffs[i]`` and evidence ``ys[i]`` (c_0 at y = 0: an empty sum).
 
         Refuses zero evidence first (``ZeroEvidenceError``), then failed gap
-        brackets (``FalsificationError``); for y = 0 the gap term is an
-        empty sum, so the value is just c_0.
+        brackets (``FalsificationError``).
         """
-        mass = check_evidence(self.pair, event, y)
+        mass = evidence_mass(self.pair, ys)
         if not self.brackets.passed:
             raise FalsificationError(self.brackets)
-        c_y = event.coeffs[y]
-        if y == 0:
-            return float(c_y)
-        return float(c_y + (event.coeffs[y - 1] - c_y) * self.gaps[y - 1] / mass)
+        rows = np.arange(len(ys))
+        c_y = coeffs[rows, ys]
+        value = c_y + (coeffs[rows, ys - 1] - c_y) * self.gaps.gaps[ys - 1] / mass
+        return np.where(ys == 0, c_y, value)
 
     def joint(self) -> JointProbabilityMatrix:
         """The one joint on the diagonal-plus-subdiagonal pattern; see ``identify_joint``."""

@@ -39,12 +39,11 @@ def pc_bounds(
 ) -> BoundsResult:
     """Sharp bounds under the chosen assumption level, unconditional laws.
 
-    The CLI's dispatch, ``bounds.cell_bounds``, with no LP: ``incr`` gives
-    the identified point as a closed-form [v, v] or raises
-    ``FalsificationError``, and ``mono`` raises ``UnsupportedEventError``
-    for an event outside the paper's families on monotone-inconsistent
-    data (the families' forms can then cross, with a ``note``).  Both used
-    to come from the LP, which raised ``LpInfeasibleError``.
+    One report cell, ``bounds.cell_bounds``, with no LP: ``incr`` gives the
+    identified point as a closed-form [v, v] or raises
+    ``FalsificationError``; on monotone-inconsistent data ``mono`` raises
+    ``UnsupportedEventError`` for zero evidence or an event outside the
+    paper's families (the families' forms can cross, with a ``note``).
     """
     _require_unconditional(pair)
     return cell_bounds(pair_facts(pair), event, y, assumptions)

@@ -147,3 +147,80 @@ def enumerate_vertices(
 def make_full_event(levels: int) -> EventSpec:
     """Whole-space event; handy as a placeholder objective."""
     return EventSpec(coeffs=(1,) * levels, label="Y0 in full space")
+
+
+# --- the scalar closed forms: the reference for bounds.level_bounds -------------------
+
+def classify_monotone(event: EventSpec, y: int) -> tuple[str, int | None]:
+    """Classify an event by its coefficients at levels 0..y.
+
+    Under monotonicity the control outcome cannot exceed the treated one, so
+    only the head of the coefficient vector matters given evidence y.  Head
+    patterns: all zeros (event impossible), all ones (event certain),
+    (1,...,1,0) (complement of the evidence level), exactly one 1 at some
+    y' <= y (single level); anything else takes the suffix-cut formula.
+    """
+    head = event.coeffs[: y + 1]
+    if all(c == 0 for c in head):
+        return "impossible", None
+    if all(c == 1 for c in head):
+        return "certain", None
+    if head == (1,) * y + (0,):
+        return "noteq", None
+    if sum(head) == 1:
+        return "eq", head.index(1)
+    return "unsupported", None
+
+
+def scalar_cell(facts, event: EventSpec, y: int, assumptions: Assumptions) -> tuple[float, float]:
+    """One cell's (lower, upper) by the scalar formulas, one branch per family.
+
+    The cell must carry an estimate: nonzero evidence, passing brackets for
+    ``incr``, and under ``mono`` an event of a family or monotone-consistent
+    data.
+    """
+    pair = facts.pair
+    treated = pair.treated_law.probs
+    control = pair.control_law.probs
+    mass = pair.treated_law[y]
+    assert mass > ATOL
+    if assumptions is Assumptions.MARGINAL_ONLY:
+        omega = float(event.vector @ control)
+        lower = min(1.0, max(0.0, (mass - (1.0 - omega)) / mass))
+        return lower, min(1.0, omega / mass)
+    if assumptions is Assumptions.MONOTONIC_INCREMENT:
+        assert facts.brackets.passed
+        c_y = event.coeffs[y]
+        if y == 0:
+            return float(c_y), float(c_y)
+        value = float(c_y + (event.coeffs[y - 1] - c_y) * facts.gaps[y - 1] / mass)
+        return value, value
+    kind, level = classify_monotone(event, y)
+    if kind == "impossible":
+        return 0.0, 0.0
+    if kind == "certain":
+        return 1.0, 1.0
+    gaps = facts.gaps
+    if kind == "unsupported":
+        assert facts.mono_refusal is None
+        head = np.array(event.coeffs[: y + 1], dtype=bool)
+        reachable = control[: y + 1]
+        in_s = np.cumsum(np.where(head, reachable, 0.0)[::-1])[::-1]
+        in_c = np.cumsum(np.where(head, 0.0, reachable)[::-1])[::-1]
+        cuts = np.concatenate(([0.0], gaps.gaps[:y]))
+        lower = max(0.0, float((mass - cuts - in_c).max()) / mass)
+        upper = min(1.0, float((in_s + cuts).min()) / mass)
+    elif kind == "noteq":
+        lower = max(0.0, (mass - control[y]) / mass)
+        upper = min(1.0, gaps[y - 1] / mass)
+    else:  # single level y' <= y
+        y_prime = level
+        lower = max(
+            0.0,
+            (mass + treated[:y_prime].sum() - control[: y + 1].sum() + control[y_prime])
+            / mass,
+        )
+        terms = [1.0, control[y_prime] / mass]
+        terms += [gaps[k - 1] / mass for k in range(y_prime + 1, y + 1)]
+        upper = min(terms)
+    return float(min(1.0, lower)), float(max(0.0, upper))

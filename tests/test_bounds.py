@@ -21,15 +21,20 @@ from pnbounds import (
     pn_from_joint,
     pn_point,
 )
-from pnbounds.bounds import _classify_monotone
+from pnbounds.bounds import cell_bounds, level_bounds
 from pnbounds.core import ATOL
 from pnbounds.lp import LpInfeasibleError, pn_bounds_lp
+from pnbounds.identify import pair_facts
 from helpers import (
     arbitrary_pair,
+    assumption_levels,
     canonical_events,
+    classify_monotone,
     lalonde_pair,
     lower_triangular_pair,
     pair_from_laws,
+    scalar_cell,
+    staircase_joint,
     staircase_pair,
 )
 
@@ -204,10 +209,147 @@ def test_closed_forms_return_plain_floats(kind, level, y, branch):
         event = make_event("custom", 3, coeffs=[1, 0, 1])
     else:
         event = make_event(kind, 3, level=level)
-    assert _classify_monotone(event, y)[0] == branch
+    assert classify_monotone(event, y)[0] == branch
     for result in (pn_bounds_monotone(pair, event, y), pn_bounds_marginal(pair, event, y)):
         assert type(result.lower) is type(result.upper) is float
         assert math.copysign(1.0, result.lower) == math.copysign(1.0, result.upper) == 1.0
+
+
+# --- the array pass equals the scalar formulas ---------------------------------------
+
+def _shifted_laws(treated, control, delta):
+    """The laws with control mass delta moved from level 0 to level 1:
+    gap_1 drops by delta, exactly when treated[0] == control[0]."""
+    control = control.copy()
+    control[0] -= delta
+    control[1] += delta
+    return treated, control
+
+
+def _reference_pair(rng, levels, shape):
+    """A marginal pair of one of the degenerate shapes the closed forms meet."""
+    if shape == "inconsistent":
+        return arbitrary_pair(rng, levels)
+    if shape == "staircase":  # the incr brackets pass
+        q = staircase_joint(rng, levels)
+    else:
+        q = np.tril(rng.random((levels, levels)))
+        if shape in ("tied", "band-in", "band-out", "zero-gap"):
+            # integer weights tie sums; a diagonal first row and column
+            # makes treated[0] == control[0], so gap_1 is exactly zero
+            q = np.tril(rng.integers(0, 3, q.shape)).astype(float)
+            q[1:, 0] = 0.0
+            q[0, 0] = 1.0 + rng.integers(0, 3)
+        elif shape in ("zero-mass", "signed-zero"):
+            q[int(rng.integers(levels)), :] = 0.0
+            q[:, int(rng.integers(levels))] = 0.0
+        q /= q.sum()
+    treated, control = q.sum(axis=1), q.sum(axis=0)
+    if shape == "equal":  # every gap exactly zero
+        control = treated
+    elif shape.startswith("band"):  # gap_1 just inside / just outside ATOL
+        treated, control = _shifted_laws(treated, control, (0.5 if shape == "band-in" else 2.0) * ATOL)
+    elif shape == "signed-zero":  # empty levels as -0.0, so some gaps are -0.0
+        treated, control = (np.where(law == 0.0, -0.0, law) for law in (treated, control))
+    return pair_from_laws(treated, control)
+
+
+def _estimate_rows(facts, events, assumptions):
+    """The (event, y) cells of a level that carry an estimate."""
+    pair = facts.pair
+    rows = []
+    for y in range(pair.levels):
+        if pair.treated_law[y] <= ATOL:
+            continue
+        if assumptions is Assumptions.MONOTONIC_INCREMENT and not facts.brackets.passed:
+            continue
+        for event in events(y):
+            if (assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None
+                    and classify_monotone(event, y)[0] == "unsupported"):
+                continue
+            rows.append((event, y))
+    return rows
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_level_bounds_equal_the_scalar_formulas_bit_for_bit():
+    rng = np.random.default_rng(12)
+    shapes = ("dense", "staircase", "tied", "zero-mass", "signed-zero", "equal", "zero-gap",
+              "band-in", "band-out", "inconsistent")
+    seen = set()
+    for levels in range(2, 31):
+        for shape in shapes if levels <= 8 else shapes[levels % len(shapes):][:2]:
+            facts = pair_facts(_reference_pair(rng, levels, shape))
+            if levels <= 6:  # every custom event
+                customs = [make_event("custom", levels, coeffs=[(b >> l) & 1 for l in range(levels)])
+                           for b in range(2 ** levels)]
+            else:
+                customs = [make_event("custom", levels, coeffs=rng.integers(0, 2, levels).tolist())
+                           for _ in range(8)]
+
+            def events(y):
+                return canonical_events(levels, y) + customs
+
+            for assumptions in assumption_levels():
+                rows = _estimate_rows(facts, events, assumptions)
+                if not rows:
+                    continue
+                coeffs = np.array([event.coeffs for event, _ in rows])
+                ys = np.array([y for _, y in rows])
+                lower, upper = level_bounds(facts, coeffs, ys, assumptions)
+                expected = [scalar_cell(facts, event, y, assumptions) for event, y in rows]
+                assert _bits(lower) == _bits([lo for lo, _ in expected])
+                assert _bits(upper) == _bits([up for _, up in expected])
+                seen.add((assumptions.value, shape))
+                seen.update((assumptions.value, classify_monotone(event, y)[0])
+                            for event, y in rows if assumptions is Assumptions.MONOTONICITY)
+    assert len(seen) >= 3 * len(shapes) - 5  # incr passes only on some shapes
+    assert {("mono", kind) for kind in
+            ("impossible", "certain", "noteq", "eq", "unsupported")} <= seen
+
+
+def test_one_stacked_call_equals_its_one_row_calls():
+    rng = np.random.default_rng(5)
+    for levels in (2, 3, 5, 9, 17):
+        for shape in ("dense", "staircase", "inconsistent", "band-in"):
+            facts = pair_facts(_reference_pair(rng, levels, shape))
+            customs = [make_event("custom", levels, coeffs=rng.integers(0, 2, levels).tolist())
+                       for _ in range(5)]
+            for assumptions in assumption_levels():
+                rows = _estimate_rows(facts, lambda y: canonical_events(levels, y) + customs,
+                                      assumptions)
+                if not rows:
+                    continue
+                order = rng.permutation(len(rows))  # rows of every y interleaved
+                coeffs = np.array([rows[i][0].coeffs for i in order])
+                ys = np.array([rows[i][1] for i in order])
+                lower, upper = level_bounds(facts, coeffs, ys, assumptions)
+                for k, i in enumerate(order):
+                    event, y = rows[i]
+                    one = level_bounds(facts, coeffs[k : k + 1], ys[k : k + 1], assumptions)
+                    assert _bits(one[0]) == _bits(lower[k : k + 1])
+                    assert _bits(one[1]) == _bits(upper[k : k + 1])
+                    cell = cell_bounds(facts, event, y, assumptions)
+                    assert _bits([cell.lower, cell.upper]) == _bits([lower[k], upper[k]])
+
+
+def test_level_bounds_refuses_like_the_scalar_cells():
+    pair = pair_from_laws([0.1, 0.1, 0.0, 0.8], [0.05, 0.9, 0.0, 0.05])
+    facts = pair_facts(pair)
+    inside = make_event("eq", 4, level=1)
+    outside = make_event("custom", 4, coeffs=[1, 0, 1, 0])
+    with pytest.raises(ZeroEvidenceError, match="level 2"):
+        level_bounds(facts, np.array([inside.coeffs] * 2), np.array([3, 2]),
+                     Assumptions.MARGINAL_ONLY)
+    with pytest.raises(UnsupportedEventError, match="k=1: gap -0.05"):
+        level_bounds(facts, np.array([inside.coeffs, outside.coeffs]), np.array([3, 3]),
+                     Assumptions.MONOTONICITY)
+    lower, upper = level_bounds(facts, np.array([inside.coeffs]), np.array([3]),
+                                Assumptions.MONOTONICITY)
+    assert lower[0] > upper[0]  # a family's forms cross on such data
 
 
 def test_monotone_consistent_on_lalonde():
@@ -251,7 +393,7 @@ def test_monotone_bounds_match_lp_on_random_events():
                 reference = None
             assert (reference is None) == (not consistent)
             if reference is None:
-                if _classify_monotone(event, y)[0] == "unsupported":
+                if classify_monotone(event, y)[0] == "unsupported":
                     with pytest.raises(UnsupportedEventError):
                         pn_bounds_monotone(pair, event, y)
                 refused += 1
@@ -312,7 +454,7 @@ def tied_monotone_cells(draw):
 def test_monotone_bounds_at_zero_mass_levels_and_tolerance_ties(cell):
     pair, event, y, delta = cell
     if not monotone_consistent(pair):
-        if _classify_monotone(event, y)[0] == "unsupported":
+        if classify_monotone(event, y)[0] == "unsupported":
             with pytest.raises(UnsupportedEventError):
                 pn_bounds_monotone(pair, event, y)
         return

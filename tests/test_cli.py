@@ -23,6 +23,7 @@ from pnbounds import (
 )
 from pnbounds import cli
 from pnbounds.bounds import monotone_falsified
+from pnbounds.core import ATOL
 from pnbounds.identify import pair_facts
 from pnbounds.cli import (
     AnalysisConfig,
@@ -424,11 +425,12 @@ def test_pc_bounds_equal_the_pc_report_cells(tmp_path):
                         assert cell["kind"] == "refused"
                         seen.add((cell["assumptions"], cell["method"], type(exc).__name__))
                         if cell["method"] == "closed-form":
-                            # the report refuses before checking the evidence
+                            # both refuse before checking the evidence
                             assert cell["note"] == monotone_falsified(pair)
-                            if not isinstance(exc, ZeroEvidenceError):
-                                assert type(exc) is UnsupportedEventError
-                                assert str(exc).endswith(": " + cell["note"])
+                            assert type(exc) is UnsupportedEventError
+                            assert str(exc).endswith(": " + cell["note"])
+                            zero = pair.treated_law[y] <= ATOL
+                            seen.add(("mono", "closed-form", "zero evidence" if zero else "event"))
                         else:
                             assert type(exc) is refusals[cell["method"]]
                             assert str(exc) == cell["note"]
@@ -453,7 +455,8 @@ def test_pc_bounds_equal_the_pc_report_cells(tmp_path):
         ("mono", "none", "ZeroEvidenceError"),
         ("mono", "refused", True),  # crossed family forms, with their note
         ("mono", "closed-form", "UnsupportedEventError"),
-        ("mono", "closed-form", "ZeroEvidenceError"),
+        ("mono", "closed-form", "zero evidence"),
+        ("mono", "closed-form", "event"),
     }
 
 
@@ -515,6 +518,39 @@ def test_one_lp_cross_check_per_report(tmp_path, monkeypatch):
         "pnbounds.identify.pair_facts",
         "pnbounds.lp.falsification_check",
     ]
+
+
+def test_a_report_computes_each_level_in_one_array_pass(tmp_path, monkeypatch):
+    from pnbounds import bounds
+
+    levels = []
+    level_bounds = bounds.level_bounds
+
+    def counting(facts, coeffs, ys, assumptions):
+        levels.append((assumptions.value, len(ys)))
+        return level_bounds(facts, coeffs, ys, assumptions)
+
+    monkeypatch.setattr(bounds, "level_bounds", counting)
+    calls = count_every_binding(monkeypatch, bounds.cell_bounds)
+    code, report = report_from(tmp_path, LALONDE_ROUTES["experimental"] + ["--all-canonical"])
+    assert code == 0 and len(report["cells"]) == 30
+    # one call per level, over every cell of the level, and no per-cell path
+    assert levels == [("incr", 10), ("marginal", 10), ("mono", 10)]
+    assert calls == []
+    # incr refused by the brackets, mono by a negative gap: no estimate, no call
+    levels.clear()
+    exp, obs = falsifying_files(tmp_path)
+    code, report = report_from(tmp_path, ["--exp", exp, "--obs", obs, "--all-canonical"])
+    assert code == 0
+    assert levels == [("marginal", 4)]
+    assert {c["kind"] for c in report["cells"] if c["assumptions"] != "marginal"} == {"refused"}
+    # a zero-evidence level leaves the other levels' rows to the one call
+    levels.clear()
+    zero = tmp_path / "zero.csv"
+    zero.write_text("z,y,count\n1,0,10\n1,1,0\n1,2,30\n0,0,20\n0,1,10\n0,2,10\n")
+    code, report = report_from(tmp_path, ["--mode", "pc", "--exp", str(zero), "--all-canonical"])
+    assert code == 0 and report["falsification"]["passed"] is False
+    assert levels == [("marginal", 5), ("mono", 5)]
 
 
 LALONDE_ROUTES = {

@@ -207,12 +207,6 @@ def test_allowed_mask_is_complement_of_zero_pattern():
     assert mask[1, 0] and mask[2, 2] and not mask[0, 1] and not mask[3, 0]
 
 
-def test_ladder_ordering():
-    assert Assumptions.MONOTONIC_INCREMENT.narrower_than(Assumptions.MONOTONICITY)
-    assert Assumptions.MONOTONICITY.narrower_than(Assumptions.MARGINAL_ONLY)
-    assert not Assumptions.MARGINAL_ONLY.narrower_than(Assumptions.MONOTONICITY)
-
-
 # --- package surface ------------------------------------------------------------
 
 def test_every_exported_name_resolves():
