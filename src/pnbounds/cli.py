@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -193,6 +194,7 @@ def load_marginals(cfg: AnalysisConfig) -> tuple[MarginalPair, dict[str, Any]]:
     return ingest.counterfactual_margin_experimental(exp, obs), provenance
 
 
+@functools.lru_cache(maxsize=1024)  # EventSpec is frozen; a refusal is not cached
 def parse_event(spec: str, levels: int) -> EventSpec:
     kind, _, arg = spec.partition(":")
     if kind == "custom":
@@ -433,15 +435,29 @@ def _dumps(obj: Any, indent: str = "\n") -> str:
 
     Each container of scalars goes to the C encoder in one call, with the
     newline and indent of its depth in the item separator (an encoded value
-    holds no raw newline); other containers are walked here.
+    holds no raw newline).  So does each list of records (all non-empty
+    dicts, or all non-empty lists, of scalars), at the records' depth; an
+    encoded scalar never ends in '}' or ']', so the record boundaries are
+    the only '}' + separator + '{' (or ']' ... '[') to re-indent.  Other
+    containers are walked here.
     """
     inner, separator, encode = _layout(indent)
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
         return "".join(encode(obj, 0))
     values = obj.values() if is_dict else obj
-    if _SCALARS.issuperset(map(type, values)):
+    kinds = set(map(type, values))
+    if _SCALARS.issuperset(kinds):
         body = "".join(encode(obj, 0))[1:-1]
+    elif not is_dict and (kinds == {dict} or kinds <= {list, tuple}) and all(obj) and (
+        _SCALARS.issuperset(map(type, chain.from_iterable(
+            map(dict.values, obj) if dict in kinds else obj)))
+    ):
+        fields, field_separator, encode = _layout(inner)
+        start, end = "{}" if dict in kinds else "[]"
+        records = "".join(encode(obj, 0))[2:-2].replace(
+            end + field_separator + start, inner + end + separator + start + fields)
+        body = start + fields + records + inner + end
     else:
         items = [_dumps(v, inner) for v in values]
         if is_dict:  # '{"key": 0}' -> '"key": '

@@ -117,13 +117,14 @@ class OrdinalDistribution:
             raise InvalidDistributionError(
                 f"need a 1-d vector with at least 2 levels, got shape {probs.shape}"
             )
-        if np.any(np.isnan(probs)) or np.any(probs < -ATOL) or np.any(probs > 1 + ATOL):
+        if not (probs.min() >= -ATOL and probs.max() <= 1 + ATOL):  # NaN fails both
             raise InvalidDistributionError(f"entries outside [0, 1]: {probs}")
         total = probs.sum()
         if abs(total - 1.0) > ATOL:
             raise InvalidDistributionError(f"entries sum to {total}, not 1")
-        probs = np.clip(probs, 0.0, 1.0)
-        object.__setattr__(self, "probs", _readonly(probs))
+        probs = np.clip(probs, 0.0, 1.0)  # a new array
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
         if self.counts is not None:
             object.__setattr__(self, "counts", _readonly(self.counts))
 
@@ -237,9 +238,9 @@ class EventSpec:
     def __post_init__(self):
         if len(self.coeffs) < 2:
             raise EventSpecError("event needs at least 2 levels")
-        if any(c not in (0, 1) for c in self.coeffs):
+        if not all(map((0, 1).__contains__, self.coeffs)):  # equality, no hashing
             raise EventSpecError(f"coefficients must be 0/1, got {self.coeffs}")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
 
     @property
     def vector(self) -> np.ndarray:

@@ -135,22 +135,22 @@ def pair_facts(pair: MarginalPair) -> PairFacts:
 
     and the diagonal entry treated[k] - gap_k must be nonnegative.
     """
-    treated = pair.treated_law.probs
-    control = pair.control_law.probs
     gaps = gap_sequence(pair)
+    # Python floats: the same IEEE arithmetic as numpy scalars, without their overhead
+    treated = pair.treated_law.probs.tolist()
+    control = pair.control_law.probs.tolist()
     checks = []
-    for k in range(1, pair.levels):
+    for k, gap in enumerate(gaps.gaps.tolist(), start=1):
         lower = max(0.0, treated[k] + control[k - 1] - 1.0)
         upper = min(treated[k], control[k - 1])
-        gap = gaps[k - 1]
         checks.append(
             BracketCheck(
                 k=k,
-                lower=float(lower),
-                gap=float(gap),
-                upper=float(upper),
-                within_bracket=bool(lower - ATOL <= gap <= upper + ATOL),
-                diag_nonnegative=bool(treated[k] - gap >= -ATOL),
+                lower=lower,
+                gap=gap,
+                upper=upper,
+                within_bracket=lower - ATOL <= gap <= upper + ATOL,
+                diag_nonnegative=treated[k] - gap >= -ATOL,
             )
         )
     brackets = FalsificationReport(passed=all(c.ok for c in checks), checks=tuple(checks))

@@ -28,6 +28,10 @@ from .core import (
 )
 
 
+#: Largest count accepted: every integer up to 2**53 is exact in a float.
+MAX_COUNT = 2**53
+
+
 class DataFormatError(CausalAttributionError):
     """An input file cannot be parsed; message carries file and line."""
 
@@ -61,11 +65,15 @@ class ContingencyTable:
         counts = np.asarray(self.counts, dtype=float)
         if counts.ndim != 2 or counts.shape[0] != 2 or counts.shape[1] < 2:
             raise DataFormatError(f"need a 2 x J table with J >= 2, got {counts.shape}")
-        if np.any(counts < 0) or np.any(counts != np.floor(counts)):
+        # NaN is not >= 0; +inf passes as an integer, then exceeds MAX_COUNT
+        if not counts.min() >= 0 or (counts != np.floor(counts)).any():
             raise DataFormatError("counts must be nonnegative integers")
-        if counts.sum() <= 0:
+        if counts.max() > MAX_COUNT:
+            raise DataFormatError(f"counts must not exceed 2**53 = {MAX_COUNT}")
+        arms = counts.sum(axis=1)
+        if arms.max() <= 0:
             raise DataFormatError("table is empty")
-        if np.any(counts.sum(axis=1) <= 0):
+        if arms.min() <= 0:
             raise DataFormatError("each treatment arm needs at least one observation")
         object.__setattr__(self, "counts", _readonly(counts))
 
@@ -232,6 +240,8 @@ def load_table_csv(path: str | Path, source: Source) -> ContingencyTable:
                     raise DataFormatError(f"{path}:{lineno}: z must be 0 or 1, got {z}")
                 if y < 0 or count < 0:
                     raise DataFormatError(f"{path}:{lineno}: negative y or count")
+                if count > MAX_COUNT:
+                    raise DataFormatError(f"{path}:{lineno}: count exceeds 2**53 = {MAX_COUNT}")
                 if (z, y) in cells:
                     raise DataFormatError(f"{path}:{lineno}: duplicate cell z={z}, y={y}")
                 cells[(z, y)] = count
@@ -263,7 +273,7 @@ def load_table_json(path: str | Path, source: Source) -> ContingencyTable:
     counts = payload.get("counts") if isinstance(payload, dict) else payload
     try:
         return ContingencyTable(counts=np.asarray(counts, dtype=float), source=source)
-    except (TypeError, ValueError, DataFormatError) as exc:
+    except (TypeError, ValueError, OverflowError, DataFormatError) as exc:
         raise DataFormatError(f"{path}: bad counts layout: {exc}") from exc
 
 
@@ -289,7 +299,7 @@ def load_strata_json(path: str | Path) -> StratifiedTable:
                 counts=np.asarray(item["counts"], dtype=float),
                 source=Source.OBSERVATIONAL,
             )
-        except (TypeError, ValueError, DataFormatError) as exc:
+        except (TypeError, ValueError, OverflowError, DataFormatError) as exc:
             raise DataFormatError(f"{path}: stratum {name!r}: {exc}") from exc
         strata.append((name, table))
     return StratifiedTable(strata=tuple(strata))

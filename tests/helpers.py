@@ -22,6 +22,7 @@ from pnbounds import (
     make_event,
     randomized_margins,
 )
+from pnbounds.identify import BracketCheck, gap_sequence
 from pnbounds.lp import build_lp
 
 # Job-training study counts (experimental source and matched observational
@@ -224,3 +225,30 @@ def scalar_cell(facts, event: EventSpec, y: int, assumptions: Assumptions) -> tu
         terms += [gaps[k - 1] / mass for k in range(y_prime + 1, y + 1)]
         upper = min(terms)
     return float(min(1.0, lower)), float(max(0.0, upper))
+
+
+# --- the numpy-scalar bracket loop: the reference for identify.pair_facts -------------
+
+def scalar_brackets(pair: MarginalPair) -> tuple[tuple[BracketCheck, ...], str | None]:
+    """The gap brackets and the ``mono`` refusal note, one numpy scalar at a time."""
+    treated = pair.treated_law.probs
+    control = pair.control_law.probs
+    gaps = gap_sequence(pair)
+    checks = []
+    for k in range(1, pair.levels):
+        lower = max(0.0, treated[k] + control[k - 1] - 1.0)
+        upper = min(treated[k], control[k - 1])
+        gap = gaps[k - 1]
+        checks.append(
+            BracketCheck(
+                k=k,
+                lower=float(lower),
+                gap=float(gap),
+                upper=float(upper),
+                within_bracket=bool(lower - ATOL <= gap <= upper + ATOL),
+                diag_nonnegative=bool(treated[k] - gap >= -ATOL),
+            )
+        )
+    bad = ", ".join(f"k={c.k}: gap {c.gap:.6g}" for c in checks if c.gap < -ATOL)
+    note = "monotonicity falsified by the data: negative cumulative gap at " + bad
+    return tuple(checks), note if bad else None

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pnbounds import (
     Assumptions,
     BoundsResult,
+    InvalidDistributionError,
     JointProbabilityMatrix,
     Method,
     UnsupportedEventError,
@@ -33,6 +34,7 @@ from helpers import (
     lalonde_pair,
     lower_triangular_pair,
     pair_from_laws,
+    scalar_brackets,
     scalar_cell,
     staircase_joint,
     staircase_pair,
@@ -309,6 +311,46 @@ def test_level_bounds_equal_the_scalar_formulas_bit_for_bit():
     assert len(seen) >= 3 * len(shapes) - 5  # incr passes only on some shapes
     assert {("mono", kind) for kind in
             ("impossible", "certain", "noteq", "eq", "unsupported")} <= seen
+
+
+def test_pair_facts_equal_the_numpy_scalar_bracket_loop_bit_for_bit():
+    rng = np.random.default_rng(13)
+    shapes = ("dense", "staircase", "tied", "zero-mass", "signed-zero", "equal", "zero-gap",
+              "band-in", "band-out", "inconsistent")
+    seen = set()
+    for levels in range(2, 31):
+        for shape in shapes:
+            try:
+                with np.errstate(invalid="ignore"):
+                    pair = _reference_pair(rng, levels, shape)
+            except InvalidDistributionError:  # zero-mass emptied a small joint
+                continue
+            # gap_1 moved by -ATOL and +ATOL; at J = 3 a -0.0 gap_1 and a
+            # 0.0 / -0.0 tie in the upper end of bracket 1
+            treated, control = pair.treated_law.probs, pair.control_law.probs
+            pairs = [pair] + [pair_from_laws(*_shifted_laws(treated, control, delta))
+                              for delta in (ATOL, -ATOL)]
+            if levels == 3:
+                pairs.append(pair_from_laws([0.0, 0.5, 0.5], [-0.0, 0.25, 0.75]))
+                pairs.append(pair_from_laws([0.5, 0.0, 0.5], [-0.0, 0.5, 0.5]))
+            for pair in pairs:
+                facts = pair_facts(pair)
+                checks, note = scalar_brackets(pair)
+                assert [(c.k, c.within_bracket, c.diag_nonnegative) for c in facts.brackets.checks] \
+                    == [(c.k, c.within_bracket, c.diag_nonnegative) for c in checks]
+                for got, want in zip(facts.brackets.checks, checks):
+                    assert _bits([got.lower, got.gap, got.upper]) == _bits([want.lower, want.gap, want.upper])
+                    assert {type(got.lower), type(got.gap), type(got.upper)} == {float}
+                    assert type(got.within_bracket) is type(got.diag_nonnegative) is bool
+                assert facts.brackets.passed is all(c.ok for c in checks)
+                assert (facts.mono_refusal or "").encode() == (note or "").encode()
+                seen.update(("bracket", c.within_bracket, c.diag_nonnegative) for c in checks)
+                seen.add(("facts", facts.brackets.passed, note is None))
+                seen.update(math.copysign(1.0, c.gap) for c in checks if c.gap == 0.0)
+    # inside its bracket a gap is at most treated[k] + ATOL, so the diagonal holds
+    assert {("bracket", True, True), ("bracket", False, True), ("bracket", False, False)} <= seen
+    assert {("facts", True, True), ("facts", False, True), ("facts", False, False)} <= seen
+    assert {1.0, -1.0} <= seen  # gaps of +0.0 and -0.0
 
 
 def test_one_stacked_call_equals_its_one_row_calls():

@@ -254,6 +254,36 @@ def test_dumps_is_json_dumps_with_indent_2(tree):
     assert _dumps(tree) == json.dumps(tree, indent=2)
 
 
+_EDGES = st.sampled_from(["{", "}", "[", "]", "a}", "b]", "},\n  {", "],\n  ["])
+_FIELDS = st.one_of(_LEAVES, _EDGES)
+
+
+@st.composite
+def _record_lists(draw):
+    """2-6 records: dicts of scalars, lists (or tuples) of scalars, or both mixed;
+    maybe one empty record, one holding a nested container, or all of it inside
+    a dict or a list, so the records sit deeper."""
+    dicts = st.dictionaries(st.one_of(_KEYS, _EDGES), _FIELDS, min_size=1, max_size=4)
+    lists = st.lists(_FIELDS, min_size=1, max_size=4)
+    record = draw(st.sampled_from([dicts, lists, lists.map(tuple), st.one_of(dicts, lists)]))
+    records = draw(st.lists(record, min_size=2, max_size=6))
+    i = draw(st.integers(0, len(records) - 1))
+    odd = draw(st.sampled_from(["none", "empty", "nested"]))
+    if odd == "empty":
+        records[i] = type(records[i])()
+    elif odd == "nested":
+        inner = draw(st.sampled_from([[], {}, [0], {"k": "}"}, ("]",)]))
+        records[i] = ({**records[i], "nested": inner} if isinstance(records[i], dict)
+                      else [*records[i], inner])
+    return draw(st.sampled_from([records, tuple(records), {"records": records}, [records]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_lists())
+def test_dumps_encodes_record_lists_like_json_dumps_with_indent_2(records):
+    assert _dumps(records) == json.dumps(records, indent=2)
+
+
 def test_verify_report_encodes_like_json_dumps():
     cfg = AnalysisConfig(exp=EXP, obs=OBS, all_canonical=True, verify=True, samples=2000)
     pair, provenance = load_marginals(cfg)
@@ -888,6 +918,19 @@ def test_data_errors_exit_two(tmp_path):
     obs = tmp_path / "obs.csv"
     obs.write_text("z,y,count\n1,0,10\n1,1,90\n0,0,80\n0,1,20\n")
     assert run(["--exp", str(exp), "--obs", str(obs), "--all-canonical"]) == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("count", ["Infinity", "1e300", "1" + "0" * 400],
+                         ids=["infinity", "1e300", "400-digits"])
+def test_counts_beyond_2_to_the_53_exit_two_naming_the_file(tmp_path, capsys, count):
+    exp = tmp_path / "exp.json"
+    exp.write_text(f'{{"counts": [[{count}, 1, 2], [3, 4, 5]]}}')
+    assert run(["--mode", "pc", "--exp", str(exp), "--all-canonical"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {exp}: bad counts layout: ")
+    assert "Traceback" not in captured.err
 
 
 def test_stdout_json_when_no_out(capsys):

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnbounds import (
+    ATOL,
     Assumptions,
+    EventSpec,
     EventSpecError,
     GapSequence,
     InvalidDistributionError,
@@ -141,6 +143,43 @@ def test_distribution_rejects_bad_inputs():
         OrdinalDistribution(np.array([0.5, 0.6]))  # sum != 1
     with pytest.raises(InvalidDistributionError):
         OrdinalDistribution(np.array([-0.1, 1.1]))
+
+
+@pytest.mark.parametrize("probs,message", [
+    ([np.nan, 1.0], "entries outside [0, 1]: [nan  1.]"),
+    ([np.inf, 0.0], "entries outside [0, 1]: [inf  0.]"),
+    ([-np.inf, 1.0], "entries outside [0, 1]: [-inf   1.]"),
+    ([-2 * ATOL, 1 + 2 * ATOL], "entries outside [0, 1]: [-2.e-09  1.e+00]"),
+    ([1 + 2 * ATOL, -2 * ATOL], "entries outside [0, 1]: [ 1.e+00 -2.e-09]"),
+    ([0.5, 0.5 + 2 * ATOL], "entries sum to 1.0000000020000002, not 1"),
+    ([0.5, 0.5 - 2 * ATOL], "entries sum to 0.9999999980000001, not 1"),
+], ids=["nan", "inf", "-inf", "below", "above", "sum-above", "sum-below"])
+def test_distribution_refusals_keep_their_messages(probs, message):
+    with pytest.raises(InvalidDistributionError) as err:
+        OrdinalDistribution(np.array(probs))
+    assert str(err.value) == message
+
+
+def test_distribution_accepts_the_atol_band_edges_and_clips_them():
+    for probs in ([-ATOL, 1 + ATOL], [-0.5 * ATOL, 1 + 0.5 * ATOL]):
+        source = np.array(probs)
+        dist = OrdinalDistribution(source)
+        assert dist.probs.tolist() == [0.0, 1.0] and not dist.probs.flags.writeable
+        assert source.tolist() == probs  # the caller's array is not clipped in place
+
+
+@pytest.mark.parametrize("coeffs", [("1", 0), (0.5, 1), (float("nan"), 1), ([1], 0), (2, 0)],
+                         ids=repr)
+def test_event_spec_refuses_non_binary_coefficients(coeffs):
+    with pytest.raises(EventSpecError) as err:
+        EventSpec(coeffs=coeffs, label="x")
+    assert type(err.value) is EventSpecError
+    assert str(err.value) == f"coefficients must be 0/1, got {coeffs}"
+
+
+def test_event_spec_stores_binary_coefficients_as_ints():
+    event = EventSpec(coeffs=(True, 0.0, np.int64(1), np.float64(0)), label="x")
+    assert event.coeffs == (1, 0, 1, 0) and {type(c) for c in event.coeffs} == {int}
 
 
 def test_distribution_from_counts_normalizes_once_and_keeps_counts():

@@ -267,3 +267,89 @@ def test_contingency_table_validation():
         ContingencyTable(counts=[[0, 0], [1, 1]], source=Source.EXPERIMENTAL)
     with pytest.raises(DataFormatError):
         ContingencyTable(counts=[[1.5, 2], [1, 1]], source=Source.EXPERIMENTAL)
+
+
+# Each bad table, with the refusal it had before the checks became single
+# reductions; {path} is the file.
+_REFUSED_TABLES = [
+    ("nan.csv", "z,y,count\n0,0,nan\n0,1,3\n1,0,4\n1,1,5\n",
+     "{path}:2: expected integers 'z,y,count', got ['0', '0', 'nan']"),
+    ("negative.csv", "z,y,count\n0,0,-1\n0,1,3\n1,0,4\n1,1,5\n", "{path}:2: negative y or count"),
+    ("fraction.csv", "z,y,count\n0,0,1.5\n0,1,3\n1,0,4\n1,1,5\n",
+     "{path}:2: expected integers 'z,y,count', got ['0', '0', '1.5']"),
+    ("empty_arm.csv", "z,y,count\n0,0,1\n0,1,3\n1,0,0\n1,1,0\n",
+     "each treatment arm needs at least one observation"),
+    ("one_arm.csv", "z,y,count\n0,0,1\n0,1,3\n0,2,3\n",
+     "each treatment arm needs at least one observation"),
+    ("one_level.csv", "z,y,count\n0,0,1\n1,0,3\n", "{path}: need at least 2 outcome levels"),
+    ("zeros.csv", "z,y,count\n0,0,0\n0,1,0\n1,0,0\n1,1,0\n", "table is empty"),
+    ("nan.json", '{"counts": [[NaN, 1, 2], [3, 4, 5]]}',
+     "{path}: bad counts layout: counts must be nonnegative integers"),
+    ("negative.json", '{"counts": [[-1, 1, 2], [3, 4, 5]]}',
+     "{path}: bad counts layout: counts must be nonnegative integers"),
+    ("minus_infinity.json", '{"counts": [[-Infinity, 1, 2], [3, 4, 5]]}',
+     "{path}: bad counts layout: counts must be nonnegative integers"),
+    ("fraction.json", '{"counts": [[1.5, 1, 2], [3, 4, 5]]}',
+     "{path}: bad counts layout: counts must be nonnegative integers"),
+    ("empty_arm.json", '{"counts": [[0, 0, 0], [3, 4, 5]]}',
+     "{path}: bad counts layout: each treatment arm needs at least one observation"),
+    ("zeros.json", '{"counts": [[0, 0, 0], [0, 0, 0]]}', "{path}: bad counts layout: table is empty"),
+    ("one_row.json", '{"counts": [[1, 2, 3]]}',
+     "{path}: bad counts layout: need a 2 x J table with J >= 2, got (1, 3)"),
+    ("one_column.json", '{"counts": [[1], [2]]}',
+     "{path}: bad counts layout: need a 2 x J table with J >= 2, got (2, 1)"),
+    ("text.json", '{"counts": [["a", 2], [3, 4]]}',
+     "{path}: bad counts layout: could not convert string to float: 'a'"),
+]
+
+# Counts that are not finite integers in [0, 2**53], refused with the file
+# (and the CSV line) named; before, they crashed or passed with wrong counts.
+_TOO_LARGE = "counts must not exceed 2**53 = 9007199254740992"
+_OUT_OF_RANGE_TABLES = [
+    ("digits.csv", "z,y,count\n0,0,1" + "0" * 400 + "\n0,1,3\n1,0,4\n1,1,5\n",
+     "{path}:2: count exceeds 2**53 = 9007199254740992"),
+    ("above.csv", f"z,y,count\n0,0,3\n0,1,{2**53 + 1}\n1,0,4\n1,1,5\n",
+     "{path}:3: count exceeds 2**53 = 9007199254740992"),
+    ("infinity.json", '{"counts": [[Infinity, 1, 2], [3, 4, 5]]}',
+     f"{{path}}: bad counts layout: {_TOO_LARGE}"),
+    ("e300.json", '{"counts": [[1e300, 1, 2], [3, 4, 5]]}',
+     f"{{path}}: bad counts layout: {_TOO_LARGE}"),
+    ("above.json", '{"counts": [[9007199254740994, 1, 2], [3, 4, 5]]}',
+     f"{{path}}: bad counts layout: {_TOO_LARGE}"),
+    ("digits.json", '{"counts": [[1' + "0" * 400 + ', 1, 2], [3, 4, 5]]}',
+     "{path}: bad counts layout: int too large to convert to float"),
+]
+
+
+@pytest.mark.parametrize("name,text,message", _REFUSED_TABLES + _OUT_OF_RANGE_TABLES,
+                         ids=[case[0] for case in _REFUSED_TABLES + _OUT_OF_RANGE_TABLES])
+def test_bad_counts_are_refused_with_their_message(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(DataFormatError) as err:
+        load_table(path, Source.EXPERIMENTAL)
+    assert type(err.value) is DataFormatError
+    assert str(err.value) == message.format(path=path)
+
+
+def test_counts_up_to_2_to_the_53_load_exactly(tmp_path):
+    csv_path = tmp_path / "top.csv"
+    csv_path.write_text(f"z,y,count\n0,0,{2**53}\n0,1,3\n1,0,4\n1,1,5\n")
+    json_path = tmp_path / "top.json"
+    json_path.write_text(f'{{"counts": [[{2**53}, 3], [4, 5]]}}')
+    for path in (csv_path, json_path):
+        table = load_table(path, Source.EXPERIMENTAL)
+        assert table.counts.astype(int).tolist() == [[2**53, 3], [4, 5]]
+
+
+@pytest.mark.parametrize("counts,message", [
+    ("[[NaN, 1], [3, 4]]", "counts must be nonnegative integers"),
+    ("[[Infinity, 1], [3, 4]]", _TOO_LARGE),
+    ("[[1" + "0" * 400 + ", 1], [3, 4]]", "int too large to convert to float"),
+], ids=["nan", "infinity", "digits"])
+def test_bad_strata_counts_name_the_file_and_stratum(tmp_path, counts, message):
+    path = tmp_path / "strata.json"
+    path.write_text(f'[{{"id": "s", "counts": {counts}}}]')
+    with pytest.raises(DataFormatError) as err:
+        load_strata_json(path)
+    assert str(err.value) == f"{path}: stratum 's': {message}"
