@@ -194,7 +194,6 @@ def load_marginals(cfg: AnalysisConfig) -> tuple[MarginalPair, dict[str, Any]]:
     return ingest.counterfactual_margin_experimental(exp, obs), provenance
 
 
-@functools.lru_cache(maxsize=1024)  # EventSpec is frozen; a refusal is not cached
 def parse_event(spec: str, levels: int) -> EventSpec:
     kind, _, arg = spec.partition(":")
     if kind == "custom":

@@ -28,8 +28,8 @@ from .core import (
 )
 
 
-#: Largest count accepted: every integer up to 2**53 is exact in a float.
-MAX_COUNT = 2**53
+#: Largest count accepted: exact in a float, and any larger integer reads as >= 2**53.
+MAX_COUNT = 2**53 - 1
 
 
 class DataFormatError(CausalAttributionError):
@@ -69,7 +69,7 @@ class ContingencyTable:
         if not counts.min() >= 0 or (counts != np.floor(counts)).any():
             raise DataFormatError("counts must be nonnegative integers")
         if counts.max() > MAX_COUNT:
-            raise DataFormatError(f"counts must not exceed 2**53 = {MAX_COUNT}")
+            raise DataFormatError(f"counts must not exceed 2**53 - 1 = {MAX_COUNT}")
         arms = counts.sum(axis=1)
         if arms.max() <= 0:
             raise DataFormatError("table is empty")
@@ -241,7 +241,9 @@ def load_table_csv(path: str | Path, source: Source) -> ContingencyTable:
                 if y < 0 or count < 0:
                     raise DataFormatError(f"{path}:{lineno}: negative y or count")
                 if count > MAX_COUNT:
-                    raise DataFormatError(f"{path}:{lineno}: count exceeds 2**53 = {MAX_COUNT}")
+                    raise DataFormatError(
+                        f"{path}:{lineno}: count exceeds 2**53 - 1 = {MAX_COUNT}"
+                    )
                 if (z, y) in cells:
                     raise DataFormatError(f"{path}:{lineno}: duplicate cell z={z}, y={y}")
                 cells[(z, y)] = count

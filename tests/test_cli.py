@@ -921,8 +921,8 @@ def test_data_errors_exit_two(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("count", ["Infinity", "1e300", "1" + "0" * 400],
-                         ids=["infinity", "1e300", "400-digits"])
+@pytest.mark.parametrize("count", ["Infinity", "1e300", str(2**53 + 1), "1" + "0" * 400],
+                         ids=["infinity", "1e300", "2**53+1", "400-digits"])
 def test_counts_beyond_2_to_the_53_exit_two_naming_the_file(tmp_path, capsys, count):
     exp = tmp_path / "exp.json"
     exp.write_text(f'{{"counts": [[{count}, 1, 2], [3, 4, 5]]}}')

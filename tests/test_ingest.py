@@ -302,19 +302,24 @@ _REFUSED_TABLES = [
      "{path}: bad counts layout: could not convert string to float: 'a'"),
 ]
 
-# Counts that are not finite integers in [0, 2**53], refused with the file
+# Counts that are not finite integers in [0, 2**53 - 1], refused with the file
 # (and the CSV line) named; before, they crashed or passed with wrong counts.
-_TOO_LARGE = "counts must not exceed 2**53 = 9007199254740992"
+# A JSON count is read as a float: 2**53 + 1 reads as 2**53, which is refused.
+_TOO_LARGE = "counts must not exceed 2**53 - 1 = 9007199254740991"
 _OUT_OF_RANGE_TABLES = [
     ("digits.csv", "z,y,count\n0,0,1" + "0" * 400 + "\n0,1,3\n1,0,4\n1,1,5\n",
-     "{path}:2: count exceeds 2**53 = 9007199254740992"),
-    ("above.csv", f"z,y,count\n0,0,3\n0,1,{2**53 + 1}\n1,0,4\n1,1,5\n",
-     "{path}:3: count exceeds 2**53 = 9007199254740992"),
+     "{path}:2: count exceeds 2**53 - 1 = 9007199254740991"),
+    ("above.csv", f"z,y,count\n0,0,3\n0,1,{2**53}\n1,0,4\n1,1,5\n",
+     "{path}:3: count exceeds 2**53 - 1 = 9007199254740991"),
     ("infinity.json", '{"counts": [[Infinity, 1, 2], [3, 4, 5]]}',
      f"{{path}}: bad counts layout: {_TOO_LARGE}"),
     ("e300.json", '{"counts": [[1e300, 1, 2], [3, 4, 5]]}',
      f"{{path}}: bad counts layout: {_TOO_LARGE}"),
-    ("above.json", '{"counts": [[9007199254740994, 1, 2], [3, 4, 5]]}',
+    ("above.json", '{"counts": [[9007199254740992, 1, 2], [3, 4, 5]]}',
+     f"{{path}}: bad counts layout: {_TOO_LARGE}"),
+    ("rounds_down.json", '{"counts": [[9007199254740993, 1, 2], [3, 4, 5]]}',
+     f"{{path}}: bad counts layout: {_TOO_LARGE}"),
+    ("above_float.json", '{"counts": [[9007199254740992.5, 1, 2], [3, 4, 5]]}',
      f"{{path}}: bad counts layout: {_TOO_LARGE}"),
     ("digits.json", '{"counts": [[1' + "0" * 400 + ', 1, 2], [3, 4, 5]]}',
      "{path}: bad counts layout: int too large to convert to float"),
@@ -332,14 +337,15 @@ def test_bad_counts_are_refused_with_their_message(tmp_path, name, text, message
     assert str(err.value) == message.format(path=path)
 
 
-def test_counts_up_to_2_to_the_53_load_exactly(tmp_path):
+def test_counts_below_2_to_the_53_load_exactly(tmp_path):
+    top = 2**53 - 1
     csv_path = tmp_path / "top.csv"
-    csv_path.write_text(f"z,y,count\n0,0,{2**53}\n0,1,3\n1,0,4\n1,1,5\n")
+    csv_path.write_text(f"z,y,count\n0,0,{top}\n0,1,3\n1,0,4\n1,1,5\n")
     json_path = tmp_path / "top.json"
-    json_path.write_text(f'{{"counts": [[{2**53}, 3], [4, 5]]}}')
+    json_path.write_text(f'{{"counts": [[{top}, 3], [4, 5]]}}')
     for path in (csv_path, json_path):
         table = load_table(path, Source.EXPERIMENTAL)
-        assert table.counts.astype(int).tolist() == [[2**53, 3], [4, 5]]
+        assert table.counts.astype(int).tolist() == [[top, 3], [4, 5]]
 
 
 @pytest.mark.parametrize("counts,message", [
