@@ -17,6 +17,7 @@ Each closed form is written once, over rows: ``level_bounds`` computes N
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -63,9 +64,7 @@ class BoundsResult:
     upper: float
     assumptions: Assumptions
     method: Method
-    witnesses: tuple[JointProbabilityMatrix, JointProbabilityMatrix] | None = field(
-        default=None, compare=False
-    )
+    witnesses: Sequence[JointProbabilityMatrix] | None = field(default=None, compare=False)
     note: str | None = None
 
     @property

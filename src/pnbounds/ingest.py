@@ -30,6 +30,11 @@ from .core import (
 
 #: Largest count accepted: exact in a float, and any larger integer reads as >= 2**53.
 MAX_COUNT = 2**53 - 1
+#: Largest outcome level a CSV line may name.  A level is a column of the
+#: dense 2 x J table and of the J x J joints every engine builds, so one short
+#: line could otherwise ask for any J; 1,000 levels is far beyond an ordinal
+#: scale and keeps a joint at 8 MB.
+MAX_LEVEL = 999
 
 
 class DataFormatError(CausalAttributionError):
@@ -244,6 +249,8 @@ def load_table_csv(path: str | Path, source: Source) -> ContingencyTable:
                     raise DataFormatError(
                         f"{path}:{lineno}: count exceeds 2**53 - 1 = {MAX_COUNT}"
                     )
+                if y > MAX_LEVEL:
+                    raise DataFormatError(f"{path}:{lineno}: outcome level exceeds {MAX_LEVEL}")
                 if (z, y) in cells:
                     raise DataFormatError(f"{path}:{lineno}: duplicate cell z={z}, y={y}")
                 cells[(z, y)] = count

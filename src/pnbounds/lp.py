@@ -1,12 +1,15 @@
 """Exact sharp bounds for arbitrary events via linear programming.
 
-The feasible joint matrices form a polytope: nonnegative J x J matrices with
-prescribed row and column sums, plus zero-fixing equality rows for whichever
-assumption level applies.  The event mass in the evidence row is linear in
-the matrix, so its sharp bounds are a pair of LPs, solved here by a dense
-two-phase simplex.  Every optimal solve is certified through the dual:
-the multipliers recovered from the final basis must be dual feasible,
-complementary, and reproduce the primal value.
+The feasible joint matrices form a transportation polytope (Dantzig 1951):
+the treated law is the supply of the J rows, the control law the demand of
+the J columns, and each cell that the assumption level allows is an arc
+from its row to its column.  The event mass in the evidence row is linear
+in the matrix, so its sharp bounds are a pair of transportation problems.
+They are solved by a primal tree (network) simplex on strongly feasible
+trees, whose leaving-arc rule cannot cycle (Cunningham 1976).  Every
+optimum is certified through the dual in one array pass: the node
+potentials must fit the tree, price every allowed cell with the right sign
+and close the duality gap, and the point must match the margins.
 """
 
 from __future__ import annotations
@@ -21,25 +24,28 @@ from .core import (
     EventSpec,
     JointProbabilityMatrix,
     MarginalPair,
+    allowed_mask,
     check_evidence,
-    fixed_zero_cells,
 )
 from .identify import falsification_check
 
+#: Reduced cost below whose negative an arc enters the tree.
 PIVOT_TOL = 1e-10
-#: Residual allowed in the dual certificate and in the optimal point's Ax = b.
+#: Residual allowed in the dual certificate and in the optimal point's margins.
 FEAS_TOL = 1e-8
-#: Row violation beyond which a program is infeasible, and entry below whose
+#: Unrouted mass beyond which a program is infeasible, and entry below whose
 #: negative an optimum is no witness: the ``ATOL`` band of the gap tests
-#: (under ``mono`` phase one leaves the most negative cumulative gap), plus
-#: rounding headroom so the LP never refuses a gap those tests accept.
+#: (under ``mono`` phase one leaves the most negative cumulative gap
+#: unrouted), plus rounding headroom so the LP never refuses a gap those
+#: tests accept.
 INFEAS_TOL = ATOL + 1e-12
-#: Consecutive degenerate pivots before switching to Bland's anti-cycling rule.
-_BLAND_TRIGGER = 24
+#: Pivots per arc before a solve is abandoned; strongly feasible trees
+#: terminate, so reaching it means a corrupt tree.
+_PIVOTS_PER_ARC = 50
 
 
 class LpError(CausalAttributionError):
-    """Solver breakdown (iteration limit, corrupt tableau, inconsistent result)."""
+    """Solver breakdown (iteration limit, corrupt tree, inconsistent result)."""
 
 
 class LpInfeasibleError(LpError):
@@ -51,308 +57,302 @@ class CertificateError(LpError):
 
 
 # ---------------------------------------------------------------------------
-# Simplex internals.  The tableau layout is [structural | artificial | rhs]
-# in phase one and [structural | rhs] in phase two; the last tableau row
-# holds reduced costs for maximization.
+# Tree simplex.  Nodes 0..R-1 are the rows, R..R+C-1 the columns and R+C an
+# artificial root.  Arcs 0..m-1 are the allowed cells, row to column; arc
+# m + i joins node i to the root.  Trees are strongly feasible: each tree arc
+# without flow points away from the root.
 # ---------------------------------------------------------------------------
 
 
-def _pivot_step(t: np.ndarray, basis: list[int], i: int, j: int) -> None:
-    t[i] /= t[i, j]
-    col = t[:, j].copy()
-    col[i] = 0.0
-    t -= np.outer(col, t[i])
-    # re-set the pivot column exactly to a unit vector to limit drift
-    t[:, j] = 0.0
-    t[i, j] = 1.0
-    basis[i] = j
+class _Network:
+    """A transportation problem and a strongly feasible spanning tree of it.
 
-
-def _run_simplex(t: np.ndarray, basis: list[int], n_enter: int) -> str:
-    """Pivot until reduced costs over columns [0, n_enter) are nonnegative.
-
-    Entering column: most negative reduced cost; a run of degenerate pivots
-    switches to Bland's smallest-index rule, which cannot cycle.
+    Each node but the root keeps its parent, the tree arc to it (``pred``),
+    whether that arc points up to the parent, its depth and its children.
+    Arcs outside the tree carry no flow.  Building the network runs phase
+    one: ``deficit`` is the least mass that must pass through the root.
     """
-    m = t.shape[0] - 1
-    rhs = t[:m, -1]
-    degenerate_run = 0
-    bland = False
-    max_iter = 500 * (t.shape[1] + m + 1)
-    for _ in range(max_iter):
-        red = t[-1, :n_enter]
-        if bland:
-            neg = np.nonzero(red < -PIVOT_TOL)[0]
-            if neg.size == 0:
-                return "optimal"
-            j = int(neg[0])
-        else:
-            j = int(np.argmin(red))
-            if red[j] >= -PIVOT_TOL:
-                return "optimal"
-        col = t[:m, j]
-        pos = col > PIVOT_TOL
-        if not pos.any():
-            return "unbounded"
-        ratio = np.where(pos, rhs / np.where(pos, col, 1.0), np.inf)
-        if bland:
-            best = float(ratio.min())
-            ties = np.nonzero(ratio <= best + PIVOT_TOL)[0]
-            i = int(min(ties, key=lambda r: basis[r]))
-        else:
-            i = int(np.argmin(ratio))
-        if ratio[i] <= PIVOT_TOL:
-            degenerate_run += 1
-            if degenerate_run > _BLAND_TRIGGER:
-                bland = True
-        else:
-            degenerate_run = 0
-            bland = False
-        _pivot_step(t, basis, i, j)
-    raise LpError("simplex iteration limit exceeded")
 
+    def __init__(self, supply: np.ndarray, demand: np.ndarray, mask: np.ndarray):
+        self.rows, self.cols = np.nonzero(mask)
+        self.m = m = self.rows.size
+        root = supply.size + demand.size
+        # the margins, each node's cells, and the sign of its potential in
+        # the dual: u = pi on rows, v = -pi on columns
+        self.laws = np.concatenate((supply, demand))
+        self.ends = np.concatenate((self.rows, self.cols + supply.size))
+        self.signs = np.repeat((1.0, -1.0), (supply.size, demand.size))
+        self.flow = [0.0] * (m + root)
+        cells, left = self._northwest(mask)
+        tails, heads = self.rows.tolist(), (self.cols + supply.size).tolist()
+        adjacent = [[] for _ in range(root)]
+        for arc in cells:
+            adjacent[tails[arc]].append(arc)
+            adjacent[heads[arc]].append(arc)
+        # each component of the walk's cells hangs from the root by its node
+        # with the most left, whose arc carries that rest; a cell without
+        # flow that would point at the root is cut, its far end hanging from
+        # the root instead, so the first tree is strongly feasible
+        self.parent = [root] * root + [-1]
+        self.pred = list(range(m, m + root)) + [-1]
+        self.up = [False] * (root + 1)
+        seen = [False] * root
+        for top in sorted(range(root), key=left.__getitem__, reverse=True):
+            if seen[top]:
+                continue
+            seen[top] = True
+            self.up[top] = top < supply.size and left[top] > 0
+            self.flow[m + top] = left[top]
+            stack = [top]
+            while stack:
+                x = stack.pop()
+                for arc in adjacent[x]:
+                    y = tails[arc] + heads[arc] - x
+                    if not seen[y]:
+                        seen[y] = True
+                        if self.flow[arc] > 0 or tails[arc] == x:
+                            self.parent[y], self.pred[y], self.up[y] = x, arc, tails[arc] == y
+                        stack.append(y)
+        nodes = np.arange(root)
+        out = np.array([self.up[x] and self.pred[x] >= m for x in range(root)], dtype=bool)
+        self.tail = np.concatenate((self.rows, np.where(out, nodes, root)))
+        self.head = np.concatenate((heads, np.where(out, root, nodes)))
+        self.tails, self.heads = self.tail.tolist(), self.head.tolist()
+        self.children = [[] for _ in range(root + 1)]
+        for x in range(root):
+            self.children[self.parent[x]].append(x)
+        cost = np.zeros(self.tail.size)
+        cost[m:] = 1.0
+        self.run(cost, cost.size)
+        self.deficit = sum(self.flow[m:]) / 2
+        self.low = np.zeros(m)
+        if 0.0 < self.deficit <= INFEAS_TOL:
+            self._absorb()
 
-def _presolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Fix variables pinned to zero by single-signed rows with zero rhs.
+    def _northwest(self, mask: np.ndarray) -> tuple[list[int], list[float]]:
+        """The northwest-corner walk: its cells and what each node has left.
 
-    Returns (active_cols, active_rows) boolean masks, or None when a row
-    reduces to 0 = nonzero (infeasible).  Zero-fixing rows are how the
-    assumption levels enter the program, so this removes them wholesale
-    while keeping the stated formulation intact.
-    """
-    m, n = a.shape
-    active_col = np.ones(n, dtype=bool)
-    active_row = np.ones(m, dtype=bool)
-    zero_rhs = np.abs(b) <= PIVOT_TOL
-    while True:
-        sub = np.where(active_col[None, :], a, 0.0)
-        pos = sub > PIVOT_TOL
-        neg = sub < -PIVOT_TOL
-        nonzero = pos | neg
-        has_nz = nonzero.any(axis=1)
-        dead = active_row & ~has_nz
-        if np.any(dead & (np.abs(b) > INFEAS_TOL)):
-            return None
-        single_signed = ~(pos.any(axis=1) & neg.any(axis=1))
-        fixing = active_row & has_nz & zero_rhs & single_signed
-        active_row &= ~dead
-        if not fixing.any():
-            return active_col, active_row
-        active_col &= ~nonzero[fixing].any(axis=0)
-        active_row &= ~fixing
-
-
-def _phase1(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[int]] | None:
-    """Find a basic feasible solution; None when the program is infeasible.
-
-    Returns the constraint body [structural | rhs] in basis-reduced form,
-    with redundant rows dropped and no artificial variables left basic.
-    """
-    m, n = a.shape
-    a = a.copy()
-    b = b.copy()
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-    t = np.zeros((m + 1, n + m + 1))
-    t[:m, :n] = a
-    t[:m, n : n + m] = np.eye(m)
-    t[:m, -1] = b
-    basis = list(range(n, n + m))
-    # phase-one objective: maximize minus the artificial mass
-    t[-1, :n] = -a.sum(axis=0)
-    t[-1, -1] = -b.sum()
-    status = _run_simplex(t, basis, n_enter=n)
-    if status != "optimal":  # phase-one objective is bounded above by zero
-        raise LpError("phase one reported unbounded; the tableau is corrupt")
-    if t[-1, -1] < -INFEAS_TOL:
-        return None
-    drop: list[int] = []
-    for i in range(m):
-        if basis[i] >= n:
-            row = np.abs(t[i, :n])
-            j = int(np.argmax(row))
-            if row[j] > PIVOT_TOL:
-                _pivot_step(t, basis, i, j)
+        The walk ships min(row left, column left) through cell (k, l), then
+        moves down when the row is spent first, right when the column is,
+        and on a tie down if that cell is allowed.  A cell that is not
+        allowed ships nothing, so the node the walk moves away from keeps
+        what it has left: each component of the cells has one such node.
+        """
+        rows, cols = mask.shape
+        index = np.full(mask.shape, -1)
+        index[self.rows, self.cols] = np.arange(self.m)
+        index, allowed = index.tolist(), mask.tolist()
+        left = self.laws.tolist()
+        cells = []
+        k, l = 0, rows
+        while True:
+            arc = index[k][l - rows]
+            if arc >= 0:
+                shipped = self.flow[arc] = min(left[k], left[l])
+                left[k] -= shipped
+                left[l] -= shipped
+                cells.append(arc)
+            if k == rows - 1 and l == rows + cols - 1:
+                return cells, left
+            if l == rows + cols - 1 or k < rows - 1 and (
+                left[k] < left[l] or left[k] == left[l] and allowed[k + 1][l - rows]
+            ):
+                k += 1
             else:
-                drop.append(i)  # dependent constraint
-    keep = [i for i in range(m) if i not in drop]
-    cols = list(range(n)) + [n + m]
-    body = t[np.ix_(keep, cols)].copy()
-    return body, [basis[i] for i in keep]
+                l += 1
+
+    def copy(self) -> _Network:
+        new = object.__new__(_Network)
+        new.__dict__.update(self.__dict__)
+        for name in ("parent", "pred", "up", "depth", "flow"):
+            setattr(new, name, list(getattr(self, name)))
+        new.children = [list(c) for c in self.children]
+        return new
+
+    def run(self, cost: np.ndarray, priced: int) -> None:
+        """Pivot on the most negative reduced cost of arcs 0..priced-1 until
+        none is left; cost is per arc, minimized."""
+        c = cost.tolist()
+        pi = [0.0] * len(self.parent)
+        self.depth = depth = [0] * len(self.parent)
+        order = [len(self.parent) - 1]
+        for x in order:  # potentials from the root: zero reduced cost on tree arcs
+            for child in self.children[x]:
+                arc = self.pred[child]
+                pi[child] = pi[x] + c[arc] if self.up[child] else pi[x] - c[arc]
+                depth[child] = depth[x] + 1
+                order.append(child)
+        self.pi = pi = np.array(pi)
+        cost, tail, head = cost[:priced], self.tail[:priced], self.head[:priced]
+        for _ in range(_PIVOTS_PER_ARC * cost.size):
+            reduced = cost - pi[tail] + pi[head]
+            arc = int(reduced.argmin())
+            if reduced[arc] >= -PIVOT_TOL:
+                return
+            self._pivot(arc, float(reduced[arc]))
+        raise LpError("simplex iteration limit exceeded")
+
+    def _pivot(self, arc: int, reduced: float, leave: int = -1) -> None:
+        """Bring arc into the tree; a given ``leave`` node's tree arc leaves
+        it and ends with no flow, else the ratio test picks the leaving arc."""
+        parent, pred, up, flow, children = self.parent, self.pred, self.up, self.flow, self.children
+        t, h = self.tails[arc], self.heads[arc]
+        t_side, h_side = [], []  # nodes whose tree arc lies on the cycle
+        a, b = t, h
+        while a != b:
+            if self.depth[a] >= self.depth[b]:
+                t_side.append(a)
+                a = parent[a]
+            else:
+                h_side.append(b)
+                b = parent[b]
+        if leave >= 0:  # on the h side
+            delta, on_h = -flow[pred[leave]] if up[leave] else flow[pred[leave]], True
+        else:
+            # the first blocking arc met walking the cycle from the apex down
+            # to t, across the entering arc and up from h keeps the tree
+            # strongly feasible; every cycle has one, as no arc leaves a column
+            delta, on_h = float("inf"), False
+            for x in reversed(t_side):
+                if up[x] and flow[pred[x]] < delta:
+                    delta, leave = flow[pred[x]], x
+            for x in h_side:
+                if not up[x] and flow[pred[x]] < delta:
+                    delta, leave, on_h = flow[pred[x]], x, True
+        if delta:
+            for x in t_side:
+                flow[pred[x]] += -delta if up[x] else delta
+            for x in h_side:
+                flow[pred[x]] += delta if up[x] else -delta
+        flow[arc] = delta
+        # hang the subtree cut off by the leaving arc from the entering arc,
+        # reversing the stem between its new root and the leaving arc
+        x, new = (h, (t, arc, False)) if on_h else (t, (h, arc, True))
+        while True:
+            old = parent[x], pred[x], up[x]
+            children[old[0]].remove(x)
+            children[new[0]].append(x)
+            parent[x], pred[x], up[x] = new
+            if x == leave:
+                break
+            new = (x, old[1], not old[2])
+            x = old[0]
+        moved, stack = [], [h if on_h else t]
+        while stack:
+            x = stack.pop()
+            self.depth[x] = self.depth[parent[x]] + 1
+            moved.append(x)
+            stack += children[x]
+        self.pi[moved] += -reduced if on_h else reduced
+
+    def _absorb(self) -> None:
+        """Send the mass left at the root over cells, as the margins demand.
+
+        Each pivot brings in a cell that joins two subtrees of the root and
+        drives the artificial arc of one of them out.  The point then meets
+        the margins, with entries down to minus the deficit; those entries
+        become the cells' lower bounds, so the flows stay nonnegative.  The
+        forced pivots need not keep the tree strongly feasible; they run
+        only for a program inside the band.
+        """
+        root = len(self.parent) - 1
+        while len(self.children[root]) > 1:
+            top = [root] * (root + 1)
+            for child in self.children[root]:
+                stack = [child]
+                while stack:
+                    x = stack.pop()
+                    top[x] = child
+                    stack += self.children[x]
+            top = np.array(top)
+            joins = np.flatnonzero(top[self.tail[: self.m]] != top[self.head[: self.m]])
+            if not joins.size:
+                break
+            arc = int(joins[0])
+            self._pivot(arc, 0.0, int(top[self.heads[arc]]))
+        x = np.array(self.flow[: self.m])
+        self.low = np.minimum(x, 0.0)
+        self.flow[: self.m] = (x - self.low).tolist()
+
+    def objective(self, coeffs: tuple[int, ...], y: int) -> np.ndarray:
+        """Cost per cell of the event mass in evidence row y."""
+        return np.asarray(coeffs, dtype=float)[self.cols] * (self.rows == y)
+
+    def solve(self, c: np.ndarray) -> tuple[float, np.ndarray]:
+        """Phase two: minimize c over the cells from this feasible tree.
+
+        Returns the certified value and the optimal point as flows per
+        cell.  Only cells enter the tree, and a cycle through the root moves
+        nothing: phase one left no flow there, or ``_absorb`` joined every
+        subtree of the root into one.
+        """
+        tree = self.copy()
+        cost = np.zeros(self.tail.size)
+        cost[: self.m] = c
+        tree.run(cost, self.m)
+        return tree._certify(c)
+
+    def _certify(self, c: np.ndarray) -> tuple[float, np.ndarray]:
+        """Dual certificate of the tree's point, from its potentials.
+
+        With u the row and -v the column potentials, u_k + v_l must equal
+        c_kl on tree cells and stay at or below it on every allowed cell.
+        The dual value of the program with the point's margins and the
+        cells' lower bounds must equal c . x, and those margins must match
+        the laws within FEAS_TOL.
+        """
+        m, pi = self.m, self.pi
+        x = self.low + self.flow[:m]
+        slack = c - pi[self.tail[:m]] + pi[self.head[:m]]
+        tree = [arc for arc in self.pred[:-1] if arc < m]
+        value = float(c @ x)
+        scale = max(1.0, float(np.abs(c).max()), abs(value))
+        if np.abs(slack[tree]).max(initial=0.0) > FEAS_TOL * scale:
+            raise CertificateError("potentials do not fit the tree")
+        if slack.min() < -FEAS_TOL * scale:
+            raise CertificateError(f"dual infeasible: slack {slack.min():.3g}")
+        sums = np.bincount(self.ends, np.concatenate((x, x)), pi.size - 1)
+        gap = abs(sums @ (pi[:-1] * self.signs) + self.low @ slack - value)
+        if gap > FEAS_TOL * scale:
+            raise CertificateError(f"duality gap {gap:.3g}")
+        if x.min() < -INFEAS_TOL or np.abs(sums - self.laws).max() > FEAS_TOL:
+            raise CertificateError("optimal point violates the margins")
+        return value, x
 
 
-def _phase2(
-    body: np.ndarray, basis: list[int], c: np.ndarray
-) -> tuple[str, np.ndarray, float, list[int]]:
-    """Maximize c . x starting from the basic feasible solution in body."""
-    m = body.shape[0]
-    n = body.shape[1] - 1
-    t = np.zeros((m + 1, n + 1))
-    t[:m] = body
-    t[-1, :n] = -c
-    for i, bi in enumerate(basis):
-        if c[bi] != 0.0:
-            t[-1] += c[bi] * t[i]
-    basis = list(basis)
-    status = _run_simplex(t, basis, n_enter=n)
-    if status == "unbounded":
-        return "unbounded", np.empty(0), float("nan"), basis
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        x[bi] = t[i, -1]
-    return "optimal", x, float(t[-1, -1]), basis
-
-
-def _certify(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray, value: float, basis: list[int]
-) -> None:
-    """Dual optimality certificate from the final basis.
-
-    Solves A_B^T y = c_B, then requires dual feasibility A^T y >= c, a zero
-    duality gap, and complementary slackness, all within FEAS_TOL.
-    """
-    basis_matrix = a[:, basis]
-    try:
-        multipliers = np.linalg.solve(basis_matrix.T, c[basis])
-    except np.linalg.LinAlgError:
-        multipliers, *_ = np.linalg.lstsq(basis_matrix.T, c[basis], rcond=None)
-    slack = a.T @ multipliers - c
-    scale = max(1.0, float(np.abs(c).max()), abs(value))
-    if slack.min() < -FEAS_TOL * scale:
-        raise CertificateError(f"dual infeasible: slack {slack.min():.3g}")
-    gap = abs(float(b @ multipliers) - value)
-    if gap > FEAS_TOL * scale:
-        raise CertificateError(f"duality gap {gap:.3g}")
-    comp = float(np.abs(x * slack).max()) if x.size else 0.0
-    if comp > FEAS_TOL * scale:
-        raise CertificateError(f"complementary slackness violated by {comp:.3g}")
-
-
-# One phase-one run serves every objective over the same polytope, so the
-# feasibility work is memoized on the exact bytes of (A, b).  Entries are
-# never mutated after insertion; phase two always works on copies.
-_BASE_CACHE: dict[bytes, tuple | None] = {}
+# One phase one serves every objective over the same polytope, so the network
+# after it is memoized on the exact bytes of the laws and the level.  Entries
+# are never mutated after insertion: each solve works on a copy.
+_BASE_CACHE: dict[bytes, _Network] = {}
 _BASE_CACHE_CAP = 128
 
 
-_CACHE_MISS = object()
-
-
-def _feasible_base(a: np.ndarray, b: np.ndarray, cache_key: bytes | None):
-    """Presolve + phase one; returns None when infeasible.
-
-    The result tuple is (active_col, a_red, b_red, body, basis); body and
-    basis are None when presolve removed every row.  Cached entries are
-    immutable, so a stale read under concurrency is at worst a recompute.
-    """
-    if cache_key is not None:
-        hit = _BASE_CACHE.get(cache_key, _CACHE_MISS)
-        if hit is not _CACHE_MISS:
-            return hit
-    pre = _presolve(a, b)
-    if pre is None:
-        base = None
-    else:
-        active_col, active_row = pre
-        a_red = a[np.ix_(active_row, active_col)]
-        b_red = b[active_row]
-        if a_red.shape[0] == 0:
-            base = (active_col, a_red, b_red, None, None)
-        else:
-            feas = _phase1(a_red, b_red)
-            base = None if feas is None else (active_col, a_red, b_red, *feas)
-    if cache_key is not None:
+def _feasible_base(pair: MarginalPair, assumptions: Assumptions) -> _Network:
+    """The polytope's network after phase one, from the cache when present."""
+    laws = (pair.treated_law.probs, pair.control_law.probs)
+    key = laws[0].tobytes() + laws[1].tobytes() + assumptions.value.encode()
+    network = _BASE_CACHE.get(key)
+    if network is None:
+        network = _Network(*laws, allowed_mask(assumptions, pair.levels))
         if len(_BASE_CACHE) >= _BASE_CACHE_CAP:
             _BASE_CACHE.clear()
-        _BASE_CACHE[cache_key] = base
-    return base
+        _BASE_CACHE[key] = network
+    return network
 
 
-def _solve_reduced(
-    a: np.ndarray,
-    b: np.ndarray,
-    objectives: list[np.ndarray],
-    cache_key: bytes | None = None,
-) -> list[tuple[str, np.ndarray, float]] | None:
-    """Share one phase-one run across several maximization objectives."""
-    base = _feasible_base(a, b, cache_key)
-    if base is None:
-        return None
-    active_col, a_red, b_red, body, basis0 = base
-    n_full = a.shape[1]
-    results = []
-    for c in objectives:
-        c_red = c[active_col]
-        if body is None:
-            # no constraints left: optimum is 0 at the origin unless some
-            # objective coefficient is positive
-            if np.any(c_red > PIVOT_TOL):
-                results.append(("unbounded", np.empty(0), float("nan")))
-                continue
-            x_red = np.zeros(c_red.size)
-            status, value, basis = "optimal", 0.0, []
-        else:
-            status, x_red, value, basis = _phase2(body, basis0, c_red)
-        if status == "unbounded":
-            results.append((status, np.empty(0), float("nan")))
-            continue
-        if basis:
-            _certify(a_red, b_red, c_red, x_red, value, basis)
-        x = np.zeros(n_full)
-        x[active_col] = x_red
-        if np.abs(a @ x - b).max() > FEAS_TOL or x.min() < -INFEAS_TOL:
-            raise CertificateError("optimal point violates the original constraints")
-        results.append(("optimal", x, value))
-    return results
+class _Witnesses:
+    """The optimal joints of ``pn_bounds_lp``, each built when it is read."""
 
+    def __init__(self, network: _Network, points: tuple[np.ndarray, np.ndarray]):
+        self._network, self._points = network, points
 
-# ---------------------------------------------------------------------------
-# Program construction for the bounds problem.
-# ---------------------------------------------------------------------------
-
-
-def build_lp(
-    pair: MarginalPair,
-    event: EventSpec,
-    y: int,
-    assumptions: Assumptions,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble the bounds program (A, b, c) over the vectorized joint matrix.
-
-    Variables are the J^2 matrix entries in row-major order.  The marginal
-    block contributes 2(J-1) row/column-sum rows plus the total-mass row;
-    each assumption level adds unit rows pinning its forbidden cells to
-    zero.  The objective places a 1 at position (y, l) for each event level.
-    """
-    levels = pair.levels
-    n = levels * levels
-    zeros = fixed_zero_cells(assumptions, levels)
-    m = 2 * levels - 1 + len(zeros)
-    a = np.zeros((m, n))
-    b = np.zeros(m)
-    for k in range(levels - 1):
-        a[k, k * levels : (k + 1) * levels] = 1.0
-        b[k] = pair.treated_law[k]
-    for l in range(levels - 1):
-        a[levels - 1 + l, l::levels] = 1.0
-        b[levels - 1 + l] = pair.control_law[l]
-    a[2 * levels - 2, :] = 1.0
-    b[2 * levels - 2] = 1.0
-    for i, (k, l) in enumerate(zeros):
-        a[2 * levels - 1 + i, k * levels + l] = 1.0
-    objective = np.zeros(n)
-    for l, c in enumerate(event.coeffs):
-        if c:
-            objective[y * levels + l] = 1.0
-    return a, b, objective
-
-
-def _as_joint(x: np.ndarray, levels: int) -> JointProbabilityMatrix:
-    # clipping entries down to -INFEAS_TOL can push the sum past 1 + ATOL;
-    # rescaling restores it and leaves every conditional probability as is
-    q = np.clip(x.reshape(levels, levels), 0.0, None)
-    return JointProbabilityMatrix(entries=q / q.sum())
+    def __getitem__(self, i: int) -> JointProbabilityMatrix:
+        levels = self._network.laws.size // 2
+        q = np.zeros((levels, levels))
+        # clipping entries down to -INFEAS_TOL can push the sum past 1 + ATOL;
+        # rescaling restores it and leaves every conditional probability as is
+        q[self._network.rows, self._network.cols] = np.clip(self._points[i], 0.0, None)
+        return JointProbabilityMatrix(entries=q / q.sum())
 
 
 def pn_bounds_lp(
@@ -367,14 +367,8 @@ def pn_bounds_lp(
     brackets before being reported.
     """
     mass = check_evidence(pair, event, y)
-    a, b, c = build_lp(pair, event, y, assumptions)
-    cache_key = (
-        pair.treated_law.probs.tobytes()
-        + pair.control_law.probs.tobytes()
-        + assumptions.value.encode()
-    )
-    outcome = _solve_reduced(a, b, [-c, c], cache_key)
-    if outcome is None:
+    network = _feasible_base(pair, assumptions)
+    if network.deficit > INFEAS_TOL:
         if assumptions is Assumptions.MONOTONIC_INCREMENT:
             report = falsification_check(pair)
             if report.passed:
@@ -389,14 +383,14 @@ def pn_bounds_lp(
         raise LpInfeasibleError(
             f"feasible set is empty under {assumptions.value!r} for these marginals"
         )
-    (st_min, x_min, neg_min), (st_max, x_max, v_max) = outcome
-    if st_min != "optimal" or st_max != "optimal":  # polytope is bounded
-        raise LpError("bounds program reported unbounded; formulation is corrupt")
+    c = network.objective(event.coeffs, y)
+    low, x_low = network.solve(c)
+    neg_up, x_up = network.solve(-c)
     # clamped after the feasibility test; max(0.0, -0.0) is 0.0, never -0.0
     return BoundsResult(
-        lower=float(min(1.0, max(0.0, -neg_min / mass))),
-        upper=float(min(1.0, max(0.0, v_max / mass))),
+        lower=float(min(1.0, max(0.0, low / mass))),
+        upper=float(min(1.0, max(0.0, -neg_up / mass))),
         assumptions=assumptions,
         method=Method.LP,
-        witnesses=(_as_joint(x_min, pair.levels), _as_joint(x_max, pair.levels)),
+        witnesses=_Witnesses(network, (x_low, x_up)),
     )

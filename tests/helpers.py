@@ -23,7 +23,6 @@ from pnbounds import (
     randomized_margins,
 )
 from pnbounds.identify import BracketCheck, gap_sequence
-from pnbounds.lp import build_lp
 
 # Job-training study counts (experimental source and matched observational
 # source); the golden fixture for the whole suite.
@@ -117,37 +116,39 @@ def enumerate_vertices(
     """
     if pair.levels > 3:
         raise SamplingError("vertex enumeration is only supported for J <= 3")
-    a_full, b_full, _ = build_lp(pair, make_full_event(pair.levels), 0, assumptions)
-    mask = allowed_mask(assumptions, pair.levels).reshape(-1)
-    marginal_rows = 2 * pair.levels - 1
-    a = a_full[:marginal_rows][:, mask]
-    b = b_full[:marginal_rows]
+    levels = pair.levels
+    mask = allowed_mask(assumptions, levels)
+    rows, cols = np.nonzero(mask)
+    # the first J - 1 row sums, the first J - 1 column sums and the total
+    a = np.vstack(
+        [rows == k for k in range(levels - 1)]
+        + [cols == l for l in range(levels - 1)]
+        + [np.ones(rows.size, dtype=bool)]
+    ).astype(float)
+    b = np.concatenate(
+        (pair.treated_law.probs[:-1], pair.control_law.probs[:-1], [1.0])
+    )
     rank = np.linalg.matrix_rank(a)
     n = a.shape[1]
     vertices: list[np.ndarray] = []
     seen: set[tuple[int, ...]] = set()
-    for cols in combinations(range(n), rank):
-        sub = a[:, cols]
+    for subset in combinations(range(n), rank):
+        sub = a[:, subset]
         if np.linalg.matrix_rank(sub) < rank:
             continue
         sol, *_ = np.linalg.lstsq(sub, b, rcond=None)
         if np.abs(sub @ sol - b).max() > ATOL or sol.min() < -ATOL:
             continue
         x = np.zeros(n)
-        x[list(cols)] = sol
+        x[list(subset)] = sol
         key = tuple(np.round(x / ATOL).astype(np.int64))
         if key in seen:
             continue
         seen.add(key)
-        full = np.zeros(mask.size)
-        full[mask] = x
-        vertices.append(full.reshape(pair.levels, pair.levels))
+        full = np.zeros((levels, levels))
+        full[rows, cols] = x
+        vertices.append(full)
     return [JointProbabilityMatrix(entries=np.clip(v, 0.0, None)) for v in vertices]
-
-
-def make_full_event(levels: int) -> EventSpec:
-    """Whole-space event; handy as a placeholder objective."""
-    return EventSpec(coeffs=(1,) * levels, label="Y0 in full space")
 
 
 # --- the scalar closed forms: the reference for bounds.level_bounds -------------------

@@ -933,6 +933,16 @@ def test_counts_beyond_2_to_the_53_exit_two_naming_the_file(tmp_path, capsys, co
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("level", [10**30, 10**9, 1_000], ids=["1e30", "1e9", "1000"])
+def test_outcome_level_beyond_the_limit_exits_two_naming_the_line(tmp_path, capsys, level):
+    exp = tmp_path / "exp.csv"
+    exp.write_text(f"z,y,count\n0,0,1\n0,{level},3\n1,0,4\n1,1,5\n")
+    assert run(["--mode", "pc", "--exp", str(exp), "--all-canonical"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {exp}:3: outcome level exceeds 999\n"
+
+
 def test_stdout_json_when_no_out(capsys):
     code = main(["--exp", EXP, "--obs", OBS, "--event", "eq:2", "--evidence", "2",
                  "--assume", "incr"])

@@ -14,7 +14,13 @@ from pnbounds import (
     empirical_margin,
     randomized_margins,
 )
-from pnbounds.ingest import load_strata_json, load_table, load_table_csv, load_table_json
+from pnbounds.ingest import (
+    MAX_LEVEL,
+    load_strata_json,
+    load_table,
+    load_table_csv,
+    load_table_json,
+)
 from helpers import lalonde_tables
 
 
@@ -323,6 +329,14 @@ _OUT_OF_RANGE_TABLES = [
      f"{{path}}: bad counts layout: {_TOO_LARGE}"),
     ("digits.json", '{"counts": [[1' + "0" * 400 + ', 1, 2], [3, 4, 5]]}',
      "{path}: bad counts layout: int too large to convert to float"),
+    # without a level limit, 10**30 crashes numpy and 10**9 builds a 16 GB
+    # table that the count checks then read in full
+    ("level_1e30.csv", f"z,y,count\n0,0,1\n0,{10**30},3\n1,0,4\n1,1,5\n",
+     "{path}:3: outcome level exceeds 999"),
+    ("level_1e9.csv", f"z,y,count\n0,0,1\n1,0,4\n1,{10**9},5\n",
+     "{path}:4: outcome level exceeds 999"),
+    ("level_1000.csv", "z,y,count\n0,0,1\n0,1000,3\n1,0,4\n1,1,5\n",
+     "{path}:3: outcome level exceeds 999"),
 ]
 
 
@@ -335,6 +349,14 @@ def test_bad_counts_are_refused_with_their_message(tmp_path, name, text, message
         load_table(path, Source.EXPERIMENTAL)
     assert type(err.value) is DataFormatError
     assert str(err.value) == message.format(path=path)
+
+
+def test_outcome_level_at_the_limit_loads(tmp_path):
+    path = tmp_path / "top_level.csv"
+    path.write_text(f"z,y,count\n0,0,1\n0,{MAX_LEVEL},3\n1,0,4\n1,1,5\n")
+    table = load_table(path, Source.EXPERIMENTAL)
+    assert table.levels == MAX_LEVEL + 1 == 1_000
+    assert table.counts[0, MAX_LEVEL] == 3 and table.counts.sum() == 13
 
 
 def test_counts_below_2_to_the_53_load_exactly(tmp_path):

@@ -5,6 +5,7 @@ from pnbounds import (
     Assumptions,
     LpInfeasibleError,
     Method,
+    allowed_mask,
     falsification_check,
     make_event,
     monotone_consistent,
@@ -15,86 +16,103 @@ from pnbounds import (
     pn_point,
 )
 from pnbounds import lp
-from pnbounds.lp import _solve_reduced, build_lp
+from pnbounds.bounds import cell_bounds
+from pnbounds.core import ATOL
+from pnbounds.identify import pair_facts
+from pnbounds.lp import INFEAS_TOL, _Network
 from helpers import (
     arbitrary_pair,
     canonical_events,
+    enumerate_vertices,
     lalonde_pair,
     lower_triangular_pair,
     pair_from_laws,
+    staircase_joint,
     staircase_pair,
 )
 
 
-# --- program construction ------------------------------------------------------
+def network(pair, assumptions):
+    return _Network(
+        pair.treated_law.probs, pair.control_law.probs, allowed_mask(assumptions, pair.levels)
+    )
 
-def test_row_counts_per_assumption_level():
+
+# --- the transportation network --------------------------------------------------
+
+def test_arc_counts_per_assumption_level():
+    # one arc per allowed cell, in row-major order, and one per row and column
+    # to the root
     pair = lalonde_pair()
-    ev = make_event("noteq", 3, level=2)
-    a, _, _ = build_lp(pair, ev, 2, Assumptions.MARGINAL_ONLY)
-    assert a.shape == (5, 9)
-    a, _, _ = build_lp(pair, ev, 2, Assumptions.MONOTONICITY)
-    assert a.shape == (8, 9)
-    a, _, _ = build_lp(pair, ev, 2, Assumptions.MONOTONIC_INCREMENT)
-    assert a.shape == (9, 9)
+    for assumptions, cells in ((Assumptions.MARGINAL_ONLY, 9), (Assumptions.MONOTONICITY, 6),
+                               (Assumptions.MONOTONIC_INCREMENT, 5)):
+        net = network(pair, assumptions)
+        assert net.m == cells and net.tail.size == cells + 6
+        assert np.array_equal(np.nonzero(allowed_mask(assumptions, 3)), (net.rows, net.cols))
 
 
 def test_objective_marks_event_cells_in_evidence_row():
-    pair = lalonde_pair()
-    _, _, c = build_lp(pair, make_event("lt", 3, level=2), 2, Assumptions.MARGINAL_ONLY)
+    net = network(lalonde_pair(), Assumptions.MARGINAL_ONLY)
     expected = np.zeros(9)
     expected[6] = expected[7] = 1.0  # cells (2,0) and (2,1), row-major
-    assert np.array_equal(c, expected)
+    assert np.array_equal(net.objective(make_event("lt", 3, level=2).coeffs, 2), expected)
 
 
 # --- solver on hand-built programs ------------------------------------------------
 
-def maximize(a, b, c):
+def maximize(supply, demand, mask, c):
     """The one solve path of ``pn_bounds_lp``: None when infeasible, else
-    (status, point, value) for maximizing c . x over Ax = b, x >= 0."""
-    outcome = _solve_reduced(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
-                             [np.asarray(c, dtype=float)])
-    return None if outcome is None else outcome[0]
+    (value, point) for maximizing c over the allowed cells, point as a matrix."""
+    mask = np.asarray(mask, dtype=bool)
+    net = _Network(np.asarray(supply, dtype=float), np.asarray(demand, dtype=float), mask)
+    if net.deficit > INFEAS_TOL:
+        return None
+    value, x = net.solve(-np.asarray(c, dtype=float)[mask])
+    point = np.zeros(mask.shape)
+    point[mask] = x
+    return -value, point
 
 
 def test_solve_trivial_split():
-    status, point, value = maximize([[1.0, 1.0]], [1.0], [1.0, 0.0])
-    assert status == "optimal"
-    assert value == pytest.approx(1.0, abs=1e-12)
-    assert point == pytest.approx([1.0, 0.0], abs=1e-12)
+    value, point = maximize([0.5, 0.5], [0.5, 0.5], np.ones((2, 2)), [[1.0, 0.0], [0.0, 0.0]])
+    assert value == pytest.approx(0.5, abs=1e-12)
+    assert point == pytest.approx(np.array([[0.5, 0.0], [0.0, 0.5]]), abs=1e-12)
 
 
 def test_solve_min_sense():
-    # minimizing x0 is maximizing -x0
-    status, _, value = maximize([[1.0, 1.0]], [1.0], [-1.0, 0.0])
-    assert status == "optimal"
+    # minimizing x00 is maximizing -x00
+    value, _ = maximize([0.5, 0.5], [0.5, 0.5], np.ones((2, 2)), [[-1.0, 0.0], [0.0, 0.0]])
     assert -value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_solve_detects_infeasible():
-    assert maximize([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0], [1.0, 1.0]) is None
+    assert maximize([1.0, 0.0], [0.5, 0.5], np.eye(2), np.eye(2)) is None
 
 
-def test_solve_detects_unbounded():
-    status, _, _ = maximize([[1.0, -1.0]], [0.0], [1.0, 0.0])
-    assert status == "unbounded"
+def test_phase_one_routes_what_the_walk_leaves_at_the_root():
+    # the northwest walk finds only the diagonal forbidden and leaves half
+    # the mass at the root; phase one routes it over the anti-diagonal
+    value, point = maximize([0.5, 0.5], [0.5, 0.5], [[0, 1], [1, 0]], [[0.0, 1.0], [0.0, 0.0]])
+    assert value == pytest.approx(0.5, abs=1e-12)
+    assert point == pytest.approx(np.array([[0.0, 0.5], [0.5, 0.0]]), abs=1e-12)
 
 
 def test_optimal_point_satisfies_constraints():
     pair = lalonde_pair()
-    a, b, c = build_lp(pair, make_event("noteq", 3, level=2), 2, Assumptions.MONOTONICITY)
-    status, point, _ = maximize(a, b, c)
-    assert status == "optimal"
-    assert np.abs(a @ point - b).max() < 1e-8
-    assert point.min() >= -1e-9
+    mask = allowed_mask(Assumptions.MONOTONICITY, 3)
+    c = np.zeros((3, 3))
+    c[2, :2] = 1.0  # noteq:2 in evidence row 2
+    _, point = maximize(pair.treated_law.probs, pair.control_law.probs, mask, c)
+    assert np.abs(point.sum(axis=1) - pair.treated_law.probs).max() < 1e-8
+    assert np.abs(point.sum(axis=0) - pair.control_law.probs).max() < 1e-8
+    assert point.min() >= -1e-9 and np.all(point[~mask] == 0.0)
 
 
 def test_infeasible_marginals_rhs():
-    # column targets exceed the total-mass row: no matrix can satisfy both
+    # column targets exceed the row supplies: no matrix can satisfy both
     pair = lalonde_pair()
-    a, b, c = build_lp(pair, make_event("eq", 3, level=0), 2, Assumptions.MARGINAL_ONLY)
-    b[2] = 1.2  # first column sum forced above the grand total
-    assert maximize(a, b, c) is None
+    demand = pair.control_law.probs * 1.2
+    assert maximize(pair.treated_law.probs, demand, np.ones((3, 3)), np.eye(3)) is None
 
 
 # --- bounds through the LP ---------------------------------------------------------
@@ -188,32 +206,23 @@ def test_lp_witnesses_are_feasible_and_attain_endpoints():
 
 
 def test_solver_against_brute_force_vertex_search():
-    # random bounded equality programs: a total-mass row keeps the feasible
-    # set compact, so the optimum is attained at a basic solution and can be
-    # found by exhaustive column-subset enumeration
-    from itertools import combinations
-
+    # the optimum of a bounded program is attained at a vertex, and
+    # enumerate_vertices finds every vertex from the equality system alone
     rng = np.random.default_rng(59)
-    for _ in range(50):
-        n = int(rng.integers(3, 7))
-        extra = int(rng.integers(1, 3))
-        x0 = rng.random(n)
-        a = np.vstack([np.ones(n), rng.random((extra, n)) * (rng.random((extra, n)) < 0.7)])
-        b = a @ x0
-        c = rng.normal(size=n)
-        status, _, value = maximize(a, b, c)
-        assert status == "optimal"
-        rank = np.linalg.matrix_rank(a)
-        best = -np.inf
-        for cols in combinations(range(n), rank):
-            sub = a[:, cols]
-            if np.linalg.matrix_rank(sub) < rank:
+    builders = (arbitrary_pair, lower_triangular_pair, staircase_pair)
+    for trial in range(60):
+        levels = int(rng.integers(2, 4))
+        pair = builders[trial % 3](rng, levels)
+        for assumptions in Assumptions:
+            c = rng.normal(size=(levels, levels))
+            vertices = enumerate_vertices(pair, assumptions)
+            outcome = maximize(pair.treated_law.probs, pair.control_law.probs,
+                               allowed_mask(assumptions, levels), c)
+            if not vertices:
+                assert outcome is None
                 continue
-            xb, *_ = np.linalg.lstsq(sub, b, rcond=None)
-            if np.abs(sub @ xb - b).max() > 1e-9 or xb.min() < -1e-9:
-                continue
-            best = max(best, float(c[list(cols)] @ xb))
-        assert value == pytest.approx(best, abs=1e-8)
+            best = max(float((c * v.entries).sum()) for v in vertices)
+            assert outcome[0] == pytest.approx(best, abs=1e-8)
 
 
 def test_concurrent_lp_bounds_match_serial():
@@ -247,7 +256,7 @@ def test_infeasible_monotone_set_when_ordering_violated():
 
 
 def test_gap_just_below_the_band_is_refused_not_crashed():
-    # cumulative gap -5e-9: outside ATOL, inside the simplex's FEAS_TOL
+    # cumulative gap -5e-9: outside ATOL, inside the certificate's FEAS_TOL
     pair = pair_from_laws([0.5, 0.5], [0.5 - 5e-9, 0.5 + 5e-9])
     assert not monotone_consistent(pair)
     for y in (0, 1):
@@ -269,6 +278,12 @@ def test_gap_at_the_band_edge_gets_bounds_and_witnesses():
         for witness in result.witnesses:
             assert witness.entries.min() >= 0.0
             assert abs(witness.entries.sum() - 1.0) <= 1e-12
+    # row 0 has one allowed cell, so the margins put all of treated[0] in it
+    # however small it is: the gap's -5e-10 goes to another cell, not to a
+    # 1.25e-8 shortfall of the bound
+    pair = pair_from_laws([0.04, 0.96], [0.04 - 5e-10, 0.96 + 5e-10])
+    result = pn_bounds_lp(pair, make_event("eq", 2, level=0), 0, Assumptions.MONOTONICITY)
+    assert (result.lower, result.upper) == (1.0, 1.0)
 
 
 def test_bounds_stay_in_the_unit_interval_at_the_band():
@@ -291,6 +306,112 @@ def test_bounds_stay_in_the_unit_interval_at_the_band():
         for bound in (result.lower, result.upper):
             assert type(bound) is float
             assert np.copysign(1.0, bound) == 1.0
+
+
+# --- large and degenerate programs -------------------------------------------------
+
+def tied_staircase_pair(rng, levels):
+    """Staircase margins whose subdiagonal is empty at every other level, so
+    those cumulative gaps tie at zero."""
+    q = staircase_joint(rng, levels)
+    for k in range(2, levels, 2):
+        q[k, k - 1] = 0.0
+    q /= q.sum()
+    return pair_from_laws(q.sum(axis=1), q.sum(axis=0))
+
+
+def zero_level_pair(rng, levels):
+    """Staircase margins with an empty treated level and an empty control level."""
+    q = staircase_joint(rng, levels)
+    q[levels // 2] = 0.0
+    q[:, levels // 3] = 0.0
+    q /= q.sum()
+    return pair_from_laws(q.sum(axis=1), q.sum(axis=0))
+
+
+@pytest.mark.parametrize("builder,consistent,brackets", [
+    (lower_triangular_pair, True, False),
+    (staircase_pair, True, True),
+    (tied_staircase_pair, True, True),
+    (zero_level_pair, True, True),
+    (arbitrary_pair, False, False),
+], ids=["lower-triangular", "staircase", "tied", "zero-level", "arbitrary"])
+def test_thirty_levels_match_the_closed_forms_at_every_level(builder, consistent, brackets):
+    rng = np.random.default_rng(30)
+    levels = 30
+    pair = builder(rng, levels)
+    # mono is feasible exactly without a negative cut, incr exactly when the
+    # brackets pass
+    assert monotone_consistent(pair) is consistent
+    assert falsification_check(pair).passed is brackets
+    for y in (1, 9, 14, 15, 22, 29):
+        if pair.treated_law[y] <= ATOL:
+            continue
+        events = [make_event(kind, levels, level=level)
+                  for kind, level in (("noteq", y), ("eq", y), ("eq", y // 2), ("lt", y))]
+        events += [make_event("custom", levels, coeffs=rng.integers(0, 2, levels).tolist())
+                   for _ in range(2)]
+        for event in events:
+            lp_res = pn_bounds_lp(pair, event, y, Assumptions.MARGINAL_ONLY)
+            cf = pn_bounds_marginal(pair, event, y)
+            assert (lp_res.lower, lp_res.upper) == pytest.approx((cf.lower, cf.upper), abs=1e-8)
+            if consistent:
+                lp_res = pn_bounds_lp(pair, event, y, Assumptions.MONOTONICITY)
+                cf = pn_bounds_monotone(pair, event, y)
+                assert (lp_res.lower, lp_res.upper) == pytest.approx((cf.lower, cf.upper), abs=1e-8)
+            else:
+                with pytest.raises(LpInfeasibleError):
+                    pn_bounds_lp(pair, event, y, Assumptions.MONOTONICITY)
+            if brackets:
+                lp_res = pn_bounds_lp(pair, event, y, Assumptions.MONOTONIC_INCREMENT)
+                assert lp_res.width <= 1e-8
+                assert lp_res.midpoint == pytest.approx(pn_point(pair, event, y), abs=1e-8)
+            else:
+                with pytest.raises(LpInfeasibleError):
+                    pn_bounds_lp(pair, event, y, Assumptions.MONOTONIC_INCREMENT)
+
+
+def strongly_feasible(net):
+    """Every tree arc without flow points away from the root."""
+    return all(net.flow[net.pred[x]] > 0.0 or not net.up[x] for x in range(len(net.parent) - 1))
+
+
+@pytest.mark.parametrize("levels", [10, 15, 20])
+def test_degenerate_programs_end_on_strongly_feasible_certified_trees(levels, monkeypatch):
+    # equal and blockwise-tied margins tie the walk's row and column at every
+    # step, so most tree arcs carry no flow and most pivots move nothing
+    uniform = np.full(levels, 1.0 / levels)
+    blocks = np.repeat([3.0, 1.0], [levels // 2, levels - levels // 2])
+    blocks /= blocks.sum()
+    pairs = [pair_from_laws(uniform, uniform), pair_from_laws(blocks, blocks),
+             pair_from_laws(blocks, blocks[::-1])]
+    runs = []
+    run = _Network.run
+
+    def checked_run(self, cost, priced):
+        run(self, cost, priced)
+        runs.append(strongly_feasible(self))
+
+    monkeypatch.setattr(_Network, "run", checked_run)
+    lp._BASE_CACHE.clear()
+    for pair in pairs:
+        refused = {Assumptions.MARGINAL_ONLY: False,
+                   Assumptions.MONOTONICITY: not monotone_consistent(pair),
+                   Assumptions.MONOTONIC_INCREMENT: not falsification_check(pair).passed}
+        for y in range(levels):
+            for event in canonical_events(levels, y):
+                # a breakdown, the iteration limit or a failed certificate
+                # raises LpError; only the refusal of an empty set may
+                for assumptions in Assumptions:
+                    if refused[assumptions]:
+                        with pytest.raises(LpInfeasibleError):
+                            pn_bounds_lp(pair, event, y, assumptions)
+                        continue
+                    lp_res = pn_bounds_lp(pair, event, y, assumptions)
+                    cf = cell_bounds(pair_facts(pair), event, y, assumptions)
+                    assert lp_res.lower == pytest.approx(cf.lower, abs=1e-8)
+                    assert lp_res.upper == pytest.approx(cf.upper, abs=1e-8)
+    assert runs and all(runs)
 
 
 # --- the phase-one cache ----------------------------------------------------------
@@ -335,12 +456,13 @@ def test_an_infeasible_polytope_stays_infeasible_from_the_cache(monkeypatch):
     lp._BASE_CACHE.clear()
     cold = [lp_outcome(pair, event, y, a) for y, a in cells]
     assert all(isinstance(outcome, str) for outcome in cold)
-    assert list(lp._BASE_CACHE.values()) == [None, None]
+    assert len(lp._BASE_CACHE) == 2
+    assert all(net.deficit > INFEAS_TOL for net in lp._BASE_CACHE.values())
 
     def uncached(*args):
         raise AssertionError("the cached answer was not used")
 
-    monkeypatch.setattr(lp, "_presolve", uncached)
+    monkeypatch.setattr(lp, "_Network", uncached)
     assert [lp_outcome(pair, event, y, a) for y, a in cells] == cold
 
 
