@@ -23,12 +23,12 @@ from . import bounds as bounds_mod
 from . import identify as identify_mod
 from . import ingest, oracle
 from .core import (
+    ATOL,
     Assumptions,
     CausalAttributionError,
     EventSpec,
     MarginalPair,
     ZeroEvidenceError,
-    evidence_mass,
     make_event,
 )
 from .lp import LpInfeasibleError, pn_bounds_lp
@@ -172,6 +172,8 @@ def _validate(cfg: AnalysisConfig) -> None:
         raise _UsageError("give --event (repeatable) or --all-canonical")
     if cfg.samples < 1:
         raise _UsageError("--samples must be at least 1")
+    if cfg.verify and cfg.seed < 0:  # without --verify the seed is only echoed
+        raise _UsageError("--seed must be nonnegative with --verify")
 
 
 def load_marginals(cfg: AnalysisConfig) -> tuple[MarginalPair, dict[str, Any]]:
@@ -277,22 +279,13 @@ def run_analysis(
         "seed": cfg.seed,
         "cells": [],
     }
-    specs = dict.fromkeys(spec for spec, _ in grid)
-    events = {spec: parse_event(spec, levels) for spec in specs}
+    events = {spec: parse_event(spec, levels) for spec in dict.fromkeys(spec for spec, _ in grid)}
     rows = (np.array([events[spec].coeffs for spec, _ in grid]), np.array([y for _, y in grid]))
-    zero = {}
-    for y in evidence:
-        try:
-            evidence_mass(pair, y)
-        except ZeroEvidenceError as exc:
-            zero[y] = {"kind": "refused", "note": str(exc), "method": "none"}
-    by_level = [(assumptions.value, _level_cells(facts, grid, events, rows, zero, assumptions))
+    treated = pair.treated_law.probs.tolist()
+    zero = {y: str(ZeroEvidenceError.at_level(y)) for y in evidence if treated[y] <= ATOL}
+    by_level = [_level_cells(facts, grid, events, rows, zero, assumptions)
                 for assumptions in _assumption_list(cfg.assume)]
-    report["cells"] = [
-        {"event": spec, "label": events[spec].label, "evidence": y, "assumptions": value,
-         **fields[i]}
-        for i, (spec, y) in enumerate(grid) for value, fields in by_level
-    ]
+    report["cells"] = [cell for cells in zip(*by_level) for cell in cells]
     return report
 
 
@@ -301,44 +294,60 @@ def _level_cells(
     grid: list[tuple[str, int]],
     events: dict[str, EventSpec],
     rows: tuple[np.ndarray, np.ndarray],
-    zero: dict[int, dict[str, str]],
+    zero: dict[int, str],
     assumptions: Assumptions,
 ) -> list[dict[str, Any]]:
-    """The result fields of one assumption level's cells, in grid order.
+    """The report cells of one assumption level, in grid order.
 
     ``rows`` holds the grid's event coefficients and evidence levels, and
-    ``zero`` the refusal of each evidence level without treated mass.  A
-    ``mono`` level on monotone-inconsistent data is refused before the
+    ``zero`` the refusal note of each evidence level without treated mass.
+    A ``mono`` level on monotone-inconsistent data is refused before the
     evidence is checked; zero evidence comes before the ``incr`` refusal.
     Whether the ``incr`` polytope is empty does not depend on the event, so
-    the first refused cell asks the LP and the others share its answer.
-    The cells with an estimate take one ``bounds.level_bounds`` call.
+    the first cell with evidence asks the LP and the others share its
+    answer.  The cells with an estimate take one ``bounds.level_bounds``
+    call.  Each cell is built once, its keys in report order.
     """
+    assume = assumptions.value
     if assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
-        refusal = {"kind": "refused", "note": facts.mono_refusal, "method": "closed-form"}
-        return [refusal] * len(grid)
-    fields = [zero.get(y) for _, y in grid]
-    estimates = [i for i, refusal in enumerate(fields) if refusal is None]
-    if not estimates:
-        return fields
+        note = facts.mono_refusal
+        return [{"event": s, "label": events[s].label, "evidence": y, "assumptions": assume,
+                 "kind": "refused", "note": note, "method": "closed-form"} for s, y in grid]
     if assumptions is Assumptions.MONOTONIC_INCREMENT and not facts.brackets.passed:
-        spec, y = grid[estimates[0]]
-        try:
-            pn_bounds_lp(facts.pair, events[spec], y, assumptions)
-            cross_check = "feasible (inconsistent)"  # a bug: the brackets failed
-        except LpInfeasibleError:
-            cross_check = "infeasible"
-        refusal = {"kind": "refused", "note": str(identify_mod.FalsificationError(facts.brackets)),
-                   "method": "point-identification", "lp_cross_check": cross_check}
-        return [refusal if f is None else f for f in fields]
-    lower, upper = bounds_mod.level_bounds(facts, *(a[estimates] for a in rows), assumptions)
-    if assumptions is Assumptions.MONOTONIC_INCREMENT:
-        for i, value in zip(estimates, lower.tolist()):
-            fields[i] = {"kind": "point", "value": value, "method": "point-identification"}
+        cross_check = None
+        first = next(((spec, y) for spec, y in grid if y not in zero), None)
+        if first is not None:
+            spec, y = first
+            try:
+                pn_bounds_lp(facts.pair, events[spec], y, assumptions)
+                cross_check = "feasible (inconsistent)"  # a bug: the brackets failed
+            except LpInfeasibleError:
+                cross_check = "infeasible"
+        note = str(identify_mod.FalsificationError(facts.brackets))
+        cells = [{"event": s, "label": events[s].label, "evidence": y, "assumptions": assume,
+                  "kind": "refused", "note": note, "method": "point-identification",
+                  "lp_cross_check": cross_check} for s, y in grid]
     else:
-        for i, lo, up in zip(estimates, lower.tolist(), upper.tolist()):
-            fields[i] = {"kind": "interval", "lower": lo, "upper": up, "method": "closed-form"}
-    return fields
+        # the rows with evidence (the others are refused below); a slice copies nothing
+        keep = [y not in zero for _, y in grid] if zero else slice(None)
+        lower, upper = np.zeros((2, len(grid)))
+        lower[keep], upper[keep] = bounds_mod.level_bounds(
+            facts, *(r[keep] for r in rows), assumptions)
+        if assumptions is Assumptions.MONOTONIC_INCREMENT:
+            cells = [{"event": s, "label": events[s].label, "evidence": y, "assumptions": assume,
+                      "kind": "point", "value": v, "method": "point-identification"}
+                     for (s, y), v in zip(grid, lower.tolist())]
+        else:
+            cells = [{"event": s, "label": events[s].label, "evidence": y, "assumptions": assume,
+                      "kind": "interval", "lower": lo, "upper": up, "method": "closed-form"}
+                     for (s, y), lo, up in zip(grid, lower.tolist(), upper.tolist())]
+    if zero:
+        for i, (s, y) in enumerate(grid):
+            if y in zero:
+                cells[i] = {"event": s, "label": events[s].label, "evidence": y,
+                            "assumptions": assume, "kind": "refused", "note": zero[y],
+                            "method": "none"}
+    return cells
 
 
 def verify_report(
@@ -417,13 +426,14 @@ def _verify_level(
 
 #: Exact types that the C encoder writes as ``json.dumps`` does
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+_encode_str = json.encoder.encode_basestring_ascii  # keys and values alike
 
 
 @functools.cache
 def _layout(indent: str) -> tuple[str, str, Any]:
     inner = indent + "  "
     encode = json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, json.JSONEncoder().default, _encode_str,
         None, ": ", "," + inner, False, False, True,
     )
     return inner, "," + inner, encode
@@ -459,8 +469,9 @@ def _dumps(obj: Any, indent: str = "\n") -> str:
         body = start + fields + records + inner + end
     else:
         items = [_dumps(v, inner) for v in values]
-        if is_dict:  # '{"key": 0}' -> '"key": '
-            items = ["".join(encode({k: 0}, 0))[1:-2] + v for k, v in zip(obj, items)]
+        if is_dict:  # a str key as the encoder writes it; others via '{key: 0}' -> '"key": '
+            items = [_encode_str(k) + ": " + v if type(k) is str
+                     else "".join(encode({k: 0}, 0))[1:-2] + v for k, v in zip(obj, items)]
         body = separator.join(items)
     brackets = "{}" if is_dict else "[]"
     return brackets[0] + inner + body + indent + brackets[1]

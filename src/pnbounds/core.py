@@ -42,6 +42,11 @@ class ZeroEvidenceError(CausalAttributionError):
     Raised explicitly instead of returning NaN or silently producing 0.
     """
 
+    @classmethod
+    def at_level(cls, y: int) -> "ZeroEvidenceError":
+        """The refusal of evidence level y, which has no treated mass."""
+        return cls(f"treated outcome level {y} has zero probability")
+
 
 class Conditioning(Enum):
     """Conditioning set on which both marginal laws live."""
@@ -70,26 +75,24 @@ class Assumptions(Enum):
 
 
 def fixed_zero_cells(assumptions: Assumptions, levels: int) -> list[tuple[int, int]]:
-    """Cells (k, l) of the joint matrix pinned to zero by the assumption level.
+    """Cells (k, l) of the joint matrix pinned to zero by the assumption level,
+    in row-major order.
 
     MONOTONICITY forbids k < l; MONOTONIC_INCREMENT forbids k < l and
     k > l + 1.  MARGINAL_ONLY pins nothing.
     """
-    cells: list[tuple[int, int]] = []
-    if assumptions is Assumptions.MARGINAL_ONLY:
-        return cells
-    for k in range(levels):
-        for l in range(levels):
-            if k < l or (assumptions is Assumptions.MONOTONIC_INCREMENT and k > l + 1):
-                cells.append((k, l))
-    return cells
+    return list(zip(*(a.tolist() for a in np.nonzero(~allowed_mask(assumptions, levels)))))
 
 
 def allowed_mask(assumptions: Assumptions, levels: int) -> np.ndarray:
     """Boolean (levels, levels) mask of cells not pinned to zero."""
-    mask = np.ones((levels, levels), dtype=bool)
-    for k, l in fixed_zero_cells(assumptions, levels):
-        mask[k, l] = False
+    if assumptions is Assumptions.MARGINAL_ONLY:
+        return np.ones((levels, levels), dtype=bool)
+    if assumptions is Assumptions.MONOTONICITY:
+        return np.tri(levels, dtype=bool)  # k >= l
+    mask = np.zeros((levels, levels), dtype=bool)  # k = l and k = l + 1: two diagonals
+    mask.flat[:: levels + 1] = True
+    mask.flat[levels :: levels + 1] = True
     return mask
 
 
@@ -283,14 +286,15 @@ def make_event(
         raise EventSpecError(f"unknown event kind {kind!r}")
     if level is None or not (0 <= level < levels):
         raise EventSpecError(f"event level {level} out of range for {levels} levels")
+    rest = levels - level - 1
     if kind == "noteq":
-        bits = tuple(0 if l == level else 1 for l in range(levels))
+        bits = (1,) * level + (0,) + (1,) * rest
         label = f"Y0 != {level}"
     elif kind == "eq":
-        bits = tuple(1 if l == level else 0 for l in range(levels))
+        bits = (0,) * level + (1,) + (0,) * rest
         label = f"Y0 = {level}"
     else:  # lt
-        bits = tuple(1 if l < level else 0 for l in range(levels))
+        bits = (1,) * level + (0,) * (levels - level)
         label = f"Y0 < {level}"
     return EventSpec(coeffs=bits, label=label)
 
@@ -316,7 +320,7 @@ def evidence_mass(pair: MarginalPair, ys: int | np.ndarray) -> np.ndarray:
     zero = np.flatnonzero(mass <= ATOL)
     if zero.size:
         y = np.atleast_1d(ys)[zero[0]]
-        raise ZeroEvidenceError(f"treated outcome level {y} has zero probability")
+        raise ZeroEvidenceError.at_level(y)
     return mass
 
 

@@ -30,10 +30,10 @@ from .core import (
 
 #: Largest count accepted: exact in a float, and any larger integer reads as >= 2**53.
 MAX_COUNT = 2**53 - 1
-#: Largest outcome level a CSV line may name.  A level is a column of the
-#: dense 2 x J table and of the J x J joints every engine builds, so one short
-#: line could otherwise ask for any J; 1,000 levels is far beyond an ordinal
-#: scale and keeps a joint at 8 MB.
+#: Largest outcome level a table may have, whatever its format.  A level is a
+#: column of the dense 2 x J table and of the J x J joints every engine builds,
+#: so one short CSV line or JSON row could otherwise ask for any J; 1,000
+#: levels is far beyond an ordinal scale and keeps a joint at 8 MB.
 MAX_LEVEL = 999
 
 
@@ -70,6 +70,8 @@ class ContingencyTable:
         counts = np.asarray(self.counts, dtype=float)
         if counts.ndim != 2 or counts.shape[0] != 2 or counts.shape[1] < 2:
             raise DataFormatError(f"need a 2 x J table with J >= 2, got {counts.shape}")
+        if counts.shape[1] > MAX_LEVEL + 1:
+            raise DataFormatError(f"outcome level {counts.shape[1] - 1} exceeds {MAX_LEVEL}")
         # NaN is not >= 0; +inf passes as an integer, then exceeds MAX_COUNT
         if not counts.min() >= 0 or (counts != np.floor(counts)).any():
             raise DataFormatError("counts must be nonnegative integers")
@@ -182,14 +184,15 @@ def counterfactual_margin_unconfounded(strata: StratifiedTable) -> MarginalPair:
     treated_totals = []
     control_laws = []
     for name, table in strata.strata:
+        arms = table.counts.sum(axis=1).tolist()  # each arm's sum, as arm_total takes it
         for z in (0, 1):
-            if table.arm_total(z) <= 0:
+            if arms[z] <= 0:
                 raise EmptyArmError(
                     f"stratum {name!r} has no units with z={z} (overlap violated)"
                 )
         treated_counts += table.counts[1]
-        treated_totals.append(table.arm_total(1))
-        control_laws.append(empirical_margin(table, 0).probs)
+        treated_totals.append(arms[1])
+        control_laws.append(table.counts[0] / arms[0])  # empirical_margin(table, 0)
     weights = np.asarray(treated_totals) / sum(treated_totals)
     for w, law in zip(weights, control_laws):
         control += w * law

@@ -13,16 +13,22 @@ from pnbounds import (
     ContingencyTable,
     EventSpec,
     JointProbabilityMatrix,
+    LpInfeasibleError,
     MarginalPair,
     OrdinalDistribution,
     SamplingError,
     Source,
+    ZeroEvidenceError,
     allowed_mask,
     counterfactual_margin_experimental,
     make_event,
+    pn_bounds_lp,
     randomized_margins,
 )
-from pnbounds.identify import BracketCheck, gap_sequence
+from pnbounds import bounds as bounds_mod
+from pnbounds.cli import _assumption_list, canonical_event_specs, parse_event
+from pnbounds.core import evidence_mass
+from pnbounds.identify import BracketCheck, FalsificationError, gap_sequence
 
 # Job-training study counts (experimental source and matched observational
 # source); the golden fixture for the whole suite.
@@ -253,3 +259,90 @@ def scalar_brackets(pair: MarginalPair) -> tuple[tuple[BracketCheck, ...], str |
     bad = ", ".join(f"k={c.k}: gap {c.gap:.6g}" for c in checks if c.gap < -ATOL)
     note = "monotonicity falsified by the data: negative cumulative gap at " + bad
     return tuple(checks), note if bad else None
+
+
+# --- the loop forms: the references for make_event, fixed_zero_cells and allowed_mask ---
+
+def loop_event_bits(kind: str, levels: int, level: int) -> tuple[int, ...]:
+    """A named family's coefficients, one level at a time."""
+    if kind == "noteq":
+        return tuple(0 if l == level else 1 for l in range(levels))
+    if kind == "eq":
+        return tuple(1 if l == level else 0 for l in range(levels))
+    return tuple(1 if l < level else 0 for l in range(levels))  # lt
+
+
+def loop_fixed_zero_cells(assumptions: Assumptions, levels: int) -> list[tuple[int, int]]:
+    """The pinned cells by a double loop over the J x J cells, row-major."""
+    cells: list[tuple[int, int]] = []
+    if assumptions is Assumptions.MARGINAL_ONLY:
+        return cells
+    for k in range(levels):
+        for l in range(levels):
+            if k < l or (assumptions is Assumptions.MONOTONIC_INCREMENT and k > l + 1):
+                cells.append((k, l))
+    return cells
+
+
+def loop_allowed_mask(assumptions: Assumptions, levels: int) -> np.ndarray:
+    mask = np.ones((levels, levels), dtype=bool)
+    for k, l in loop_fixed_zero_cells(assumptions, levels):
+        mask[k, l] = False
+    return mask
+
+
+# --- the per-level field dicts and their merge: the reference for cli.run_analysis -------
+
+def merged_report_cells(cfg, facts) -> list[dict]:
+    """A report's cells as result fields per assumption level, one
+    ``evidence_mass`` call per evidence level, merged into each cell's keys."""
+    pair = facts.pair
+    levels = pair.levels
+    evidence = cfg.evidence or list(range(1, levels))
+    if cfg.all_canonical:
+        grid = [(spec, y) for y in evidence for spec in canonical_event_specs(levels, y)]
+    else:
+        grid = [(spec, y) for y in evidence for spec in cfg.events]
+    specs = dict.fromkeys(spec for spec, _ in grid)
+    events = {spec: parse_event(spec, levels) for spec in specs}
+    rows = (np.array([events[spec].coeffs for spec, _ in grid]), np.array([y for _, y in grid]))
+    zero = {}
+    for y in evidence:
+        try:
+            evidence_mass(pair, y)
+        except ZeroEvidenceError as exc:
+            zero[y] = {"kind": "refused", "note": str(exc), "method": "none"}
+
+    def level_fields(assumptions):
+        if assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
+            refusal = {"kind": "refused", "note": facts.mono_refusal, "method": "closed-form"}
+            return [refusal] * len(grid)
+        fields = [zero.get(y) for _, y in grid]
+        estimates = [i for i, refusal in enumerate(fields) if refusal is None]
+        if not estimates:
+            return fields
+        if assumptions is Assumptions.MONOTONIC_INCREMENT and not facts.brackets.passed:
+            spec, y = grid[estimates[0]]
+            try:
+                pn_bounds_lp(facts.pair, events[spec], y, assumptions)
+                cross_check = "feasible (inconsistent)"
+            except LpInfeasibleError:
+                cross_check = "infeasible"
+            refusal = {"kind": "refused", "note": str(FalsificationError(facts.brackets)),
+                       "method": "point-identification", "lp_cross_check": cross_check}
+            return [refusal if f is None else f for f in fields]
+        lower, upper = bounds_mod.level_bounds(facts, *(a[estimates] for a in rows), assumptions)
+        if assumptions is Assumptions.MONOTONIC_INCREMENT:
+            for i, value in zip(estimates, lower.tolist()):
+                fields[i] = {"kind": "point", "value": value, "method": "point-identification"}
+        else:
+            for i, lo, up in zip(estimates, lower.tolist(), upper.tolist()):
+                fields[i] = {"kind": "interval", "lower": lo, "upper": up, "method": "closed-form"}
+        return fields
+
+    by_level = [(a.value, level_fields(a)) for a in _assumption_list(cfg.assume)]
+    return [
+        {"event": spec, "label": events[spec].label, "evidence": y, "assumptions": value,
+         **fields[i]}
+        for i, (spec, y) in enumerate(grid) for value, fields in by_level
+    ]

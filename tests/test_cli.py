@@ -35,7 +35,7 @@ from pnbounds.cli import (
     run_analysis,
     verify_report,
 )
-from helpers import lalonde_pair
+from helpers import lalonde_pair, merged_report_cells
 
 DATA = Path(__file__).parent / "data"
 EXP = str(DATA / "lalonde_experimental.csv")
@@ -284,6 +284,15 @@ def test_dumps_encodes_record_lists_like_json_dumps_with_indent_2(records):
     assert _dumps(records) == json.dumps(records, indent=2)
 
 
+@pytest.mark.parametrize("key", [0, -7, 10**40, 1.5, -0.0, float("nan"), float("inf"),
+                                 np.float64(2.5), True, False, None, "k", "\u00e9\n\"", ""],
+                         ids=repr)
+def test_dumps_writes_keys_of_every_scalar_type_like_json_dumps(key):
+    # values that are neither scalars nor records, so each dict is walked key by key
+    tree = {key: [[1], {"a": [2]}], "z": {key: [[3], {key: [4]}]}, 5: {"b": [[], {}]}}
+    assert _dumps(tree) == json.dumps(tree, indent=2)
+
+
 def test_verify_report_encodes_like_json_dumps():
     cfg = AnalysisConfig(exp=EXP, obs=OBS, all_canonical=True, verify=True, samples=2000)
     pair, provenance = load_marginals(cfg)
@@ -423,6 +432,48 @@ def test_report_cells_equal_per_cell_library_calls(tmp_path):
         ("mono", "refused", "closed-form"),
         ("mono", "refused", "none"),
     }
+
+
+def test_report_cells_equal_the_merged_per_level_fields(tmp_path):
+    """Every cell's keys, their order and their values' repr (so -0.0 and the
+    last bit count) equal the per-level field dicts merged into each cell."""
+    rng = np.random.default_rng(15)
+    seen = set()
+    for levels in range(3, 9):
+        for cls in ("staircase", "lowertri", "inconsistent", "zerolevel"):
+            q = _class_counts(rng, cls, levels)
+            for cfg in _route_configs(tmp_path, f"{cls}{levels}", q, rng):
+                bits = ["".join(map(str, rng.integers(0, 2, levels))) for _ in range(3)]
+                evidence = sorted(rng.choice(levels, int(rng.integers(1, 4)), replace=False))
+                custom = replace(cfg, all_canonical=False, evidence=[int(y) for y in evidence],
+                                 events=[f"custom:{b}" for b in bits] + ["eq:0", f"lt:{levels - 1}"])
+                runs = [cfg, custom, replace(custom, assume=str(rng.choice(
+                    ["marginal", "mono", "incr"])))]
+                if cls == "zerolevel":  # no evidence level with treated mass: no rows to bound
+                    runs.append(replace(cfg, evidence=np.flatnonzero(q.sum(axis=1) == 0).tolist()))
+                for run_cfg in runs:
+                    pair, provenance = load_marginals(run_cfg)
+                    facts = pair_facts(pair)
+                    cells = run_analysis(run_cfg, (facts, provenance))["cells"]
+                    expected = merged_report_cells(run_cfg, facts)
+                    assert [repr(list(c.items())) for c in cells] == [
+                        repr(list(c.items())) for c in expected]
+                    seen.update((c["assumptions"], c["kind"], c["method"],
+                                 c.get("lp_cross_check"), c["event"][:6]) for c in cells)
+    kinds = {s[:3] for s in seen}
+    assert kinds == {  # every branch of the report was taken
+        ("incr", "point", "point-identification"),
+        ("incr", "refused", "point-identification"),
+        ("incr", "refused", "none"),
+        ("marginal", "interval", "closed-form"),
+        ("marginal", "refused", "none"),
+        ("mono", "interval", "closed-form"),
+        ("mono", "refused", "closed-form"),
+        ("mono", "refused", "none"),
+    }
+    assert ("incr", "refused", "point-identification", "infeasible", "custom") in seen
+    assert {s[0] for s in seen if s[4] == "custom" and s[1] != "refused"} == {
+        "incr", "marginal", "mono"}
 
 
 def test_pc_bounds_equal_the_pc_report_cells(tmp_path):
@@ -941,6 +992,36 @@ def test_outcome_level_beyond_the_limit_exits_two_naming_the_line(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {exp}:3: outcome level exceeds 999\n"
+
+
+@pytest.mark.parametrize("kind", ["table", "strata"])
+def test_tables_beyond_the_level_limit_exit_two_naming_the_file(tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.json"
+    counts = [[1] * 1_200, [2] * 1_200]
+    if kind == "table":
+        path.write_text(json.dumps({"counts": counts}))
+        argv, message = ["--mode", "pc", "--exp", str(path)], "bad counts layout"
+    else:
+        path.write_text(json.dumps([{"id": "s", "counts": counts}]))
+        argv, message = ["--route", "unconfounded", "--strata", str(path)], "stratum 's'"
+    assert run(argv + ["--event", "eq:1", "--evidence", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}: outcome level 1199 exceeds 999\n"
+
+
+def test_a_negative_seed_is_a_usage_error_only_with_verify(tmp_path, capsys):
+    refusal = "error: --seed must be nonnegative with --verify\n"
+    base = ["--exp", EXP, "--obs", OBS, "--all-canonical"]
+    assert run(base + ["--verify", "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", refusal)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1, "verify": True}))
+    assert run(["--config", str(cfg)] + base) == 1
+    assert capsys.readouterr() == ("", refusal)
+    # without --verify the seed is only echoed
+    assert run(base + ["--seed", "-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == -1
 
 
 def test_stdout_json_when_no_out(capsys):

@@ -18,7 +18,7 @@ from pnbounds import (
     make_event,
     pn_from_joint,
 )
-from helpers import pair_from_laws
+from helpers import loop_allowed_mask, loop_event_bits, loop_fixed_zero_cells, pair_from_laws
 
 from pnbounds.identify import gap_sequence
 
@@ -244,6 +244,24 @@ def test_allowed_mask_is_complement_of_zero_pattern():
     mask = allowed_mask(Assumptions.MONOTONIC_INCREMENT, 4)
     assert mask.sum() == 7  # diagonal + subdiagonal
     assert mask[1, 0] and mask[2, 2] and not mask[0, 1] and not mask[3, 0]
+
+
+def test_named_events_and_zero_patterns_equal_their_loop_forms():
+    labels = {"noteq": "Y0 != {}", "eq": "Y0 = {}", "lt": "Y0 < {}"}
+    for levels in range(2, 31):
+        for kind, label in labels.items():
+            for level in range(levels):
+                event = make_event(kind, levels, level=level)
+                assert event.coeffs == loop_event_bits(kind, levels, level)
+                assert set(map(type, event.coeffs)) == {int}
+                assert event.label == label.format(level)
+        for assumptions in Assumptions:
+            cells = fixed_zero_cells(assumptions, levels)
+            assert cells == loop_fixed_zero_cells(assumptions, levels)  # row-major
+            assert all(type(k) is int and type(l) is int for k, l in cells)
+            mask = allowed_mask(assumptions, levels)
+            assert mask.dtype == bool and mask.flags.writeable
+            assert np.array_equal(mask, loop_allowed_mask(assumptions, levels))
 
 
 # --- package surface ------------------------------------------------------------

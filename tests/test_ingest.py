@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -381,3 +383,31 @@ def test_bad_strata_counts_name_the_file_and_stratum(tmp_path, counts, message):
     with pytest.raises(DataFormatError) as err:
         load_strata_json(path)
     assert str(err.value) == f"{path}: stratum 's': {message}"
+
+
+def _wide_counts(levels):
+    return [[1] * levels, [2] * levels]
+
+
+def test_json_and_strata_tables_beyond_the_level_limit_are_refused_naming_the_file(tmp_path):
+    table = tmp_path / "wide.json"
+    table.write_text(json.dumps({"counts": _wide_counts(1_200)}))
+    with pytest.raises(DataFormatError) as err:
+        load_table(table, Source.EXPERIMENTAL)
+    assert str(err.value) == f"{table}: bad counts layout: outcome level 1199 exceeds 999"
+    strata = tmp_path / "strata.json"
+    strata.write_text(json.dumps([{"id": "s", "counts": _wide_counts(1_200)}]))
+    with pytest.raises(DataFormatError) as err:
+        load_strata_json(strata)
+    assert str(err.value) == f"{strata}: stratum 's': outcome level 1199 exceeds 999"
+    with pytest.raises(DataFormatError, match="outcome level 1000 exceeds 999"):
+        ContingencyTable(counts=_wide_counts(MAX_LEVEL + 2), source=Source.OBSERVATIONAL)
+
+
+def test_json_and_strata_tables_at_the_level_limit_load(tmp_path):
+    table = tmp_path / "top.json"
+    table.write_text(json.dumps({"counts": _wide_counts(MAX_LEVEL + 1)}))
+    assert load_table(table, Source.EXPERIMENTAL).levels == 1_000
+    strata = tmp_path / "strata.json"
+    strata.write_text(json.dumps([{"id": "s", "counts": _wide_counts(MAX_LEVEL + 1)}]))
+    assert load_strata_json(strata).levels == 1_000
