@@ -21,14 +21,12 @@ from .core import (
     Conditioning,
     EventSpec,
     EventSpecError,
-    GapSequence,
     InvalidDistributionError,
     JointProbabilityMatrix,
     MarginalPair,
     OrdinalDistribution,
     ZeroEvidenceError,
     allowed_mask,
-    fixed_zero_cells,
     make_event,
     pn_from_joint,
 )
@@ -43,7 +41,6 @@ from .identify import (
 from .ingest import (
     ContingencyTable,
     DataFormatError,
-    EmptyArmError,
     IncompatibleSourcesError,
     Source,
     StratifiedTable,
@@ -75,12 +72,10 @@ __all__ = [
     "ConstructionError",
     "ContingencyTable",
     "DataFormatError",
-    "EmptyArmError",
     "EventSpec",
     "EventSpecError",
     "FalsificationError",
     "FalsificationReport",
-    "GapSequence",
     "IncompatibleSourcesError",
     "InvalidDistributionError",
     "JointProbabilityMatrix",
@@ -102,7 +97,6 @@ __all__ = [
     "endpoint_witnesses",
     "draw_samples",
     "falsification_check",
-    "fixed_zero_cells",
     "gap_sequence",
     "identify_joint",
     "load_strata_json",

@@ -209,7 +209,7 @@ def _monotone(facts: PairFacts, coeffs: np.ndarray, ys: np.ndarray, mass: np.nda
         reason = f"{general.sum()} cells outside the families: {facts.mono_refusal}"
         raise UnsupportedEventError(reason)
     control = facts.pair.control_law.probs
-    gaps = facts.gaps.gaps
+    gaps = facts.gaps
     lower = certain.astype(float)
     upper = lower.copy()
     if noteq.any():
@@ -244,13 +244,6 @@ def _monotone(facts: PairFacts, coeffs: np.ndarray, ys: np.ndarray, mass: np.nda
 
 
 def monotone_consistent(pair: MarginalPair) -> bool:
-    """Data-checkable implication of the monotone ordering: all gaps >= 0."""
-    return monotone_falsified(pair) is None
-
-
-def monotone_falsified(pair: MarginalPair) -> str | None:
-    """Why the data contradict monotonicity, or None if they do not.
-
-    Names every cut k whose cumulative gap is negative (below ``-ATOL``).
-    """
-    return pair_facts(pair).mono_refusal
+    """Data-checkable implication of the monotone ordering: no cumulative gap
+    below ``-ATOL`` (``PairFacts.mono_refusal`` names the cuts that are)."""
+    return pair_facts(pair).mono_refusal is None

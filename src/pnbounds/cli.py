@@ -3,7 +3,7 @@
 Loads count tables, runs the assumption ladder for the requested events and
 evidence levels, and emits a machine-readable attribution report; with
 --verify every reported cell is re-checked against sampled feasible joints
-and endpoint witnesses.  Exit codes: 0 ok, 1 usage, 2 data error,
+and endpoint witnesses.  Exit codes: 0 ok, 1 usage, 2 data or file error,
 3 verification failure.
 """
 
@@ -267,7 +267,7 @@ def run_analysis(
             "control_law": pair.control_law.probs.tolist(),
             "conditioning": pair.conditioning.value,
         },
-        "gaps": facts.gaps.gaps.tolist(),
+        "gaps": facts.gaps.tolist(),
         "falsification": {
             "passed": facts.brackets.passed,
             "brackets": [
@@ -551,8 +551,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(_dumps(report) + "\n")
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(_dumps(report) + "\n")
+        except OSError as exc:
+            print(f"error: {cfg.out}: {exc}", file=sys.stderr)
+            return DATA_EXIT
     if cfg.table:
         sys.stdout.write(render_table(report))
     elif not cfg.out:

@@ -74,18 +74,12 @@ class Assumptions(Enum):
     MONOTONIC_INCREMENT = "incr"
 
 
-def fixed_zero_cells(assumptions: Assumptions, levels: int) -> list[tuple[int, int]]:
-    """Cells (k, l) of the joint matrix pinned to zero by the assumption level,
-    in row-major order.
+def allowed_mask(assumptions: Assumptions, levels: int) -> np.ndarray:
+    """Boolean (levels, levels) mask of the cells (k, l) not pinned to zero.
 
     MONOTONICITY forbids k < l; MONOTONIC_INCREMENT forbids k < l and
     k > l + 1.  MARGINAL_ONLY pins nothing.
     """
-    return list(zip(*(a.tolist() for a in np.nonzero(~allowed_mask(assumptions, levels)))))
-
-
-def allowed_mask(assumptions: Assumptions, levels: int) -> np.ndarray:
-    """Boolean (levels, levels) mask of cells not pinned to zero."""
     if assumptions is Assumptions.MARGINAL_ONLY:
         return np.ones((levels, levels), dtype=bool)
     if assumptions is Assumptions.MONOTONICITY:
@@ -143,9 +137,6 @@ class OrdinalDistribution:
     def levels(self) -> int:
         return int(self.probs.size)
 
-    def __getitem__(self, y: int) -> float:
-        return float(self.probs[y])
-
 
 @dataclass(frozen=True)
 class MarginalPair:
@@ -169,27 +160,6 @@ class MarginalPair:
     @property
     def levels(self) -> int:
         return self.treated_law.levels
-
-
-@dataclass(frozen=True)
-class GapSequence:
-    """Cumulative gaps between the control and treated laws.
-
-    Entry k-1 is sum_{j<k} (control[j] - treated[j]) for k = 1..J-1: the
-    amount of probability the treatment shifts past the cut below level k.
-    Successive differences telescope back to per-level gaps.
-    """
-
-    gaps: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "gaps", _readonly(np.atleast_1d(self.gaps)))
-
-    def __getitem__(self, i: int) -> float:
-        return float(self.gaps[i])
-
-    def __len__(self) -> int:
-        return int(self.gaps.size)
 
 
 @dataclass(frozen=True)
@@ -255,10 +225,6 @@ class EventSpec:
         )
 
 
-#: Event families the command line understands; level is the family parameter.
-EVENT_KINDS = ("noteq", "eq", "lt", "custom")
-
-
 def make_event(
     kind: str,
     levels: int,
@@ -282,7 +248,7 @@ def make_event(
                 f"custom event has {len(bits)} coefficients for {levels} levels"
             )
         return EventSpec(coeffs=bits, label="custom:" + "".join(map(str, bits)))
-    if kind not in EVENT_KINDS:
+    if kind not in ("noteq", "eq", "lt"):
         raise EventSpecError(f"unknown event kind {kind!r}")
     if level is None or not (0 <= level < levels):
         raise EventSpecError(f"event level {level} out of range for {levels} levels")

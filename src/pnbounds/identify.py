@@ -19,7 +19,6 @@ from .core import (
     ATOL,
     CausalAttributionError,
     EventSpec,
-    GapSequence,
     JointProbabilityMatrix,
     MarginalPair,
     check_evidence,
@@ -71,10 +70,16 @@ class FalsificationError(CausalAttributionError):
         super().__init__(f"one-level-lift assumption falsified by the data ({bad})")
 
 
-def gap_sequence(pair: MarginalPair) -> GapSequence:
-    """Cumulative control-minus-treated gaps, one per cut k = 1..J-1."""
-    diff = pair.control_law.probs - pair.treated_law.probs
-    return GapSequence(gaps=np.cumsum(diff)[: pair.levels - 1])
+def gap_sequence(pair: MarginalPair) -> np.ndarray:
+    """Cumulative gaps between the control and treated laws, read-only.
+
+    Entry k-1 is sum_{j<k} (control[j] - treated[j]) for k = 1..J-1: the
+    amount of probability the treatment shifts past the cut below level k.
+    Successive differences telescope back to per-level gaps.
+    """
+    gaps = np.cumsum(pair.control_law.probs - pair.treated_law.probs)[: pair.levels - 1]
+    gaps.setflags(write=False)
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ class PairFacts:
     """
 
     pair: MarginalPair
-    gaps: GapSequence
+    gaps: np.ndarray
     brackets: FalsificationReport
     mono_refusal: str | None
 
@@ -109,14 +114,14 @@ class PairFacts:
             raise FalsificationError(self.brackets)
         rows = np.arange(len(ys))
         c_y = coeffs[rows, ys]
-        value = c_y + (coeffs[rows, ys - 1] - c_y) * self.gaps.gaps[ys - 1] / mass
+        value = c_y + (coeffs[rows, ys - 1] - c_y) * self.gaps[ys - 1] / mass
         return np.where(ys == 0, c_y, value)
 
     def joint(self) -> JointProbabilityMatrix:
         """The one joint on the diagonal-plus-subdiagonal pattern; see ``identify_joint``."""
         if not self.brackets.passed:
             raise FalsificationError(self.brackets)
-        gaps = self.gaps.gaps
+        gaps = self.gaps
         # treated[0], then treated[k] - gap_k on the diagonal; gap_k below it
         entries = np.diag(self.pair.treated_law.probs - np.append(0.0, gaps)) + np.diag(gaps, -1)
         entries = np.clip(entries, 0.0, None)
@@ -140,7 +145,7 @@ def pair_facts(pair: MarginalPair) -> PairFacts:
     treated = pair.treated_law.probs.tolist()
     control = pair.control_law.probs.tolist()
     checks = []
-    for k, gap in enumerate(gaps.gaps.tolist(), start=1):
+    for k, gap in enumerate(gaps.tolist(), start=1):
         lower = max(0.0, treated[k] + control[k - 1] - 1.0)
         upper = min(treated[k], control[k - 1])
         checks.append(

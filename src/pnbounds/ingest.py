@@ -41,10 +41,6 @@ class DataFormatError(CausalAttributionError):
     """An input file cannot be parsed; message carries file and line."""
 
 
-class EmptyArmError(CausalAttributionError):
-    """A treatment arm required by the computation has no observations."""
-
-
 class IncompatibleSourcesError(CausalAttributionError):
     """The identification formula produced a non-probability.
 
@@ -88,13 +84,6 @@ class ContingencyTable:
     def levels(self) -> int:
         return int(self.counts.shape[1])
 
-    def arm_total(self, z: int) -> float:
-        return float(self.counts[z].sum())
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class StratifiedTable:
@@ -122,8 +111,6 @@ def empirical_margin(table: ContingencyTable, z: int) -> OrdinalDistribution:
     """Empirical outcome law within one treatment arm."""
     if z not in (0, 1):
         raise DataFormatError(f"treatment arm must be 0 or 1, got {z}")
-    if table.arm_total(z) <= 0:
-        raise EmptyArmError(f"arm z={z} has no observations")
     return OrdinalDistribution.from_counts(table.counts[z])
 
 
@@ -150,11 +137,10 @@ def counterfactual_margin_experimental(
         raise DataFormatError(
             f"level counts differ: experimental {exp.levels}, observational {obs.levels}"
         )
-    pr_z1 = obs.arm_total(1) / obs.total
-    if pr_z1 <= 0:
-        raise EmptyArmError("observational source has no treated units")
+    total = obs.counts.sum()  # the table's constructor refuses an empty arm
+    pr_z1 = obs.counts[1].sum() / total
     pr_exp_control = empirical_margin(exp, 0).probs
-    pr_obs_joint_z0 = obs.counts[0] / obs.total
+    pr_obs_joint_z0 = obs.counts[0] / total
     raw = (pr_exp_control - pr_obs_joint_z0) / pr_z1
     if raw.min() < -ATOL or raw.max() > 1 + ATOL:
         bad = int(np.argmin(raw)) if raw.min() < -ATOL else int(np.argmax(raw))
@@ -175,21 +161,16 @@ def counterfactual_margin_unconfounded(strata: StratifiedTable) -> MarginalPair:
     """Identify the control law among treated units by stratum reweighting.
 
     control_law[y] = sum_x pr(Y=y | Z=0, x) * pr(x | Z=1).  Requires every
-    stratum to contain both arms (overlap); the treated law pools treated
-    counts across strata.
+    stratum to contain both arms (overlap), which each stratum's table
+    checks; the treated law pools treated counts across strata.
     """
     levels = strata.levels
     treated_counts = np.zeros(levels)
     control = np.zeros(levels)
     treated_totals = []
     control_laws = []
-    for name, table in strata.strata:
-        arms = table.counts.sum(axis=1).tolist()  # each arm's sum, as arm_total takes it
-        for z in (0, 1):
-            if arms[z] <= 0:
-                raise EmptyArmError(
-                    f"stratum {name!r} has no units with z={z} (overlap violated)"
-                )
+    for _, table in strata.strata:
+        arms = table.counts.sum(axis=1).tolist()  # both positive, as the table checks
         treated_counts += table.counts[1]
         treated_totals.append(arms[1])
         control_laws.append(table.counts[0] / arms[0])  # empirical_margin(table, 0)
@@ -302,10 +283,14 @@ def load_strata_json(path: str | Path) -> StratifiedTable:
     if not isinstance(payload, list):
         raise DataFormatError(f"{path}: expected a JSON list of strata")
     strata = []
+    ids: set[str] = set()
     for i, item in enumerate(payload):
         if not isinstance(item, dict) or "counts" not in item:
             raise DataFormatError(f"{path}: stratum {i} lacks a 'counts' field")
         name = str(item.get("id", i))
+        if name in ids:  # the report keys each stratum's counts by its id
+            raise DataFormatError(f"{path}: stratum id {name!r} repeats")
+        ids.add(name)
         try:
             table = ContingencyTable(
                 counts=np.asarray(item["counts"], dtype=float),

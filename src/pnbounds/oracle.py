@@ -87,7 +87,7 @@ class _Level:
         self.mask = allowed_mask(assumptions, pair.levels)
         self.treated = treated = pair.treated_law.probs
         self.control = pair.control_law.probs
-        gaps = facts.gaps.gaps
+        gaps = facts.gaps
         low = gaps.min() if assumptions is not Assumptions.MARGINAL_ONLY else 0.0
         if self.joint is not None:
             low = min(low, (treated[1:] - gaps).min())

@@ -190,7 +190,7 @@ def scalar_cell(facts, event: EventSpec, y: int, assumptions: Assumptions) -> tu
     pair = facts.pair
     treated = pair.treated_law.probs
     control = pair.control_law.probs
-    mass = pair.treated_law[y]
+    mass = float(pair.treated_law.probs[y])
     assert mass > ATOL
     if assumptions is Assumptions.MARGINAL_ONLY:
         omega = float(event.vector @ control)
@@ -215,7 +215,7 @@ def scalar_cell(facts, event: EventSpec, y: int, assumptions: Assumptions) -> tu
         reachable = control[: y + 1]
         in_s = np.cumsum(np.where(head, reachable, 0.0)[::-1])[::-1]
         in_c = np.cumsum(np.where(head, 0.0, reachable)[::-1])[::-1]
-        cuts = np.concatenate(([0.0], gaps.gaps[:y]))
+        cuts = np.concatenate(([0.0], gaps[:y]))
         lower = max(0.0, float((mass - cuts - in_c).max()) / mass)
         upper = min(1.0, float((in_s + cuts).min()) / mass)
     elif kind == "noteq":
@@ -261,7 +261,7 @@ def scalar_brackets(pair: MarginalPair) -> tuple[tuple[BracketCheck, ...], str |
     return tuple(checks), note if bad else None
 
 
-# --- the loop forms: the references for make_event, fixed_zero_cells and allowed_mask ---
+# --- the loop forms: the references for make_event and allowed_mask ---
 
 def loop_event_bits(kind: str, levels: int, level: int) -> tuple[int, ...]:
     """A named family's coefficients, one level at a time."""
@@ -272,7 +272,7 @@ def loop_event_bits(kind: str, levels: int, level: int) -> tuple[int, ...]:
     return tuple(1 if l < level else 0 for l in range(levels))  # lt
 
 
-def loop_fixed_zero_cells(assumptions: Assumptions, levels: int) -> list[tuple[int, int]]:
+def loop_pinned_cells(assumptions: Assumptions, levels: int) -> list[tuple[int, int]]:
     """The pinned cells by a double loop over the J x J cells, row-major."""
     cells: list[tuple[int, int]] = []
     if assumptions is Assumptions.MARGINAL_ONLY:
@@ -286,7 +286,7 @@ def loop_fixed_zero_cells(assumptions: Assumptions, levels: int) -> list[tuple[i
 
 def loop_allowed_mask(assumptions: Assumptions, levels: int) -> np.ndarray:
     mask = np.ones((levels, levels), dtype=bool)
-    for k, l in loop_fixed_zero_cells(assumptions, levels):
+    for k, l in loop_pinned_cells(assumptions, levels):
         mask[k, l] = False
     return mask
 

@@ -148,7 +148,7 @@ def test_criterion_3_lp_equals_closed_forms():
         for _ in range(200):
             pair = lower_triangular_pair(rng, levels)
             for y in range(1, levels):
-                if pair.treated_law[y] <= 1e-9:
+                if pair.treated_law.probs[y] <= 1e-9:
                     continue
                 events = canonical_events(levels, y)
                 for event in events:
@@ -182,7 +182,7 @@ def test_criterion_4_singleton_feasibility():
         else:
             pair = arbitrary_pair(rng, levels)
         y = int(rng.integers(1, levels))
-        if pair.treated_law[y] <= 1e-9:
+        if pair.treated_law.probs[y] <= 1e-9:
             continue
         event = canonical_events(levels, y)[int(rng.integers(0, levels + 2))]
         report = falsification_check(pair)

@@ -85,7 +85,7 @@ def test_marginal_bounds_always_proper_interval():
         levels = int(rng.integers(2, 7))
         pair = arbitrary_pair(rng, levels)
         y = int(rng.integers(0, levels))
-        if pair.treated_law[y] <= 1e-9:
+        if pair.treated_law.probs[y] <= 1e-9:
             continue
         event = make_event(
             "custom", levels, coeffs=rng.integers(0, 2, size=levels).tolist()
@@ -261,7 +261,7 @@ def _estimate_rows(facts, events, assumptions):
     pair = facts.pair
     rows = []
     for y in range(pair.levels):
-        if pair.treated_law[y] <= ATOL:
+        if pair.treated_law.probs[y] <= ATOL:
             continue
         if assumptions is Assumptions.MONOTONIC_INCREMENT and not facts.brackets.passed:
             continue
@@ -424,7 +424,7 @@ def test_monotone_bounds_match_lp_on_random_events():
         pair = _fuzz_pair(rng, levels, shapes[i // 9 % len(shapes)])
         consistent = monotone_consistent(pair)
         for y in range(levels):
-            if pair.treated_law[y] <= ATOL:
+            if pair.treated_law.probs[y] <= ATOL:
                 continue
             event = make_event(
                 "custom", levels, coeffs=rng.integers(0, 2, size=levels).tolist()
@@ -506,7 +506,7 @@ def test_monotone_bounds_at_zero_mass_levels_and_tolerance_ties(cell):
     # a gap up to ATOL below zero is no exact polytope: each engine may
     # move a bound by |delta| of evidence mass
     reference = pn_bounds_lp(pair, event, y, Assumptions.MONOTONICITY)
-    tol = 1e-9 + abs(delta) / pair.treated_law[y]
+    tol = 1e-9 + abs(delta) / pair.treated_law.probs[y]
     assert abs(result.lower - reference.lower) <= tol
     assert abs(result.upper - reference.upper) <= tol
 
@@ -520,7 +520,7 @@ def test_monotone_interval_nested_in_marginal_interval():
         levels = int(rng.integers(2, 7))
         pair = lower_triangular_pair(rng, levels)
         y = int(rng.integers(1, levels))
-        if pair.treated_law[y] <= 1e-9:
+        if pair.treated_law.probs[y] <= 1e-9:
             continue
         for event in canonical_events(levels, y)[:-1]:
             outer = pn_bounds_marginal(pair, event, y)
@@ -537,7 +537,7 @@ def test_point_lies_in_both_intervals_when_brackets_pass():
         pair = staircase_pair(rng, levels)
         assert falsification_check(pair).passed
         y = int(rng.integers(1, levels))
-        if pair.treated_law[y] <= 1e-9:
+        if pair.treated_law.probs[y] <= 1e-9:
             continue
         for event in canonical_events(levels, y)[:-1]:
             point = pn_point(pair, event, y)
@@ -559,8 +559,8 @@ def test_binary_bounds_reduce_to_two_event_bracket():
     rng = np.random.default_rng(19)
     for _ in range(200):
         pair = arbitrary_pair(rng, 2)
-        t1 = pair.treated_law[1]
-        c0 = pair.control_law[0]
+        t1 = pair.treated_law.probs[1]
+        c0 = pair.control_law.probs[0]
         if t1 <= 1e-9:
             continue
         res = pn_bounds_marginal(pair, make_event("eq", 2, level=0), 1)

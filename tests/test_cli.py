@@ -22,7 +22,6 @@ from pnbounds import (
     randomized_margins,
 )
 from pnbounds import cli
-from pnbounds.bounds import monotone_falsified
 from pnbounds.core import ATOL
 from pnbounds.identify import pair_facts
 from pnbounds.cli import (
@@ -390,9 +389,8 @@ def _library_cell(pair, event, y, assumptions):
                         "method": "point-identification", "lp_cross_check": cross_check}
         if assumptions is Assumptions.MARGINAL_ONLY:
             result = pn_bounds_marginal(pair, event, y)
-        elif monotone_falsified(pair) is not None:
-            return {"kind": "refused", "note": monotone_falsified(pair),
-                    "method": "closed-form"}
+        elif (note := pair_facts(pair).mono_refusal) is not None:
+            return {"kind": "refused", "note": note, "method": "closed-form"}
         else:
             result = pn_bounds_monotone(pair, event, y)
     except ZeroEvidenceError as exc:
@@ -507,10 +505,10 @@ def test_pc_bounds_equal_the_pc_report_cells(tmp_path):
                         seen.add((cell["assumptions"], cell["method"], type(exc).__name__))
                         if cell["method"] == "closed-form":
                             # both refuse before checking the evidence
-                            assert cell["note"] == monotone_falsified(pair)
+                            assert cell["note"] == pair_facts(pair).mono_refusal
                             assert type(exc) is UnsupportedEventError
                             assert str(exc).endswith(": " + cell["note"])
-                            zero = pair.treated_law[y] <= ATOL
+                            zero = pair.treated_law.probs[y] <= ATOL
                             seen.add(("mono", "closed-form", "zero evidence" if zero else "event"))
                         else:
                             assert type(exc) is refusals[cell["method"]]
@@ -524,7 +522,7 @@ def test_pc_bounds_equal_the_pc_report_cells(tmp_path):
                         assert result.note == cell.get("note")
                     else:  # a family's forms on monotone-inconsistent data
                         assert cell["method"] == "closed-form"
-                        assert cell["note"] == monotone_falsified(pair)
+                        assert cell["note"] == pair_facts(pair).mono_refusal
                     seen.add((cell["assumptions"], cell["kind"], result.note is not None))
     assert seen >= {
         ("incr", "point", False),
@@ -647,7 +645,7 @@ def test_a_default_report_computes_the_pair_facts_once(tmp_path, monkeypatch, ro
 
     calls = count_every_binding(
         monkeypatch, identify.pair_facts, identify.gap_sequence,
-        identify.falsification_check, bounds.monotone_falsified, lp.pn_bounds_lp,
+        identify.falsification_check, bounds.monotone_consistent, lp.pn_bounds_lp,
     )
     code, report = report_from(tmp_path, LALONDE_ROUTES[route] + ["--all-canonical"])
     assert code == 0 and len(report["cells"]) == 30
@@ -1008,6 +1006,27 @@ def test_tables_beyond_the_level_limit_exit_two_naming_the_file(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: {message}: outcome level 1199 exceeds 999\n"
+
+
+@pytest.mark.parametrize("strata,message", [
+    ('[{"id": "a", "counts": [[3, 4], [5, 6]]}, {"id": "a", "counts": [[1, 2], [3, 4]]}]',
+     "stratum id 'a' repeats"),
+    ('[{"id": "s", "counts": [[0, 0], [3, 4]]}]',
+     "stratum 's': each treatment arm needs at least one observation"),
+], ids=["repeated_id", "empty_arm"])
+def test_bad_strata_exit_two_naming_the_file(tmp_path, capsys, strata, message):
+    path = tmp_path / "strata.json"
+    path.write_text(strata)
+    assert run(["--route", "unconfounded", "--strata", str(path), "--all-canonical"]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+def test_an_unwritable_out_path_exits_two_naming_it(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert run(["--exp", EXP, "--obs", OBS, "--all-canonical", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.parent.exists()
+    assert captured.err.startswith(f"error: {out}: [Errno 2] No such file or directory")
 
 
 def test_a_negative_seed_is_a_usage_error_only_with_verify(tmp_path, capsys):

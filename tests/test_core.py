@@ -8,17 +8,15 @@ from pnbounds import (
     Assumptions,
     EventSpec,
     EventSpecError,
-    GapSequence,
     InvalidDistributionError,
     JointProbabilityMatrix,
     OrdinalDistribution,
     ZeroEvidenceError,
     allowed_mask,
-    fixed_zero_cells,
     make_event,
     pn_from_joint,
 )
-from helpers import loop_allowed_mask, loop_event_bits, loop_fixed_zero_cells, pair_from_laws
+from helpers import loop_allowed_mask, loop_event_bits, loop_pinned_cells, pair_from_laws
 
 from pnbounds.identify import gap_sequence
 
@@ -223,21 +221,19 @@ def test_gap_sequence_telescopes():
 
 
 def test_gap_sequence_container():
-    gaps = GapSequence(gaps=np.array([0.1, -0.2]))
+    gaps = gap_sequence(pair_from_laws([0.2, 0.5, 0.3], [0.3, 0.2, 0.5]))
     assert len(gaps) == 2 and gaps[1] == pytest.approx(-0.2)
+    assert not gaps.flags.writeable
 
 
 # --- assumption ladder --------------------------------------------------------
 
 def test_zero_pattern_counts():
     for levels in (2, 3, 5, 8):
-        assert len(fixed_zero_cells(Assumptions.MARGINAL_ONLY, levels)) == 0
-        assert len(fixed_zero_cells(Assumptions.MONOTONICITY, levels)) == (
-            levels * (levels - 1) // 2
-        )
-        assert len(fixed_zero_cells(Assumptions.MONOTONIC_INCREMENT, levels)) == (
-            levels * levels - (2 * levels - 1)
-        )
+        pinned = {a: (~allowed_mask(a, levels)).sum() for a in Assumptions}
+        assert pinned[Assumptions.MARGINAL_ONLY] == 0
+        assert pinned[Assumptions.MONOTONICITY] == levels * (levels - 1) // 2
+        assert pinned[Assumptions.MONOTONIC_INCREMENT] == levels * levels - (2 * levels - 1)
 
 
 def test_allowed_mask_is_complement_of_zero_pattern():
@@ -256,10 +252,10 @@ def test_named_events_and_zero_patterns_equal_their_loop_forms():
                 assert set(map(type, event.coeffs)) == {int}
                 assert event.label == label.format(level)
         for assumptions in Assumptions:
-            cells = fixed_zero_cells(assumptions, levels)
-            assert cells == loop_fixed_zero_cells(assumptions, levels)  # row-major
-            assert all(type(k) is int and type(l) is int for k, l in cells)
             mask = allowed_mask(assumptions, levels)
+            cells = list(map(tuple, np.argwhere(~mask).tolist()))
+            assert cells == loop_pinned_cells(assumptions, levels)  # row-major
+            assert all(type(k) is int and type(l) is int for k, l in cells)
             assert mask.dtype == bool and mask.flags.writeable
             assert np.array_equal(mask, loop_allowed_mask(assumptions, levels))
 

@@ -30,7 +30,7 @@ def test_lalonde_gaps():
 
 def test_identical_laws_have_zero_gaps():
     pair = pair_from_laws([0.2, 0.3, 0.5], [0.2, 0.3, 0.5])
-    assert np.allclose(gap_sequence(pair).gaps, 0.0, atol=1e-15)
+    assert np.allclose(gap_sequence(pair), 0.0, atol=1e-15)
 
 
 def test_lalonde_pc_gaps():
@@ -164,7 +164,7 @@ def test_point_formula_agrees_with_reconstructed_joint():
         pair = staircase_pair(rng, levels)
         joint = identify_joint(pair)
         for y in range(levels):
-            if pair.treated_law[y] <= 1e-9:
+            if pair.treated_law.probs[y] <= 1e-9:
                 continue
             for event in canonical_events(levels, y):
                 assert pn_point(pair, event, y) == pytest.approx(

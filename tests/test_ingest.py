@@ -7,7 +7,6 @@ from pnbounds import (
     Conditioning,
     ContingencyTable,
     DataFormatError,
-    EmptyArmError,
     IncompatibleSourcesError,
     Source,
     StratifiedTable,
@@ -144,14 +143,6 @@ def test_unconfounded_three_strata_against_direct_weighted_sum():
     assert pair.control_law.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_unconfounded_rejects_overlap_violation():
-    bad = ContingencyTable.__new__(ContingencyTable)  # bypass row-total guard
-    object.__setattr__(bad, "counts", np.array([[0.0, 0.0], [3.0, 4.0]]))
-    object.__setattr__(bad, "source", Source.OBSERVATIONAL)
-    with pytest.raises(EmptyArmError):
-        counterfactual_margin_unconfounded(StratifiedTable(strata=(("s", bad),)))
-
-
 # --- randomized route ----------------------------------------------------------
 
 def test_randomized_margins_lalonde():
@@ -232,6 +223,20 @@ def test_strata_loader(tmp_path):
     bad.write_text('[{"id": "a"}]')
     with pytest.raises(DataFormatError, match="counts"):
         load_strata_json(bad)
+
+
+@pytest.mark.parametrize("ids,repeated", [
+    (['"id": "a", ', '"id": "a", '], "a"),
+    (['', '"id": 0, '], "0"),  # an explicit id equal to a default index id
+    (['"id": 1, ', ''], "1"),
+    (['"id": 2, ', '"id": "2", '], "2"),  # equal after str()
+], ids=["named", "index_then_explicit", "explicit_then_index", "int_and_str"])
+def test_a_repeated_stratum_id_is_refused_naming_the_file(tmp_path, ids, repeated):
+    path = tmp_path / "strata.json"
+    path.write_text("[" + ", ".join(f'{{{i}"counts": [[3, 4], [5, 6]]}}' for i in ids) + "]")
+    with pytest.raises(DataFormatError) as err:
+        load_strata_json(path)
+    assert str(err.value) == f"{path}: stratum id {repeated!r} repeats"
 
 
 def test_missing_file_is_a_data_error():
@@ -376,7 +381,8 @@ def test_counts_below_2_to_the_53_load_exactly(tmp_path):
     ("[[NaN, 1], [3, 4]]", "counts must be nonnegative integers"),
     ("[[Infinity, 1], [3, 4]]", _TOO_LARGE),
     ("[[1" + "0" * 400 + ", 1], [3, 4]]", "int too large to convert to float"),
-], ids=["nan", "infinity", "digits"])
+    ("[[0, 0], [3, 4]]", "each treatment arm needs at least one observation"),
+], ids=["nan", "infinity", "digits", "empty_arm"])
 def test_bad_strata_counts_name_the_file_and_stratum(tmp_path, counts, message):
     path = tmp_path / "strata.json"
     path.write_text(f'[{{"id": "s", "counts": {counts}}}]')

@@ -135,7 +135,7 @@ def test_lp_equals_marginal_closed_form_on_arbitrary_margins():
         levels = int(rng.integers(2, 6))
         pair = arbitrary_pair(rng, levels)
         y = int(rng.integers(0, levels))
-        if pair.treated_law[y] <= 1e-9:
+        if pair.treated_law.probs[y] <= 1e-9:
             continue
         event = make_event(
             "custom", levels, coeffs=rng.integers(0, 2, size=levels).tolist()
@@ -152,7 +152,7 @@ def test_lp_equals_monotone_closed_form_on_feasible_margins():
         levels = int(rng.integers(2, 6))
         pair = lower_triangular_pair(rng, levels)
         y = int(rng.integers(1, levels))
-        if pair.treated_law[y] <= 1e-9:
+        if pair.treated_law.probs[y] <= 1e-9:
             continue
         for event in canonical_events(levels, y)[:-1]:
             lp_res = pn_bounds_lp(pair, event, y, Assumptions.MONOTONICITY)
@@ -176,7 +176,7 @@ def test_ladder_nesting_through_the_lp():
         levels = int(rng.integers(2, 6))
         pair = staircase_pair(rng, levels)
         y = int(rng.integers(1, levels))
-        if pair.treated_law[y] <= 1e-9:
+        if pair.treated_law.probs[y] <= 1e-9:
             continue
         event = canonical_events(levels, y)[0]
         outer = pn_bounds_lp(pair, event, y, Assumptions.MARGINAL_ONLY)
@@ -192,7 +192,7 @@ def test_lp_witnesses_are_feasible_and_attain_endpoints():
         levels = int(rng.integers(2, 5))
         pair = lower_triangular_pair(rng, levels)
         y = int(rng.integers(1, levels))
-        if pair.treated_law[y] <= 1e-9:
+        if pair.treated_law.probs[y] <= 1e-9:
             continue
         event = canonical_events(levels, y)[1]
         for assumptions in (Assumptions.MARGINAL_ONLY, Assumptions.MONOTONICITY):
@@ -345,7 +345,7 @@ def test_thirty_levels_match_the_closed_forms_at_every_level(builder, consistent
     assert monotone_consistent(pair) is consistent
     assert falsification_check(pair).passed is brackets
     for y in (1, 9, 14, 15, 22, 29):
-        if pair.treated_law[y] <= ATOL:
+        if pair.treated_law.probs[y] <= ATOL:
             continue
         events = [make_event(kind, levels, level=level)
                   for kind, level in (("noteq", y), ("eq", y), ("eq", y // 2), ("lt", y))]
@@ -435,7 +435,7 @@ def test_warm_cache_answers_equal_cold_ones():
                 (event, y, assumptions)
                 for assumptions in Assumptions
                 for y in range(levels)
-                if pair.treated_law[y] > 1e-9
+                if pair.treated_law.probs[y] > 1e-9
                 for event in canonical_events(levels, y)
             ]
             lp._BASE_CACHE.clear()

@@ -54,7 +54,7 @@ def test_binary_lower_witness_matches_two_event_bracket():
     rng = np.random.default_rng(29)
     for _ in range(50):
         pair = arbitrary_pair(rng, 2)
-        t1, c0 = pair.treated_law[1], pair.control_law[0]
+        t1, c0 = pair.treated_law.probs[1], pair.control_law.probs[0]
         if t1 <= 1e-9:
             continue
         ev = make_event("eq", 2, level=0)
@@ -70,7 +70,7 @@ def test_witnesses_attain_marginal_bounds_everywhere():
         levels = int(rng.integers(2, 6))
         pair = arbitrary_pair(rng, levels)
         y = int(rng.integers(0, levels))
-        if pair.treated_law[y] <= 1e-9:
+        if pair.treated_law.probs[y] <= 1e-9:
             continue
         for event in canonical_events(levels, y):
             res = pn_bounds_marginal(pair, event, y)
@@ -279,7 +279,7 @@ def _claimed_cells(pair, assumptions):
     """Canonical cells of nonzero claimed width, with their closed forms."""
     closed = pn_bounds_marginal if assumptions is Assumptions.MARGINAL_ONLY else pn_bounds_monotone
     for y in range(pair.levels):
-        if pair.treated_law[y] <= 1e-9:
+        if pair.treated_law.probs[y] <= 1e-9:
             continue
         for event in canonical_events(pair.levels, y):
             result = closed(pair, event, y)
@@ -363,7 +363,7 @@ def test_monotone_witnesses_attain_the_closed_forms():
         pair = lower_triangular_pair(rng, levels)
         mask = allowed_mask(Assumptions.MONOTONICITY, levels)
         for y in range(levels):
-            if pair.treated_law[y] <= 1e-9:
+            if pair.treated_law.probs[y] <= 1e-9:
                 continue
             custom = make_event("custom", levels, coeffs=rng.integers(0, 2, levels).tolist())
             for event in canonical_events(levels, y) + [custom]:
@@ -398,7 +398,7 @@ def test_lower_witness_is_the_upper_witness_of_the_complement():
         pair = lower_triangular_pair(rng, levels)
         for assumptions in (Assumptions.MARGINAL_ONLY, Assumptions.MONOTONICITY):
             for y in range(levels):
-                if pair.treated_law[y] <= 1e-9:
+                if pair.treated_law.probs[y] <= 1e-9:
                     continue
                 event = make_event("custom", levels, coeffs=rng.integers(0, 2, levels).tolist())
                 # unheld, every call builds its own witnesses
@@ -470,7 +470,7 @@ def test_the_level_pass_equals_a_recomputation_from_the_drawn_samples():
             n, seed = 300 + 7 * index, 500 + index
             cells = []
             for y in range(levels):
-                if pair.treated_law[y] <= 1e-9:
+                if pair.treated_law.probs[y] <= 1e-9:
                     continue
                 custom = make_event("custom", levels, coeffs=[(y + l) % 2 for l in range(levels)])
                 for event in canonical_events(levels, y) + [custom]:
@@ -506,7 +506,7 @@ def test_batched_witnesses_equal_witnesses_built_one_at_a_time():
                 continue
             specs = [
                 spec
-                for y in range(pair.levels) if pair.treated_law[y] > 1e-9
+                for y in range(pair.levels) if pair.treated_law.probs[y] > 1e-9
                 for event in canonical_events(pair.levels, y)
                 for spec in oracle._witness_specs(level, event, y)
             ]
@@ -624,7 +624,7 @@ def test_vertices_reproduce_lp_bounds_for_small_levels():
                     continue
             assert vertices
             for y in range(1, levels):
-                if pair.treated_law[y] <= 1e-9:
+                if pair.treated_law.probs[y] <= 1e-9:
                     continue
                 for event in canonical_events(levels, y)[: levels + 1]:
                     values = [pn_from_joint(v, event, y) for v in vertices]

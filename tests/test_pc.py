@@ -105,7 +105,7 @@ def test_pc_equals_pn_under_randomized_design():
         pn_pair = pair_from_laws(treated, control, Conditioning.GIVEN_TREATED)
         pc_pair = pair_from_laws(treated, control, Conditioning.UNCONDITIONAL)
         y = int(rng.integers(0, levels))
-        if pn_pair.treated_law[y] <= 1e-9:
+        if pn_pair.treated_law.probs[y] <= 1e-9:
             continue
         for event in canonical_events(levels, y):
             res_pc = pc_bounds(pc_pair, event, y, Assumptions.MARGINAL_ONLY)
