@@ -73,15 +73,14 @@ def _build_parser() -> _Parser:
             "Point identification and sharp bounds for counterfactual event "
             "probabilities with ordinal outcomes."
         ),
+        argument_default=argparse.SUPPRESS,  # a flag not given sets nothing
     )
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--exp", help="experimental count table (csv or json)")
     parser.add_argument("--obs", help="observational count table (csv or json)")
     parser.add_argument("--strata", help="stratified observational tables (json)")
-    parser.add_argument("--mode", choices=["pn", "pc"], default=None)
-    parser.add_argument(
-        "--route", choices=["experimental", "unconfounded"], default=None
-    )
+    parser.add_argument("--mode", choices=["pn", "pc"])
+    parser.add_argument("--route", choices=["experimental", "unconfounded"])
     parser.add_argument(
         "--event",
         action="append",
@@ -92,33 +91,32 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--evidence", action="append", type=int, metavar="Y", help="repeatable"
     )
-    parser.add_argument(
-        "--assume", choices=["marginal", "mono", "incr", "all"], default=None
-    )
+    parser.add_argument("--assume", choices=["marginal", "mono", "incr", "all"])
     parser.add_argument(
         "--all-canonical",
         action="store_true",
         help="run the five canonical event families at every evidence level",
     )
     parser.add_argument("--verify", action="store_true")
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--samples", type=int)
+    parser.add_argument("--seed", type=int)
     parser.add_argument(
         "--table", action="store_true", help="render a plain-text grid"
     )
     parser.add_argument("--out", help="write the JSON report here")
-    parser.add_argument(
-        "--inject-widen", type=float, default=None, help=argparse.SUPPRESS
-    )
+    parser.add_argument("--inject-widen", type=float, help=argparse.SUPPRESS)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
+    """The defaults, then the checked config file, then every flag given."""
     cfg = AnalysisConfig()
-    if args.config:
-        payload = ingest._read_json(args.config)
+    flags_given = dict(vars(args))
+    path = flags_given.pop("config", None)
+    if path:
+        payload = ingest._read_json(path)
         if not isinstance(payload, dict):
-            raise _UsageError(f"{args.config}: config must be a JSON object")
+            raise _UsageError(f"{path}: config must be a JSON object")
         flags = {action.dest: action for action in _build_parser()._actions}
         for key, value in payload.items():
             attr = key.replace("-", "_")
@@ -126,14 +124,8 @@ def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
                 raise _UsageError(f"unknown config key {key!r}")
             _check_config_value(key, value, flags[attr], getattr(cfg, attr))
             setattr(cfg, attr, value)
-    for attr in ("mode", "route", "exp", "obs", "strata", "events", "evidence",
-                 "assume", "samples", "seed", "out", "inject_widen"):
-        value = getattr(args, attr)
-        if value is not None:
-            setattr(cfg, attr, value)
-    cfg.all_canonical = cfg.all_canonical or args.all_canonical
-    cfg.verify = cfg.verify or args.verify
-    cfg.table = cfg.table or args.table
+    for attr, value in flags_given.items():
+        setattr(cfg, attr, value)
     return cfg
 
 
@@ -380,34 +372,29 @@ def _verify_level(
 ) -> bool:
     """Verify the cells of one assumption level in one pass over one batch.
 
-    One ``oracle._Level`` draws the batch and ``oracle._check_cells``
-    checks every cell on it: the level's witnesses are built in one batch,
-    and the batch's rows of each evidence level are read once.
+    Each entry's claim, widened by ``--inject-widen`` and kept in [0, 1],
+    goes to one ``oracle.verify_cells`` call: it draws the level's batch,
+    builds the level's witnesses in one batch and reads the batch's rows of
+    each evidence level once.  A level that cannot be sampled skips its
+    cells and fails.
     """
-    pair = facts.pair
-    try:
-        level = oracle._Level(facts, assumptions)
-        samples = oracle._draw(level, cfg.samples, np.random.default_rng(cfg.seed))
-    except oracle.SamplingError as exc:
-        for entry in entries:
-            entry["verification"] = f"skipped: {exc}"
-        return False
-    events = {s: parse_event(s, pair.levels) for s in {e["event"] for e in entries}}
+    events = {s: parse_event(s, facts.pair.levels) for s in {e["event"] for e in entries}}
     cells = []
     for entry in entries:
         if entry["kind"] == "point":
             lower = upper = entry["value"]
         else:
             lower, upper = entry["lower"], entry["upper"]
-        claim = bounds_mod.BoundsResult(
-            lower=max(0.0, lower - cfg.inject_widen),
-            upper=min(1.0, upper + cfg.inject_widen),
-            assumptions=assumptions,
-            method=bounds_mod.Method.CLOSED_FORM,
-        )
-        cells.append((events[entry["event"]], entry["evidence"], claim))
+        cells.append((events[entry["event"]], entry["evidence"],
+                      max(0.0, lower - cfg.inject_widen), min(1.0, upper + cfg.inject_widen)))
+    try:
+        checks = oracle.verify_cells(facts, assumptions, cells, cfg.samples, cfg.seed)
+    except oracle.SamplingError as exc:
+        for entry in entries:
+            entry["verification"] = f"skipped: {exc}"
+        return False
     ok = True
-    for entry, check in zip(entries, oracle._check_cells(level, samples, cells, cfg.seed)):
+    for entry, check in zip(entries, checks):
         sharp = (
             check.sharpness_gap_lower <= _SHARPNESS_TOL
             and check.sharpness_gap_upper <= _SHARPNESS_TOL
@@ -532,13 +519,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge_config(args)
         _validate(cfg)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except ingest.DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    try:
         pair, provenance = load_marginals(cfg)
         facts = identify_mod.pair_facts(pair)
         report = run_analysis(cfg, (facts, provenance))

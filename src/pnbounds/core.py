@@ -13,7 +13,7 @@ values can be shared freely across threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -101,12 +101,10 @@ class OrdinalDistribution:
     """Probability vector over outcome levels 0..J-1, J >= 2.
 
     Entries are nonnegative and sum to one within ``ATOL``.  When built from
-    counts the normalization happens exactly once, here, and the raw counts
-    are retained for provenance.
+    counts the normalization happens exactly once, in ``from_counts``.
     """
 
     probs: np.ndarray
-    counts: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -122,8 +120,6 @@ class OrdinalDistribution:
         probs = np.clip(probs, 0.0, 1.0)  # a new array
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if self.counts is not None:
-            object.__setattr__(self, "counts", _readonly(self.counts))
 
     @classmethod
     def from_counts(cls, counts: Sequence[float]) -> "OrdinalDistribution":
@@ -131,7 +127,7 @@ class OrdinalDistribution:
         total = counts.sum()
         if total <= 0:
             raise InvalidDistributionError("counts sum to zero")
-        return cls(probs=counts / total, counts=counts)
+        return cls(probs=counts / total)
 
     @property
     def levels(self) -> int:

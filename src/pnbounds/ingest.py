@@ -246,7 +246,10 @@ def load_table_csv(path: str | Path, source: Source) -> ContingencyTable:
     counts = np.zeros((2, max_y + 1))
     for (z, y), count in cells.items():
         counts[z, y] = count
-    return ContingencyTable(counts=counts, source=source)
+    try:
+        return ContingencyTable(counts=counts, source=source)
+    except DataFormatError as exc:  # an empty table or arm
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def _read_json(path: str | Path) -> Any:
@@ -260,12 +263,23 @@ def _read_json(path: str | Path) -> Any:
         raise DataFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
 
+def _json_table(counts: Any, source: Source) -> ContingencyTable:
+    """The table of a JSON counts array, every count a JSON number: numpy
+    reads "3" as 3 and true as 1, which the CSV reader refuses.  A layout or
+    value the table refuses first keeps its message."""
+    table = ContingencyTable(counts=np.asarray(counts, dtype=float), source=source)
+    bad = [count for row in counts for count in row if type(count) not in (int, float)]
+    if bad:  # a bool is not an int here
+        raise DataFormatError(f"count {json.dumps(bad[0])} is not a number")
+    return table
+
+
 def load_table_json(path: str | Path, source: Source) -> ContingencyTable:
     path = Path(path)
     payload = _read_json(path)
     counts = payload.get("counts") if isinstance(payload, dict) else payload
     try:
-        return ContingencyTable(counts=np.asarray(counts, dtype=float), source=source)
+        return _json_table(counts, source)
     except (TypeError, ValueError, OverflowError, DataFormatError) as exc:
         raise DataFormatError(f"{path}: bad counts layout: {exc}") from exc
 
@@ -292,10 +306,7 @@ def load_strata_json(path: str | Path) -> StratifiedTable:
             raise DataFormatError(f"{path}: stratum id {name!r} repeats")
         ids.add(name)
         try:
-            table = ContingencyTable(
-                counts=np.asarray(item["counts"], dtype=float),
-                source=Source.OBSERVATIONAL,
-            )
+            table = _json_table(item["counts"], Source.OBSERVATIONAL)
         except (TypeError, ValueError, OverflowError, DataFormatError) as exc:
             raise DataFormatError(f"{path}: stratum {name!r}: {exc}") from exc
         strata.append((name, table))

@@ -9,7 +9,7 @@ are re-attained by explicit constructions at every level.
 
 A batch is held cell-major, (J, J, n), so that every per-cell step works on
 one contiguous length-n vector.  The cells of one (pair, level) are checked
-in one pass over one batch (``_check_cells``): one evidence level at a
+in one pass over one batch (``verify_cells``): one evidence level at a
 time, the level's witnesses built in one fill, and under ``incr`` the one
 feasible point evaluated once.
 """
@@ -316,26 +316,18 @@ def _witness_specs(level: _Level, event: EventSpec, y: int) -> list[tuple[int, n
 
 
 def endpoint_witnesses(
-    pair: MarginalPair,
-    event: EventSpec,
-    y: int,
-    assumptions: Assumptions,
-    *,
-    level: _Level | None = None,
+    pair: MarginalPair, event: EventSpec, y: int, assumptions: Assumptions
 ) -> tuple[JointProbabilityMatrix, JointProbabilityMatrix]:
     """Feasible matrices attaining the lower and upper bound endpoints.
 
     Explicit constructions at every level, with no LP and no bound
     formula: the extremal fills for ``marginal`` and ``mono``, and for
     ``incr`` the one feasible joint, ``identify_joint(pair)``, as both.  A
-    wrong closed form therefore shows as a sharpness gap.  ``level`` is
-    the ``_Level`` of (pair, assumptions) the caller holds; each distinct
-    construction (y and the columns filled first) is built and checked once
-    per level, so the lower witness of an event is the upper witness of its
-    complement, and ``incr`` cells share one joint.  Without it the two
-    are built here.
+    wrong closed form therefore shows as a sharpness gap.  Both are built
+    here, on a level of their own; the cells of one ``verify_cells`` call
+    share theirs.
     """
-    level = _Level(pair_facts(pair), assumptions) if level is None else level
+    level = _Level(pair_facts(pair), assumptions)
     lower, upper = level.witnesses(_witness_specs(level, event, y))
     return lower, upper
 
@@ -355,10 +347,10 @@ class VerificationReport:
 def _check_cells(
     level: _Level,
     x: np.ndarray,
-    cells: list[tuple[EventSpec, int, BoundsResult]],
+    cells: list[tuple[EventSpec, int, float, float]],
     seed: int,
 ) -> list[VerificationReport]:
-    """Check each (event, y, claimed bounds) cell of a level against batch x.
+    """Check each (event, y, lower, upper) claim of a level against batch x.
 
     x is a cell-major batch of the level, (J, J, n).  The witnesses of all
     cells are built first, in one batch; then per evidence level y the
@@ -370,62 +362,59 @@ def _check_cells(
     if level.joint is not None:
         x = x[:, :, :1]
     witnesses = level.witnesses(
-        [spec for event, y, _ in cells for spec in _witness_specs(level, event, y)]
+        [spec for event, y, _, _ in cells for spec in _witness_specs(level, event, y)]
     )
     reports: list[VerificationReport | None] = [None] * len(cells)
     by_y: dict[int, list[int]] = {}
-    for i, (_, y, _) in enumerate(cells):
+    for i, (_, y, _, _) in enumerate(cells):
         by_y.setdefault(y, []).append(i)
     values = np.empty(x.shape[2])
     for y, indices in by_y.items():
         rows = x[y]
         mass = rows.sum(axis=0)
         for i in indices:
-            event, _, bounds = cells[i]
+            event, _, lower, upper = cells[i]
             np.matmul(event.vector, rows, out=values)
             values /= mass
-            max_violation = max(
-                0.0, float(bounds.lower - values.min()), float(values.max() - bounds.upper)
-            )
-            lower, upper = witnesses[2 * i], witnesses[2 * i + 1]
+            max_violation = max(0.0, float(lower - values.min()), float(values.max() - upper))
+            low_witness, up_witness = witnesses[2 * i], witnesses[2 * i + 1]
             reports[i] = VerificationReport(
                 contained=max_violation <= ATOL,
                 max_violation=max_violation,
-                sharpness_gap_lower=float(abs(pn_from_joint(lower, event, y) - bounds.lower)),
-                sharpness_gap_upper=float(abs(pn_from_joint(upper, event, y) - bounds.upper)),
+                sharpness_gap_lower=float(abs(pn_from_joint(low_witness, event, y) - lower)),
+                sharpness_gap_upper=float(abs(pn_from_joint(up_witness, event, y) - upper)),
                 n_samples=n,
                 seed=seed,
             )
     return reports
 
 
-def verify_bounds(
-    pair: MarginalPair,
-    event: EventSpec,
-    y: int,
-    assumptions: Assumptions,
-    bounds: BoundsResult,
-    n: int,
-    seed: int,
-    *,
-    samples: np.ndarray | None = None,
-    level: _Level | None = None,
-) -> VerificationReport:
-    """Check claimed bounds against samples and endpoint witnesses.
+def verify_cells(
+    facts: PairFacts, assumptions: Assumptions,
+    cells: list[tuple[EventSpec, int, float, float]], n: int, seed: int,
+) -> list[VerificationReport]:
+    """Check each (event, y, lower, upper) claim of one level, the pass that
+    ``--verify`` makes per assumption level.
 
-    Containment: every sampled feasible matrix must give an event
-    probability inside the interval.  Sharpness: the distance from each
-    bound to the probability its witness attains.  Findings are report
-    fields, never exceptions.  ``samples`` is a batch the caller already
-    drew with ``draw_samples(pair, assumptions, n, seed)`` and ``level``
-    the ``_Level`` of (pair, assumptions) it holds, whose witnesses the
-    cells of the batch share; without them both are made here, so a call
-    that passes neither shares nothing with any other call.  This is the
-    one-cell case of the pass that ``--verify`` makes per level.
+    Every cell shares one batch, ``draw_samples(facts.pair, assumptions, n,
+    seed)``, and the level's witnesses, each distinct construction built
+    once (the lower witness of an event is the upper witness of its
+    complement).  Containment: every sample gives an event probability
+    inside the claim.  Sharpness: each claimed endpoint's distance from what
+    its witness attains.  Findings are report fields, never exceptions;
+    ``SamplingError`` means the level cannot be sampled.
     """
-    level = _Level(pair_facts(pair), assumptions) if level is None else level
-    if samples is None:
-        x = _draw(level, n, np.random.default_rng(seed))
-    else:
-        x = samples.transpose(1, 2, 0)
-    return _check_cells(level, x, [(event, y, bounds)], seed)[0]
+    level = _Level(facts, assumptions)
+    x = _draw(level, n, np.random.default_rng(seed))
+    return _check_cells(level, x, cells, seed)
+
+
+def verify_bounds(
+    pair: MarginalPair, event: EventSpec, y: int, assumptions: Assumptions,
+    bounds: BoundsResult, n: int, seed: int,
+) -> VerificationReport:
+    """Check claimed bounds against samples and endpoint witnesses: the
+    one-cell case of ``verify_cells``, which draws the batch and builds the
+    witnesses for this call alone."""
+    cell = (event, y, bounds.lower, bounds.upper)
+    return verify_cells(pair_facts(pair), assumptions, [cell], n, seed)[0]

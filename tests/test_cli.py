@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +177,60 @@ def test_config_file_with_flag_override(tmp_path):
     )
     assert code == 0
     assert {c["assumptions"] for c in report["cells"]} == {"marginal"}
+
+
+# Per field: another value, and a value that differs from it and from the
+# default.  A switch's flag can only set it, so its other value is false.
+_FLAG_VALUES = {
+    "mode": ("pn", "pc"),
+    "route": ("experimental", "unconfounded"),
+    "exp": ("a.csv", "b.csv"),
+    "obs": ("a.csv", "b.csv"),
+    "strata": ("a.json", "b.json"),
+    "events": (["eq:0"], ["lt:1", "custom:101"]),
+    "evidence": ([1], [2, 0]),
+    "assume": ("mono", "incr"),
+    "all_canonical": (False, True),
+    "verify": (False, True),
+    "samples": (10, 20),
+    "seed": (1, 2),
+    "table": (False, True),
+    "out": ("a.json", "b.json"),
+    "inject_widen": (0.5, 0.25),
+}
+_SWITCHES = ("all_canonical", "verify", "table")
+
+
+def _flag_argv(attr, value):
+    flag = "--event" if attr == "events" else "--" + attr.replace("_", "-")
+    if attr in _SWITCHES:
+        return [flag]
+    if isinstance(value, list):
+        return [arg for v in value for arg in (flag, str(v))]
+    return [flag, str(value)]
+
+
+def test_every_config_field_has_a_precedence_case():
+    assert set(_FLAG_VALUES) == {f.name for f in fields(AnalysisConfig)}
+
+
+@pytest.mark.parametrize("attr,case", [
+    (attr, case) for attr in _FLAG_VALUES
+    for case in ("config", "flag", "both", "config-true")
+    if case != "config-true" or attr in _SWITCHES
+])
+def test_a_flag_overrides_its_config_value(tmp_path, attr, case):
+    other, value = _FLAG_VALUES[attr]
+    payload = {"config": {attr: value}, "flag": {}, "both": {attr: other},
+               "config-true": {attr: True}}[case]
+    argv = _flag_argv(attr, value) if case in ("flag", "both") else []
+    expected = {attr: value}  # a switch's value is true
+    if case == "config-true":  # another flag leaves a switch's config value as it is
+        argv, expected["samples"] = ["--samples", "7"], 7
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    args = cli._build_parser().parse_args(["--config", str(cfg_path)] + argv)
+    assert cli._merge_config(args) == replace(AnalysisConfig(), **expected)
 
 
 def test_table_alone_encodes_no_json(tmp_path, capsys, monkeypatch):
@@ -982,6 +1036,18 @@ def test_counts_beyond_2_to_the_53_exit_two_naming_the_file(tmp_path, capsys, co
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("counts,refusal", [
+    ([["3", "4"], ["5", "6"]], 'count "3" is not a number'),
+    ([[True, True], [1, 2]], "count true is not a number"),
+], ids=["string", "bool"])
+def test_json_counts_that_are_not_numbers_exit_two_naming_the_file(tmp_path, capsys, counts,
+                                                                   refusal):
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({"counts": counts}))
+    assert run(["--mode", "pc", "--exp", str(exp), "--all-canonical"]) == 2
+    assert capsys.readouterr() == ("", f"error: {exp}: bad counts layout: {refusal}\n")
+
+
 @pytest.mark.parametrize("level", [10**30, 10**9, 1_000], ids=["1e30", "1e9", "1000"])
 def test_outcome_level_beyond_the_limit_exits_two_naming_the_line(tmp_path, capsys, level):
     exp = tmp_path / "exp.csv"
@@ -1013,7 +1079,8 @@ def test_tables_beyond_the_level_limit_exit_two_naming_the_file(tmp_path, capsys
      "stratum id 'a' repeats"),
     ('[{"id": "s", "counts": [[0, 0], [3, 4]]}]',
      "stratum 's': each treatment arm needs at least one observation"),
-], ids=["repeated_id", "empty_arm"])
+    ('[{"id": "s", "counts": [[3, 4], [5, "6"]]}]', "stratum 's': count \"6\" is not a number"),
+], ids=["repeated_id", "empty_arm", "string_count"])
 def test_bad_strata_exit_two_naming_the_file(tmp_path, capsys, strata, message):
     path = tmp_path / "strata.json"
     path.write_text(strata)

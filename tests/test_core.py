@@ -180,10 +180,9 @@ def test_event_spec_stores_binary_coefficients_as_ints():
     assert event.coeffs == (1, 0, 1, 0) and {type(c) for c in event.coeffs} == {int}
 
 
-def test_distribution_from_counts_normalizes_once_and_keeps_counts():
+def test_distribution_from_counts_normalizes_once():
     dist = OrdinalDistribution.from_counts([2, 6])
     assert dist.probs == pytest.approx([0.25, 0.75])
-    assert dist.counts.tolist() == [2, 6]
 
 
 def test_distribution_is_immutable():

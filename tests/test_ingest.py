@@ -291,11 +291,13 @@ _REFUSED_TABLES = [
     ("fraction.csv", "z,y,count\n0,0,1.5\n0,1,3\n1,0,4\n1,1,5\n",
      "{path}:2: expected integers 'z,y,count', got ['0', '0', '1.5']"),
     ("empty_arm.csv", "z,y,count\n0,0,1\n0,1,3\n1,0,0\n1,1,0\n",
-     "each treatment arm needs at least one observation"),
+     "{path}: each treatment arm needs at least one observation"),
+    ("empty_control_arm.csv", "z,y,count\n0,0,0\n0,1,0\n1,0,4\n1,1,5\n",
+     "{path}: each treatment arm needs at least one observation"),
     ("one_arm.csv", "z,y,count\n0,0,1\n0,1,3\n0,2,3\n",
-     "each treatment arm needs at least one observation"),
+     "{path}: each treatment arm needs at least one observation"),
     ("one_level.csv", "z,y,count\n0,0,1\n1,0,3\n", "{path}: need at least 2 outcome levels"),
-    ("zeros.csv", "z,y,count\n0,0,0\n0,1,0\n1,0,0\n1,1,0\n", "table is empty"),
+    ("zeros.csv", "z,y,count\n0,0,0\n0,1,0\n1,0,0\n1,1,0\n", "{path}: table is empty"),
     ("nan.json", '{"counts": [[NaN, 1, 2], [3, 4, 5]]}',
      "{path}: bad counts layout: counts must be nonnegative integers"),
     ("negative.json", '{"counts": [[-1, 1, 2], [3, 4, 5]]}',
@@ -313,6 +315,13 @@ _REFUSED_TABLES = [
      "{path}: bad counts layout: need a 2 x J table with J >= 2, got (2, 1)"),
     ("text.json", '{"counts": [["a", 2], [3, 4]]}',
      "{path}: bad counts layout: could not convert string to float: 'a'"),
+    # numpy reads these as numbers; the CSV reader would refuse them
+    ("string_counts.json", '{"counts": [["3", "4"], ["5", "6"]]}',
+     '{path}: bad counts layout: count "3" is not a number'),
+    ("bool_counts.json", '[[true, true], [1, 2]]',
+     "{path}: bad counts layout: count true is not a number"),
+    ("null_count.json", '{"counts": [[3, 4], [5, null]]}',
+     "{path}: bad counts layout: counts must be nonnegative integers"),
 ]
 
 # Counts that are not finite integers in [0, 2**53 - 1], refused with the file
@@ -382,7 +391,9 @@ def test_counts_below_2_to_the_53_load_exactly(tmp_path):
     ("[[Infinity, 1], [3, 4]]", _TOO_LARGE),
     ("[[1" + "0" * 400 + ", 1], [3, 4]]", "int too large to convert to float"),
     ("[[0, 0], [3, 4]]", "each treatment arm needs at least one observation"),
-], ids=["nan", "infinity", "digits", "empty_arm"])
+    ('[[3, 4], ["5", 6]]', 'count "5" is not a number'),
+    ("[[3, false], [5, 6]]", "count false is not a number"),
+], ids=["nan", "infinity", "digits", "empty_arm", "string", "bool"])
 def test_bad_strata_counts_name_the_file_and_stratum(tmp_path, counts, message):
     path = tmp_path / "strata.json"
     path.write_text(f'[{{"id": "s", "counts": {counts}}}]')

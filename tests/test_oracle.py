@@ -305,16 +305,15 @@ def test_coverage_is_no_worse_than_proportional_fitting():
 def test_narrowed_bounds_are_caught_at_least_as_often_as_by_proportional_fitting():
     for (name, assumptions), (ipf_caught, claims) in IPF_CAUGHT.items():
         pair = lalonde_pair() if name == "lalonde" else _coverage_pair(name)
-        x = draw_samples(pair, assumptions, 10_000, seed=42)
-        caught = total = 0
+        cells = []
         for event, y, result in _claimed_cells(pair, assumptions):
             shift = 0.01 * result.width
-            for lower, upper in ((result.lower + shift, result.upper), (result.lower, result.upper - shift)):
-                claim = BoundsResult(lower, upper, assumptions, Method.CLOSED_FORM)
-                report = verify_bounds(pair, event, y, assumptions, claim, 10_000, 42, samples=x)
-                caught += not report.contained
-                total += 1
-        assert total == claims and caught >= ipf_caught
+            cells += [(event, y, result.lower + shift, result.upper),
+                      (event, y, result.lower, result.upper - shift)]
+        # one batch for every claim: draw_samples(pair, assumptions, 10_000, seed=42)
+        reports = oracle.verify_cells(pair_facts(pair), assumptions, cells, 10_000, 42)
+        caught = sum(not report.contained for report in reports)
+        assert len(reports) == claims and caught >= ipf_caught
 
 
 # --- verification -------------------------------------------------------------------
@@ -405,33 +404,31 @@ def test_lower_witness_is_the_upper_witness_of_the_complement():
                 lower = endpoint_witnesses(pair, event, y, assumptions)[0]
                 upper = endpoint_witnesses(pair, event.complement(), y, assumptions)[1]
                 assert np.array_equal(lower.entries, upper.entries)
-                # with one level passed, the two are one construction
+                # on one level, the two are one construction
                 level = oracle._Level(pair_facts(pair), assumptions)
-                assert endpoint_witnesses(pair, event, y, assumptions, level=level)[0] is (
-                    endpoint_witnesses(pair, event.complement(), y, assumptions, level=level)[1]
-                )
+                specs = oracle._witness_specs(level, event, y)
+                specs += oracle._witness_specs(level, event.complement(), y)
+                witnesses = level.witnesses(specs)
+                assert witnesses[0] is witnesses[3]
                 cells += 1
     assert cells > 150
 
 
 def test_a_passed_level_reads_the_evidence_rows_of_each_batch():
     pair = lalonde_pair()
-    level = oracle._Level(pair_facts(pair), Assumptions.MARGINAL_ONLY)
+    facts = pair_facts(pair)
     event = canonical_events(3, 2)[0]
     mid = pn_bounds_marginal(pair, event, 2).midpoint
     # a point claim: max_violation is the batch's distance from it
     claim = BoundsResult(mid, mid, Assumptions.MARGINAL_ONLY, Method.CLOSED_FORM)
     violations = []
     for seed in (1, 2, 1):
-        batch = draw_samples(pair, Assumptions.MARGINAL_ONLY, 300, seed)
-        shared = verify_bounds(
-            pair, event, 2, Assumptions.MARGINAL_ONLY, claim, 300, seed,
-            samples=batch, level=level,
-        )
-        # a call without a level draws its own batch: the same cell, unshared
-        assert shared == verify_bounds(pair, event, 2, Assumptions.MARGINAL_ONLY, claim, 300, seed)
-        violations.append(shared.max_violation)
-    # the level keeps no rows: each call read the batch it was given
+        one = verify_bounds(pair, event, 2, Assumptions.MARGINAL_ONLY, claim, 300, seed)
+        # the one-cell case of verify_cells: the same batch, the same report
+        cells = [(event, 2, mid, mid)]
+        assert [one] == oracle.verify_cells(facts, Assumptions.MARGINAL_ONLY, cells, 300, seed)
+        violations.append(one.max_violation)
+    # nothing is kept between calls: each read the batch of its own seed
     assert violations[0] == violations[2] != violations[1]
 
 
@@ -447,14 +444,14 @@ def _level_cases():
 
 
 def _claims(facts, event, y, assumptions):
-    """The cell's bounds, and the same narrowed and shifted."""
+    """The cell's (lower, upper) bounds, and the same narrowed and shifted."""
     from pnbounds.bounds import cell_bounds
 
     res = cell_bounds(facts, event, y, assumptions)
     shift = 0.05 * max(res.width, 0.02)
     for lower, upper in ((res.lower, res.upper), (res.lower + shift, res.upper),
                          (res.lower, res.upper - shift), (res.lower + shift, res.upper + shift)):
-        yield BoundsResult(min(lower, upper), max(lower, upper), assumptions, Method.CLOSED_FORM)
+        yield min(lower, upper), max(lower, upper)
 
 
 def test_the_level_pass_equals_a_recomputation_from_the_drawn_samples():
@@ -464,7 +461,7 @@ def test_the_level_pass_equals_a_recomputation_from_the_drawn_samples():
         levels = pair.levels
         for assumptions in Assumptions:
             try:
-                level = oracle._Level(facts, assumptions)
+                oracle._Level(facts, assumptions)  # skip a level whose feasible set is empty
             except SamplingError:
                 continue
             n, seed = 300 + 7 * index, 500 + index
@@ -474,21 +471,17 @@ def test_the_level_pass_equals_a_recomputation_from_the_drawn_samples():
                     continue
                 custom = make_event("custom", levels, coeffs=[(y + l) % 2 for l in range(levels)])
                 for event in canonical_events(levels, y) + [custom]:
-                    cells += [(event, y, claim) for claim in _claims(facts, event, y, assumptions)]
-            reports = oracle._check_cells(
-                level, oracle._draw(level, n, np.random.default_rng(seed)), cells, seed
-            )
+                    cells += [(event, y, *claim) for claim in _claims(facts, event, y, assumptions)]
+            reports = oracle.verify_cells(facts, assumptions, cells, n, seed)
             x = draw_samples(pair, assumptions, n, seed)
-            for (event, y, claim), report in zip(cells, reports, strict=True):
+            for (event, y, lower, upper), report in zip(cells, reports, strict=True):
                 values = x[:, y, :] @ event.vector / x[:, y, :].sum(1)
-                violation = max(
-                    0.0, float(claim.lower - values.min()), float(values.max() - claim.upper)
-                )
+                violation = max(0.0, float(lower - values.min()), float(values.max() - upper))
                 assert abs(report.max_violation - violation) <= 1e-15
                 assert report.contained is (violation <= ATOL)
                 low, up = endpoint_witnesses(pair, event, y, assumptions)
-                assert report.sharpness_gap_lower == abs(pn_from_joint(low, event, y) - claim.lower)
-                assert report.sharpness_gap_upper == abs(pn_from_joint(up, event, y) - claim.upper)
+                assert report.sharpness_gap_lower == abs(pn_from_joint(low, event, y) - lower)
+                assert report.sharpness_gap_upper == abs(pn_from_joint(up, event, y) - upper)
                 assert (report.n_samples, report.seed) == (n, seed)
                 verdicts.add((assumptions, report.contained))
                 checked += 1

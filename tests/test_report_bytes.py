@@ -6,7 +6,9 @@ error, warnings and standard output with SHA-256.  The cases cover every
 table class on every route, ``--table``, custom events, zero evidence,
 ``--config``, ``--verify`` and the error exits.  ``DIGESTS`` was recorded
 before the report cells were built in one pass per assumption level, so a
-change to any report byte fails here.  The reports print floats to the last
+change to any report byte fails here; the two refusals named
+``error-csv-empty-arm`` and ``error-json-string-counts`` were recorded when
+they began to name the file and to refuse counts that are not numbers.  The reports print floats to the last
 bit, so a numpy build whose sums or dot products round differently moves
 the digests too.
 
@@ -109,6 +111,10 @@ def cases() -> dict[str, list[str]]:
         "error-incompatible": ["--exp", _csv("inc_exp.csv", [[1, 99], [50, 50]]),
                                "--obs", _csv("inc_obs.csv", [[80, 20], [10, 90]]),
                                "--all-canonical"],
+        "error-csv-empty-arm": ["--mode", "pc", "--exp", _csv("empty_arm.csv", [[0, 0], [3, 4]]),
+                                "--all-canonical"],
+        "error-json-string-counts": ["--mode", "pc", "--exp", _write(
+            "string_counts.json", {"counts": [["3", "4"], ["5", "6"]]}), "--all-canonical"],
     }
     rng = np.random.default_rng(20)
     for levels in LEVELS:
@@ -177,6 +183,8 @@ DIGESTS: dict[str, str] = {
     'error-csv-header': 'bbaeb963293bbd45fbe5f19e772c2a8835b4056b7c5a355be16551492c4b5073',
     'error-csv-level': 'ec3c69309006c0511b3bc973aa8d18fedfca50fac1409d4eaa6c34f2ee58837e',
     'error-incompatible': '237ffc04466fe823932122d9a2b6cea0e12597a547b6e188c338fef981853881',
+    'error-csv-empty-arm': '1fbdb730a7fb3916bf90b3b33d57b1eb633b53ff31d87b9cce4a0879cf41e046',
+    'error-json-string-counts': '05f8768eb7dd2b0fe40afd07ad6f0f1ca5680615c6c66deb70dd59f91c52f880',
     'staircase3-exp': '7603897dc752b3a9d9995af67defd8d494e41dbf7f23a9cdcea61ce2c07800f3',
     'staircase3-strata': '6d5f7d50de28b1ba3f8ebbb53a95a6773b4ff0e4f2e950d92be0f11df8dbb88e',
     'staircase3-pc': 'e60f2ad097dc5bb25c540a2f4b334ea0591151abbc25b9d651280038a3e92192',
