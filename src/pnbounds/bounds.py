@@ -17,8 +17,7 @@ Each closed form is written once, over rows: ``level_bounds`` computes N
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -28,7 +27,6 @@ from .core import (
     Assumptions,
     CausalAttributionError,
     EventSpec,
-    JointProbabilityMatrix,
     MarginalPair,
     ZeroEvidenceError,
     check_evidence,
@@ -64,7 +62,6 @@ class BoundsResult:
     upper: float
     assumptions: Assumptions
     method: Method
-    witnesses: Sequence[JointProbabilityMatrix] | None = field(default=None, compare=False)
     note: str | None = None
 
     @property

@@ -62,7 +62,6 @@ class AnalysisConfig:
     seed: int = 42
     table: bool = False
     out: str | None = None
-    inject_widen: float = 0.0
 
 
 @functools.cache
@@ -104,7 +103,6 @@ def _build_parser() -> _Parser:
         "--table", action="store_true", help="render a plain-text grid"
     )
     parser.add_argument("--out", help="write the JSON report here")
-    parser.add_argument("--inject-widen", type=float, help=argparse.SUPPRESS)
     return parser
 
 
@@ -140,9 +138,7 @@ def _check_config_value(key: str, value: Any, flag: argparse.Action, default: An
     kind = bool if flag.nargs == 0 else flag.type or str
     items = value if isinstance(default, list) else [value]
     if not isinstance(items, list) or not all(
-        (type(v) is kind or (kind is float and type(v) is int))
-        and (flag.choices is None or v in flag.choices)
-        for v in items
+        type(v) is kind and (flag.choices is None or v in flag.choices) for v in items
     ):
         raise _UsageError(f"config {key!r}: {value!r} is not valid for {flag.option_strings[0]}")
 
@@ -351,8 +347,13 @@ def verify_report(
     count and the seed are fixed), so one batch is drawn per level and
     shared by its cells, one level at a time.  The levels share the facts
     of the pair, those the report was built on.  A cell with an estimate
-    whose level cannot be sampled fails the verification.
+    whose level cannot be sampled fails the verification.  A batch of more
+    than ``oracle.BATCH_BUDGET`` entries is refused before any is drawn.
     """
+    levels = facts.pair.levels
+    if cfg.samples * levels * levels > oracle.BATCH_BUDGET:
+        raise _UsageError(f"--verify: --samples {cfg.samples} draws of {levels} x {levels} joints "
+                          f"exceed the batch budget of {oracle.BATCH_BUDGET} entries (2**27)")
     entries = [dict(cell) for cell in report["cells"]]
     by_level: dict[Assumptions, list[dict[str, Any]]] = {}
     for entry in entries:
@@ -372,7 +373,7 @@ def _verify_level(
 ) -> bool:
     """Verify the cells of one assumption level in one pass over one batch.
 
-    Each entry's claim, widened by ``--inject-widen`` and kept in [0, 1],
+    Each entry's claim, kept in [0, 1] (an ``incr`` point is not clamped),
     goes to one ``oracle.verify_cells`` call: it draws the level's batch,
     builds the level's witnesses in one batch and reads the batch's rows of
     each evidence level once.  A level that cannot be sampled skips its
@@ -385,8 +386,7 @@ def _verify_level(
             lower = upper = entry["value"]
         else:
             lower, upper = entry["lower"], entry["upper"]
-        cells.append((events[entry["event"]], entry["evidence"],
-                      max(0.0, lower - cfg.inject_widen), min(1.0, upper + cfg.inject_widen)))
+        cells.append((events[entry["event"]], entry["evidence"], max(0.0, lower), min(1.0, upper)))
     try:
         checks = oracle.verify_cells(facts, assumptions, cells, cfg.samples, cfg.seed)
     except oracle.SamplingError as exc:

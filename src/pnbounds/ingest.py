@@ -41,6 +41,10 @@ class DataFormatError(CausalAttributionError):
     """An input file cannot be parsed; message carries file and line."""
 
 
+class _LayoutError(DataFormatError):
+    """Counts that are not laid out as a 2 x J table."""
+
+
 class IncompatibleSourcesError(CausalAttributionError):
     """The identification formula produced a non-probability.
 
@@ -65,7 +69,7 @@ class ContingencyTable:
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=float)
         if counts.ndim != 2 or counts.shape[0] != 2 or counts.shape[1] < 2:
-            raise DataFormatError(f"need a 2 x J table with J >= 2, got {counts.shape}")
+            raise _LayoutError(f"need a 2 x J table with J >= 2, got {counts.shape}")
         if counts.shape[1] > MAX_LEVEL + 1:
             raise DataFormatError(f"outcome level {counts.shape[1] - 1} exceeds {MAX_LEVEL}")
         # NaN is not >= 0; +inf passes as an integer, then exceeds MAX_COUNT
@@ -280,8 +284,10 @@ def load_table_json(path: str | Path, source: Source) -> ContingencyTable:
     counts = payload.get("counts") if isinstance(payload, dict) else payload
     try:
         return _json_table(counts, source)
-    except (TypeError, ValueError, OverflowError, DataFormatError) as exc:
+    except (TypeError, ValueError, OverflowError, _LayoutError) as exc:  # unreadable, or not 2 x J
         raise DataFormatError(f"{path}: bad counts layout: {exc}") from exc
+    except DataFormatError as exc:  # a value the table refuses
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def load_table(path: str | Path, source: Source) -> ContingencyTable:

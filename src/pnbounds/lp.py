@@ -22,7 +22,6 @@ from .core import (
     Assumptions,
     CausalAttributionError,
     EventSpec,
-    JointProbabilityMatrix,
     MarginalPair,
     allowed_mask,
     check_evidence,
@@ -340,31 +339,16 @@ def _feasible_base(pair: MarginalPair, assumptions: Assumptions) -> _Network:
     return network
 
 
-class _Witnesses:
-    """The optimal joints of ``pn_bounds_lp``, each built when it is read."""
-
-    def __init__(self, network: _Network, points: tuple[np.ndarray, np.ndarray]):
-        self._network, self._points = network, points
-
-    def __getitem__(self, i: int) -> JointProbabilityMatrix:
-        levels = self._network.laws.size // 2
-        q = np.zeros((levels, levels))
-        # clipping entries down to -INFEAS_TOL can push the sum past 1 + ATOL;
-        # rescaling restores it and leaves every conditional probability as is
-        q[self._network.rows, self._network.cols] = np.clip(self._points[i], 0.0, None)
-        return JointProbabilityMatrix(entries=q / q.sum())
-
-
 def pn_bounds_lp(
     pair: MarginalPair, event: EventSpec, y: int, assumptions: Assumptions
 ) -> BoundsResult:
     """Sharp bounds for any event under any assumption level, by LP.
 
     Minimizing and maximizing the event mass in the evidence row over the
-    feasible polytope and dividing by treated[y] yields the bounds; the
-    optimal matrices are returned as endpoint witnesses.  An empty polytope
-    under the one-level-lift assumption is cross-checked against the gap
-    brackets before being reported.
+    feasible polytope and dividing by treated[y] yields the bounds, each
+    optimum certified through the dual (``_Network.solve``).  An empty
+    polytope under the one-level-lift assumption is cross-checked against
+    the gap brackets before being reported.
     """
     mass = check_evidence(pair, event, y)
     network = _feasible_base(pair, assumptions)
@@ -384,13 +368,12 @@ def pn_bounds_lp(
             f"feasible set is empty under {assumptions.value!r} for these marginals"
         )
     c = network.objective(event.coeffs, y)
-    low, x_low = network.solve(c)
-    neg_up, x_up = network.solve(-c)
+    low, _ = network.solve(c)
+    neg_up, _ = network.solve(-c)
     # clamped after the feasibility test; max(0.0, -0.0) is 0.0, never -0.0
     return BoundsResult(
         lower=float(min(1.0, max(0.0, low / mass))),
         upper=float(min(1.0, max(0.0, -neg_up / mass))),
         assumptions=assumptions,
         method=Method.LP,
-        witnesses=_Witnesses(network, (x_low, x_up)),
     )

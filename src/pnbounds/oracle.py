@@ -37,6 +37,8 @@ from .identify import EXACT_ATOL, PairFacts, pair_facts
 
 #: Draws are split into this many groups, each with its own fill order.
 MIX_GROUPS = 16
+#: Most entries, draws x J x J, that one batch may hold: 2**27 floats, 1 GiB.
+BATCH_BUDGET = 2**27
 
 
 class ConstructionError(CausalAttributionError):
@@ -45,17 +47,6 @@ class ConstructionError(CausalAttributionError):
 
 class SamplingError(CausalAttributionError):
     """The requested feasible set is empty, or a batch failed its self-check."""
-
-
-def _check_margins(
-    joint: JointProbabilityMatrix, pair: MarginalPair, tol: float
-) -> None:
-    row_err = np.abs(joint.row_margins() - pair.treated_law.probs).max()
-    col_err = np.abs(joint.col_margins() - pair.control_law.probs).max()
-    if max(row_err, col_err) > tol:
-        raise ConstructionError(
-            f"margins off by {max(row_err, col_err):.3g} (tolerance {tol:g})"
-        )
 
 
 class _Level:
@@ -67,9 +58,10 @@ class _Level:
     ``mono`` gap inside the band is clipped to zero (moving a level by at
     most ``ATOL``).  ``tol``: the margin tolerance of a draw or witness,
     ``EXACT_ATOL`` plus ``ATOL`` on a pair that meets the level's conditions
-    only inside the band.  ``joint``: the ``incr`` point.  ``built``: memo
-    of checked witnesses.  A level is made by the caller that uses it and
-    passed on explicitly; nothing keeps one beyond that.
+    only inside the band.  ``joint``: the ``incr`` point.  ``spans``: the
+    columns [first, end) that each row allows, one run in every pattern.
+    ``built``: memo of checked witnesses.  A level is made by the caller
+    that uses it and passed on explicitly; nothing keeps one beyond that.
     """
 
     def __init__(self, facts: PairFacts, assumptions: Assumptions):
@@ -84,7 +76,8 @@ class _Level:
             self.joint = facts.joint()
         elif assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
             raise SamplingError("monotone feasible set is empty: some cumulative gap is negative")
-        self.mask = allowed_mask(assumptions, pair.levels)
+        self.spans = [(int(row.argmax()), pair.levels - int(row[::-1].argmax()))
+                      for row in allowed_mask(assumptions, pair.levels)]
         self.treated = treated = pair.treated_law.probs
         self.control = pair.control_law.probs
         gaps = facts.gaps
@@ -166,13 +159,22 @@ def _floor(left: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return np.maximum(left - rest, 0.0)
 
 
+def _off_pattern(x: np.ndarray, level: _Level) -> bool:
+    """Whether x, (J, J) or (J, J, n), has mass on a cell the level pins to
+    zero.  Each row's pinned cells are two slices, read in place: a mask
+    index would copy all of them."""
+    levels = len(level.spans)
+    return any((a and x[k, :a].any()) or (b < levels and x[k, b:].any())
+               for k, (a, b) in enumerate(level.spans))
+
+
 def _self_check(x: np.ndarray, level: _Level) -> None:
     """Raise ``SamplingError`` unless every draw in x, (J, J, n), is feasible
     within tol.  Rounding negatives are clipped and each draw renormalized,
     in place.
     """
     low, tol = float(-x.min()), level.tol
-    if low > tol or x[~level.mask].any():
+    if low > tol or _off_pattern(x, level):
         raise SamplingError(
             f"sampler self-check failed: entry {-low:.3g} or mass off the zero pattern"
         )
@@ -208,10 +210,14 @@ def _draw(level: _Level, n: int, rng: np.random.Generator) -> np.ndarray:
     of each cell's interval than a uniform u does; measured, that widens
     the sampled range of every event; each group transforms only the
     uniforms its fill reads.  ``incr``: the one feasible point, broadcast.
+    A batch of more than ``BATCH_BUDGET`` entries is refused unallocated.
     """
+    levels = level.pair.levels
     if n < 1:
         raise SamplingError("need at least one sample")
-    levels = level.pair.levels
+    if n * levels * levels > BATCH_BUDGET:
+        raise SamplingError(f"{n} draws of {levels} x {levels} joints exceed the batch budget "
+                            f"of {BATCH_BUDGET} entries")
     if level.joint is not None:
         point = level.joint.entries[:, :, None].copy()
         _self_check(point, level)
@@ -302,9 +308,13 @@ def _checked_witness(q: np.ndarray, level: _Level) -> JointProbabilityMatrix:
     margins pass; a witness is checked, not trusted (``ConstructionError``)."""
     q = np.clip(q, 0.0, None)
     joint = JointProbabilityMatrix(entries=q / q.sum())
-    if joint.entries[~level.mask].any():
+    if _off_pattern(joint.entries, level):
         raise ConstructionError("witness has mass outside the zero pattern")
-    _check_margins(joint, level.pair, level.tol)
+    pair, tol = level.pair, level.tol
+    err = max(np.abs(joint.row_margins() - pair.treated_law.probs).max(),
+              np.abs(joint.col_margins() - pair.control_law.probs).max())
+    if err > tol:
+        raise ConstructionError(f"margins off by {err:.3g} (tolerance {tol:g})")
     return joint
 
 

@@ -196,7 +196,6 @@ _FLAG_VALUES = {
     "seed": (1, 2),
     "table": (False, True),
     "out": ("a.json", "b.json"),
-    "inject_widen": (0.5, 0.25),
 }
 _SWITCHES = ("all_canonical", "verify", "table")
 
@@ -951,13 +950,39 @@ def test_verify_computes_the_pair_facts_once_per_report(tmp_path, monkeypatch):
     assert calls == ["pnbounds.identify.pair_facts", "pnbounds.identify.gap_sequence"]
 
 
-def test_verify_widened_bounds_fail(tmp_path):
+def test_verify_widened_bounds_fail(tmp_path, monkeypatch):
+    from pnbounds import bounds
+
+    level_bounds = bounds.level_bounds
+
+    def widened(*args):  # a fault in the closed forms: each claim 0.05 too wide
+        lower, upper = level_bounds(*args)
+        return lower - 0.05, upper + 0.05
+
+    monkeypatch.setattr(bounds, "level_bounds", widened)
     code = main(
         ["--exp", EXP, "--obs", OBS, "--event", "noteq:2", "--evidence", "2",
          "--assume", "marginal", "--verify", "--samples", "200", "--seed", "7",
-         "--inject-widen", "0.05", "--out", str(tmp_path / "r.json")]
+         "--out", str(tmp_path / "r.json")]
     )
     assert code == 3
+    (cell,) = json.loads((tmp_path / "r.json").read_text())["verification"]["cells"]
+    assert cell["verification"]["contained"] and not cell["verification"]["sharp"]
+
+
+def test_an_oversized_verify_batch_exits_one_before_drawing(capsys, monkeypatch):
+    from pnbounds import oracle
+
+    def no_draw(*args):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(oracle, "_draw", no_draw)
+    samples = 10**15  # 9e15 entries at J = 3: no numpy build could allocate them
+    assert run(["--exp", EXP, "--obs", OBS, "--all-canonical", "--verify",
+                "--samples", str(samples)]) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: --verify: --samples {samples} draws of 3 x 3 joints exceed the batch "
+        f"budget of {oracle.BATCH_BUDGET} entries (2**27)\n"))
 
 
 # --- error paths ----------------------------------------------------------------------
@@ -990,7 +1015,6 @@ def test_usage_errors_exit_one(tmp_path):
         [1, 2],
         {"assume": "bogus"},
         {"events": "eq:1"},
-        {"inject-widen": "0.1"},
     ],
     ids=repr,
 )
@@ -1023,17 +1047,21 @@ def test_data_errors_exit_two(tmp_path):
     assert run(["--exp", str(exp), "--obs", str(obs), "--all-canonical"]) == 2
 
 
+_TOO_LARGE = "counts must not exceed 2**53 - 1 = 9007199254740991"
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("count", ["Infinity", "1e300", str(2**53 + 1), "1" + "0" * 400],
-                         ids=["infinity", "1e300", "2**53+1", "400-digits"])
-def test_counts_beyond_2_to_the_53_exit_two_naming_the_file(tmp_path, capsys, count):
+@pytest.mark.parametrize("count,refusal", [
+    ("Infinity", _TOO_LARGE),
+    ("1e300", _TOO_LARGE),
+    (str(2**53 + 1), _TOO_LARGE),
+    ("1" + "0" * 400, "bad counts layout: int too large to convert to float"),  # unreadable
+], ids=["infinity", "1e300", "2**53+1", "400-digits"])
+def test_counts_beyond_2_to_the_53_exit_two_naming_the_file(tmp_path, capsys, count, refusal):
     exp = tmp_path / "exp.json"
     exp.write_text(f'{{"counts": [[{count}, 1, 2], [3, 4, 5]]}}')
     assert run(["--mode", "pc", "--exp", str(exp), "--all-canonical"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {exp}: bad counts layout: ")
-    assert "Traceback" not in captured.err
+    assert capsys.readouterr() == ("", f"error: {exp}: {refusal}\n")
 
 
 @pytest.mark.parametrize("counts,refusal", [
@@ -1045,7 +1073,7 @@ def test_json_counts_that_are_not_numbers_exit_two_naming_the_file(tmp_path, cap
     exp = tmp_path / "exp.json"
     exp.write_text(json.dumps({"counts": counts}))
     assert run(["--mode", "pc", "--exp", str(exp), "--all-canonical"]) == 2
-    assert capsys.readouterr() == ("", f"error: {exp}: bad counts layout: {refusal}\n")
+    assert capsys.readouterr() == ("", f"error: {exp}: {refusal}\n")
 
 
 @pytest.mark.parametrize("level", [10**30, 10**9, 1_000], ids=["1e30", "1e9", "1000"])
@@ -1064,14 +1092,14 @@ def test_tables_beyond_the_level_limit_exit_two_naming_the_file(tmp_path, capsys
     counts = [[1] * 1_200, [2] * 1_200]
     if kind == "table":
         path.write_text(json.dumps({"counts": counts}))
-        argv, message = ["--mode", "pc", "--exp", str(path)], "bad counts layout"
+        argv, message = ["--mode", "pc", "--exp", str(path)], ""
     else:
         path.write_text(json.dumps([{"id": "s", "counts": counts}]))
-        argv, message = ["--route", "unconfounded", "--strata", str(path)], "stratum 's'"
+        argv, message = ["--route", "unconfounded", "--strata", str(path)], " stratum 's':"
     assert run(argv + ["--event", "eq:1", "--evidence", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {path}: {message}: outcome level 1199 exceeds 999\n"
+    assert captured.err == f"error: {path}:{message} outcome level 1199 exceeds 999\n"
 
 
 @pytest.mark.parametrize("strata,message", [

@@ -3,6 +3,7 @@ import pytest
 
 from pnbounds import (
     Assumptions,
+    JointProbabilityMatrix,
     LpInfeasibleError,
     Method,
     allowed_mask,
@@ -36,6 +37,19 @@ def network(pair, assumptions):
     return _Network(
         pair.treated_law.probs, pair.control_law.probs, allowed_mask(assumptions, pair.levels)
     )
+
+
+def optimal_points(pair, event, y, assumptions):
+    """The two optima of ``pn_bounds_lp`` (least and most event mass) as
+    (J, J) matrices, solved again on the cached phase-one network."""
+    net = lp._feasible_base(pair, assumptions)
+    c = net.objective(event.coeffs, y)
+    points = []
+    for cost in (c, -c):
+        point = np.zeros((pair.levels, pair.levels))
+        point[net.rows, net.cols] = net.solve(cost)[1]
+        points.append(point)
+    return points
 
 
 # --- the transportation network --------------------------------------------------
@@ -187,6 +201,7 @@ def test_ladder_nesting_through_the_lp():
 
 
 def test_lp_witnesses_are_feasible_and_attain_endpoints():
+    # the witnesses are the optimal points of the two solves
     rng = np.random.default_rng(53)
     for _ in range(20):
         levels = int(rng.integers(2, 5))
@@ -197,7 +212,8 @@ def test_lp_witnesses_are_feasible_and_attain_endpoints():
         event = canonical_events(levels, y)[1]
         for assumptions in (Assumptions.MARGINAL_ONLY, Assumptions.MONOTONICITY):
             res = pn_bounds_lp(pair, event, y, assumptions)
-            low_w, up_w = res.witnesses
+            low_w, up_w = (JointProbabilityMatrix(entries=point)
+                           for point in optimal_points(pair, event, y, assumptions))
             for witness in (low_w, up_w):
                 assert np.abs(witness.row_margins() - pair.treated_law.probs).max() < 1e-8
                 assert np.abs(witness.col_margins() - pair.control_law.probs).max() < 1e-8
@@ -275,9 +291,10 @@ def test_gap_at_the_band_edge_gets_bounds_and_witnesses():
         assert (closed.lower, closed.upper) == (expected, expected)
         assert abs(result.lower - expected) <= 1e-9
         assert abs(result.upper - expected) <= 1e-9
-        for witness in result.witnesses:
-            assert witness.entries.min() >= 0.0
-            assert abs(witness.entries.sum() - 1.0) <= 1e-12
+        # each optimum is a joint within the band, as its certificate demands
+        for point in optimal_points(pair, event, 0, Assumptions.MONOTONICITY):
+            assert point.min() >= -INFEAS_TOL
+            assert abs(point.sum() - 1.0) <= 1e-12
     # row 0 has one allowed cell, so the margins put all of treated[0] in it
     # however small it is: the gap's -5e-10 goes to another cell, not to a
     # 1.25e-8 shortfall of the bound
@@ -417,12 +434,12 @@ def test_degenerate_programs_end_on_strongly_feasible_certified_trees(levels, mo
 # --- the phase-one cache ----------------------------------------------------------
 
 def lp_outcome(pair, event, y, assumptions):
-    """Bounds and witness bytes of ``pn_bounds_lp``, or its refusal message."""
+    """Bounds and optimal-point bytes of ``pn_bounds_lp``, or its refusal message."""
     try:
         res = pn_bounds_lp(pair, event, y, assumptions)
     except LpInfeasibleError as exc:
         return str(exc)
-    return res.lower, res.upper, [w.entries.tobytes() for w in res.witnesses]
+    return res.lower, res.upper, [p.tobytes() for p in optimal_points(pair, event, y, assumptions)]
 
 
 def test_warm_cache_answers_equal_cold_ones():

@@ -252,6 +252,41 @@ def test_a_corrupted_cut_bound_fails_the_self_check(monkeypatch, floor):
             draw_samples(pair, assumptions, 1000, seed=0)
 
 
+@pytest.mark.parametrize("assumptions,builder,cycle", [
+    (Assumptions.MONOTONICITY, lower_triangular_pair, (0, 1, 1, 0)),  # above the diagonal
+    (Assumptions.MONOTONIC_INCREMENT, staircase_pair, (2, 0, 1, 1)),  # below the subdiagonal
+], ids=["mono", "incr"])
+def test_mass_off_the_zero_pattern_fails_the_self_check(assumptions, builder, cycle):
+    # e moves onto the pinned cell (k, l) around a cycle through the allowed
+    # cells (k, m), (j, m) and (j, l): every margin holds and no entry falls
+    # below -tol, so only the zero-pattern test can refuse the batch
+    k, l, j, m = cycle
+    level = oracle._Level(pair_facts(builder(np.random.default_rng(607), 4)), assumptions)
+    x = np.array(oracle._draw(level, 500, np.random.default_rng(0)))
+    e = level.tol / 2
+    x[k, l] += e
+    x[k, m] -= e
+    x[j, m] += e
+    x[j, l] -= e
+    with pytest.raises(SamplingError, match="zero pattern"):
+        oracle._self_check(x, level)
+
+
+def test_a_batch_beyond_the_budget_is_refused_unallocated(monkeypatch):
+    # 2**27 entries: J = 115 at 10,000 draws fits, J = 116 does not
+    assert 115**2 * 10_000 <= oracle.BATCH_BUDGET < 116**2 * 10_000
+    pair = lalonde_pair()
+    for assumptions in Assumptions:
+        with pytest.raises(SamplingError, match="batch budget"):
+            draw_samples(pair, assumptions, 10**15, seed=1)
+    # the edge, at a budget small enough to run: 40 draws of 3 x 3
+    monkeypatch.setattr(oracle, "BATCH_BUDGET", 40 * 9)
+    for assumptions in Assumptions:
+        assert draw_samples(pair, assumptions, 40, seed=1).shape == (40, 3, 3)
+        with pytest.raises(SamplingError, match="batch budget"):
+            draw_samples(pair, assumptions, 41, seed=1)
+
+
 # Figures of the iterative proportional fitting sampler that the exact one
 # replaced, measured on the same pairs, batch size and generator seeds and
 # rounded down.  Coverage of a cell: sampled range over claimed width.

@@ -6,9 +6,12 @@ error, warnings and standard output with SHA-256.  The cases cover every
 table class on every route, ``--table``, custom events, zero evidence,
 ``--config``, ``--verify`` and the error exits.  ``DIGESTS`` was recorded
 before the report cells were built in one pass per assumption level, so a
-change to any report byte fails here; the two refusals named
-``error-csv-empty-arm`` and ``error-json-string-counts`` were recorded when
-they began to name the file and to refuse counts that are not numbers.  The reports print floats to the last
+change to any report byte fails here.  ``error-csv-empty-arm`` was recorded
+when the refusal began to name the file, and ``error-json-string-counts``
+when a JSON count's value refusal lost the ``bad counts layout:`` prefix.
+``verify-9-levels`` was recorded on code that evaluates each event over the
+whole batch at once; evaluating it per group of draws moves two of its
+``max_violation`` figures by 2.8e-17.  The reports print floats to the last
 bit, so a numpy build whose sums or dot products round differently moves
 the digests too.
 
@@ -139,6 +142,12 @@ def cases() -> dict[str, list[str]]:
             argvs[f"{name}-custom"] = routes["exp"] + [
                 "--event", f"custom:{bits}", "--event", "lt:1", "--evidence", "0",
                 "--evidence", str(levels - 1), "--evidence", "1"]
+    # --verify at J = 9, where a product over part of a batch's draws can
+    # round differently from one over the whole batch
+    q = _class_counts(np.random.default_rng(7), "staircase", 9)
+    argvs["verify-9-levels"] = ["--mode", "pc", "--exp", _write("verify9.json", {
+        "counts": [q.sum(axis=0).tolist(), q.sum(axis=1).tolist()]}), "--all-canonical",
+        "--verify", "--samples", "500"]
     return argvs
 
 
@@ -170,6 +179,7 @@ DIGESTS: dict[str, str] = {
     'custom': '07150a183167a7f028b9cc288cf56597dfe5189eacf45e7023989e1bd3a1f45c',
     'verify': 'b7650f258dc6200727d1caebbbf1962938c74de9455f690d3302ce6abaea87e5',
     'verify-vacuous': 'd8a00bdf278d8945a6d0c482147fa930006b9f7b2463fe3ce9206cb99a285ae8',
+    'verify-9-levels': '778912954c200d5979e7adf1ebc97b49059f2cbeec60b6eb63585c069c99cb1e',
     'config': '2d7a4ed102e5eb6b9e184fbf845126fe96f1dbc136aa6b9f7ccc47efb1b93959',
     'config-override': '2a859e9a25e7411833f2e2e3171a1afc1776601c594d5cacc235504ac548e104',
     'error-no-events': 'cac7d0ce579846ddf73ab5e1ef1c2b8a7bfbbdebfc165956e2e5bf389d53904e',
@@ -184,7 +194,7 @@ DIGESTS: dict[str, str] = {
     'error-csv-level': 'ec3c69309006c0511b3bc973aa8d18fedfca50fac1409d4eaa6c34f2ee58837e',
     'error-incompatible': '237ffc04466fe823932122d9a2b6cea0e12597a547b6e188c338fef981853881',
     'error-csv-empty-arm': '1fbdb730a7fb3916bf90b3b33d57b1eb633b53ff31d87b9cce4a0879cf41e046',
-    'error-json-string-counts': '05f8768eb7dd2b0fe40afd07ad6f0f1ca5680615c6c66deb70dd59f91c52f880',
+    'error-json-string-counts': 'e70eaf872b0e3e4062bf8ec76ebd254e11de3cda2a6b869deed13df86bebe0ee',
     'staircase3-exp': '7603897dc752b3a9d9995af67defd8d494e41dbf7f23a9cdcea61ce2c07800f3',
     'staircase3-strata': '6d5f7d50de28b1ba3f8ebbb53a95a6773b4ff0e4f2e950d92be0f11df8dbb88e',
     'staircase3-pc': 'e60f2ad097dc5bb25c540a2f4b334ea0591151abbc25b9d651280038a3e92192',
