@@ -7,8 +7,8 @@ triangular, so each column's support is a suffix of rows.  By Gale's
 supply-demand theorem (Gale, Pacific J. Math. 7, 1957) such a transport
 problem is feasible iff every cut k has a nonnegative cumulative gap, and
 fixing the evidence row adds only suffix cuts.  That gives an exact O(J)
-formula for every event on monotone-consistent data; the paper's
-single-level and all-but-one-level families keep their own closed forms.
+formula for every event on monotone-consistent data, beside the paper's
+single-level and all-but-one-level families; on other data each is refused.
 
 Each closed form is written once, over rows: ``level_bounds`` computes N
 (event, evidence) cells of one assumption level in one array pass, and
@@ -28,7 +28,6 @@ from .core import (
     CausalAttributionError,
     EventSpec,
     MarginalPair,
-    ZeroEvidenceError,
     check_evidence,
     evidence_mass,
 )
@@ -36,10 +35,10 @@ from .identify import PairFacts, pair_facts
 
 
 class UnsupportedEventError(CausalAttributionError):
-    """No closed form: the data contradict monotonicity (a negative gap).
-
-    Raised for events outside the paper's families, whose monotone feasible
-    set is then empty (the LP reports it infeasible), and for zero evidence.
+    """No ``mono`` cell has a bound: a cumulative gap below ``-ATOL`` empties
+    the monotone feasible set (Gale; the LP reports it infeasible).  Raised
+    for every event and evidence level, with ``PairFacts.mono_refusal``, the
+    note of the report's refused ``mono`` cells, as its message.
     """
 
 
@@ -52,22 +51,14 @@ class Method(Enum):
 class BoundsResult:
     """Lower/upper bound pair with its assumption level and provenance.
 
-    For monotone-consistent data, 0 <= lower <= upper <= 1 within tolerance.
-    When the data contradict the monotone ordering the closed forms can
-    cross; that is surfaced through ``note`` (and ``crossed``) instead of
-    being clamped away.
+    0 <= lower <= upper <= 1 within tolerance; a ``mono`` gap inside the
+    ``ATOL`` band can cross the pair by a few ``ATOL`` as a ratio.
     """
 
     lower: float
     upper: float
     assumptions: Assumptions
     method: Method
-    note: str | None = None
-
-    @property
-    def crossed(self) -> bool:
-        # as the note: a gap inside the band can cross by a few ATOL as a ratio
-        return self.note is not None and self.lower > self.upper
 
     @property
     def width(self) -> float:
@@ -121,10 +112,9 @@ def pn_bounds_monotone(pair: MarginalPair, event: EventSpec, y: int) -> BoundsRe
     sum_{l=t..y} r_l >= treated[y] - G_t for t <= y (suffix cuts).  Filling
     S, or C, from the top maximizes every suffix sum at once, so r(S) can
     take exactly the values between the two endpoints.  The families above
-    are special cases.  This formula needs monotone-consistent data; on
-    other data it raises ``UnsupportedEventError``, as does zero evidence.
-    The family forms use the gaps unclipped, so on such data the interval
-    can cross, which ``note`` reports rather than clamping it away.
+    are special cases.  Every form needs monotone-consistent data: on other
+    data every cell raises ``UnsupportedEventError``, as the report refuses
+    it, before its evidence is checked.
     """
     return cell_bounds(pair_facts(pair), event, y, Assumptions.MONOTONICITY)
 
@@ -132,30 +122,11 @@ def pn_bounds_monotone(pair: MarginalPair, event: EventSpec, y: int) -> BoundsRe
 def cell_bounds(
     facts: PairFacts, event: EventSpec, y: int, assumptions: Assumptions
 ) -> BoundsResult:
-    """One (event, evidence, assumption) cell: the one-row case of ``level_bounds``.
-
-    Refuses as the report does: on monotone-inconsistent data a ``mono``
-    cell outside the families, or with zero evidence, raises
-    ``UnsupportedEventError`` naming the negative cuts.  Otherwise zero
-    evidence raises ``ZeroEvidenceError`` first at every level.
-    """
-    mono = assumptions is Assumptions.MONOTONICITY
-    try:
-        mass = check_evidence(facts.pair, event, y)
-        lower, upper = level_bounds(facts, np.array([event.coeffs]), np.array([y]), assumptions)
-    except (ZeroEvidenceError, UnsupportedEventError):
-        if not mono or facts.mono_refusal is None:
-            raise
-        reason = f"event {event.label!r} with evidence {y}: {facts.mono_refusal}"
-        raise UnsupportedEventError(reason) from None
-    lower, upper = float(lower[0]), float(upper[0])
-    note = None
-    # Crossing in probability units, the band of the gap test; rounding can push
-    # a gap of about -ATOL just past it, so the note also needs a negative cut.
-    if mono and (lower - upper) * mass > ATOL and facts.mono_refusal is not None:
-        note = (f"monotonicity falsified by data: lower bound {lower:.6g} "
-                f"exceeds upper bound {upper:.6g}")
-    return BoundsResult(lower, upper, assumptions, Method.CLOSED_FORM, note=note)
+    """One (event, evidence, assumption) cell: ``check_evidence``, then the
+    one-row case of ``level_bounds`` with its refusals."""
+    check_evidence(facts.pair, event, y)
+    lower, upper = level_bounds(facts, np.array([event.coeffs]), np.array([y]), assumptions)
+    return BoundsResult(float(lower[0]), float(upper[0]), assumptions, Method.CLOSED_FORM)
 
 
 def level_bounds(
@@ -166,10 +137,14 @@ def level_bounds(
     Row i is the event with 0/1 integer coefficients ``coeffs[i]`` (shape
     (N, J)) given evidence ``ys[i]``: the forms of ``pn_bounds_marginal``,
     of ``pn_bounds_monotone`` (each family on its own rows) or
-    ``PairFacts.points``, with their refusals.  Each row equals the scalar
-    formula bit for bit: the same operations in the same order, the same
-    numpy sums and dot products, and Python's ``max(0, x)``/``min(1, x)``.
+    ``PairFacts.points``.  Each row equals the scalar formula bit for bit:
+    the same operations in the same order, the same numpy sums and dot
+    products, and Python's ``max(0, x)``/``min(1, x)``.  The one place a cell
+    is refused, in the report's order: ``UnsupportedEventError`` for a whole
+    ``mono`` level, then ``ZeroEvidenceError``, then ``FalsificationError``.
     """
+    if assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
+        raise UnsupportedEventError(facts.mono_refusal)
     if assumptions is Assumptions.MONOTONIC_INCREMENT:
         value = facts.points(coeffs, ys)
         return value, value
@@ -192,9 +167,9 @@ def _min1(x: np.ndarray) -> np.ndarray:  # min(1.0, x) on finite x
 
 
 def _monotone(facts: PairFacts, coeffs: np.ndarray, ys: np.ndarray, mass: np.ndarray):
-    """The ``mono`` rows of ``level_bounds``, classified by their head (levels
-    0..y): all zeros, all ones, (1,...,1,0), a single 1 at y', or else the
-    suffix cuts.  Only the families present are computed."""
+    """The ``mono`` rows of ``level_bounds`` (consistent data), classified by
+    their head (levels 0..y): all zeros, all ones, (1,...,1,0), a single 1 at
+    y', or else the suffix cuts.  Only the families present are computed."""
     n, levels = coeffs.shape
     rows = np.arange(n)
     ones = np.cumsum(coeffs, axis=1)[rows, ys]
@@ -202,9 +177,6 @@ def _monotone(facts: PairFacts, coeffs: np.ndarray, ys: np.ndarray, mass: np.nda
     noteq = (ones == ys) & (ys > 0) & (coeffs[rows, ys] == 0)
     single = (ones == 1) & ~certain & ~noteq
     general = (ones > 1) & ~certain & ~noteq
-    if general.any() and facts.mono_refusal is not None:
-        reason = f"{general.sum()} cells outside the families: {facts.mono_refusal}"
-        raise UnsupportedEventError(reason)
     control = facts.pair.control_law.probs
     gaps = facts.gaps
     lower = certain.astype(float)

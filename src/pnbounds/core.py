@@ -261,10 +261,10 @@ def make_event(
     return EventSpec(coeffs=bits, label=label)
 
 
-def check_evidence(pair: MarginalPair, event: EventSpec, y: int) -> float:
-    """Validate (event, evidence y) against the pair; returns treated[y].
+def check_evidence(pair: MarginalPair, event: EventSpec, y: int) -> None:
+    """Validate that the event has the pair's levels and that y is one of them.
 
-    Raises ``ZeroEvidenceError`` when level y has no treated mass.
+    Zero evidence is refused where the mass is read, by ``evidence_mass``.
     """
     if len(event.coeffs) != pair.levels:
         raise CausalAttributionError(
@@ -272,7 +272,6 @@ def check_evidence(pair: MarginalPair, event: EventSpec, y: int) -> float:
         )
     if not 0 <= y < pair.levels:
         raise CausalAttributionError(f"evidence level {y} out of range")
-    return float(evidence_mass(pair, y))
 
 
 def evidence_mass(pair: MarginalPair, ys: int | np.ndarray) -> np.ndarray:
@@ -301,8 +300,5 @@ def pn_from_joint(joint: JointProbabilityMatrix, event: EventSpec, y: int) -> fl
     row = joint.entries[y]
     mass = float(row.sum())
     if mass <= ATOL:
-        raise ZeroEvidenceError(
-            f"treated outcome level {y} has zero probability; the conditional "
-            "is undefined"
-        )
+        raise ZeroEvidenceError.at_level(y)
     return float(row @ event.vector / mass)

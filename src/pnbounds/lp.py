@@ -14,6 +14,8 @@ and close the duality gap, and the point must match the margins.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .bounds import BoundsResult, Method
@@ -25,6 +27,7 @@ from .core import (
     MarginalPair,
     allowed_mask,
     check_evidence,
+    evidence_mass,
 )
 from .identify import falsification_check
 
@@ -319,24 +322,19 @@ class _Network:
         return value, x
 
 
+def _feasible_base(pair: MarginalPair, assumptions: Assumptions) -> _Network:
+    """The polytope's network after phase one, from ``_base_network``'s cache."""
+    laws = pair.treated_law.probs, pair.control_law.probs
+    return _base_network(laws[0].tobytes(), laws[1].tobytes(), assumptions)
+
+
 # One phase one serves every objective over the same polytope, so the network
 # after it is memoized on the exact bytes of the laws and the level.  Entries
 # are never mutated after insertion: each solve works on a copy.
-_BASE_CACHE: dict[bytes, _Network] = {}
-_BASE_CACHE_CAP = 128
-
-
-def _feasible_base(pair: MarginalPair, assumptions: Assumptions) -> _Network:
-    """The polytope's network after phase one, from the cache when present."""
-    laws = (pair.treated_law.probs, pair.control_law.probs)
-    key = laws[0].tobytes() + laws[1].tobytes() + assumptions.value.encode()
-    network = _BASE_CACHE.get(key)
-    if network is None:
-        network = _Network(*laws, allowed_mask(assumptions, pair.levels))
-        if len(_BASE_CACHE) >= _BASE_CACHE_CAP:
-            _BASE_CACHE.clear()
-        _BASE_CACHE[key] = network
-    return network
+@functools.lru_cache(maxsize=128)
+def _base_network(treated: bytes, control: bytes, assumptions: Assumptions) -> _Network:
+    laws = np.frombuffer(treated), np.frombuffer(control)
+    return _Network(*laws, allowed_mask(assumptions, laws[0].size))
 
 
 def pn_bounds_lp(
@@ -350,7 +348,8 @@ def pn_bounds_lp(
     polytope under the one-level-lift assumption is cross-checked against
     the gap brackets before being reported.
     """
-    mass = check_evidence(pair, event, y)
+    check_evidence(pair, event, y)
+    mass = float(evidence_mass(pair, y))
     network = _feasible_base(pair, assumptions)
     if network.deficit > INFEAS_TOL:
         if assumptions is Assumptions.MONOTONIC_INCREMENT:

@@ -33,7 +33,7 @@ from .core import (
     allowed_mask,
     pn_from_joint,
 )
-from .identify import EXACT_ATOL, PairFacts, pair_facts
+from .identify import EXACT_ATOL, FalsificationError, PairFacts, pair_facts
 
 #: Draws are split into this many groups, each with its own fill order.
 MIX_GROUPS = 16
@@ -53,15 +53,16 @@ class _Level:
     """The facts that the draws, witnesses and cells of one (pair, level) share.
 
     Built on the pair's facts (``identify.pair_facts``).  Raises
-    ``SamplingError`` when the feasible set is empty.  ``treated`` and
-    ``control``: the margins a fill meets exactly, the pair's except that a
-    ``mono`` gap inside the band is clipped to zero (moving a level by at
-    most ``ATOL``).  ``tol``: the margin tolerance of a draw or witness,
-    ``EXACT_ATOL`` plus ``ATOL`` on a pair that meets the level's conditions
-    only inside the band.  ``joint``: the ``incr`` point.  ``spans``: the
-    columns [first, end) that each row allows, one run in every pattern.
-    ``built``: memo of checked witnesses.  A level is made by the caller
-    that uses it and passed on explicitly; nothing keeps one beyond that.
+    ``SamplingError`` with the facts' own refusal text when the feasible set
+    is empty.  ``treated`` and ``control``: the margins a fill meets exactly,
+    the pair's except that a ``mono`` gap inside the band is clipped to zero
+    (moving a level by at most ``ATOL``).  ``tol``: the margin tolerance of a
+    draw or witness, ``EXACT_ATOL`` plus ``ATOL`` on a pair that meets the
+    level's conditions only inside the band.  ``joint``: the ``incr`` point.
+    ``spans``: the columns [first, end) that each row allows, one run in
+    every pattern.  ``built``: memo of checked witnesses.  A level is made by
+    the caller that uses it and passed on explicitly; nothing keeps one
+    beyond that.
     """
 
     def __init__(self, facts: PairFacts, assumptions: Assumptions):
@@ -69,13 +70,10 @@ class _Level:
         self.assumptions, self.joint = assumptions, None
         if assumptions is Assumptions.MONOTONIC_INCREMENT:
             if not facts.brackets.passed:
-                raise SamplingError(
-                    "one-level-lift feasible set is empty: gap brackets violated at "
-                    + ", ".join(f"k={c.k}" for c in facts.brackets.violations())
-                )
+                raise SamplingError(str(FalsificationError(facts.brackets)))
             self.joint = facts.joint()
         elif assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
-            raise SamplingError("monotone feasible set is empty: some cumulative gap is negative")
+            raise SamplingError(facts.mono_refusal)
         self.spans = [(int(row.argmax()), pair.levels - int(row[::-1].argmax()))
                       for row in allowed_mask(assumptions, pair.levels)]
         self.treated = treated = pair.treated_law.probs

@@ -41,9 +41,8 @@ def pc_bounds(
 
     One report cell, ``bounds.cell_bounds``, with no LP: ``incr`` gives the
     identified point as a closed-form [v, v] or raises
-    ``FalsificationError``; on monotone-inconsistent data ``mono`` raises
-    ``UnsupportedEventError`` for zero evidence or an event outside the
-    paper's families (the families' forms can cross, with a ``note``).
+    ``FalsificationError``; on monotone-inconsistent data every ``mono``
+    cell raises ``UnsupportedEventError``.
     """
     _require_unconditional(pair)
     return cell_bounds(pair_facts(pair), event, y, assumptions)

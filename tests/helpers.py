@@ -184,8 +184,7 @@ def scalar_cell(facts, event: EventSpec, y: int, assumptions: Assumptions) -> tu
     """One cell's (lower, upper) by the scalar formulas, one branch per family.
 
     The cell must carry an estimate: nonzero evidence, passing brackets for
-    ``incr``, and under ``mono`` an event of a family or monotone-consistent
-    data.
+    ``incr``, and monotone-consistent data for ``mono``.
     """
     pair = facts.pair
     treated = pair.treated_law.probs
@@ -203,6 +202,7 @@ def scalar_cell(facts, event: EventSpec, y: int, assumptions: Assumptions) -> tu
             return float(c_y), float(c_y)
         value = float(c_y + (event.coeffs[y - 1] - c_y) * facts.gaps[y - 1] / mass)
         return value, value
+    assert facts.mono_refusal is None
     kind, level = classify_monotone(event, y)
     if kind == "impossible":
         return 0.0, 0.0
@@ -210,7 +210,6 @@ def scalar_cell(facts, event: EventSpec, y: int, assumptions: Assumptions) -> tu
         return 1.0, 1.0
     gaps = facts.gaps
     if kind == "unsupported":
-        assert facts.mono_refusal is None
         head = np.array(event.coeffs[: y + 1], dtype=bool)
         reachable = control[: y + 1]
         in_s = np.cumsum(np.where(head, reachable, 0.0)[::-1])[::-1]

@@ -19,6 +19,7 @@ from pnbounds import (
     falsification_check,
     identify_joint,
     make_event,
+    monotone_consistent,
     pc_bounds,
     pc_point,
     pn_bounds_lp,
@@ -299,18 +300,23 @@ def test_criterion_7_pc_equals_pn_under_randomization():
         if treated[y] <= 1e-9:
             continue
         brackets_ok = falsification_check(pn_pair).passed
+        consistent = monotone_consistent(pn_pair)
         for event in canonical_events(levels, y):
             res_pc = pc_bounds(pc_pair, event, y, Assumptions.MARGINAL_ONLY)
             res_pn = pn_bounds_marginal(pn_pair, event, y)
             assert res_pc.lower == pytest.approx(res_pn.lower, abs=1e-9)
             assert res_pc.upper == pytest.approx(res_pn.upper, abs=1e-9)
-            res_pc = pc_bounds(pc_pair, event, y, Assumptions.MONOTONICITY)
-            try:
+            if consistent:
+                res_pc = pc_bounds(pc_pair, event, y, Assumptions.MONOTONICITY)
                 res_pn = pn_bounds_monotone(pn_pair, event, y)
-            except UnsupportedEventError:
-                res_pn = pn_bounds_lp(pn_pair, event, y, Assumptions.MONOTONICITY)
-            assert res_pc.lower == pytest.approx(res_pn.lower, abs=1e-9)
-            assert res_pc.upper == pytest.approx(res_pn.upper, abs=1e-9)
+                assert res_pc.lower == pytest.approx(res_pn.lower, abs=1e-9)
+                assert res_pc.upper == pytest.approx(res_pn.upper, abs=1e-9)
+            else:  # both refuse, with one text
+                with pytest.raises(UnsupportedEventError) as pc_refusal:
+                    pc_bounds(pc_pair, event, y, Assumptions.MONOTONICITY)
+                with pytest.raises(UnsupportedEventError) as pn_refusal:
+                    pn_bounds_monotone(pn_pair, event, y)
+                assert str(pc_refusal.value) == str(pn_refusal.value)
             if brackets_ok:
                 assert pc_point(pc_pair, event, y) == pytest.approx(
                     pn_point(pn_pair, event, y), abs=1e-9

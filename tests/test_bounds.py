@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,9 +10,12 @@ from hypothesis import strategies as st
 from pnbounds import (
     Assumptions,
     BoundsResult,
+    Conditioning,
+    FalsificationError,
     InvalidDistributionError,
     JointProbabilityMatrix,
     Method,
+    SamplingError,
     UnsupportedEventError,
     ZeroEvidenceError,
     falsification_check,
@@ -20,9 +25,11 @@ from pnbounds import (
     pn_bounds_marginal,
     pn_bounds_monotone,
     pn_from_joint,
+    pc_bounds,
     pn_point,
 )
 from pnbounds.bounds import cell_bounds, level_bounds
+from pnbounds.cli import AnalysisConfig, parse_event, run_analysis
 from pnbounds.core import ATOL
 from pnbounds.lp import LpInfeasibleError, pn_bounds_lp
 from pnbounds.identify import pair_facts
@@ -122,7 +129,10 @@ def test_lalonde_monotone_bounds_match_published_grid(kind, level, y, lo, hi):
 def test_single_level_above_evidence_is_degenerate_zero():
     result = pn_bounds_monotone(lalonde_pair(), make_event("eq", 3, level=2), 1)
     assert (result.lower, result.upper) == (0.0, 0.0)
-    assert not result.crossed
+    # on monotone-inconsistent data even an impossible event has no bound
+    falsified = pair_from_laws([0.1, 0.1, 0.8], [0.05, 0.9, 0.05])
+    with pytest.raises(UnsupportedEventError, match="k=1: gap -0.05"):
+        pn_bounds_monotone(falsified, make_event("eq", 3, level=2), 1)
 
 
 def test_event_certain_under_ordering_is_pinned_to_one():
@@ -159,11 +169,11 @@ def test_less_than_at_evidence_equals_complement_of_evidence_level():
 
 
 def test_crossed_interval_is_surfaced_not_clamped():
+    # the family forms cross on this pair; the cell is refused, not clamped
     pair = pair_from_laws([0.1, 0.1, 0.8], [0.05, 0.9, 0.05])
     assert not monotone_consistent(pair)
-    result = pn_bounds_monotone(pair, make_event("eq", 3, level=1), 2)
-    assert result.crossed
-    assert result.note and "falsified" in result.note
+    with pytest.raises(UnsupportedEventError, match="falsified"):
+        pn_bounds_monotone(pair, make_event("eq", 3, level=1), 2)
 
 
 def test_no_falsified_note_on_a_gap_inside_the_band():
@@ -174,9 +184,8 @@ def test_no_falsified_note_on_a_gap_inside_the_band():
         [third, third, 0.0, third], [third - 5e-10, third + 5e-10, 1 / 6, 1 / 6]
     )
     assert monotone_consistent(pair)
-    result = pn_bounds_monotone(pair, make_event("eq", 4, level=1), 3)
+    result = pn_bounds_monotone(pair, make_event("eq", 4, level=1), 3)  # no refusal
     assert result.lower > result.upper + ATOL
-    assert result.note is None
 
 
 def test_crossed_agrees_with_the_falsification_note():
@@ -185,13 +194,11 @@ def test_crossed_agrees_with_the_falsification_note():
         [third, third, 0.0, third], [third - 5e-10, third + 5e-10, 1 / 6, 1 / 6]
     )
     falsified = pair_from_laws([0.1, 0.1, 0.8], [0.05, 0.9, 0.05])
-    for pair, event, y, crossed in (
-        (inside_band, make_event("eq", 4, level=1), 3, False),
-        (falsified, make_event("eq", 3, level=1), 2, True),
-    ):
-        result = pn_bounds_monotone(pair, event, y)
-        assert result.crossed is crossed
-        assert (result.note is not None) is crossed
+    result = pn_bounds_monotone(inside_band, make_event("eq", 4, level=1), 3)
+    assert result.lower > result.upper  # inside the band: crossed, not refused
+    with pytest.raises(UnsupportedEventError) as refusal:
+        pn_bounds_monotone(falsified, make_event("eq", 3, level=1), 2)
+    assert str(refusal.value) == pair_facts(falsified).mono_refusal
 
 
 @pytest.mark.parametrize(
@@ -259,18 +266,25 @@ def _reference_pair(rng, levels, shape):
 def _estimate_rows(facts, events, assumptions):
     """The (event, y) cells of a level that carry an estimate."""
     pair = facts.pair
-    rows = []
-    for y in range(pair.levels):
-        if pair.treated_law.probs[y] <= ATOL:
-            continue
-        if assumptions is Assumptions.MONOTONIC_INCREMENT and not facts.brackets.passed:
-            continue
-        for event in events(y):
-            if (assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None
-                    and classify_monotone(event, y)[0] == "unsupported"):
-                continue
-            rows.append((event, y))
-    return rows
+    if assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
+        return []
+    if assumptions is Assumptions.MONOTONIC_INCREMENT and not facts.brackets.passed:
+        return []
+    return [(event, y) for y in range(pair.levels) if pair.treated_law.probs[y] > ATOL
+            for event in events(y)]
+
+
+def _refuses_monotone(facts, events):
+    """Whether ``level_bounds`` refuses the whole ``mono`` level of the facts,
+    with their own note, when the data contradict monotonicity."""
+    if facts.mono_refusal is None:
+        return False
+    rows = [(event, y) for y in range(facts.pair.levels) for event in events(y)]
+    with pytest.raises(UnsupportedEventError) as refusal:
+        level_bounds(facts, np.array([event.coeffs for event, _ in rows]),
+                     np.array([y for _, y in rows]), Assumptions.MONOTONICITY)
+    assert str(refusal.value) == facts.mono_refusal
+    return True
 
 
 def _bits(values):
@@ -295,6 +309,8 @@ def test_level_bounds_equal_the_scalar_formulas_bit_for_bit():
             def events(y):
                 return canonical_events(levels, y) + customs
 
+            if _refuses_monotone(facts, events):
+                seen.add(("mono", "refused"))
             for assumptions in assumption_levels():
                 rows = _estimate_rows(facts, events, assumptions)
                 if not rows:
@@ -310,7 +326,7 @@ def test_level_bounds_equal_the_scalar_formulas_bit_for_bit():
                             for event, y in rows if assumptions is Assumptions.MONOTONICITY)
     assert len(seen) >= 3 * len(shapes) - 5  # incr passes only on some shapes
     assert {("mono", kind) for kind in
-            ("impossible", "certain", "noteq", "eq", "unsupported")} <= seen
+            ("impossible", "certain", "noteq", "eq", "unsupported", "refused")} <= seen
 
 
 def test_pair_facts_equal_the_numpy_scalar_bracket_loop_bit_for_bit():
@@ -360,9 +376,16 @@ def test_one_stacked_call_equals_its_one_row_calls():
             facts = pair_facts(_reference_pair(rng, levels, shape))
             customs = [make_event("custom", levels, coeffs=rng.integers(0, 2, levels).tolist())
                        for _ in range(5)]
+
+            def events(y):
+                return canonical_events(levels, y) + customs
+
+            if _refuses_monotone(facts, events):
+                with pytest.raises(UnsupportedEventError) as refusal:
+                    cell_bounds(facts, customs[0], levels - 1, Assumptions.MONOTONICITY)
+                assert str(refusal.value) == facts.mono_refusal
             for assumptions in assumption_levels():
-                rows = _estimate_rows(facts, lambda y: canonical_events(levels, y) + customs,
-                                      assumptions)
+                rows = _estimate_rows(facts, events, assumptions)
                 if not rows:
                     continue
                 order = rng.permutation(len(rows))  # rows of every y interleaved
@@ -389,9 +412,85 @@ def test_level_bounds_refuses_like_the_scalar_cells():
     with pytest.raises(UnsupportedEventError, match="k=1: gap -0.05"):
         level_bounds(facts, np.array([inside.coeffs, outside.coeffs]), np.array([3, 3]),
                      Assumptions.MONOTONICITY)
-    lower, upper = level_bounds(facts, np.array([inside.coeffs]), np.array([3]),
-                                Assumptions.MONOTONICITY)
-    assert lower[0] > upper[0]  # a family's forms cross on such data
+    # a family's forms would cross on such data; the mono refusal comes
+    # before zero evidence, and zero evidence before failed incr brackets
+    for y, assumptions, error in ((3, Assumptions.MONOTONICITY, UnsupportedEventError),
+                                  (2, Assumptions.MONOTONICITY, UnsupportedEventError),
+                                  (2, Assumptions.MONOTONIC_INCREMENT, ZeroEvidenceError),
+                                  (3, Assumptions.MONOTONIC_INCREMENT, FalsificationError)):
+        with pytest.raises(error):
+            level_bounds(facts, np.array([inside.coeffs]), np.array([y]), assumptions)
+
+
+def _mono_report_cells(facts, rng):
+    """The ``mono`` cells of a report on the facts at every evidence level:
+    every canonical event, and every custom event up to J = 6 (24 seeded
+    ones above)."""
+    levels = facts.pair.levels
+    customs = ["custom:" + "".join(map(str, bits))
+               for bits in itertools.product((0, 1), repeat=levels)]
+    if levels > 6:
+        customs = [customs[i] for i in rng.choice(len(customs), 24, replace=False)]
+    cfg = AnalysisConfig(events=customs, evidence=list(range(levels)), assume="mono")
+    cells = []
+    for run in (cfg, replace(cfg, all_canonical=True)):
+        cells += run_analysis(run, (facts, {}))["cells"]
+    return [(parse_event(c["event"], levels), c["evidence"], c) for c in cells]
+
+
+def test_every_engine_refuses_a_monotone_inconsistent_pair_with_the_report_note():
+    rng = np.random.default_rng(21)
+    falsified = [pair_from_laws([0.1, 0.1, 0.8], [0.05, 0.9, 0.05]),
+                 pair_from_laws([0.1, 0.1, 0.0, 0.8], [0.05, 0.9, 0.0, 0.05])]
+    band = []
+    for levels in range(2, 9):
+        pair = arbitrary_pair(rng, levels)
+        while monotone_consistent(pair):
+            pair = arbitrary_pair(rng, levels)
+        falsified += [pair, _reference_pair(rng, levels, "band-out")]
+        band.append(_reference_pair(rng, levels, "band-in"))
+    mono = Assumptions.MONOTONICITY
+    for pair, refused in [(p, True) for p in falsified] + [(p, False) for p in band]:
+        facts = pair_facts(pair)
+        note = facts.mono_refusal
+        assert (note is not None) is refused
+        assert facts.gaps.min() < 0.0  # a band pair's gap is just below zero
+        pc_pair = pair_from_laws(pair.treated_law.probs, pair.control_law.probs,
+                                 Conditioning.UNCONDITIONAL)
+        if note is None:
+            assert draw_samples(pair, mono, 10, seed=1).shape == (10, pair.levels, pair.levels)
+        else:
+            with pytest.raises(SamplingError) as refusal:
+                draw_samples(pair, mono, 10, seed=1)
+            assert str(refusal.value) == note
+        for event, y, cell in _mono_report_cells(facts, rng):
+            if note is None:
+                if cell["kind"] == "refused":  # zero evidence
+                    assert pair.treated_law.probs[y] <= ATOL
+                    continue
+                want = _bits([cell["lower"], cell["upper"]])
+                lower, upper = level_bounds(facts, np.array([event.coeffs]), np.array([y]), mono)
+                assert _bits([lower[0], upper[0]]) == want
+                for result in (cell_bounds(facts, event, y, mono),
+                               pn_bounds_monotone(pair, event, y),
+                               pc_bounds(pc_pair, event, y, mono)):
+                    assert _bits([result.lower, result.upper]) == want
+                pn_bounds_lp(pair, event, y, mono)
+                continue
+            assert (cell["kind"], cell["note"]) == ("refused", note)
+            for engine in (
+                lambda: level_bounds(facts, np.array([event.coeffs]), np.array([y]), mono),
+                lambda: cell_bounds(facts, event, y, mono),
+                lambda: pn_bounds_monotone(pair, event, y),
+                lambda: pc_bounds(pc_pair, event, y, mono),
+            ):
+                with pytest.raises(UnsupportedEventError) as refusal:
+                    engine()
+                assert str(refusal.value) == note
+            # the LP checks the evidence before it solves phase one
+            zero = pair.treated_law.probs[y] <= ATOL
+            with pytest.raises(ZeroEvidenceError if zero else LpInfeasibleError):
+                pn_bounds_lp(pair, event, y, mono)
 
 
 def test_monotone_consistent_on_lalonde():
@@ -435,9 +534,8 @@ def test_monotone_bounds_match_lp_on_random_events():
                 reference = None
             assert (reference is None) == (not consistent)
             if reference is None:
-                if classify_monotone(event, y)[0] == "unsupported":
-                    with pytest.raises(UnsupportedEventError):
-                        pn_bounds_monotone(pair, event, y)
+                with pytest.raises(UnsupportedEventError):
+                    pn_bounds_monotone(pair, event, y)
                 refused += 1
                 continue
             result = pn_bounds_monotone(pair, event, y)
@@ -496,13 +594,11 @@ def tied_monotone_cells(draw):
 def test_monotone_bounds_at_zero_mass_levels_and_tolerance_ties(cell):
     pair, event, y, delta = cell
     if not monotone_consistent(pair):
-        if classify_monotone(event, y)[0] == "unsupported":
-            with pytest.raises(UnsupportedEventError):
-                pn_bounds_monotone(pair, event, y)
+        with pytest.raises(UnsupportedEventError):
+            pn_bounds_monotone(pair, event, y)
         return
-    result = pn_bounds_monotone(pair, event, y)
+    result = pn_bounds_monotone(pair, event, y)  # no refusal on consistent data
     assert 0.0 <= result.lower and result.upper <= 1.0
-    assert result.note is None  # no "falsified" note on consistent data
     # a gap up to ATOL below zero is no exact polytope: each engine may
     # move a bound by |delta| of evidence mass
     reference = pn_bounds_lp(pair, event, y, Assumptions.MONOTONICITY)
@@ -575,4 +671,4 @@ def test_bounds_result_helpers():
     assert res.width == pytest.approx(0.4)
     assert res.midpoint == pytest.approx(0.4)
     assert res.contains(0.2) and res.contains(0.6) and not res.contains(0.7)
-    assert not res.crossed
+    assert [f.name for f in fields(res)] == ["lower", "upper", "assumptions", "method"]

@@ -410,7 +410,7 @@ def test_degenerate_programs_end_on_strongly_feasible_certified_trees(levels, mo
         runs.append(strongly_feasible(self))
 
     monkeypatch.setattr(_Network, "run", checked_run)
-    lp._BASE_CACHE.clear()
+    lp._base_network.cache_clear()
     for pair in pairs:
         refused = {Assumptions.MARGINAL_ONLY: False,
                    Assumptions.MONOTONICITY: not monotone_consistent(pair),
@@ -455,13 +455,14 @@ def test_warm_cache_answers_equal_cold_ones():
                 if pair.treated_law.probs[y] > 1e-9
                 for event in canonical_events(levels, y)
             ]
-            lp._BASE_CACHE.clear()
+            lp._base_network.cache_clear()
             warm = [lp_outcome(pair, *cell) for cell in cells]
             # one phase one per assumption level, read by every later cell
-            assert len(lp._BASE_CACHE) == len(Assumptions)
+            assert lp._base_network.cache_info().misses == len(Assumptions)
+            assert lp._base_network.cache_info().currsize == len(Assumptions)
             cold = []
             for cell in cells:
-                lp._BASE_CACHE.clear()
+                lp._base_network.cache_clear()
                 cold.append(lp_outcome(pair, *cell))
             assert warm == cold
 
@@ -470,11 +471,12 @@ def test_an_infeasible_polytope_stays_infeasible_from_the_cache(monkeypatch):
     pair = pair_from_laws([0.7, 0.2, 0.1], [0.1, 0.2, 0.7])
     event = make_event("eq", 3, level=0)
     cells = [(1, Assumptions.MONOTONICITY), (2, Assumptions.MONOTONIC_INCREMENT)]
-    lp._BASE_CACHE.clear()
+    lp._base_network.cache_clear()
     cold = [lp_outcome(pair, event, y, a) for y, a in cells]
     assert all(isinstance(outcome, str) for outcome in cold)
-    assert len(lp._BASE_CACHE) == 2
-    assert all(net.deficit > INFEAS_TOL for net in lp._BASE_CACHE.values())
+    assert lp._base_network.cache_info().currsize == 2
+    assert all(lp._feasible_base(pair, a).deficit > INFEAS_TOL for _, a in cells)
+    assert lp._base_network.cache_info().misses == 2
 
     def uncached(*args):
         raise AssertionError("the cached answer was not used")
@@ -483,17 +485,23 @@ def test_an_infeasible_polytope_stays_infeasible_from_the_cache(monkeypatch):
     assert [lp_outcome(pair, event, y, a) for y, a in cells] == cold
 
 
-def test_a_polytope_evicted_by_the_wholesale_clear_is_solved_again():
+def test_the_least_recently_used_polytope_is_evicted_and_solved_again():
     rng = np.random.default_rng(71)
-    pairs = [staircase_pair(rng, 3) for _ in range(lp._BASE_CACHE_CAP + 1)]
+    cap = lp._base_network.cache_info().maxsize
+    pairs = [staircase_pair(rng, 3) for _ in range(cap + 1)]
     event = make_event("eq", 3, level=1)
-    lp._BASE_CACHE.clear()
-    first = lp_outcome(pairs[0], event, 2, Assumptions.MONOTONICITY)
+    lp._base_network.cache_clear()
+    answers = [lp_outcome(pair, event, 2, Assumptions.MONOTONICITY) for pair in pairs[:cap]]
     closed = pn_bounds_monotone(pairs[0], event, 2)
-    assert first[:2] == pytest.approx((closed.lower, closed.upper), abs=1e-8)
-    for pair in pairs[1:]:
-        lp_outcome(pair, event, 2, Assumptions.MONOTONICITY)
-    # the 129th polytope found the cache full and cleared it
-    assert len(lp._BASE_CACHE) == 1
-    assert lp_outcome(pairs[0], event, 2, Assumptions.MONOTONICITY) == first
-    assert len(lp._BASE_CACHE) == 2
+    assert answers[0][:2] == pytest.approx((closed.lower, closed.upper), abs=1e-8)
+    # reading the first polytope again makes the second the least recently used
+    assert lp_outcome(pairs[0], event, 2, Assumptions.MONOTONICITY) == answers[0]
+    lp_outcome(pairs[cap], event, 2, Assumptions.MONOTONICITY)
+    info = lp._base_network.cache_info()
+    assert (info.misses, info.currsize) == (cap + 1, cap)
+    # the first is still cached; the second was evicted and is solved again
+    assert lp_outcome(pairs[0], event, 2, Assumptions.MONOTONICITY) == answers[0]
+    assert lp._base_network.cache_info().misses == cap + 1
+    assert lp_outcome(pairs[1], event, 2, Assumptions.MONOTONICITY) == answers[1]
+    info = lp._base_network.cache_info()
+    assert (info.misses, info.currsize) == (cap + 2, cap)

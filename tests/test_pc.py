@@ -8,6 +8,7 @@ from pnbounds import (
     FalsificationError,
     falsification_check,
     make_event,
+    monotone_consistent,
     pc_bounds,
     pc_point,
     pn_bounds_marginal,
@@ -70,7 +71,7 @@ def test_pc_monotone_bounds_are_tight_on_experimental_arms():
     )
     assert res.lower == pytest.approx(PC_LT2_Y2, abs=1e-12)
     assert res.upper == pytest.approx(PC_LT2_Y2, abs=1e-12)
-    assert not res.crossed
+    assert monotone_consistent(lalonde_pc_pair())  # so no mono cell is refused
 
 
 def test_pc_full_space_event_is_pinned_to_one():
