@@ -289,19 +289,30 @@ def _level_cells(
 
     ``rows`` holds the grid's event coefficients and evidence levels, and
     ``zero`` the refusal note of each evidence level without treated mass.
-    A ``mono`` level on monotone-inconsistent data is refused before the
-    evidence is checked; zero evidence comes before the ``incr`` refusal.
-    Whether the ``incr`` polytope is empty does not depend on the event, so
-    the first cell with evidence asks the LP and the others share its
-    answer.  The cells with an estimate take one ``bounds.level_bounds``
-    call.  Each cell is built once, its keys in report order.
+    The rows with evidence take one ``bounds.level_bounds`` call, and the
+    cells render its bounds or its refusal: ``UnsupportedEventError`` for
+    the whole level, zero evidence included, or ``FalsificationError`` for
+    the cells with evidence, where the first asks the LP and the others
+    share its answer (emptiness does not depend on the event).  Each cell
+    is built once, its keys in report order.
     """
     assume = assumptions.value
-    if assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
-        note = facts.mono_refusal
+    incr = assumptions is Assumptions.MONOTONIC_INCREMENT
+    method = "point-identification" if incr else "closed-form"
+
+    def refused(note: str, **extra: Any) -> list[dict[str, Any]]:
         return [{"event": s, "label": events[s].label, "evidence": y, "assumptions": assume,
-                 "kind": "refused", "note": note, "method": "closed-form"} for s, y in grid]
-    if assumptions is Assumptions.MONOTONIC_INCREMENT and not facts.brackets.passed:
+                 "kind": "refused", "note": note, "method": method, **extra} for s, y in grid]
+
+    # the rows with evidence (the others are refused below); a slice copies nothing
+    keep = [y not in zero for _, y in grid] if zero else slice(None)
+    lower, upper = np.zeros((2, len(grid)))
+    try:
+        lower[keep], upper[keep] = bounds_mod.level_bounds(
+            facts, *(r[keep] for r in rows), assumptions)
+    except bounds_mod.UnsupportedEventError as exc:
+        return refused(str(exc))
+    except identify_mod.FalsificationError as exc:
         cross_check = None
         first = next(((spec, y) for spec, y in grid if y not in zero), None)
         if first is not None:
@@ -311,23 +322,15 @@ def _level_cells(
                 cross_check = "feasible (inconsistent)"  # a bug: the brackets failed
             except LpInfeasibleError:
                 cross_check = "infeasible"
-        note = str(identify_mod.FalsificationError(facts.brackets))
-        cells = [{"event": s, "label": events[s].label, "evidence": y, "assumptions": assume,
-                  "kind": "refused", "note": note, "method": "point-identification",
-                  "lp_cross_check": cross_check} for s, y in grid]
+        cells = refused(str(exc), lp_cross_check=cross_check)
     else:
-        # the rows with evidence (the others are refused below); a slice copies nothing
-        keep = [y not in zero for _, y in grid] if zero else slice(None)
-        lower, upper = np.zeros((2, len(grid)))
-        lower[keep], upper[keep] = bounds_mod.level_bounds(
-            facts, *(r[keep] for r in rows), assumptions)
-        if assumptions is Assumptions.MONOTONIC_INCREMENT:
+        if incr:
             cells = [{"event": s, "label": events[s].label, "evidence": y, "assumptions": assume,
-                      "kind": "point", "value": v, "method": "point-identification"}
+                      "kind": "point", "value": v, "method": method}
                      for (s, y), v in zip(grid, lower.tolist())]
         else:
             cells = [{"event": s, "label": events[s].label, "evidence": y, "assumptions": assume,
-                      "kind": "interval", "lower": lo, "upper": up, "method": "closed-form"}
+                      "kind": "interval", "lower": lo, "upper": up, "method": method}
                      for (s, y), lo, up in zip(grid, lower.tolist(), upper.tolist())]
     if zero:
         for i, (s, y) in enumerate(grid):
@@ -466,7 +469,6 @@ def _dumps(obj: Any, indent: str = "\n") -> str:
 
 def render_table(report: dict[str, Any]) -> str:
     """Plain-text grid: per evidence level, one row per assumption level."""
-    levels = report["levels"]
     cells = report["cells"]
     by_key = {}
     families: dict[int, list[str]] = {}

@@ -97,11 +97,6 @@ class PairFacts:
     brackets: FalsificationReport
     mono_refusal: str | None
 
-    def point(self, event: EventSpec, y: int) -> float:
-        """The one-row case of ``points``, after ``check_evidence``."""
-        check_evidence(self.pair, event, y)
-        return float(self.points(np.array([event.coeffs]), np.array([y]))[0])
-
     def points(self, coeffs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """c_y + (c_{y-1} - c_y) * gap_y / treated[y] for each row's event
         ``coeffs[i]`` and evidence ``ys[i]`` (c_0 at y = 0: an empty sum).
@@ -188,7 +183,9 @@ def identify_joint(pair: MarginalPair) -> JointProbabilityMatrix:
 def pn_point(pair: MarginalPair, event: EventSpec, y: int) -> float:
     """Point value of the event probability given treated-outcome evidence y.
 
-    ``PairFacts.point`` on ``pair_facts(pair)``.  Agrees with direct
-    evaluation on the reconstructed joint to within ``EXACT_ATOL``.
+    ``check_evidence``, then the one-row case of ``PairFacts.points``.
+    Agrees with direct evaluation on the reconstructed joint to within
+    ``EXACT_ATOL``.
     """
-    return pair_facts(pair).point(event, y)
+    check_evidence(pair, event, y)
+    return float(pair_facts(pair).points(np.array([event.coeffs]), np.array([y]))[0])

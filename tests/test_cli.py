@@ -651,22 +651,28 @@ def test_a_report_computes_each_level_in_one_array_pass(tmp_path, monkeypatch):
     level_bounds = bounds.level_bounds
 
     def counting(facts, coeffs, ys, assumptions):
-        levels.append((assumptions.value, len(ys)))
-        return level_bounds(facts, coeffs, ys, assumptions)
+        levels.append((assumptions.value, len(ys), None))
+        try:
+            return level_bounds(facts, coeffs, ys, assumptions)
+        except (FalsificationError, UnsupportedEventError) as exc:
+            levels[-1] = (assumptions.value, len(ys), type(exc))
+            raise
 
     monkeypatch.setattr(bounds, "level_bounds", counting)
     calls = count_every_binding(monkeypatch, bounds.cell_bounds)
     code, report = report_from(tmp_path, LALONDE_ROUTES["experimental"] + ["--all-canonical"])
     assert code == 0 and len(report["cells"]) == 30
     # one call per level, over every cell of the level, and no per-cell path
-    assert levels == [("incr", 10), ("marginal", 10), ("mono", 10)]
+    assert levels == [("incr", 10, None), ("marginal", 10, None), ("mono", 10, None)]
     assert calls == []
-    # incr refused by the brackets, mono by a negative gap: no estimate, no call
+    # incr refused by the brackets, mono by a negative gap: each level still
+    # takes its one call, and the report renders the refusal it raises
     levels.clear()
     exp, obs = falsifying_files(tmp_path)
     code, report = report_from(tmp_path, ["--exp", exp, "--obs", obs, "--all-canonical"])
     assert code == 0
-    assert levels == [("marginal", 4)]
+    assert levels == [("incr", 4, FalsificationError), ("marginal", 4, None),
+                      ("mono", 4, UnsupportedEventError)]
     assert {c["kind"] for c in report["cells"] if c["assumptions"] != "marginal"} == {"refused"}
     # a zero-evidence level leaves the other levels' rows to the one call
     levels.clear()
@@ -674,7 +680,45 @@ def test_a_report_computes_each_level_in_one_array_pass(tmp_path, monkeypatch):
     zero.write_text("z,y,count\n1,0,10\n1,1,0\n1,2,30\n0,0,20\n0,1,10\n0,2,10\n")
     code, report = report_from(tmp_path, ["--mode", "pc", "--exp", str(zero), "--all-canonical"])
     assert code == 0 and report["falsification"]["passed"] is False
-    assert levels == [("marginal", 5), ("mono", 5)]
+    assert levels == [("incr", 5, FalsificationError), ("marginal", 5, None), ("mono", 5, None)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("level", ["mono", "incr"])
+def test_the_report_renders_the_refusal_that_level_bounds_raises(tmp_path, monkeypatch, level):
+    from pnbounds import bounds
+
+    if level == "mono":
+        refusal = UnsupportedEventError("patched")
+    else:  # LaLonde's brackets with the first marked failed
+        brackets = pair_facts(lalonde_pair()).brackets
+        failed = replace(brackets.checks[0], within_bracket=False)
+        refusal = FalsificationError(replace(brackets, passed=False, checks=(failed,)))
+    args = LALONDE_ROUTES["experimental"] + ["--all-canonical"]
+    _, plain = report_from(tmp_path, args)
+    level_bounds = bounds.level_bounds
+
+    def refusing(facts, coeffs, ys, assumptions):
+        if assumptions.value == level:
+            raise refusal
+        return level_bounds(facts, coeffs, ys, assumptions)
+
+    monkeypatch.setattr(bounds, "level_bounds", refusing)
+    code, report = report_from(tmp_path, args)
+    assert code == 0 and len(report["cells"]) == len(plain["cells"]) == 30
+    for cell, before in zip(report["cells"], plain["cells"]):
+        if cell["assumptions"] != level:
+            assert cell == before
+            continue
+        assert before["kind"] != "refused"
+        expected = {**{k: before[k] for k in ("event", "label", "evidence", "assumptions")},
+                    "kind": "refused", "note": str(refusal), "method": before["method"]}
+        if level == "incr":
+            # LaLonde passes the brackets, so the LP flags the refusal it contradicts
+            expected["lp_cross_check"] = "feasible (inconsistent)"
+        assert cell == expected
+    assert {c["method"] for c in report["cells"] if c["assumptions"] == level} == {
+        "closed-form" if level == "mono" else "point-identification"}
 
 
 LALONDE_ROUTES = {
