@@ -215,8 +215,7 @@ def _assumption_list(word: str) -> list[Assumptions]:
 
 
 def run_analysis(
-    cfg: AnalysisConfig,
-    loaded: tuple[identify_mod.PairFacts, dict[str, Any]] | None = None,
+    cfg: AnalysisConfig, loaded: tuple[identify_mod.PairFacts, dict[str, Any]]
 ) -> dict[str, Any]:
     """Produce the attribution report as a JSON-ready dict.
 
@@ -226,12 +225,8 @@ def run_analysis(
     monotone cells are refused when a cumulative gap is negative.  Each
     assumption level takes one ``_level_cells`` pass (one LP cross-check per
     report), laid out per (event, evidence).  ``loaded`` holds the facts
-    (``identify.pair_facts``) and the provenance of ``load_marginals(cfg)``
-    when the caller already has them; otherwise both are computed here.
+    (``identify.pair_facts``) and the provenance of ``load_marginals(cfg)``.
     """
-    if loaded is None:
-        pair, provenance = load_marginals(cfg)
-        loaded = identify_mod.pair_facts(pair), provenance
     facts, provenance = loaded
     pair = facts.pair
     levels = pair.levels

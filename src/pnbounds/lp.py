@@ -29,7 +29,6 @@ from .core import (
     check_evidence,
     evidence_mass,
 )
-from .identify import falsification_check
 
 #: Reduced cost below whose negative an arc enters the tree.
 PIVOT_TOL = 1e-10
@@ -47,7 +46,7 @@ _PIVOTS_PER_ARC = 50
 
 
 class LpError(CausalAttributionError):
-    """Solver breakdown (iteration limit, corrupt tree, inconsistent result)."""
+    """Solver breakdown (iteration limit, corrupt tree)."""
 
 
 class LpInfeasibleError(LpError):
@@ -345,24 +344,12 @@ def pn_bounds_lp(
     Minimizing and maximizing the event mass in the evidence row over the
     feasible polytope and dividing by treated[y] yields the bounds, each
     optimum certified through the dual (``_Network.solve``).  An empty
-    polytope under the one-level-lift assumption is cross-checked against
-    the gap brackets before being reported.
+    polytope is refused by phase one alone, at every level.
     """
     check_evidence(pair, event, y)
     mass = float(evidence_mass(pair, y))
     network = _feasible_base(pair, assumptions)
     if network.deficit > INFEAS_TOL:
-        if assumptions is Assumptions.MONOTONIC_INCREMENT:
-            report = falsification_check(pair)
-            if report.passed:
-                raise LpError(
-                    "internal inconsistency: LP infeasible although the gap "
-                    "brackets pass"
-                )
-            raise LpInfeasibleError(
-                "one-level-lift feasible set is empty; gap brackets violated at "
-                + ", ".join(f"k={chk.k}" for chk in report.violations())
-            )
         raise LpInfeasibleError(
             f"feasible set is empty under {assumptions.value!r} for these marginals"
         )

@@ -54,6 +54,12 @@ def report_from(tmp_path, args):
     return code, payload
 
 
+def analysis(cfg):
+    """``run_analysis`` on the facts and provenance that ``main`` loads for ``cfg``."""
+    pair, provenance = load_marginals(cfg)
+    return run_analysis(cfg, (pair_facts(pair), provenance))
+
+
 def cell_index(report):
     return {
         (c["event"], c["evidence"], c["assumptions"]): c for c in report["cells"]
@@ -156,7 +162,7 @@ def test_pc_mode(tmp_path):
 
 def test_table_rendering():
     cfg = AnalysisConfig(exp=EXP, obs=OBS, all_canonical=True)
-    table = render_table(run_analysis(cfg))
+    table = render_table(analysis(cfg))
     assert "PN(w0, y=2)" in table and "PN(w0, y=1)" in table
     assert "[0.17, 0.88]" in table and "0.83" in table
     assert "[0.31, 0.89]" in table
@@ -243,7 +249,7 @@ def test_table_alone_encodes_no_json(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_dumps", counting)
     argv = ["--exp", EXP, "--obs", OBS, "--all-canonical", "--table"]
-    report = run_analysis(AnalysisConfig(exp=EXP, obs=OBS, all_canonical=True))
+    report = analysis(AnalysisConfig(exp=EXP, obs=OBS, all_canonical=True))
     table = render_table(report)
     assert main(argv) == 0
     assert capsys.readouterr().out == table
@@ -461,7 +467,7 @@ def test_report_cells_equal_per_cell_library_calls(tmp_path):
             q = _class_counts(rng, cls, levels)
             for cfg in _route_configs(tmp_path, f"{cls}{levels}", q, rng):
                 pair, _ = load_marginals(cfg)
-                report = run_analysis(cfg)
+                report = analysis(cfg)
                 assert len(report["cells"]) == (levels - 1) * (levels + 2) * 3
                 for cell in report["cells"]:
                     outcome = dict(cell)
@@ -544,7 +550,7 @@ def test_pc_bounds_equal_the_pc_report_cells(tmp_path):
                 pair, _ = load_marginals(cfg)
                 customs = ["custom:" + "".join(map(str, rng.integers(0, 2, levels)))
                            for _ in range(3)]
-                cells = run_analysis(cfg)["cells"] + run_analysis(
+                cells = analysis(cfg)["cells"] + analysis(
                     replace(cfg, all_canonical=False, events=customs)
                 )["cells"]
                 for cell in cells:
@@ -634,14 +640,8 @@ def test_one_lp_cross_check_per_report(tmp_path, monkeypatch):
     # one refusal note for the report, not one error per refused cell
     assert calls.count("FalsificationError") == 1
     calls.remove("FalsificationError")
-    # the report's facts, the LP call, and the bracket check inside it with
-    # the facts that check builds
-    assert sorted(calls) == [
-        "pnbounds.cli.pn_bounds_lp",
-        "pnbounds.identify.pair_facts",
-        "pnbounds.identify.pair_facts",
-        "pnbounds.lp.falsification_check",
-    ]
+    # the report's facts and the LP call, which reads no brackets of its own
+    assert sorted(calls) == ["pnbounds.cli.pn_bounds_lp", "pnbounds.identify.pair_facts"]
 
 
 def test_a_report_computes_each_level_in_one_array_pass(tmp_path, monkeypatch):
@@ -741,8 +741,8 @@ def test_a_default_report_computes_the_pair_facts_once(tmp_path, monkeypatch, ro
     facts = ["pnbounds.identify.pair_facts", "pnbounds.identify.gap_sequence"]
     assert calls[:2] == facts
     # the strata example fails the brackets: the one LP cross-check then
-    # runs the LP's own bracket check, on facts of its own
-    cross_check = ["pnbounds.cli.pn_bounds_lp", "pnbounds.lp.falsification_check", *facts]
+    # decides from its own phase one, computing none of the facts again
+    cross_check = ["pnbounds.cli.pn_bounds_lp"]
     assert calls[2:] == ([] if report["falsification"]["passed"] else cross_check)
     assert report["falsification"]["passed"] is (route != "unconfounded")
 

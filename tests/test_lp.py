@@ -271,6 +271,25 @@ def test_infeasible_monotone_set_when_ordering_violated():
         pn_bounds_lp(pair, make_event("eq", 2, level=0), 1, Assumptions.MONOTONICITY)
 
 
+@pytest.mark.parametrize("treated,control,assumptions", [
+    ([0.1, 0.8, 0.1], [0.05, 0.05, 0.9], Assumptions.MONOTONIC_INCREMENT),
+    ([0.7, 0.3], [0.2, 0.8], Assumptions.MONOTONICITY),
+], ids=["incr", "mono"])
+def test_phase_one_alone_refuses_an_empty_polytope(monkeypatch, treated, control, assumptions):
+    # the LP cross-checks the gap brackets, so it must not read them
+    from pnbounds import identify
+
+    def unreachable(pair):
+        raise AssertionError("the LP computed the pair facts")
+
+    monkeypatch.setattr(identify, "pair_facts", unreachable)
+    pair = pair_from_laws(treated, control)
+    with pytest.raises(LpInfeasibleError) as exc:
+        pn_bounds_lp(pair, make_event("eq", len(treated), level=0), 1, assumptions)
+    assert str(exc.value) == (
+        f"feasible set is empty under {assumptions.value!r} for these marginals")
+
+
 def test_gap_just_below_the_band_is_refused_not_crashed():
     # cumulative gap -5e-9: outside ATOL, inside the certificate's FEAS_TOL
     pair = pair_from_laws([0.5, 0.5], [0.5 - 5e-9, 0.5 + 5e-9])
