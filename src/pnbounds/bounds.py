@@ -51,8 +51,8 @@ class Method(Enum):
 class BoundsResult:
     """Lower/upper bound pair with its assumption level and provenance.
 
-    0 <= lower <= upper <= 1 within tolerance; a ``mono`` gap inside the
-    ``ATOL`` band can cross the pair by a few ``ATOL`` as a ratio.
+    0 <= lower <= upper <= 1, except that ``mono`` can cross: by a few ``ATOL``
+    as a ratio on a gap inside the band, by a few ulps at an exact tie.
     """
 
     lower: float
@@ -142,6 +142,7 @@ def level_bounds(
     products, and Python's ``max(0, x)``/``min(1, x)``.  The one place a cell
     is refused, in the report's order: ``UnsupportedEventError`` for a whole
     ``mono`` level, then ``ZeroEvidenceError``, then ``FalsificationError``.
+    The rows are trusted: ``cell_bounds`` and the CLI check them.
     """
     if assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
         raise UnsupportedEventError(facts.mono_refusal)

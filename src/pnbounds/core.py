@@ -261,15 +261,12 @@ def make_event(
     return EventSpec(coeffs=bits, label=label)
 
 
-def check_evidence(pair: MarginalPair, event: EventSpec, y: int) -> None:
-    """Validate that the event has the pair's levels and that y is one of them.
-
-    Zero evidence is refused where the mass is read, by ``evidence_mass``.
-    """
+def check_evidence(pair: MarginalPair | JointProbabilityMatrix, event: EventSpec, y: int) -> None:
+    """The cell check of every one-cell entry: the event has the levels of
+    ``pair``, a marginal pair or a joint, and y is one of them.  Zero
+    evidence is refused where the mass is read, by ``evidence_mass``."""
     if len(event.coeffs) != pair.levels:
-        raise CausalAttributionError(
-            f"event has {len(event.coeffs)} levels, marginal pair {pair.levels}"
-        )
+        raise CausalAttributionError(f"event has {len(event.coeffs)} levels, not {pair.levels}")
     if not 0 <= y < pair.levels:
         raise CausalAttributionError(f"evidence level {y} out of range")
 
@@ -291,12 +288,7 @@ def pn_from_joint(joint: JointProbabilityMatrix, event: EventSpec, y: int) -> fl
     Evaluates sum_l c_l q[y, l] / sum_l q[y, l]; the ratio form makes the
     value invariant to rescaling the matrix by a positive constant.
     """
-    if len(event.coeffs) != joint.levels:
-        raise EventSpecError(
-            f"event has {len(event.coeffs)} levels, joint matrix {joint.levels}"
-        )
-    if not 0 <= y < joint.levels:
-        raise EventSpecError(f"evidence level {y} out of range")
+    check_evidence(joint, event, y)
     row = joint.entries[y]
     mass = float(row.sum())
     if mass <= ATOL:

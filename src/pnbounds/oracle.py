@@ -31,6 +31,8 @@ from .core import (
     JointProbabilityMatrix,
     MarginalPair,
     allowed_mask,
+    check_evidence,
+    evidence_mass,
     pn_from_joint,
 )
 from .identify import EXACT_ATOL, FalsificationError, PairFacts, pair_facts
@@ -333,11 +335,12 @@ def endpoint_witnesses(
     ``incr`` the one feasible joint, ``identify_joint(pair)``, as both.  A
     wrong closed form therefore shows as a sharpness gap.  Both are built
     here, on a level of their own; the cells of one ``verify_cells`` call
-    share theirs.
+    share theirs.  Refused as ``pn_bounds_lp`` is: cell, evidence, level.
     """
+    check_evidence(pair, event, y)
+    evidence_mass(pair, y)
     level = _Level(pair_facts(pair), assumptions)
-    lower, upper = level.witnesses(_witness_specs(level, event, y))
-    return lower, upper
+    return tuple(level.witnesses(_witness_specs(level, event, y)))
 
 
 @dataclass(frozen=True)
@@ -410,7 +413,8 @@ def verify_cells(
     complement).  Containment: every sample gives an event probability
     inside the claim.  Sharpness: each claimed endpoint's distance from what
     its witness attains.  Findings are report fields, never exceptions;
-    ``SamplingError`` means the level cannot be sampled.
+    ``SamplingError`` means the level cannot be sampled.  The cells are
+    trusted: ``verify_bounds`` and the CLI check them.
     """
     level = _Level(facts, assumptions)
     x = _draw(level, n, np.random.default_rng(seed))
@@ -422,7 +426,9 @@ def verify_bounds(
     bounds: BoundsResult, n: int, seed: int,
 ) -> VerificationReport:
     """Check claimed bounds against samples and endpoint witnesses: the
-    one-cell case of ``verify_cells``, which draws the batch and builds the
-    witnesses for this call alone."""
+    one-cell case of ``verify_cells``, refused as ``endpoint_witnesses`` is,
+    drawing the batch and building the witnesses for this call alone."""
+    check_evidence(pair, event, y)
+    evidence_mass(pair, y)
     cell = (event, y, bounds.lower, bounds.upper)
     return verify_cells(pair_facts(pair), assumptions, [cell], n, seed)[0]

@@ -11,11 +11,13 @@ from pnbounds import (
     Assumptions,
     BoundsResult,
     Conditioning,
+    ContingencyTable,
     FalsificationError,
     InvalidDistributionError,
     JointProbabilityMatrix,
     Method,
     SamplingError,
+    Source,
     UnsupportedEventError,
     ZeroEvidenceError,
     falsification_check,
@@ -27,6 +29,7 @@ from pnbounds import (
     pn_from_joint,
     pc_bounds,
     pn_point,
+    randomized_margins,
 )
 from pnbounds.bounds import cell_bounds, level_bounds
 from pnbounds.cli import AnalysisConfig, parse_event, run_analysis
@@ -605,6 +608,45 @@ def test_monotone_bounds_at_zero_mass_levels_and_tolerance_ties(cell):
     tol = 1e-9 + abs(delta) / pair.treated_law.probs[y]
     assert abs(result.lower - reference.lower) <= tol
     assert abs(result.upper - reference.upper) <= tol
+
+
+def test_closed_forms_cross_only_by_rounding_at_exact_ties():
+    # On monotone-consistent count tables a family's two forms can be the same
+    # ratio, e.g. noteq:2 at y = 2 below, where (t - c_2) / t = gap_2 / t
+    # exactly; each rounds its own way, so lower can exceed upper by a few
+    # ulps.  The LP lands within rounding of both ends.
+    def pair_of(counts):
+        return randomized_margins(ContingencyTable(counts=counts, source=Source.EXPERIMENTAL))
+
+    rng = np.random.default_rng(1)
+    tables = [[[40, 40, 10], [10, 30, 50]]]
+    for i in range(70):
+        levels = 2 + i % 7
+        q = np.tril(rng.integers(0, 3, (levels, levels))) * int(rng.integers(1, 14))
+        q[0, 0] += 1
+        tables.append([q.sum(axis=0).tolist(), q.sum(axis=1).tolist()])
+    crossed = 0
+    for counts in tables:
+        assert max(map(sum, counts)) < 1000
+        pair = pair_of(counts)
+        assert monotone_consistent(pair)
+        facts, levels = pair_facts(pair), pair.levels
+        cells = [(event, y) for y in range(levels) if pair.treated_law.probs[y] > ATOL
+                 for event in canonical_events(levels, y)]
+        coeffs = np.array([event.coeffs for event, _ in cells])
+        ys = np.array([y for _, y in cells])
+        for assumptions in (Assumptions.MARGINAL_ONLY, Assumptions.MONOTONICITY):
+            lower, upper = level_bounds(facts, coeffs, ys, assumptions)
+            assert (lower - upper).max() < 1e-13
+            crossed += int((lower > upper).sum())
+            for (event, y), low, up in zip(cells, lower, upper):
+                reference = pn_bounds_lp(pair, event, y, assumptions)
+                assert abs(reference.lower - low) <= 1e-12
+                assert abs(reference.upper - up) <= 1e-12
+    assert crossed > 10
+    noteq = pc_bounds(pair_of(tables[0]), make_event("noteq", 3, level=2), 2,
+                      Assumptions.MONOTONICITY)
+    assert (noteq.lower, noteq.upper) == (0.8, 0.7999999999999999)
 
 
 # --- ladder and containment properties -------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pnbounds import (
     ATOL,
     Assumptions,
+    CausalAttributionError,
     EventSpec,
     EventSpecError,
     InvalidDistributionError,
@@ -13,7 +14,10 @@ from pnbounds import (
     OrdinalDistribution,
     ZeroEvidenceError,
     allowed_mask,
+    endpoint_witnesses,
     make_event,
+    pn_bounds_lp,
+    pn_bounds_marginal,
     pn_from_joint,
 )
 from helpers import loop_allowed_mask, loop_event_bits, loop_pinned_cells, pair_from_laws
@@ -130,6 +134,27 @@ def test_single_level_events_partition_to_one(q, data):
         for v in range(q.levels)
     )
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("event,y,message", [
+    (make_event("eq", 4, level=0), 0, "event has 4 levels, not 3"),
+    (make_event("eq", 3, level=0), 3, "evidence level 3 out of range"),
+    (make_event("eq", 3, level=0), -1, "evidence level -1 out of range"),
+], ids=["4-levels", "y=3", "y=-1"])
+def test_every_one_cell_entry_refuses_a_malformed_cell_with_one_text(event, y, message):
+    treated, control = [0.2, 0.3, 0.5], [0.4, 0.3, 0.3]
+    pair = pair_from_laws(treated, control)
+    joint = JointProbabilityMatrix(entries=np.outer(treated, control))
+    marginal = Assumptions.MARGINAL_ONLY
+    for entry in (
+        lambda: pn_from_joint(joint, event, y),
+        lambda: pn_bounds_marginal(pair, event, y),
+        lambda: pn_bounds_lp(pair, event, y, marginal),
+        lambda: endpoint_witnesses(pair, event, y, marginal),
+    ):
+        with pytest.raises(CausalAttributionError) as err:
+            entry()
+        assert type(err.value) is CausalAttributionError and str(err.value) == message
 
 
 # --- distributions and matrices ---------------------------------------------

@@ -7,9 +7,11 @@ from pnbounds import (
     ATOL,
     Assumptions,
     BoundsResult,
+    CausalAttributionError,
     Method,
     JointProbabilityMatrix,
     SamplingError,
+    ZeroEvidenceError,
     allowed_mask,
     endpoint_witnesses,
     identify_joint,
@@ -80,6 +82,47 @@ def test_witnesses_attain_marginal_bounds_everywhere():
             for witness in (low, up):
                 assert np.abs(witness.row_margins() - pair.treated_law.probs).max() < 1e-9
                 assert np.abs(witness.col_margins() - pair.control_law.probs).max() < 1e-9
+
+
+# --- one-cell refusals --------------------------------------------------------------
+
+_CLAIM = BoundsResult(0.0, 1.0, Assumptions.MARGINAL_ONLY, Method.CLOSED_FORM)
+_ONE_CELL_ENTRIES = {
+    "witnesses-marginal": lambda pair, event, y: endpoint_witnesses(
+        pair, event, y, Assumptions.MARGINAL_ONLY),
+    "witnesses-mono": lambda pair, event, y: endpoint_witnesses(
+        pair, event, y, Assumptions.MONOTONICITY),
+    "verify": lambda pair, event, y: verify_bounds(
+        pair, event, y, Assumptions.MARGINAL_ONLY, _CLAIM, 100, 0),
+}
+
+
+@pytest.mark.parametrize("entry", _ONE_CELL_ENTRIES.values(), ids=_ONE_CELL_ENTRIES.keys())
+@pytest.mark.parametrize("event,y,message", [
+    (make_event("eq", 4, level=0), 0, "event has 4 levels, not 3"),
+    (make_event("eq", 3, level=0), 3, "evidence level 3 out of range"),
+    (make_event("eq", 3, level=0), -1, "evidence level -1 out of range"),
+], ids=["4-levels", "y=3", "y=-1"])
+def test_one_cell_oracle_entries_refuse_a_malformed_cell_before_drawing(
+    monkeypatch, entry, event, y, message
+):
+    def no_draw(*args):
+        raise AssertionError("drew a batch for a malformed cell")
+
+    monkeypatch.setattr(oracle, "_draw", no_draw)
+    pair = pair_from_laws([0.2, 0.3, 0.5], [0.4, 0.3, 0.3])
+    with pytest.raises(CausalAttributionError) as err:
+        entry(pair, event, y)
+    assert type(err.value) is CausalAttributionError and str(err.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", _ONE_CELL_ENTRIES.values(), ids=_ONE_CELL_ENTRIES.keys())
+def test_one_cell_oracle_entries_refuse_zero_evidence_without_a_warning(entry):
+    pair = pair_from_laws([0.2, 0.0, 0.8], [0.4, 0.3, 0.3])
+    with pytest.raises(ZeroEvidenceError) as err:
+        entry(pair, make_event("eq", 3, level=0), 1)
+    assert str(err.value) == "treated outcome level 1 has zero probability"
 
 
 # --- sampling ----------------------------------------------------------------------
