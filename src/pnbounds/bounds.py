@@ -23,7 +23,6 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    ATOL,
     Assumptions,
     CausalAttributionError,
     EventSpec,
@@ -59,17 +58,6 @@ class BoundsResult:
     upper: float
     assumptions: Assumptions
     method: Method
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-    def contains(self, value: float, slack: float = ATOL) -> bool:
-        return self.lower - slack <= value <= self.upper + slack
 
 
 def pn_bounds_marginal(pair: MarginalPair, event: EventSpec, y: int) -> BoundsResult:

@@ -33,11 +33,12 @@ from .core import (
 )
 from .lp import LpInfeasibleError, pn_bounds_lp
 
-_SHARPNESS_TOL = 1e-6
-
 USAGE_EXIT = 1
 DATA_EXIT = 2
 VERIFY_EXIT = 3
+#: The ``oracle.VerificationReport`` attributes of a checked cell's entry, in order
+_CHECK_FIELDS = ("status", "contained", "max_violation", "sharpness_gap_lower",
+                 "sharpness_gap_upper", "n_samples", "sharp")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -344,9 +345,10 @@ def verify_report(
     The samples depend only on the assumption level (the pair, the sample
     count and the seed are fixed), so one batch is drawn per level and
     shared by its cells, one level at a time.  The levels share the facts
-    of the pair, those the report was built on.  A cell with an estimate
-    whose level cannot be sampled fails the verification.  A batch of more
-    than ``oracle.BATCH_BUDGET`` entries is refused before any is drawn.
+    of the pair, those the report was built on.  Each entry's status is the
+    oracle's ``ok`` or ``failed``, or ``refused`` or ``skipped`` (its level
+    cannot be sampled); ``passed`` is false when one failed or was skipped.
+    A batch of more than ``oracle.BATCH_BUDGET`` entries is refused first.
     """
     levels = facts.pair.levels
     if cfg.samples * levels * levels > oracle.BATCH_BUDGET:
@@ -356,11 +358,13 @@ def verify_report(
     by_level: dict[Assumptions, list[dict[str, Any]]] = {}
     for entry in entries:
         if entry["kind"] == "refused":
-            entry["verification"] = "skipped: no estimate to verify"
+            entry["verification"] = {"status": "refused", "reason": "no estimate to verify"}
         else:
             by_level.setdefault(Assumptions(entry["assumptions"]), []).append(entry)
-    level_ok = [_verify_level(cfg, facts, a, cells) for a, cells in by_level.items()]
-    return {"samples": cfg.samples, "seed": cfg.seed, "cells": entries, "passed": all(level_ok)}
+    for assumptions, cells in by_level.items():
+        _verify_level(cfg, facts, assumptions, cells)
+    passed = not any(e["verification"]["status"] in ("failed", "skipped") for e in entries)
+    return {"samples": cfg.samples, "seed": cfg.seed, "cells": entries, "passed": passed}
 
 
 def _verify_level(
@@ -368,14 +372,14 @@ def _verify_level(
     facts: identify_mod.PairFacts,
     assumptions: Assumptions,
     entries: list[dict[str, Any]],
-) -> bool:
+) -> None:
     """Verify the cells of one assumption level in one pass over one batch.
 
     Each entry's claim, kept in [0, 1] (an ``incr`` point is not clamped),
     goes to one ``oracle.verify_cells`` call: it draws the level's batch,
     builds the level's witnesses in one batch and reads the batch's rows of
-    each evidence level once.  A level that cannot be sampled skips its
-    cells and fails.
+    each evidence level once.  Each entry renders its check, the oracle's
+    status first; a level that cannot be sampled skips its cells.
     """
     events = {s: parse_event(s, facts.pair.levels) for s in {e["event"] for e in entries}}
     cells = []
@@ -389,24 +393,10 @@ def _verify_level(
         checks = oracle.verify_cells(facts, assumptions, cells, cfg.samples, cfg.seed)
     except oracle.SamplingError as exc:
         for entry in entries:
-            entry["verification"] = f"skipped: {exc}"
-        return False
-    ok = True
+            entry["verification"] = {"status": "skipped", "reason": str(exc)}
+        return
     for entry, check in zip(entries, checks):
-        sharp = (
-            check.sharpness_gap_lower <= _SHARPNESS_TOL
-            and check.sharpness_gap_upper <= _SHARPNESS_TOL
-        )
-        entry["verification"] = {
-            "contained": check.contained,
-            "max_violation": check.max_violation,
-            "sharpness_gap_lower": check.sharpness_gap_lower,
-            "sharpness_gap_upper": check.sharpness_gap_upper,
-            "n_samples": check.n_samples,
-            "sharp": sharp,
-        }
-        ok = ok and check.contained and sharp
-    return ok
+        entry["verification"] = {name: getattr(check, name) for name in _CHECK_FIELDS}
 
 
 #: Exact types that the C encoder writes as ``json.dumps`` does

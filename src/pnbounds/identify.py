@@ -25,10 +25,6 @@ from .core import (
     evidence_mass,
 )
 
-#: Exactness tolerance for algebraic identities (margin reproduction, the
-#: point formula versus direct evaluation on the reconstructed joint).
-EXACT_ATOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BracketCheck:
@@ -185,7 +181,7 @@ def pn_point(pair: MarginalPair, event: EventSpec, y: int) -> float:
 
     ``check_evidence``, then the one-row case of ``PairFacts.points``.
     Agrees with direct evaluation on the reconstructed joint to within
-    ``EXACT_ATOL``.
+    ``core.EXACT_ATOL``.
     """
     check_evidence(pair, event, y)
     return float(pair_facts(pair).points(np.array([event.coeffs]), np.array([y]))[0])

@@ -20,7 +20,9 @@ import numpy as np
 
 from .bounds import BoundsResult, Method
 from .core import (
-    ATOL,
+    FEAS_TOL,
+    INFEAS_TOL,
+    PIVOT_TOL,
     Assumptions,
     CausalAttributionError,
     EventSpec,
@@ -30,16 +32,6 @@ from .core import (
     evidence_mass,
 )
 
-#: Reduced cost below whose negative an arc enters the tree.
-PIVOT_TOL = 1e-10
-#: Residual allowed in the dual certificate and in the optimal point's margins.
-FEAS_TOL = 1e-8
-#: Unrouted mass beyond which a program is infeasible, and entry below whose
-#: negative an optimum is no witness: the ``ATOL`` band of the gap tests
-#: (under ``mono`` phase one leaves the most negative cumulative gap
-#: unrouted), plus rounding headroom so the LP never refuses a gap those
-#: tests accept.
-INFEAS_TOL = ATOL + 1e-12
 #: Pivots per arc before a solve is abandoned; strongly feasible trees
 #: terminate, so reaching it means a corrupt tree.
 _PIVOTS_PER_ARC = 50

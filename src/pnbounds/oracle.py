@@ -25,6 +25,8 @@ import numpy as np
 from .bounds import BoundsResult
 from .core import (
     ATOL,
+    EXACT_ATOL,
+    SHARPNESS_TOL,
     Assumptions,
     CausalAttributionError,
     EventSpec,
@@ -35,7 +37,7 @@ from .core import (
     evidence_mass,
     pn_from_joint,
 )
-from .identify import EXACT_ATOL, FalsificationError, PairFacts, pair_facts
+from .identify import FalsificationError, PairFacts, pair_facts
 
 #: Draws are split into this many groups, each with its own fill order.
 MIX_GROUPS = 16
@@ -345,7 +347,9 @@ def endpoint_witnesses(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Containment and sharpness evidence for one bounds result."""
+    """Containment and sharpness evidence for one bounds result, and the
+    verdict that ``--verify`` reports: ``status`` is ``"ok"`` when the claim
+    is contained and sharp (both gaps within ``SHARPNESS_TOL``), else failed."""
 
     contained: bool
     max_violation: float
@@ -353,6 +357,15 @@ class VerificationReport:
     sharpness_gap_upper: float
     n_samples: int
     seed: int
+
+    @property
+    def sharp(self) -> bool:
+        return (self.sharpness_gap_lower <= SHARPNESS_TOL
+                and self.sharpness_gap_upper <= SHARPNESS_TOL)
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.contained and self.sharp else "failed"
 
 
 def _check_cells(

@@ -189,9 +189,9 @@ def test_criterion_4_singleton_feasibility():
         report = falsification_check(pair)
         if report.passed:
             res = pn_bounds_lp(pair, event, y, Assumptions.MONOTONIC_INCREMENT)
-            assert res.width <= 1e-8
-            assert res.midpoint == pytest.approx(
-                pn_point(pair, event, y), abs=1e-8
+            assert res.upper - res.lower <= 1e-8
+            assert [res.lower, res.upper] == pytest.approx(
+                [pn_point(pair, event, y)] * 2, abs=1e-8
             )
             passed_brackets += 1
         else:

@@ -679,8 +679,8 @@ def test_point_lies_in_both_intervals_when_brackets_pass():
             continue
         for event in canonical_events(levels, y)[:-1]:
             point = pn_point(pair, event, y)
-            assert pn_bounds_marginal(pair, event, y).contains(point)
-            assert pn_bounds_monotone(pair, event, y).contains(point)
+            for res in (pn_bounds_marginal(pair, event, y), pn_bounds_monotone(pair, event, y)):
+                assert res.lower - ATOL <= point <= res.upper + ATOL
 
 
 def test_sampled_joints_stay_inside_marginal_interval():
@@ -688,7 +688,8 @@ def test_sampled_joints_stay_inside_marginal_interval():
     event = make_event("noteq", 3, level=2)
     result = pn_bounds_marginal(pair, event, 2)
     for q in draw_samples(pair, Assumptions.MARGINAL_ONLY, 400, seed=5):
-        assert result.contains(pn_from_joint(JointProbabilityMatrix(q), event, 2))
+        value = pn_from_joint(JointProbabilityMatrix(q), event, 2)
+        assert result.lower - ATOL <= value <= result.upper + ATOL
 
 
 # --- binary reduction --------------------------------------------------------------
@@ -710,7 +711,4 @@ def test_binary_bounds_reduce_to_two_event_bracket():
 
 def test_bounds_result_helpers():
     res = BoundsResult(0.2, 0.6, Assumptions.MARGINAL_ONLY, Method.CLOSED_FORM)
-    assert res.width == pytest.approx(0.4)
-    assert res.midpoint == pytest.approx(0.4)
-    assert res.contains(0.2) and res.contains(0.6) and not res.contains(0.7)
     assert [f.name for f in fields(res)] == ["lower", "upper", "assumptions", "method"]

@@ -358,7 +358,7 @@ def test_verify_report_encodes_like_json_dumps():
     facts = pair_facts(pair)
     report = run_analysis(cfg, (facts, provenance))
     report["verification"] = verify_report(cfg, facts, report)
-    assert any(isinstance(c["verification"], dict) for c in report["verification"]["cells"])
+    assert any(c["verification"]["status"] == "ok" for c in report["verification"]["cells"])
     assert _dumps(report) == json.dumps(report, indent=2)
 
 
@@ -757,11 +757,8 @@ def test_verify_passes_on_good_data(tmp_path):
     )
     assert code == 0
     assert report["verification"]["passed"] is True
-    checks = [
-        c["verification"] for c in report["verification"]["cells"]
-        if isinstance(c.get("verification"), dict)
-    ]
-    assert checks and all(c["contained"] for c in checks)
+    checks = [c["verification"] for c in report["verification"]["cells"]]
+    assert checks and all(c["status"] == "ok" and c["contained"] for c in checks)
 
 
 def test_verify_fails_when_an_estimate_cannot_be_sampled(tmp_path, monkeypatch):
@@ -782,7 +779,7 @@ def test_verify_fails_when_an_estimate_cannot_be_sampled(tmp_path, monkeypatch):
     assert len(verification["cells"]) == 10
     for entry in verification["cells"]:
         assert entry["kind"] == "interval"
-        assert entry["verification"] == "skipped: no draw met the margins"
+        assert entry["verification"] == {"status": "skipped", "reason": "no draw met the margins"}
 
 
 def test_verify_passes_on_a_gap_inside_the_band(tmp_path):
@@ -821,7 +818,7 @@ def test_mono_cells_refused_on_monotone_inconsistent_data(tmp_path):
     for cell, entry in zip(report["cells"], report["verification"]["cells"]):
         assert cell["kind"] == "refused"
         assert "k=1: gap -0.7, k=2: gap -0.7" in cell["note"]
-        assert entry["verification"] == "skipped: no estimate to verify"
+        assert entry["verification"] == {"status": "refused", "reason": "no estimate to verify"}
         event = parse_event(cell["event"], 3)
         with pytest.raises(LpInfeasibleError):
             pn_bounds_lp(pair, event, cell["evidence"], Assumptions.MONOTONICITY)
@@ -1004,6 +1001,88 @@ def test_verify_widened_bounds_fail(tmp_path, monkeypatch):
     assert code == 3
     (cell,) = json.loads((tmp_path / "r.json").read_text())["verification"]["cells"]
     assert cell["verification"]["contained"] and not cell["verification"]["sharp"]
+
+
+CHECK_FIELDS = ["status", "contained", "max_violation", "sharpness_gap_lower",
+                "sharpness_gap_upper", "n_samples", "sharp"]
+
+
+def verify_statuses(report):
+    """The status of each ``--verify`` entry, once ``passed`` is checked to be
+    false exactly when some entry failed or was skipped."""
+    statuses = [e["verification"]["status"] for e in report["verification"]["cells"]]
+    assert report["verification"]["passed"] is (not {"failed", "skipped"} & set(statuses))
+    return statuses
+
+
+def test_verify_status_ok_exits_zero(tmp_path):
+    code, report = report_from(tmp_path, ["--exp", EXP, "--obs", OBS, "--all-canonical", "--verify"])
+    assert code == 0
+    assert verify_statuses(report) == ["ok"] * 30
+    for entry in report["verification"]["cells"]:
+        check = entry["verification"]
+        assert list(check) == CHECK_FIELDS
+        assert check["contained"] is check["sharp"] is True and check["n_samples"] == 10000
+
+
+def test_verify_status_refused_exits_zero(tmp_path):
+    exp, obs = falsifying_files(tmp_path)
+    code, report = report_from(
+        tmp_path, ["--exp", exp, "--obs", obs, "--all-canonical", "--verify", "--samples", "500"])
+    assert code == 0
+    statuses = verify_statuses(report)
+    assert set(statuses) == {"ok", "refused"}
+    for cell, entry in zip(report["cells"], report["verification"]["cells"]):
+        if cell["kind"] == "refused":
+            assert entry["verification"] == {"status": "refused", "reason": "no estimate to verify"}
+        else:
+            assert entry["verification"]["status"] == "ok"
+            assert list(entry["verification"]) == CHECK_FIELDS
+
+
+def test_verify_status_failed_exits_three(tmp_path, monkeypatch):
+    from pnbounds import bounds
+
+    level_bounds = bounds.level_bounds
+
+    def narrowed(facts, coeffs, ys, assumptions):  # one marginal claim 0.05 too narrow
+        lower, upper = level_bounds(facts, coeffs, ys, assumptions)
+        if assumptions is Assumptions.MARGINAL_ONLY:
+            lower = lower.copy()
+            lower[0] += 0.05
+        return lower, upper
+
+    monkeypatch.setattr(bounds, "level_bounds", narrowed)
+    code, report = report_from(
+        tmp_path, ["--exp", EXP, "--obs", OBS, "--event", "noteq:2", "--evidence", "2",
+                   "--verify", "--samples", "500"])
+    assert code == 3
+    assert verify_statuses(report) == ["ok", "failed", "ok"]
+    check = report["verification"]["cells"][1]["verification"]
+    assert list(check) == CHECK_FIELDS
+    assert check["contained"] is check["sharp"] is False
+    assert check["sharpness_gap_lower"] == pytest.approx(0.05)
+
+
+def test_verify_status_skipped_exits_three(tmp_path, monkeypatch):
+    from pnbounds import oracle
+
+    verify_cells = oracle.verify_cells
+
+    def unsampled_mono(facts, assumptions, *args):
+        if assumptions is Assumptions.MONOTONICITY:
+            raise oracle.SamplingError("no draw met the margins")
+        return verify_cells(facts, assumptions, *args)
+
+    monkeypatch.setattr(oracle, "verify_cells", unsampled_mono)
+    code, report = report_from(
+        tmp_path, ["--exp", EXP, "--obs", OBS, "--event", "noteq:2", "--evidence", "2",
+                   "--verify", "--samples", "500"])
+    assert code == 3
+    assert verify_statuses(report) == ["ok", "ok", "skipped"]
+    skipped = report["verification"]["cells"][2]
+    assert skipped["assumptions"] == "mono"
+    assert skipped["verification"] == {"status": "skipped", "reason": "no draw met the margins"}
 
 
 def test_an_oversized_verify_batch_exits_one_before_drawing(capsys, monkeypatch):

@@ -294,3 +294,23 @@ def test_every_exported_name_resolves():
     assert len(set(pnbounds.__all__)) == len(pnbounds.__all__)
     for name in pnbounds.__all__:
         assert namespace[name] is getattr(pnbounds, name)
+
+
+def test_every_tolerance_is_defined_in_core():
+    """No module but ``core`` holds a float literal below 1e-3 (zero aside): a
+    tolerance elsewhere would be a second definition.  ``MAX_COUNT``,
+    ``MAX_LEVEL`` and ``BATCH_BUDGET`` are limits, not tolerances."""
+    import ast
+    from pathlib import Path
+
+    import pnbounds
+
+    found = []
+    for path in sorted(Path(pnbounds.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and type(node.value) is float and (
+                    0 < node.value < 1e-3):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert found == []

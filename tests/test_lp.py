@@ -180,8 +180,8 @@ def test_lp_under_one_level_lift_is_the_point():
     for y in (1, 2):
         for event in canonical_events(3, y):
             res = pn_bounds_lp(pair, event, y, Assumptions.MONOTONIC_INCREMENT)
-            assert res.width <= 1e-8
-            assert res.midpoint == pytest.approx(pn_point(pair, event, y), abs=1e-8)
+            assert res.upper - res.lower <= 1e-8
+            assert [res.lower, res.upper] == pytest.approx([pn_point(pair, event, y)] * 2, abs=1e-8)
 
 
 def test_ladder_nesting_through_the_lp():
@@ -400,8 +400,9 @@ def test_thirty_levels_match_the_closed_forms_at_every_level(builder, consistent
                     pn_bounds_lp(pair, event, y, Assumptions.MONOTONICITY)
             if brackets:
                 lp_res = pn_bounds_lp(pair, event, y, Assumptions.MONOTONIC_INCREMENT)
-                assert lp_res.width <= 1e-8
-                assert lp_res.midpoint == pytest.approx(pn_point(pair, event, y), abs=1e-8)
+                assert lp_res.upper - lp_res.lower <= 1e-8
+                point = pn_point(pair, event, y)
+                assert [lp_res.lower, lp_res.upper] == pytest.approx([point] * 2, abs=1e-8)
             else:
                 with pytest.raises(LpInfeasibleError):
                     pn_bounds_lp(pair, event, y, Assumptions.MONOTONIC_INCREMENT)

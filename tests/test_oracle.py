@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +25,8 @@ from pnbounds import (
     verify_bounds,
 )
 from pnbounds import oracle
-from pnbounds.identify import EXACT_ATOL, pair_facts
+from pnbounds.core import EXACT_ATOL, SHARPNESS_TOL
+from pnbounds.identify import pair_facts
 from pnbounds.oracle import _sample_array, draw_samples
 from helpers import (
     arbitrary_pair,
@@ -361,7 +364,7 @@ def _claimed_cells(pair, assumptions):
             continue
         for event in canonical_events(pair.levels, y):
             result = closed(pair, event, y)
-            if result.width > 1e-6:
+            if result.upper - result.lower > 1e-6:
                 yield event, y, result
 
 
@@ -376,7 +379,7 @@ def test_coverage_is_no_worse_than_proportional_fitting():
         ratios = []
         for event, y, result in _claimed_cells(pair, assumptions):
             values = (x[:, y, :] @ event.vector) / x[:, y, :].sum(axis=1)
-            ratios.append((values.max() - values.min()) / result.width)
+            ratios.append((values.max() - values.min()) / (result.upper - result.lower))
         assert min(ratios) >= ipf_min and np.median(ratios) >= ipf_median
 
 
@@ -385,7 +388,7 @@ def test_narrowed_bounds_are_caught_at_least_as_often_as_by_proportional_fitting
         pair = lalonde_pair() if name == "lalonde" else _coverage_pair(name)
         cells = []
         for event, y, result in _claimed_cells(pair, assumptions):
-            shift = 0.01 * result.width
+            shift = 0.01 * (result.upper - result.lower)
             cells += [(event, y, result.lower + shift, result.upper),
                       (event, y, result.lower, result.upper - shift)]
         # one batch for every claim: draw_samples(pair, assumptions, 10_000, seed=42)
@@ -430,6 +433,22 @@ def test_verify_flags_widened_bounds_as_unsharp():
     assert report.contained  # widening never breaks containment
     assert report.sharpness_gap_lower > 0.01
     assert report.sharpness_gap_upper > 0.01
+
+
+@pytest.mark.parametrize("end", ["lower", "upper"])
+def test_sharp_and_status_read_the_sharpness_tolerance(end):
+    pair = lalonde_pair()
+    ev = make_event("noteq", 3, level=2)
+    res = pn_bounds_marginal(pair, ev, 2)
+    for factor, sharp in ((0.5, True), (2.0, False)):
+        # one end widened by factor * SHARPNESS_TOL: contained, with that sharpness gap
+        shift = factor * SHARPNESS_TOL * (-1 if end == "lower" else 1)
+        claim = replace(res, **{end: getattr(res, end) + shift})
+        report = verify_bounds(pair, ev, 2, Assumptions.MARGINAL_ONLY, claim, 500, seed=1)
+        gap = getattr(report, f"sharpness_gap_{end}")
+        assert gap == pytest.approx(factor * SHARPNESS_TOL, rel=1e-6)
+        assert report.contained and report.sharp is sharp
+        assert report.status == ("ok" if sharp else "failed")
 
 
 def test_monotone_witnesses_attain_the_closed_forms():
@@ -496,7 +515,8 @@ def test_a_passed_level_reads_the_evidence_rows_of_each_batch():
     pair = lalonde_pair()
     facts = pair_facts(pair)
     event = canonical_events(3, 2)[0]
-    mid = pn_bounds_marginal(pair, event, 2).midpoint
+    res = pn_bounds_marginal(pair, event, 2)
+    mid = 0.5 * (res.lower + res.upper)
     # a point claim: max_violation is the batch's distance from it
     claim = BoundsResult(mid, mid, Assumptions.MARGINAL_ONLY, Method.CLOSED_FORM)
     violations = []
@@ -526,7 +546,7 @@ def _claims(facts, event, y, assumptions):
     from pnbounds.bounds import cell_bounds
 
     res = cell_bounds(facts, event, y, assumptions)
-    shift = 0.05 * max(res.width, 0.02)
+    shift = 0.05 * max(res.upper - res.lower, 0.02)
     for lower, upper in ((res.lower, res.upper), (res.lower + shift, res.upper),
                          (res.lower, res.upper - shift), (res.lower + shift, res.upper + shift)):
         yield min(lower, upper), max(lower, upper)

@@ -11,7 +11,10 @@ when the refusal began to name the file, and ``error-json-string-counts``
 when a JSON count's value refusal lost the ``bad counts layout:`` prefix.
 ``verify-9-levels`` was recorded on code that evaluates each event over the
 whole batch at once; evaluating it per group of draws moves two of its
-``max_violation`` figures by 2.8e-17.  The reports print floats to the last
+``max_violation`` figures by 2.8e-17.  ``verify``, ``verify-vacuous`` and
+``verify-9-levels`` were recorded again when every ``--verify`` entry became
+an object that starts with its status; every figure in them stayed the
+same.  The reports print floats to the last
 bit, so a numpy build whose sums or dot products round differently moves
 the digests too.
 
@@ -177,9 +180,9 @@ DIGESTS: dict[str, str] = {
     'pc': 'c80707a904b41b4e6382bcc0aaa498e4efe91e46ddb2f7364b254647aeb1939a',
     'pc-table': 'a4cd67c1194755a5962f4bab762e1cdaec4f43bed2a6c30ff3d0dc7754b77f73',
     'custom': '07150a183167a7f028b9cc288cf56597dfe5189eacf45e7023989e1bd3a1f45c',
-    'verify': 'b7650f258dc6200727d1caebbbf1962938c74de9455f690d3302ce6abaea87e5',
-    'verify-vacuous': 'd8a00bdf278d8945a6d0c482147fa930006b9f7b2463fe3ce9206cb99a285ae8',
-    'verify-9-levels': '778912954c200d5979e7adf1ebc97b49059f2cbeec60b6eb63585c069c99cb1e',
+    'verify': '1849771fdc436e43aca894aa2ff7d468152d9e8f1ef3609a6fe1d5f6ec77346d',
+    'verify-vacuous': '8526e86b1ff213fe05a4167ee9b9ab72e97b3beb1a67f2f7840e0bc41d5736d5',
+    'verify-9-levels': 'a17a5031762a5ca9d8f20f146ee0882ebc1b0a11f63baa9add778f9144783a60',
     'config': '2d7a4ed102e5eb6b9e184fbf845126fe96f1dbc136aa6b9f7ccc47efb1b93959',
     'config-override': '2a859e9a25e7411833f2e2e3171a1afc1776601c594d5cacc235504ac548e104',
     'error-no-events': 'cac7d0ce579846ddf73ab5e1ef1c2b8a7bfbbdebfc165956e2e5bf389d53904e',
