@@ -63,7 +63,8 @@ class _Network:
     Each node but the root keeps its parent, the tree arc to it (``pred``),
     whether that arc points up to the parent, its depth and its children.
     Arcs outside the tree carry no flow.  Building the network runs phase
-    one: ``deficit`` is the least mass that must pass through the root.
+    one: ``deficit`` is the least mass that must pass through the root,
+    which is the least mass off the allowed cells.
     """
 
     def __init__(self, supply: np.ndarray, demand: np.ndarray, mask: np.ndarray):
@@ -75,45 +76,19 @@ class _Network:
         self.laws = np.concatenate((supply, demand))
         self.ends = np.concatenate((self.rows, self.cols + supply.size))
         self.signs = np.repeat((1.0, -1.0), (supply.size, demand.size))
-        self.flow = [0.0] * (m + root)
-        cells, left = self._northwest(mask)
-        tails, heads = self.rows.tolist(), (self.cols + supply.size).tolist()
-        adjacent = [[] for _ in range(root)]
-        for arc in cells:
-            adjacent[tails[arc]].append(arc)
-            adjacent[heads[arc]].append(arc)
-        # each component of the walk's cells hangs from the root by its node
-        # with the most left, whose arc carries that rest; a cell without
-        # flow that would point at the root is cut, its far end hanging from
-        # the root instead, so the first tree is strongly feasible
+        # every node hangs from the root by its artificial arc, which carries
+        # the node's whole law: up from a row with mass, down to every other
+        # node, so the first tree is strongly feasible
+        nodes = np.arange(root)
+        out = (nodes < supply.size) & (self.laws > 0)
+        self.flow = [0.0] * m + self.laws.tolist()
         self.parent = [root] * root + [-1]
         self.pred = list(range(m, m + root)) + [-1]
-        self.up = [False] * (root + 1)
-        seen = [False] * root
-        for top in sorted(range(root), key=left.__getitem__, reverse=True):
-            if seen[top]:
-                continue
-            seen[top] = True
-            self.up[top] = top < supply.size and left[top] > 0
-            self.flow[m + top] = left[top]
-            stack = [top]
-            while stack:
-                x = stack.pop()
-                for arc in adjacent[x]:
-                    y = tails[arc] + heads[arc] - x
-                    if not seen[y]:
-                        seen[y] = True
-                        if self.flow[arc] > 0 or tails[arc] == x:
-                            self.parent[y], self.pred[y], self.up[y] = x, arc, tails[arc] == y
-                        stack.append(y)
-        nodes = np.arange(root)
-        out = np.array([self.up[x] and self.pred[x] >= m for x in range(root)], dtype=bool)
+        self.up = out.tolist() + [False]
         self.tail = np.concatenate((self.rows, np.where(out, nodes, root)))
-        self.head = np.concatenate((heads, np.where(out, root, nodes)))
+        self.head = np.concatenate((self.cols + supply.size, np.where(out, root, nodes)))
         self.tails, self.heads = self.tail.tolist(), self.head.tolist()
-        self.children = [[] for _ in range(root + 1)]
-        for x in range(root):
-            self.children[self.parent[x]].append(x)
+        self.children = [[] for _ in range(root)] + [list(range(root))]
         cost = np.zeros(self.tail.size)
         cost[m:] = 1.0
         self.run(cost, cost.size)
@@ -121,38 +96,6 @@ class _Network:
         self.low = np.zeros(m)
         if 0.0 < self.deficit <= INFEAS_TOL:
             self._absorb()
-
-    def _northwest(self, mask: np.ndarray) -> tuple[list[int], list[float]]:
-        """The northwest-corner walk: its cells and what each node has left.
-
-        The walk ships min(row left, column left) through cell (k, l), then
-        moves down when the row is spent first, right when the column is,
-        and on a tie down if that cell is allowed.  A cell that is not
-        allowed ships nothing, so the node the walk moves away from keeps
-        what it has left: each component of the cells has one such node.
-        """
-        rows, cols = mask.shape
-        index = np.full(mask.shape, -1)
-        index[self.rows, self.cols] = np.arange(self.m)
-        index, allowed = index.tolist(), mask.tolist()
-        left = self.laws.tolist()
-        cells = []
-        k, l = 0, rows
-        while True:
-            arc = index[k][l - rows]
-            if arc >= 0:
-                shipped = self.flow[arc] = min(left[k], left[l])
-                left[k] -= shipped
-                left[l] -= shipped
-                cells.append(arc)
-            if k == rows - 1 and l == rows + cols - 1:
-                return cells, left
-            if l == rows + cols - 1 or k < rows - 1 and (
-                left[k] < left[l] or left[k] == left[l] and allowed[k + 1][l - rows]
-            ):
-                k += 1
-            else:
-                l += 1
 
     def copy(self) -> _Network:
         new = object.__new__(_Network)

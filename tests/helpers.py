@@ -96,6 +96,56 @@ def arbitrary_pair(
     )
 
 
+def tied_staircase_joint(rng: np.random.Generator, levels: int) -> np.ndarray:
+    """A staircase joint whose subdiagonal is empty at every other level, so
+    those cumulative gaps tie at zero."""
+    q = staircase_joint(rng, levels)
+    for k in range(2, levels, 2):
+        q[k, k - 1] = 0.0
+    return q / q.sum()
+
+
+def near_feasible_pair(rng: np.random.Generator, levels: int, assumptions: Assumptions) -> MarginalPair:
+    """Marginals of a tied staircase joint, feasible at every level, after
+    1e-12 to 0.1 of its mass, drawn log-uniform, moved onto one cell that
+    ``assumptions`` forbids.  Where a cut tied at zero lies between the
+    cell's row and column (most ``mono`` pairs, about half of ``incr``
+    ones), the pair violates the level by about the share moved, so these
+    pairs sweep across the ``ATOL`` band."""
+    q = tied_staircase_joint(rng, levels)
+    forbidden = np.argwhere(~allowed_mask(assumptions, levels))
+    if forbidden.size:
+        share = 10.0 ** rng.uniform(-12, -1)
+        q *= 1.0 - share
+        q[tuple(forbidden[rng.integers(len(forbidden))])] += share
+    return pair_from_laws(q.sum(axis=1), q.sum(axis=0))
+
+
+def least_violation(treated, control, assumptions: Assumptions) -> float:
+    """The least mass that a joint with these margins puts off the cells the
+    level allows, by its O(J) form.
+
+    ``marginal`` allows every cell: 0.  ``mono``: the largest negative
+    cumulative gap, max(0, max_k -gap_k), the least P(Y1 < Y0) (Makarov
+    1981).  ``incr``: its allowed cells form the path r0-c0-r1-c1-..., and a
+    greedy load from the leaf r0 carries the most a tree can (row k fills
+    what column k-1 still takes, then its own column); the rest is off it.
+    """
+    treated = np.asarray(treated, dtype=float)
+    control = np.asarray(control, dtype=float)
+    if assumptions is Assumptions.MARGINAL_ONLY:
+        return 0.0
+    if assumptions is Assumptions.MONOTONICITY:
+        return float(max(0.0, -np.cumsum(control - treated)[:-1].min(initial=0.0)))
+    carried, room = 0.0, 0.0  # room: what column k-1 still takes
+    for t, c in zip(treated.tolist(), control.tolist()):
+        down = min(t, room)
+        across = min(t - down, c)
+        carried += down + across
+        room = c - across
+    return 1.0 - carried
+
+
 def canonical_events(levels: int, y: int):
     """The five canonical families at evidence y."""
     events = [make_event("noteq", levels, level=y)]

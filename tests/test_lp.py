@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,9 @@ from pnbounds import (
     pn_from_joint,
     pn_point,
 )
-from pnbounds import lp
+from pnbounds import counterfactual_margin_unconfounded, load_strata_json, lp
 from pnbounds.bounds import cell_bounds
-from pnbounds.core import ATOL
+from pnbounds.core import ATOL, EXACT_ATOL
 from pnbounds.identify import pair_facts
 from pnbounds.lp import INFEAS_TOL, _Network
 from helpers import (
@@ -26,11 +28,16 @@ from helpers import (
     canonical_events,
     enumerate_vertices,
     lalonde_pair,
+    least_violation,
     lower_triangular_pair,
+    near_feasible_pair,
     pair_from_laws,
     staircase_joint,
     staircase_pair,
+    tied_staircase_joint,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def network(pair, assumptions):
@@ -103,12 +110,60 @@ def test_solve_detects_infeasible():
     assert maximize([1.0, 0.0], [0.5, 0.5], np.eye(2), np.eye(2)) is None
 
 
-def test_phase_one_routes_what_the_walk_leaves_at_the_root():
-    # the northwest walk finds only the diagonal forbidden and leaves half
-    # the mass at the root; phase one routes it over the anti-diagonal
+def test_phase_one_routes_the_root_mass_over_the_anti_diagonal():
+    # the first tree carries every law over the root, and the diagonal is
+    # forbidden; phase one routes all of it over the anti-diagonal
     value, point = maximize([0.5, 0.5], [0.5, 0.5], [[0, 1], [1, 0]], [[0.0, 1.0], [0.0, 0.0]])
     assert value == pytest.approx(0.5, abs=1e-12)
     assert point == pytest.approx(np.array([[0.0, 0.5], [0.5, 0.0]]), abs=1e-12)
+
+
+def imbalance(net):
+    """The largest difference, over the rows and columns, between a node's net
+    outflow (cells at ``low + flow``, root arcs at ``flow``) and its law:
+    the supply of a row, minus the demand of a column."""
+    x = np.concatenate((net.low + net.flow[: net.m], net.flow[net.m:]))
+    nodes = len(net.parent)
+    out = np.bincount(net.tail, x, nodes) - np.bincount(net.head, x, nodes)
+    return float(np.abs(out[:-1] - net.laws * net.signs).max())
+
+
+def test_phase_one_conserves_flow_and_its_deficit_is_the_least_violation():
+    # random pairs (mostly infeasible under mono and incr), pairs with empty
+    # levels, and pairs near each level's boundary; the reference is each
+    # level's O(J) least violation
+    rng = np.random.default_rng(131)
+    for levels in range(2, 31):
+        treated, control = rng.dirichlet(np.ones(levels), size=2)
+        treated[levels // 2] = control[levels // 3] = 0.0
+        pairs = [arbitrary_pair(rng, levels),
+                 pair_from_laws(treated / treated.sum(), control / control.sum())]
+        pairs += [near_feasible_pair(rng, levels, a) for a in Assumptions]
+        if levels > 2:  # a staircase needs three levels to keep two
+            pairs.append(zero_level_pair(rng, levels))
+        for pair in pairs:
+            for assumptions in Assumptions:
+                net = network(pair, assumptions)
+                assert imbalance(net) <= EXACT_ATOL
+                expected = least_violation(
+                    pair.treated_law.probs, pair.control_law.probs, assumptions)
+                assert abs(net.deficit - expected) <= EXACT_ATOL
+
+
+@pytest.mark.parametrize("pair,assumptions,expected", [
+    # gaps -0.5427 and -0.0112: the first cut forces the least violation
+    (pair_from_laws([0.6277, 0.0781, 0.2942], [0.0850, 0.6096, 0.3054]),
+     Assumptions.MONOTONICITY, 0.5427),
+    # at least 5.625% of the pooled units rise two or more levels
+    (counterfactual_margin_unconfounded(load_strata_json(DATA / "strata_example.json")),
+     Assumptions.MONOTONIC_INCREMENT, 0.05625),
+], ids=["mono", "strata-incr"])
+def test_deficit_of_a_pinned_pair(pair, assumptions, expected):
+    net = network(pair, assumptions)
+    assert imbalance(net) <= EXACT_ATOL
+    assert abs(net.deficit - expected) <= EXACT_ATOL
+    laws = pair.treated_law.probs, pair.control_law.probs
+    assert abs(least_violation(*laws, assumptions) - expected) <= EXACT_ATOL
 
 
 def test_optimal_point_satisfies_constraints():
@@ -263,6 +318,27 @@ def test_infeasible_one_level_lift_matches_bracket_failure():
     assert not falsification_check(pair).passed
     with pytest.raises(LpInfeasibleError):
         pn_bounds_lp(pair, make_event("eq", 3, level=0), 1, Assumptions.MONOTONIC_INCREMENT)
+    # the sign of the deficit near each level's boundary, J = 2-30: phase one
+    # refuses exactly the pairs whose facts refuse the level
+    rng = np.random.default_rng(139)
+    refusals = 0
+    for levels in range(2, 31):
+        for assumptions in (Assumptions.MONOTONICITY, Assumptions.MONOTONIC_INCREMENT):
+            for _ in range(8):
+                pair = near_feasible_pair(rng, levels, assumptions)
+                facts = pair_facts(pair)
+                refused = (facts.mono_refusal is not None
+                           if assumptions is Assumptions.MONOTONICITY
+                           else not facts.brackets.passed)
+                refusals += refused
+                y = int(pair.treated_law.probs.argmax())
+                event = make_event("eq", levels, level=0)
+                if refused:
+                    with pytest.raises(LpInfeasibleError):
+                        pn_bounds_lp(pair, event, y, assumptions)
+                else:
+                    pn_bounds_lp(pair, event, y, assumptions)
+    assert 0 < refusals < 29 * 2 * 8
 
 
 def test_infeasible_monotone_set_when_ordering_violated():
@@ -347,12 +423,7 @@ def test_bounds_stay_in_the_unit_interval_at_the_band():
 # --- large and degenerate programs -------------------------------------------------
 
 def tied_staircase_pair(rng, levels):
-    """Staircase margins whose subdiagonal is empty at every other level, so
-    those cumulative gaps tie at zero."""
-    q = staircase_joint(rng, levels)
-    for k in range(2, levels, 2):
-        q[k, k - 1] = 0.0
-    q /= q.sum()
+    q = tied_staircase_joint(rng, levels)
     return pair_from_laws(q.sum(axis=1), q.sum(axis=0))
 
 
@@ -415,8 +486,8 @@ def strongly_feasible(net):
 
 @pytest.mark.parametrize("levels", [10, 15, 20])
 def test_degenerate_programs_end_on_strongly_feasible_certified_trees(levels, monkeypatch):
-    # equal and blockwise-tied margins tie the walk's row and column at every
-    # step, so most tree arcs carry no flow and most pivots move nothing
+    # equal and blockwise-tied margins tie the flows around most cycles, so
+    # many tree arcs carry no flow and most pivots move nothing
     uniform = np.full(levels, 1.0 / levels)
     blocks = np.repeat([3.0, 1.0], [levels // 2, levels - levels // 2])
     blocks /= blocks.sum()
