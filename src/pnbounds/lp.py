@@ -279,15 +279,19 @@ def pn_bounds_lp(
     Minimizing and maximizing the event mass in the evidence row over the
     feasible polytope and dividing by treated[y] yields the bounds, each
     optimum certified through the dual (``_Network.solve``).  An empty
-    polytope is refused by phase one alone, at every level.
+    polytope is refused by phase one alone, at every level, and in
+    ``level_bounds``' order: an empty ``mono`` level before zero evidence,
+    zero evidence before an empty ``incr`` one.
     """
     check_evidence(pair, event, y)
-    mass = float(evidence_mass(pair, y))
+    if assumptions is Assumptions.MONOTONIC_INCREMENT:
+        evidence_mass(pair, y)
     network = _feasible_base(pair, assumptions)
     if network.deficit > INFEAS_TOL:
         raise LpInfeasibleError(
             f"feasible set is empty under {assumptions.value!r} for these marginals"
         )
+    mass = float(evidence_mass(pair, y))
     c = network.objective(event.coeffs, y)
     low, _ = network.solve(c)
     neg_up, _ = network.solve(-c)

@@ -10,8 +10,8 @@ are re-attained by explicit constructions at every level.
 A batch is held cell-major, (J, J, n), so that every per-cell step works on
 one contiguous length-n vector.  The cells of one (pair, level) are checked
 in one pass over one batch (``verify_cells``): one evidence level at a
-time, the level's witnesses built in one fill, and under ``incr`` the one
-feasible point evaluated once.
+time, the level's witnesses built and checked as one array, and under
+``incr`` the one feasible point evaluated once.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .core import (
     allowed_mask,
     check_evidence,
     evidence_mass,
-    pn_from_joint,
 )
 from .identify import FalsificationError, PairFacts, pair_facts
 
@@ -64,9 +63,8 @@ class _Level:
     draw or witness, ``EXACT_ATOL`` plus ``ATOL`` on a pair that meets the
     level's conditions only inside the band.  ``joint``: the ``incr`` point.
     ``spans``: the columns [first, end) that each row allows, one run in
-    every pattern.  ``built``: memo of checked witnesses.  A level is made by
-    the caller that uses it and passed on explicitly; nothing keeps one
-    beyond that.
+    every pattern.  A level is made by the caller that uses it and passed on
+    explicitly; nothing keeps one beyond that.
     """
 
     def __init__(self, facts: PairFacts, assumptions: Assumptions):
@@ -90,23 +88,32 @@ class _Level:
             clipped = np.append(np.maximum(gaps, 0.0), 0.0)
             self.control = np.maximum(treated + np.diff(clipped, prepend=0.0), 0.0)
         self.tol = EXACT_ATOL + (ATOL if low < 0 else 0.0)
-        self.built: dict[object, JointProbabilityMatrix] = {}
 
-    def witnesses(self, specs: list[tuple[int, np.ndarray]]) -> list[JointProbabilityMatrix]:
-        """The checked witness of each (y, first) spec, or under ``incr`` the
-        level's joint.  The specs not built yet are filled in one batch
-        (``_extremal_fills``); each distinct one is built once per level."""
+    def witnesses(self, specs: list[tuple[int, np.ndarray]]) -> np.ndarray:
+        """(len(specs), J, J): the witness of each (y, first) spec, or under
+        ``incr`` the level's joint.  Each distinct spec is filled once
+        (``_extremal_fills``), and the fill is checked, not trusted, in one
+        pass: clipped at zero, each witness rescaled by its own sum, then its
+        zero pattern and margins checked (``ConstructionError``)."""
         if self.joint is not None:
-            if None not in self.built:
-                self.built[None] = _checked_witness(self.joint.entries, self)
-            return [self.built[None]] * len(specs)
-        keys = [(y, first.tobytes()) for y, first in specs]
-        new = {key: spec for key, spec in zip(keys, specs) if key not in self.built}
-        if new:
-            q = _extremal_fills(self, list(new.values()))
-            for i, key in enumerate(new):
-                self.built[key] = _checked_witness(q[:, :, i], self)
-        return [self.built[key] for key in keys]
+            fill, index = self.joint.entries[:, :, None], [0] * len(specs)
+        else:
+            slots: dict[tuple[int, bytes], int] = {}
+            index = [slots.setdefault((y, first.tobytes()), len(slots)) for y, first in specs]
+            # one spec per slot, in slot order: a dict key keeps its first place
+            fill = _extremal_fills(self, list(dict(zip(index, specs)).values()))
+        # witness-major, each witness one contiguous block, so that its flat
+        # sum is q.sum() of the witness alone
+        q = fill.transpose(2, 0, 1).copy()
+        np.maximum(q, 0.0, out=q)
+        q /= q.sum(axis=(1, 2), keepdims=True)
+        if _off_pattern(q.transpose(1, 2, 0), self):
+            raise ConstructionError("witness has mass outside the zero pattern")
+        err = max(np.abs(q.sum(axis=2) - self.pair.treated_law.probs).max(),
+                  np.abs(q.sum(axis=1) - self.pair.control_law.probs).max())
+        if err > self.tol:
+            raise ConstructionError(f"margins off by {err:.3g} (tolerance {self.tol:g})")
+        return q[index]
 
 
 def _fill(
@@ -305,21 +312,6 @@ def _extremal_fills(level: _Level, specs: list[tuple[int, np.ndarray]]) -> np.nd
     return q
 
 
-def _checked_witness(q: np.ndarray, level: _Level) -> JointProbabilityMatrix:
-    """q as a joint, clipped at zero and rescaled, once its zero pattern and
-    margins pass; a witness is checked, not trusted (``ConstructionError``)."""
-    q = np.clip(q, 0.0, None)
-    joint = JointProbabilityMatrix(entries=q / q.sum())
-    if _off_pattern(joint.entries, level):
-        raise ConstructionError("witness has mass outside the zero pattern")
-    pair, tol = level.pair, level.tol
-    err = max(np.abs(joint.row_margins() - pair.treated_law.probs).max(),
-              np.abs(joint.col_margins() - pair.control_law.probs).max())
-    if err > tol:
-        raise ConstructionError(f"margins off by {err:.3g} (tolerance {tol:g})")
-    return joint
-
-
 def _witness_specs(level: _Level, event: EventSpec, y: int) -> list[tuple[int, np.ndarray]]:
     """The (y, first) specs of an event's lower and upper witness."""
     span = y + 1 if level.assumptions is Assumptions.MONOTONICITY else level.pair.levels
@@ -337,12 +329,23 @@ def endpoint_witnesses(
     ``incr`` the one feasible joint, ``identify_joint(pair)``, as both.  A
     wrong closed form therefore shows as a sharpness gap.  Both are built
     here, on a level of their own; the cells of one ``verify_cells`` call
-    share theirs.  Refused as ``pn_bounds_lp`` is: cell, evidence, level.
+    share theirs.  Refused as ``pn_bounds_lp`` is (``_cell_level``).
     """
+    level = _cell_level(pair, event, y, assumptions)
+    low, up = level.witnesses(_witness_specs(level, event, y))
+    return JointProbabilityMatrix(low), JointProbabilityMatrix(up)
+
+
+def _cell_level(pair: MarginalPair, event: EventSpec, y: int, assumptions: Assumptions) -> _Level:
+    """The level of a one-cell entry, refused in ``level_bounds``' order: the
+    cell, then an empty ``mono`` level before zero evidence, and zero evidence
+    before failed ``incr`` brackets."""
     check_evidence(pair, event, y)
-    evidence_mass(pair, y)
+    if assumptions is Assumptions.MONOTONIC_INCREMENT:
+        evidence_mass(pair, y)
     level = _Level(pair_facts(pair), assumptions)
-    return tuple(level.witnesses(_witness_specs(level, event, y)))
+    evidence_mass(pair, y)
+    return level
 
 
 @dataclass(frozen=True)
@@ -369,47 +372,40 @@ class VerificationReport:
 
 
 def _check_cells(
-    level: _Level,
-    x: np.ndarray,
-    cells: list[tuple[EventSpec, int, float, float]],
-    seed: int,
+    level: _Level, cells: list[tuple[EventSpec, int, float, float]], n: int, seed: int
 ) -> list[VerificationReport]:
-    """Check each (event, y, lower, upper) claim of a level against batch x.
+    """Check each (event, y, lower, upper) claim of a level against its batch.
 
-    x is a cell-major batch of the level, (J, J, n).  The witnesses of all
-    cells are built first, in one batch; then per evidence level y the
-    rows x[y] and their mass are read once, and each event's values go
-    through one reused length-n buffer.  Under ``incr`` the batch is n
+    The batch, ``_draw(level, n, default_rng(seed))``, is cell-major, (J, J,
+    n).  The witnesses of all cells are built first, in one checked batch;
+    the rows x[y] of each evidence level are summed once, and each event's
+    values go through one reused length-n buffer.  A witness's row y is
+    evaluated as ``pn_from_joint`` does.  Under ``incr`` the batch is n
     copies of one point, which is evaluated once.
     """
-    n = x.shape[2]
+    x = _draw(level, n, np.random.default_rng(seed))
     if level.joint is not None:
         x = x[:, :, :1]
     witnesses = level.witnesses(
         [spec for event, y, _, _ in cells for spec in _witness_specs(level, event, y)]
     )
-    reports: list[VerificationReport | None] = [None] * len(cells)
-    by_y: dict[int, list[int]] = {}
-    for i, (_, y, _, _) in enumerate(cells):
-        by_y.setdefault(y, []).append(i)
+    mass = {y: x[y].sum(axis=0) for y in {cell[1] for cell in cells}}
     values = np.empty(x.shape[2])
-    for y, indices in by_y.items():
-        rows = x[y]
-        mass = rows.sum(axis=0)
-        for i in indices:
-            event, _, lower, upper = cells[i]
-            np.matmul(event.vector, rows, out=values)
-            values /= mass
-            max_violation = max(0.0, float(lower - values.min()), float(values.max() - upper))
-            low_witness, up_witness = witnesses[2 * i], witnesses[2 * i + 1]
-            reports[i] = VerificationReport(
-                contained=max_violation <= ATOL,
-                max_violation=max_violation,
-                sharpness_gap_lower=float(abs(pn_from_joint(low_witness, event, y) - lower)),
-                sharpness_gap_upper=float(abs(pn_from_joint(up_witness, event, y) - upper)),
-                n_samples=n,
-                seed=seed,
-            )
+    reports = []
+    for i, (event, y, lower, upper) in enumerate(cells):
+        np.matmul(event.vector, x[y], out=values)
+        values /= mass[y]
+        max_violation = max(0.0, float(lower - values.min()), float(values.max() - upper))
+        low, up = (float(row @ event.vector / float(row.sum()))
+                   for row in witnesses[2 * i : 2 * i + 2, y])
+        reports.append(VerificationReport(
+            contained=max_violation <= ATOL,
+            max_violation=max_violation,
+            sharpness_gap_lower=float(abs(low - lower)),
+            sharpness_gap_upper=float(abs(up - upper)),
+            n_samples=n,
+            seed=seed,
+        ))
     return reports
 
 
@@ -429,9 +425,7 @@ def verify_cells(
     ``SamplingError`` means the level cannot be sampled.  The cells are
     trusted: ``verify_bounds`` and the CLI check them.
     """
-    level = _Level(facts, assumptions)
-    x = _draw(level, n, np.random.default_rng(seed))
-    return _check_cells(level, x, cells, seed)
+    return _check_cells(_Level(facts, assumptions), cells, n, seed)
 
 
 def verify_bounds(
@@ -441,7 +435,5 @@ def verify_bounds(
     """Check claimed bounds against samples and endpoint witnesses: the
     one-cell case of ``verify_cells``, refused as ``endpoint_witnesses`` is,
     drawing the batch and building the witnesses for this call alone."""
-    check_evidence(pair, event, y)
-    evidence_mass(pair, y)
     cell = (event, y, bounds.lower, bounds.upper)
-    return verify_cells(pair_facts(pair), assumptions, [cell], n, seed)[0]
+    return _check_cells(_cell_level(pair, event, y, assumptions), [cell], n, seed)[0]

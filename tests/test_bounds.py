@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from dataclasses import fields, replace
 
@@ -22,6 +23,7 @@ from pnbounds import (
     ZeroEvidenceError,
     falsification_check,
     draw_samples,
+    endpoint_witnesses,
     make_event,
     monotone_consistent,
     pn_bounds_marginal,
@@ -30,9 +32,10 @@ from pnbounds import (
     pc_bounds,
     pn_point,
     randomized_margins,
+    verify_bounds,
 )
 from pnbounds.bounds import cell_bounds, level_bounds
-from pnbounds.cli import AnalysisConfig, parse_event, run_analysis
+from pnbounds.cli import AnalysisConfig, main, parse_event, run_analysis
 from pnbounds.core import ATOL
 from pnbounds.lp import LpInfeasibleError, pn_bounds_lp
 from pnbounds.identify import pair_facts
@@ -490,10 +493,53 @@ def test_every_engine_refuses_a_monotone_inconsistent_pair_with_the_report_note(
                 with pytest.raises(UnsupportedEventError) as refusal:
                     engine()
                 assert str(refusal.value) == note
-            # the LP checks the evidence before it solves phase one
-            zero = pair.treated_law.probs[y] <= ATOL
-            with pytest.raises(ZeroEvidenceError if zero else LpInfeasibleError):
+            # the LP and the oracle refuse the empty level before they read
+            # the evidence, zero evidence included
+            with pytest.raises(LpInfeasibleError):
                 pn_bounds_lp(pair, event, y, mono)
+            with pytest.raises(SamplingError) as refusal:
+                endpoint_witnesses(pair, event, y, mono)
+            assert str(refusal.value) == note
+
+
+def test_every_engine_refuses_an_empty_mono_level_before_zero_evidence(tmp_path):
+    """Monotone-inconsistent arms with no treated mass at level 1: at y = 1
+    every engine refuses the cell as the report does, in one order at every
+    level (the empty ``mono`` level before zero evidence, zero evidence
+    before failed ``incr`` brackets)."""
+    arms = tmp_path / "arms.json"
+    arms.write_text(json.dumps({"counts": [[10, 20, 70], [50, 0, 50]]}))
+    out = tmp_path / "report.json"
+    assert main(["--mode", "pc", "--exp", str(arms), "--event", "eq:0", "--evidence", "1",
+                 "--assume", "all", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    notes = {cell["assumptions"]: cell["note"] for cell in report["cells"]}
+    pair = pair_from_laws([0.5, 0.0, 0.5], [0.1, 0.2, 0.7], Conditioning.UNCONDITIONAL)
+    assert report["marginals"]["treated_law"] == pair.treated_law.probs.tolist()
+    assert report["marginals"]["control_law"] == pair.control_law.probs.tolist()
+    facts, event = pair_facts(pair), make_event("eq", 3, level=0)
+    zero = str(ZeroEvidenceError.at_level(1))
+    assert notes == {"marginal": zero, "mono": facts.mono_refusal, "incr": zero}
+    assert not facts.brackets.passed
+    for assumptions in Assumptions:
+        claim = BoundsResult(0.0, 1.0, assumptions, Method.CLOSED_FORM)
+        engines = {
+            "level_bounds": lambda: level_bounds(facts, np.array([event.coeffs]), np.array([1]),
+                                                 assumptions),
+            "cell_bounds": lambda: cell_bounds(facts, event, 1, assumptions),
+            "pc_bounds": lambda: pc_bounds(pair, event, 1, assumptions),
+            "pn_bounds_lp": lambda: pn_bounds_lp(pair, event, 1, assumptions),
+            "endpoint_witnesses": lambda: endpoint_witnesses(pair, event, 1, assumptions),
+            "verify_bounds": lambda: verify_bounds(pair, event, 1, assumptions, claim, 10, 1),
+        }
+        mono = assumptions is Assumptions.MONOTONICITY
+        for name, engine in engines.items():
+            refusal = {"pn_bounds_lp": LpInfeasibleError, "endpoint_witnesses": SamplingError,
+                       "verify_bounds": SamplingError}.get(name, UnsupportedEventError)
+            with pytest.raises(refusal if mono else ZeroEvidenceError) as raised:
+                engine()
+            if name != "pn_bounds_lp" or not mono:  # the LP's own text
+                assert str(raised.value) == notes[assumptions.value], name
 
 
 def test_monotone_consistent_on_lalonde():

@@ -933,19 +933,29 @@ def test_verify_builds_each_distinct_witness_once(tmp_path, monkeypatch):
     from pnbounds import oracle
 
     built, batches, checked = [], [], []
-    fill, check = oracle._extremal_fills, oracle._checked_witness
+    fill, witnesses, off_pattern = oracle._extremal_fills, oracle._Level.witnesses, oracle._off_pattern
+    inside = []  # the level whose witnesses are being built
 
     def counting_fill(level, specs):
         batches.append(level.assumptions)
         built.extend((level.assumptions, y, first.tobytes()) for y, first in specs)
         return fill(level, specs)
 
-    def counting_check(q, level):
-        checked.append(level.assumptions)
-        return check(q, level)
+    def counting_witnesses(level, specs):
+        inside.append(level)
+        try:
+            return witnesses(level, specs)
+        finally:
+            inside.pop()
+
+    def counting_check(x, level):
+        if inside:  # the witness batch's check, not a draw's self-check
+            checked.append((level.assumptions, x.shape[2]))
+        return off_pattern(x, level)
 
     monkeypatch.setattr(oracle, "_extremal_fills", counting_fill)
-    monkeypatch.setattr(oracle, "_checked_witness", counting_check)
+    monkeypatch.setattr(oracle._Level, "witnesses", counting_witnesses)
+    monkeypatch.setattr(oracle, "_off_pattern", counting_check)
     code, report = report_from(
         tmp_path,
         ["--exp", EXP, "--obs", OBS, "--all-canonical", "--verify", "--samples", "500"],
@@ -962,10 +972,35 @@ def test_verify_builds_each_distinct_witness_once(tmp_path, monkeypatch):
         patterns |= {(assumptions, y, head.tobytes()), (assumptions, y, (~head).tobytes())}
     assert sorted(built, key=repr) == sorted(patterns, key=repr)
     assert len(built) == 22  # 20 interval cells, 40 endpoints
-    # one batch per sampled level
+    # one fill per sampled level, and one check of each level's whole batch
     assert sorted(a.value for a in batches) == ["marginal", "mono"]
-    assert checked.count(Assumptions.MONOTONIC_INCREMENT) == 1
-    assert len(checked) == len(built) + 1
+    assert sorted(a.value for a, _ in checked) == ["incr", "marginal", "mono"]
+    assert dict(checked)[Assumptions.MONOTONIC_INCREMENT] == 1
+    assert sum(width for _, width in checked) == len(built) + 1
+
+
+def test_a_count_scale_leaves_every_report_field_but_the_provenance(tmp_path):
+    """Every law is a ratio of counts, and k * c / (k * T) rounds as c / T, so
+    scaling a table changes no verified report figure."""
+    exp, obs = (json.loads((DATA / f"lalonde_{name}.json").read_text())["counts"]
+                for name in ("experimental", "observational"))
+
+    def report(mode, exp_scale, obs_scale):
+        paths = []
+        for name, counts, scale in (("exp", exp, exp_scale), ("obs", obs, obs_scale)):
+            paths.append(tmp_path / f"{name}-{exp_scale}-{obs_scale}.json")
+            paths[-1].write_text(json.dumps({"counts": [[scale * c for c in row] for row in counts]}))
+        args = ["--mode", mode, "--exp", str(paths[0]), "--all-canonical", "--verify",
+                "--samples", "2000"]
+        code, out = report_from(tmp_path, args + (["--obs", str(paths[1])] if mode == "pn" else []))
+        assert code == 0 and out["verification"]["passed"] is True
+        out.pop("provenance")
+        return out
+
+    unscaled = report("pn", 1, 1)
+    for exp_scale, obs_scale in ((7, 7), (3, 1), (1, 1000003), (2**20, 5)):
+        assert report("pn", exp_scale, obs_scale) == unscaled, (exp_scale, obs_scale)
+    assert report("pc", 13, 1) == report("pc", 1, 1)
 
 
 def test_verify_computes_the_pair_facts_once_per_report(tmp_path, monkeypatch):

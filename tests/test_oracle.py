@@ -506,7 +506,7 @@ def test_lower_witness_is_the_upper_witness_of_the_complement():
                 specs = oracle._witness_specs(level, event, y)
                 specs += oracle._witness_specs(level, event.complement(), y)
                 witnesses = level.witnesses(specs)
-                assert witnesses[0] is witnesses[3]
+                assert np.array_equal(witnesses[0], witnesses[3])
                 cells += 1
     assert cells > 150
 
@@ -587,28 +587,55 @@ def test_the_level_pass_equals_a_recomputation_from_the_drawn_samples():
     assert verdicts == {(a, c) for a in Assumptions for c in (True, False)}
 
 
-def test_batched_witnesses_equal_witnesses_built_one_at_a_time():
-    built = 0
+def _witness_cases():
+    """(pair, its evidence levels to build) for ``_level_cases`` with every
+    level, then J = 9-30 with two levels each, lower triangular or with a
+    zero-mass level."""
+    rng = np.random.default_rng(211)
     for pair in _level_cases():
+        yield pair, [y for y in range(pair.levels) if pair.treated_law.probs[y] > 1e-9]
+    for levels in range(9, 31):
+        pair = (lower_triangular_pair if levels % 2 else _tied_pair)(rng, levels)
+        ys = [y for y in range(levels) if pair.treated_law.probs[y] > 1e-9]
+        yield pair, rng.choice(ys, 2, replace=False).tolist()
+
+
+def test_batched_witnesses_equal_witnesses_built_one_at_a_time():
+    """Each witness of one checked batch is its fill built alone, clipped at
+    zero and rescaled by its own sum, bit for bit."""
+    rng = np.random.default_rng(223)
+    built = 0
+    for pair, ys in _witness_cases():
+        levels = pair.levels
         for assumptions in (Assumptions.MARGINAL_ONLY, Assumptions.MONOTONICITY):
             try:
                 level = oracle._Level(pair_facts(pair), assumptions)
             except SamplingError:
                 continue
-            specs = [
-                spec
-                for y in range(pair.levels) if pair.treated_law.probs[y] > 1e-9
-                for event in canonical_events(pair.levels, y)
-                for spec in oracle._witness_specs(level, event, y)
-            ]
+            specs = []
+            for y in ys:
+                custom = make_event("custom", levels, coeffs=rng.integers(0, 2, levels).tolist())
+                events = [custom, custom.complement()]
+                events += canonical_events(levels, y) if levels < 9 else [
+                    make_event("noteq", levels, level=y)]
+                specs += [spec for event in events for spec in oracle._witness_specs(level, event, y)]
             batched = level.witnesses(specs)
+            assert batched.shape == (len(specs), levels, levels)
+            alone = {}
             for (y, first), witness in zip(specs, batched, strict=True):
-                alone = oracle._checked_witness(
-                    oracle._extremal_fills(level, [(y, first)])[:, :, 0], level
-                )
-                assert np.array_equal(witness.entries, alone.entries)
+                key = (y, first.tobytes())
+                if key not in alone:
+                    c = np.clip(oracle._extremal_fills(level, [(y, first)])[:, :, 0], 0, None)
+                    alone[key] = c / c.sum()
+                assert np.array_equal(witness, alone[key])
                 built += 1
-    assert built > 1000
+    assert built > 1500
+    # under incr every spec gets the level's joint
+    pair = staircase_pair(rng, 6)
+    level = oracle._Level(pair_facts(pair), Assumptions.MONOTONIC_INCREMENT)
+    specs = oracle._witness_specs(level, make_event("eq", 6, level=2), 3) * 3
+    c = np.clip(identify_joint(pair).entries, 0, None)
+    assert all(np.array_equal(w, c / c.sum()) for w in level.witnesses(specs))
 
 
 def test_concurrent_verification_matches_serial():
