@@ -343,18 +343,24 @@ def verify_report(
     """Re-check every cell by sampling and witness attainment.
 
     The samples depend only on the assumption level (the pair, the sample
-    count and the seed are fixed), so one batch is drawn per level and
-    shared by its cells, one level at a time.  The levels share the facts
-    of the pair, those the report was built on.  Each entry's status is the
-    oracle's ``ok`` or ``failed``, or ``refused`` or ``skipped`` (its level
-    cannot be sampled); ``passed`` is false when one failed or was skipped.
-    A batch of more than ``oracle.BATCH_BUDGET`` entries is refused first.
+    count and the seed are fixed), so each level's cells go to one
+    ``oracle.verify_cells`` call, one level at a time: it draws the level's
+    batch, builds the level's witnesses in one batch and reads the batch's
+    rows of each evidence level once.  The levels share the facts of the
+    pair, those the report was built on, and the events, parsed once.  Each
+    claim is clamped to [0, 1], a point being both ends (the report's
+    ``incr`` value itself is not clamped).  Each entry renders its check,
+    the oracle's status first: ``ok`` or ``failed``, or ``refused``, or
+    ``skipped`` for every cell of a level that cannot be sampled; ``passed``
+    is false when one failed or was skipped.  A batch of more than
+    ``oracle.BATCH_BUDGET`` entries is refused first.
     """
     levels = facts.pair.levels
     if cfg.samples * levels * levels > oracle.BATCH_BUDGET:
         raise _UsageError(f"--verify: --samples {cfg.samples} draws of {levels} x {levels} joints "
                           f"exceed the batch budget of {oracle.BATCH_BUDGET} entries (2**27)")
     entries = [dict(cell) for cell in report["cells"]]
+    events = {s: parse_event(s, levels) for s in {e["event"] for e in entries}}
     by_level: dict[Assumptions, list[dict[str, Any]]] = {}
     for entry in entries:
         if entry["kind"] == "refused":
@@ -362,41 +368,20 @@ def verify_report(
         else:
             by_level.setdefault(Assumptions(entry["assumptions"]), []).append(entry)
     for assumptions, cells in by_level.items():
-        _verify_level(cfg, facts, assumptions, cells)
+        claims = []
+        for e in cells:
+            lower, upper = (e["value"],) * 2 if e["kind"] == "point" else (e["lower"], e["upper"])
+            claims.append((events[e["event"]], e["evidence"], max(0.0, lower), min(1.0, upper)))
+        try:
+            checks = oracle.verify_cells(facts, assumptions, claims, cfg.samples, cfg.seed)
+        except oracle.SamplingError as exc:
+            for entry in cells:
+                entry["verification"] = {"status": "skipped", "reason": str(exc)}
+            continue
+        for entry, check in zip(cells, checks):
+            entry["verification"] = {name: getattr(check, name) for name in _CHECK_FIELDS}
     passed = not any(e["verification"]["status"] in ("failed", "skipped") for e in entries)
     return {"samples": cfg.samples, "seed": cfg.seed, "cells": entries, "passed": passed}
-
-
-def _verify_level(
-    cfg: AnalysisConfig,
-    facts: identify_mod.PairFacts,
-    assumptions: Assumptions,
-    entries: list[dict[str, Any]],
-) -> None:
-    """Verify the cells of one assumption level in one pass over one batch.
-
-    Each entry's claim, kept in [0, 1] (an ``incr`` point is not clamped),
-    goes to one ``oracle.verify_cells`` call: it draws the level's batch,
-    builds the level's witnesses in one batch and reads the batch's rows of
-    each evidence level once.  Each entry renders its check, the oracle's
-    status first; a level that cannot be sampled skips its cells.
-    """
-    events = {s: parse_event(s, facts.pair.levels) for s in {e["event"] for e in entries}}
-    cells = []
-    for entry in entries:
-        if entry["kind"] == "point":
-            lower = upper = entry["value"]
-        else:
-            lower, upper = entry["lower"], entry["upper"]
-        cells.append((events[entry["event"]], entry["evidence"], max(0.0, lower), min(1.0, upper)))
-    try:
-        checks = oracle.verify_cells(facts, assumptions, cells, cfg.samples, cfg.seed)
-    except oracle.SamplingError as exc:
-        for entry in entries:
-            entry["verification"] = {"status": "skipped", "reason": str(exc)}
-        return
-    for entry, check in zip(entries, checks):
-        entry["verification"] = {name: getattr(check, name) for name in _CHECK_FIELDS}
 
 
 #: Exact types that the C encoder writes as ``json.dumps`` does
@@ -452,47 +437,35 @@ def _dumps(obj: Any, indent: str = "\n") -> str:
     return brackets[0] + inner + body + indent + brackets[1]
 
 
+#: The ``--table`` title of each assumption level's row, in row order
+_ROW_TITLES = {
+    Assumptions.MONOTONIC_INCREMENT.value: "point (one-level lift)",
+    Assumptions.MARGINAL_ONLY.value: "bounds (marginals only)",
+    Assumptions.MONOTONICITY.value: "bounds (monotone)",
+}
+#: The ``--table`` text of a cell of each kind, filled from the cell's fields
+_CELL_TEXT = {"point": "{value:.2f}", "interval": "[{lower:.2f}, {upper:.2f}]",
+              "refused": "refused"}
+
+
 def render_table(report: dict[str, Any]) -> str:
-    """Plain-text grid: per evidence level, one row per assumption level."""
-    cells = report["cells"]
+    """Plain-text grid: per evidence level, from the top, one column per
+    event (first seen first) and one row per assumption level with a cell."""
     by_key = {}
-    families: dict[int, list[str]] = {}
-    for cell in cells:
-        y = cell["evidence"]
-        families.setdefault(y, [])
-        if cell["event"] not in families[y]:
-            families[y].append(cell["event"])
-        by_key[(cell["event"], y, cell["assumptions"])] = cell
+    events: dict[int, dict[str, None]] = {}
+    for cell in report["cells"]:
+        by_key[cell["event"], cell["evidence"], cell["assumptions"]] = cell
+        events.setdefault(cell["evidence"], {})[cell["event"]] = None
     quantity = "PN" if report["mode"] == "pn" else "PC"
     lines = []
-    row_specs = [
-        (Assumptions.MONOTONIC_INCREMENT.value, "point (one-level lift)"),
-        (Assumptions.MARGINAL_ONLY.value, "bounds (marginals only)"),
-        (Assumptions.MONOTONICITY.value, "bounds (monotone)"),
-    ]
-    for y in sorted(families, reverse=True):
-        fams = families[y]
-        header = [f"{quantity}(w0, y={y})".ljust(24)] + [f.center(14) for f in fams]
-        lines.append("  ".join(header))
-        for key, title in row_specs:
-            row = [title.ljust(24)]
-            any_cell = False
-            for fam in fams:
-                cell = by_key.get((fam, y, key))
-                if cell is None:
-                    row.append(" " * 14)
-                    continue
-                any_cell = True
-                if cell["kind"] == "point":
-                    row.append(f"{cell['value']:.2f}".center(14))
-                elif cell["kind"] == "interval":
-                    row.append(
-                        f"[{cell['lower']:.2f}, {cell['upper']:.2f}]".center(14)
-                    )
-                else:
-                    row.append("refused".center(14))
-            if any_cell:
-                lines.append("  ".join(row))
+    for y in sorted(events, reverse=True):
+        lines.append("  ".join([f"{quantity}(w0, y={y})".ljust(24)]
+                               + [event.center(14) for event in events[y]]))
+        for assume, title in _ROW_TITLES.items():
+            cells = [by_key.get((event, y, assume)) for event in events[y]]
+            if any(cells):
+                lines.append("  ".join([title.ljust(24)] + [  # a blank cell is 14 spaces
+                    (_CELL_TEXT[c["kind"]].format_map(c) if c else "").center(14) for c in cells]))
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 

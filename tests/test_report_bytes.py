@@ -14,7 +14,9 @@ whole batch at once; evaluating it per group of draws moves two of its
 ``max_violation`` figures by 2.8e-17.  ``verify``, ``verify-vacuous`` and
 ``verify-9-levels`` were recorded again when every ``--verify`` entry became
 an object that starts with its status; every figure in them stayed the
-same.  The reports print floats to the last
+same.  ``lalonde-table-mono``, ``lalonde-table-repeats`` and
+``lalonde-table-verify`` were recorded before ``render_table`` became one
+pass over the cells.  The reports print floats to the last
 bit, so a numpy build whose sums or dot products round differently moves
 the digests too.
 
@@ -83,6 +85,14 @@ def cases() -> dict[str, list[str]]:
     argvs = {
         "lalonde": lalonde + ["--all-canonical"],
         "lalonde-table": lalonde + ["--all-canonical", "--table"],
+        # one assumption level: the other levels' rows are left out
+        "lalonde-table-mono": lalonde + ["--all-canonical", "--assume", "mono", "--table"],
+        # repeated events and evidence levels: each column and row once, first seen first
+        "lalonde-table-repeats": lalonde + ["--event", "eq:1", "--event", "eq:1", "--event",
+                                            "lt:2", "--evidence", "2", "--evidence", "1",
+                                            "--evidence", "2", "--table"],
+        "lalonde-table-verify": lalonde + ["--all-canonical", "--assume", "incr", "--table",
+                                           "--verify", "--samples", "50"],
         "lalonde-json": ["--exp", "lalonde_experimental.json",
                          "--obs", "lalonde_observational.json", "--all-canonical"],
         "strata": ["--route", "unconfounded", "--strata", "strata_example.json",
@@ -174,6 +184,9 @@ def test_report_bytes_equal_the_recorded_digests(tmp_path, monkeypatch):
 DIGESTS: dict[str, str] = {
     'lalonde': '2169c30dbf7f7f220407a2cbee2d9590f47973eb5e12459b9d1f5e1f00207284',
     'lalonde-table': 'e8da252c19ec23c013ffab8b21e88c687f8b96d2d7b66bce5d3b507303402a37',
+    'lalonde-table-mono': '6104d4e0998d6e523369cc7b83feb278975f11ea162813fa26388f44914a7fc6',
+    'lalonde-table-repeats': '1c85ab6f6ac84f80d6548f19c6a6b1cea70e041796aa8e1b6f2326b5d9d36bbb',
+    'lalonde-table-verify': '9b010d76e7d78ebffa0c01e3dc76ad440203112cf85936f4847be93934a35070',
     'lalonde-json': '2169c30dbf7f7f220407a2cbee2d9590f47973eb5e12459b9d1f5e1f00207284',
     'strata': '234ce23a2d34b3ffcf020fa8ad35f5e0474eea824c71c29e9c07893f679a7051',
     'strata-table': '2c2f2195d8123d845a5ff7ea89deae452147613e99b38e8691fe6400ca24fec8',
