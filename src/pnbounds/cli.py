@@ -31,7 +31,7 @@ from .core import (
     ZeroEvidenceError,
     make_event,
 )
-from .lp import LpInfeasibleError, pn_bounds_lp
+from .lp import polytope_empty
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -224,8 +224,8 @@ def run_analysis(
     under the one-level-lift assumption is refused (with the LP
     cross-confirmation) when the gap brackets fail, never extrapolated, and
     monotone cells are refused when a cumulative gap is negative.  Each
-    assumption level takes one ``_level_cells`` pass (one LP cross-check per
-    report), laid out per (event, evidence).  ``loaded`` holds the facts
+    assumption level takes one ``_level_cells`` pass (one LP emptiness test
+    per report), laid out per (event, evidence).  ``loaded`` holds the facts
     (``identify.pair_facts``) and the provenance of ``load_marginals(cfg)``.
     """
     facts, provenance = loaded
@@ -288,9 +288,9 @@ def _level_cells(
     The rows with evidence take one ``bounds.level_bounds`` call, and the
     cells render its bounds or its refusal: ``UnsupportedEventError`` for
     the whole level, zero evidence included, or ``FalsificationError`` for
-    the cells with evidence, where the first asks the LP and the others
-    share its answer (emptiness does not depend on the event).  Each cell
-    is built once, its keys in report order.
+    the cells with evidence, which share one answer of ``lp.polytope_empty``
+    (emptiness depends on no event or evidence level).  Each cell is built
+    once, its keys in report order.
     """
     assume = assumptions.value
     incr = assumptions is Assumptions.MONOTONIC_INCREMENT
@@ -309,16 +309,9 @@ def _level_cells(
     except bounds_mod.UnsupportedEventError as exc:
         return refused(str(exc))
     except identify_mod.FalsificationError as exc:
-        cross_check = None
-        first = next(((spec, y) for spec, y in grid if y not in zero), None)
-        if first is not None:
-            spec, y = first
-            try:
-                pn_bounds_lp(facts.pair, events[spec], y, assumptions)
-                cross_check = "feasible (inconsistent)"  # a bug: the brackets failed
-            except LpInfeasibleError:
-                cross_check = "infeasible"
-        cells = refused(str(exc), lp_cross_check=cross_check)
+        empty = polytope_empty(facts.pair, assumptions)  # not empty is a bug: the brackets failed
+        cells = refused(str(exc),
+                        lp_cross_check="infeasible" if empty else "feasible (inconsistent)")
     else:
         if incr:
             cells = [{"event": s, "label": events[s].label, "evidence": y, "assumptions": assume,

@@ -271,6 +271,14 @@ def _base_network(treated: bytes, control: bytes, assumptions: Assumptions) -> _
     return _Network(*laws, allowed_mask(assumptions, laws[0].size))
 
 
+def polytope_empty(pair: MarginalPair, assumptions: Assumptions) -> bool:
+    """Whether no joint of the level meets the pair's margins: phase one's
+    least mass off the allowed cells exceeds ``INFEAS_TOL``.  The one
+    emptiness test; it depends on no event and no evidence level, so the
+    report asks it once per refused ``incr`` level."""
+    return _feasible_base(pair, assumptions).deficit > INFEAS_TOL
+
+
 def pn_bounds_lp(
     pair: MarginalPair, event: EventSpec, y: int, assumptions: Assumptions
 ) -> BoundsResult:
@@ -279,19 +287,19 @@ def pn_bounds_lp(
     Minimizing and maximizing the event mass in the evidence row over the
     feasible polytope and dividing by treated[y] yields the bounds, each
     optimum certified through the dual (``_Network.solve``).  An empty
-    polytope is refused by phase one alone, at every level, and in
+    polytope is refused by ``polytope_empty`` alone, at every level, and in
     ``level_bounds``' order: an empty ``mono`` level before zero evidence,
     zero evidence before an empty ``incr`` one.
     """
     check_evidence(pair, event, y)
     if assumptions is Assumptions.MONOTONIC_INCREMENT:
         evidence_mass(pair, y)
-    network = _feasible_base(pair, assumptions)
-    if network.deficit > INFEAS_TOL:
+    if polytope_empty(pair, assumptions):
         raise LpInfeasibleError(
             f"feasible set is empty under {assumptions.value!r} for these marginals"
         )
     mass = float(evidence_mass(pair, y))
+    network = _feasible_base(pair, assumptions)
     c = network.objective(event.coeffs, y)
     low, _ = network.solve(c)
     neg_up, _ = network.solve(-c)

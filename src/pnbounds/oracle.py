@@ -10,8 +10,8 @@ are re-attained by explicit constructions at every level.
 A batch is held cell-major, (J, J, n), so that every per-cell step works on
 one contiguous length-n vector.  The cells of one (pair, level) are checked
 in one pass over one batch (``verify_cells``): one evidence level at a
-time, the level's witnesses built and checked as one array, and under
-``incr`` the one feasible point evaluated once.
+time, the level's witnesses built as one array and checked as the draws
+are (``_check_feasible``), and under ``incr`` the one point evaluated once.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ class _Level:
         """(len(specs), J, J): the witness of each (y, first) spec, or under
         ``incr`` the level's joint.  Each distinct spec is filled once
         (``_extremal_fills``), and the fill is checked, not trusted, in one
-        pass: clipped at zero, each witness rescaled by its own sum, then its
-        zero pattern and margins checked (``ConstructionError``)."""
+        pass, as the draws are (``_check_feasible``, ``ConstructionError``)."""
         if self.joint is not None:
             fill, index = self.joint.entries[:, :, None], [0] * len(specs)
         else:
@@ -105,14 +104,7 @@ class _Level:
         # witness-major, each witness one contiguous block, so that its flat
         # sum is q.sum() of the witness alone
         q = fill.transpose(2, 0, 1).copy()
-        np.maximum(q, 0.0, out=q)
-        q /= q.sum(axis=(1, 2), keepdims=True)
-        if _off_pattern(q.transpose(1, 2, 0), self):
-            raise ConstructionError("witness has mass outside the zero pattern")
-        err = max(np.abs(q.sum(axis=2) - self.pair.treated_law.probs).max(),
-                  np.abs(q.sum(axis=1) - self.pair.control_law.probs).max())
-        if err > self.tol:
-            raise ConstructionError(f"margins off by {err:.3g} (tolerance {self.tol:g})")
+        _check_feasible(q.transpose(1, 2, 0), self, ConstructionError, "witness check")
         return q[index]
 
 
@@ -177,16 +169,16 @@ def _off_pattern(x: np.ndarray, level: _Level) -> bool:
                for k, (a, b) in enumerate(level.spans))
 
 
-def _self_check(x: np.ndarray, level: _Level) -> None:
-    """Raise ``SamplingError`` unless every draw in x, (J, J, n), is feasible
-    within tol.  Rounding negatives are clipped and each draw renormalized,
-    in place.
-    """
+def _check_feasible(
+    x: np.ndarray, level: _Level, error: type[CausalAttributionError], what: str
+) -> None:
+    """Raise ``error`` unless every matrix in x, cell-major (J, J, n) in any
+    layout, is feasible within tol: no entry below -tol or off the zero
+    pattern, and each margin within tol once negatives are clipped and each
+    matrix rescaled by its own sum, in place.  Draws and witnesses share it."""
     low, tol = float(-x.min()), level.tol
     if low > tol or _off_pattern(x, level):
-        raise SamplingError(
-            f"sampler self-check failed: entry {-low:.3g} or mass off the zero pattern"
-        )
+        raise error(f"{what} failed: entry {-low:.3g} or mass off the zero pattern")
     np.maximum(x, 0.0, out=x)
     x /= x.sum(axis=(0, 1))
     pair = level.pair
@@ -195,9 +187,7 @@ def _self_check(x: np.ndarray, level: _Level) -> None:
         np.abs(x.sum(axis=0) - pair.control_law.probs[:, None]).max(),
     )
     if err > tol:
-        raise SamplingError(
-            f"sampler self-check failed: margins off by {err:.3g} (tolerance {tol:.3g})"
-        )
+        raise error(f"{what} failed: margins off by {err:.3g} (tolerance {tol:.3g})")
 
 
 def _sample_array(
@@ -229,7 +219,7 @@ def _draw(level: _Level, n: int, rng: np.random.Generator) -> np.ndarray:
                             f"of {BATCH_BUDGET} entries")
     if level.joint is not None:
         point = level.joint.entries[:, :, None].copy()
-        _self_check(point, level)
+        _check_feasible(point, level, SamplingError, "sampler self-check")
         return np.broadcast_to(point, (levels, levels, n))
     x = np.empty((levels, levels, n))
     edges = np.linspace(0, n, MIX_GROUPS + 1).astype(int)
@@ -252,7 +242,7 @@ def _draw(level: _Level, n: int, rng: np.random.Generator) -> np.ndarray:
         else:
             mirrored = _fill(level.control[::-1], level.treated[::-1], orders, u)
             part[:] = mirrored[::-1, ::-1].transpose(1, 0, 2)
-    _self_check(x, level)
+    _check_feasible(x, level, SamplingError, "sampler self-check")
     return x
 
 

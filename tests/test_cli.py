@@ -621,7 +621,8 @@ def test_one_lp_cross_check_per_report(tmp_path, monkeypatch):
     from pnbounds import identify, lp
 
     calls = count_every_binding(
-        monkeypatch, lp.pn_bounds_lp, identify.pair_facts, identify.falsification_check
+        monkeypatch, lp.polytope_empty, lp.pn_bounds_lp, identify.pair_facts,
+        identify.falsification_check,
     )
     init = identify.FalsificationError.__init__
 
@@ -640,8 +641,9 @@ def test_one_lp_cross_check_per_report(tmp_path, monkeypatch):
     # one refusal note for the report, not one error per refused cell
     assert calls.count("FalsificationError") == 1
     calls.remove("FalsificationError")
-    # the report's facts and the LP call, which reads no brackets of its own
-    assert sorted(calls) == ["pnbounds.cli.pn_bounds_lp", "pnbounds.identify.pair_facts"]
+    # the report's facts and one emptiness test, which reads no brackets of
+    # its own and solves no program of the LP's
+    assert sorted(calls) == ["pnbounds.cli.polytope_empty", "pnbounds.identify.pair_facts"]
 
 
 def test_a_report_computes_each_level_in_one_array_pass(tmp_path, monkeypatch):
@@ -735,6 +737,7 @@ def test_a_default_report_computes_the_pair_facts_once(tmp_path, monkeypatch, ro
     calls = count_every_binding(
         monkeypatch, identify.pair_facts, identify.gap_sequence,
         identify.falsification_check, bounds.monotone_consistent, lp.pn_bounds_lp,
+        lp.polytope_empty,
     )
     code, report = report_from(tmp_path, LALONDE_ROUTES[route] + ["--all-canonical"])
     assert code == 0 and len(report["cells"]) == 30
@@ -742,7 +745,7 @@ def test_a_default_report_computes_the_pair_facts_once(tmp_path, monkeypatch, ro
     assert calls[:2] == facts
     # the strata example fails the brackets: the one LP cross-check then
     # decides from its own phase one, computing none of the facts again
-    cross_check = ["pnbounds.cli.pn_bounds_lp"]
+    cross_check = ["pnbounds.cli.polytope_empty"]
     assert calls[2:] == ([] if report["falsification"]["passed"] else cross_check)
     assert report["falsification"]["passed"] is (route != "unconfounded")
 

@@ -1,4 +1,6 @@
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from pnbounds import (
     verify_bounds,
 )
 from pnbounds import oracle
+from pnbounds.cli import main
 from pnbounds.core import EXACT_ATOL, SHARPNESS_TOL
 from pnbounds.identify import pair_facts
 from pnbounds.oracle import _sample_array, draw_samples
@@ -37,6 +40,8 @@ from helpers import (
     pair_from_laws,
     staircase_pair,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 # --- extremal witnesses -----------------------------------------------------------
@@ -298,24 +303,77 @@ def test_a_corrupted_cut_bound_fails_the_self_check(monkeypatch, floor):
             draw_samples(pair, assumptions, 1000, seed=0)
 
 
+def _cycle(x, k, l, j, m, e):
+    """Add e at (k, l) and take it back at (k, m) and (j, l), adding it at (j,
+    m): every margin and the total hold."""
+    x[k, l] += e
+    x[k, m] -= e
+    x[j, m] += e
+    x[j, l] -= e
+
+
 @pytest.mark.parametrize("assumptions,builder,cycle", [
     (Assumptions.MONOTONICITY, lower_triangular_pair, (0, 1, 1, 0)),  # above the diagonal
     (Assumptions.MONOTONIC_INCREMENT, staircase_pair, (2, 0, 1, 1)),  # below the subdiagonal
 ], ids=["mono", "incr"])
 def test_mass_off_the_zero_pattern_fails_the_self_check(assumptions, builder, cycle):
-    # e moves onto the pinned cell (k, l) around a cycle through the allowed
+    # tol / 2 moves onto the pinned cell (k, l) around a cycle through the allowed
     # cells (k, m), (j, m) and (j, l): every margin holds and no entry falls
     # below -tol, so only the zero-pattern test can refuse the batch
-    k, l, j, m = cycle
     level = oracle._Level(pair_facts(builder(np.random.default_rng(607), 4)), assumptions)
     x = np.array(oracle._draw(level, 500, np.random.default_rng(0)))
-    e = level.tol / 2
-    x[k, l] += e
-    x[k, m] -= e
-    x[j, m] += e
-    x[j, l] -= e
+    _cycle(x, *cycle, level.tol / 2)
     with pytest.raises(SamplingError, match="zero pattern"):
-        oracle._self_check(x, level)
+        oracle._check_feasible(x, level, SamplingError, "sampler self-check")
+
+
+def _pinned(x, tol):
+    # under mono, tol / 2 onto the pinned cell (0, 1): no entry falls below -tol
+    _cycle(x, 0, 1, 1, 0, tol / 2)
+
+
+def _negative(x, tol):
+    # the least entry to -2 tol, taken from the largest entry off its row and column
+    k, l = np.unravel_index(x.argmin(), x.shape)
+    rest = x.copy()
+    rest[k], rest[:, l] = -np.inf, -np.inf
+    j, m = np.unravel_index(rest.argmax(), x.shape)
+    _cycle(x, k, l, j, m, -x[k, l] - 2 * tol)
+
+
+def _shifted(x, tol):
+    # 2 tol from column 0's largest entry to the next row: the total holds
+    j = int(x[:, 0].argmax())
+    x[(j + 1) % len(x), 0] += 2 * tol
+    x[j, 0] -= 2 * tol
+
+
+@pytest.mark.parametrize("fault,assumptions,refusal", [
+    (_pinned, Assumptions.MONOTONICITY, "entry .* or mass off the zero pattern"),
+    (_negative, Assumptions.MARGINAL_ONLY, "entry -{:.3g} or mass off the zero pattern"),
+    (_shifted, Assumptions.MARGINAL_ONLY, "margins off by {:.3g} "),
+], ids=["pinned", "negative", "margin"])
+def test_a_faulty_witness_fails_the_witness_check(monkeypatch, capsys, fault, assumptions,
+                                                  refusal):
+    fill = oracle._extremal_fills
+
+    def faulty_fill(level, specs):
+        q = fill(level, specs)
+        fault(q[:, :, 0], level.tol)  # a view: the first witness of the batch
+        return q
+
+    pair = lalonde_pair()
+    tol = oracle._Level(pair_facts(pair), assumptions).tol
+    refusal = "witness check failed: " + refusal.format(2 * tol)
+    monkeypatch.setattr(oracle, "_extremal_fills", faulty_fill)
+    with pytest.raises(oracle.ConstructionError, match=refusal):
+        endpoint_witnesses(pair, make_event("noteq", 3, level=2), 2, assumptions)
+    argv = ["--exp", str(DATA / "lalonde_experimental.csv"), "--all-canonical",
+            "--obs", str(DATA / "lalonde_observational.csv"), "--assume", assumptions.value,
+            "--verify", "--samples", "100"]
+    assert main(argv) == 2  # a bug, not a finding: the run stops naming it
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(f"error: {refusal}.*\n", err)
 
 
 def test_a_batch_beyond_the_budget_is_refused_unallocated(monkeypatch):
