@@ -130,7 +130,9 @@ def level_bounds(
     products, and Python's ``max(0, x)``/``min(1, x)``.  The one place a cell
     is refused, in the report's order: ``UnsupportedEventError`` for a whole
     ``mono`` level, then ``ZeroEvidenceError``, then ``FalsificationError``.
-    The rows are trusted: ``cell_bounds`` and the CLI check them.
+    The rows are trusted (y = -1 would read row J - 1): ``cell_bounds``
+    checks its one through ``core.check_evidence``, the CLI's
+    ``run_analysis`` every evidence level before it builds a row.
     """
     if assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
         raise UnsupportedEventError(facts.mono_refusal)

@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--evidence", action="append", type=int, metavar="Y", help="repeatable"
     )
-    parser.add_argument("--assume", choices=["marginal", "mono", "incr", "all"])
+    parser.add_argument("--assume", choices=[a.value for a in Assumptions] + ["all"])
     parser.add_argument(
         "--all-canonical",
         action="store_true",
@@ -206,13 +206,8 @@ def canonical_event_specs(levels: int, y: int) -> list[str]:
 
 
 def _assumption_list(word: str) -> list[Assumptions]:
-    if word == "all":
-        return [
-            Assumptions.MONOTONIC_INCREMENT,
-            Assumptions.MARGINAL_ONLY,
-            Assumptions.MONOTONICITY,
-        ]
-    return [Assumptions(word)]
+    """The levels of ``--assume``; ``all`` is every level in ``_ROW_TITLES``' order."""
+    return [Assumptions(v) for v in (_ROW_TITLES if word == "all" else [word])]
 
 
 def run_analysis(
@@ -430,7 +425,7 @@ def _dumps(obj: Any, indent: str = "\n") -> str:
     return brackets[0] + inner + body + indent + brackets[1]
 
 
-#: The ``--table`` title of each assumption level's row, in row order
+#: The ``--table`` title of each assumption level's row, in the report's order
 _ROW_TITLES = {
     Assumptions.MONOTONIC_INCREMENT.value: "point (one-level lift)",
     Assumptions.MARGINAL_ONLY.value: "bounds (marginals only)",

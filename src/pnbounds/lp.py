@@ -263,9 +263,9 @@ def _feasible_base(pair: MarginalPair, assumptions: Assumptions) -> _Network:
 
 
 # One phase one serves every objective over the same polytope, so the network
-# after it is memoized on the exact bytes of the laws and the level.  Entries
-# are never mutated after insertion: each solve works on a copy.
-@functools.lru_cache(maxsize=128)
+# after it is memoized on the exact bytes of the laws and the level, one pair's
+# levels at a time.  Entries are never mutated: each solve works on a copy.
+@functools.lru_cache(maxsize=len(Assumptions))
 def _base_network(treated: bytes, control: bytes, assumptions: Assumptions) -> _Network:
     laws = np.frombuffer(treated), np.frombuffer(control)
     return _Network(*laws, allowed_mask(assumptions, laws[0].size))

@@ -224,12 +224,13 @@ def _draw(level: _Level, n: int, rng: np.random.Generator) -> np.ndarray:
     x = np.empty((levels, levels, n))
     edges = np.linspace(0, n, MIX_GROUPS + 1).astype(int)
     marginal = level.assumptions is Assumptions.MARGINAL_ONLY
-    # the row of each cell that _fill draws, in visiting order
-    ks = np.repeat(np.arange(levels - 1), levels - 1 if marginal else np.arange(levels - 1))
+    columns = [np.arange(*span) for span in level.spans]  # each row's allowed columns
+    # the row of each cell that _fill draws, in visiting order: all but a row's last
+    ks = np.repeat(np.arange(levels - 1), [cols.size - 1 for cols in columns[:-1]])
     for g in range(MIX_GROUPS):
         part = x[:, :, edges[g] : edges[g + 1]]
         perm = rng.permutation(levels) if marginal else np.arange(levels)
-        orders = [rng.permutation(levels if marginal else k + 1) for k in range(levels)]
+        orders = [rng.permutation(cols) for cols in columns]
         ls = np.concatenate([o[:-1] for o in orders[:-1]])
         u = rng.random((part.shape[2], levels, levels)).transpose(1, 2, 0)[ks, ls]
         # u = 0.5 - 0.5 * cos(pi * u), in place
@@ -267,16 +268,16 @@ def _extremal_fills(level: _Level, specs: list[tuple[int, np.ndarray]]) -> np.nd
     endpoint of evidence level y for specs[i] = (y, first).
 
     The construction behind both closed forms, without their numbers.  The
-    evidence row r is filled greedily over the columns it may use (all, or
-    0..y under ``mono``): those marked ``first`` (the event's columns S for
-    the upper endpoint, the others for the lower one) before the rest, each
-    from the top, every cell as large as its column mass and the caps allow.
-    The caps are the row total and, under ``mono``, gap_t on the mass of r
-    below each cut t (see ``pn_bounds_monotone``; a gap in the band counts
-    as zero).  They form a nested family, so the greedy fill maximizes r(S),
-    or its complement, over the rows that leave the rest feasible.  The
-    other rows are one deterministic run of ``_fill`` on the residual
-    columns, with each witness's own margins.
+    evidence row r is filled greedily over its span, ``level.spans[y]`` (all
+    columns, or 0..y under ``mono``): those marked ``first`` (the event's
+    columns S for the upper endpoint, the others for the lower one) before
+    the rest, each from the top, every cell as large as its column mass and
+    the caps allow.  The caps are the row total and, under ``mono``, gap_t
+    on the mass of r below each cut t (see ``pn_bounds_monotone``; a gap in
+    the band counts as zero).  They form a nested family, so the greedy fill
+    maximizes r(S), or its complement, over the rows that leave the rest
+    feasible.  The other rows are one deterministic run of ``_fill`` on the
+    residual columns, along each row's span, with each witness's own margins.
     """
     treated, control, levels = level.treated, level.control, level.pair.levels
     mono = level.assumptions is Assumptions.MONOTONICITY
@@ -287,14 +288,14 @@ def _extremal_fills(level: _Level, specs: list[tuple[int, np.ndarray]]) -> np.nd
     column_mass = control.tolist()
     for i, (y, first) in enumerate(specs):
         # budget[t - 1] caps the mass of r below cut t; the last entry, all of r
-        budget = caps[: y if mono else levels - 1] + [float(treated[y])]
+        budget = caps[: level.spans[y][1] - 1] + [float(treated[y])]
         top_down = range(first.size - 1, -1, -1)
         for l in [l for l in top_down if first[l]] + [l for l in top_down if not first[l]]:
             cell = max(0.0, min(column_mass[l], min(budget[l:])))
             evidence[l, i] = cell
             budget[l:] = [b - cell for b in budget[l:]]
         rows[y, i] = 0.0
-    orders = [np.arange(k + 1 if mono else levels) for k in range(levels)]
+    orders = [np.arange(*span) for span in level.spans]
     u = np.ones((levels * levels, len(specs)))
     q = _fill(rows, control[:, None] - evidence, orders, u)
     for i, (y, _) in enumerate(specs):
@@ -304,8 +305,7 @@ def _extremal_fills(level: _Level, specs: list[tuple[int, np.ndarray]]) -> np.nd
 
 def _witness_specs(level: _Level, event: EventSpec, y: int) -> list[tuple[int, np.ndarray]]:
     """The (y, first) specs of an event's lower and upper witness."""
-    span = y + 1 if level.assumptions is Assumptions.MONOTONICITY else level.pair.levels
-    first = np.asarray(event.coeffs[:span], dtype=bool)
+    first = np.asarray(event.coeffs[: level.spans[y][1]], dtype=bool)
     return [(y, ~first), (y, first)]
 
 
@@ -413,7 +413,8 @@ def verify_cells(
     inside the claim.  Sharpness: each claimed endpoint's distance from what
     its witness attains.  Findings are report fields, never exceptions;
     ``SamplingError`` means the level cannot be sampled.  The cells are
-    trusted: ``verify_bounds`` and the CLI check them.
+    trusted: ``verify_bounds`` checks its one (``_cell_level``), and the
+    CLI verifies only the cells that ``run_analysis`` checked.
     """
     return _check_cells(_Level(facts, assumptions), cells, n, seed)
 

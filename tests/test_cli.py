@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -982,6 +985,19 @@ def test_verify_builds_each_distinct_witness_once(tmp_path, monkeypatch):
     assert sum(width for _, width in checked) == len(built) + 1
 
 
+def _verified_fields(tmp_path, args):
+    """The report of ``args`` on every canonical cell, verified, without its provenance."""
+    code, out = report_from(tmp_path, args + ["--all-canonical", "--verify", "--samples", "2000"])
+    assert code == 0 and out["verification"]["passed"] is True
+    out.pop("provenance")
+    return out
+
+
+def _scaled(counts, *scales):
+    """A 2 x J counts array with row z multiplied by scales[z]."""
+    return [[scale * c for c in row] for row, scale in zip(counts, scales)]
+
+
 def test_a_count_scale_leaves_every_report_field_but_the_provenance(tmp_path):
     """Every law is a ratio of counts, and k * c / (k * T) rounds as c / T, so
     scaling a table changes no verified report figure."""
@@ -992,18 +1008,46 @@ def test_a_count_scale_leaves_every_report_field_but_the_provenance(tmp_path):
         paths = []
         for name, counts, scale in (("exp", exp, exp_scale), ("obs", obs, obs_scale)):
             paths.append(tmp_path / f"{name}-{exp_scale}-{obs_scale}.json")
-            paths[-1].write_text(json.dumps({"counts": [[scale * c for c in row] for row in counts]}))
-        args = ["--mode", mode, "--exp", str(paths[0]), "--all-canonical", "--verify",
-                "--samples", "2000"]
-        code, out = report_from(tmp_path, args + (["--obs", str(paths[1])] if mode == "pn" else []))
-        assert code == 0 and out["verification"]["passed"] is True
-        out.pop("provenance")
-        return out
+            paths[-1].write_text(json.dumps({"counts": _scaled(counts, scale, scale)}))
+        args = ["--mode", mode, "--exp", str(paths[0])]
+        return _verified_fields(tmp_path, args + (["--obs", str(paths[1])] if mode == "pn" else []))
 
     unscaled = report("pn", 1, 1)
     for exp_scale, obs_scale in ((7, 7), (3, 1), (1, 1000003), (2**20, 5)):
         assert report("pn", exp_scale, obs_scale) == unscaled, (exp_scale, obs_scale)
     assert report("pc", 13, 1) == report("pc", 1, 1)
+
+
+def test_a_scale_of_each_arm_leaves_every_pc_report_field_but_the_provenance(tmp_path):
+    """``--mode pc`` normalizes each arm of the experiment on its own, so a
+    factor per arm, one common factor included, keeps both laws bit for bit."""
+    exp = json.loads((DATA / "lalonde_experimental.json").read_text())["counts"]
+
+    def report(*scales):
+        path = tmp_path / f"exp-{scales}.json"
+        path.write_text(json.dumps({"counts": _scaled(exp, *scales)}))
+        return _verified_fields(tmp_path, ["--mode", "pc", "--exp", str(path)])
+
+    unscaled = report(1, 1)
+    for scales in ((7, 7), (2**20, 2**20), (3, 1), (1, 1000003), (2**20, 5)):
+        assert report(*scales) == unscaled, scales
+
+
+def test_a_common_scale_of_every_stratum_leaves_every_report_field_but_the_provenance(tmp_path):
+    """The strata route weights each stratum by its share of the treated
+    units, so one factor for every stratum keeps the weights and each law
+    bit for bit (a factor per stratum would move the weights)."""
+    strata = json.loads(Path(STRATA).read_text())
+
+    def report(scale):
+        path = tmp_path / f"strata-{scale}.json"
+        path.write_text(json.dumps(
+            [{**stratum, "counts": _scaled(stratum["counts"], scale, scale)} for stratum in strata]))
+        return _verified_fields(tmp_path, ["--route", "unconfounded", "--strata", str(path)])
+
+    unscaled = report(1)
+    for scale in (7, 1000003, 2**20):
+        assert report(scale) == unscaled, scale
 
 
 def test_verify_computes_the_pair_facts_once_per_report(tmp_path, monkeypatch):
@@ -1289,6 +1333,27 @@ def test_a_negative_seed_is_a_usage_error_only_with_verify(tmp_path, capsys):
     # without --verify the seed is only echoed
     assert run(base + ["--seed", "-1"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == -1
+
+
+def test_bad_event_level_is_a_usage_error_naming_the_spec(capsys):
+    assert run(["--exp", EXP, "--obs", OBS, "--event", "eq:x"]) == 1
+    assert capsys.readouterr().err == "error: bad event level in 'eq:x'\n"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--exp", EXP, "--obs", OBS, "--all-canonical"], 0),
+    (["--exp", EXP, "--obs", OBS, "--event", "eq:x"], 1),
+    (["--help"], 0),
+], ids=["report", "usage-error", "help"])
+def test_the_module_entry_point_runs_main(capsys, argv, code):
+    """``python -m pnbounds.cli`` prints the bytes and exits with the code of ``main``."""
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    process = subprocess.run([sys.executable, "-m", "pnbounds.cli", *argv],
+                             capture_output=True, env=env, timeout=60)
+    assert (process.returncode, process.stdout, process.stderr) == (
+        code, captured.out.encode(), captured.err.encode())
 
 
 def test_stdout_json_when_no_out(capsys):

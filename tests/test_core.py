@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,20 +8,28 @@ from hypothesis import strategies as st
 from pnbounds import (
     ATOL,
     Assumptions,
+    BoundsResult,
     CausalAttributionError,
+    Conditioning,
     EventSpec,
     EventSpecError,
     InvalidDistributionError,
     JointProbabilityMatrix,
+    Method,
     OrdinalDistribution,
     ZeroEvidenceError,
     allowed_mask,
     endpoint_witnesses,
     make_event,
+    pc_bounds,
     pn_bounds_lp,
     pn_bounds_marginal,
+    pn_bounds_monotone,
     pn_from_joint,
+    pn_point,
+    verify_bounds,
 )
+from pnbounds import bounds, cli, identify, lp, oracle
 from helpers import loop_allowed_mask, loop_event_bits, loop_pinned_cells, pair_from_laws
 
 from pnbounds.identify import gap_sequence
@@ -76,6 +86,23 @@ def test_make_event_custom_rejects_nonbinary_and_wrong_length():
         make_event("custom", 3, coeffs=[1, 2, 0])
     with pytest.raises(EventSpecError):
         make_event("custom", 3, coeffs=[1, 0])
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: make_event("gt", 3, level=1), EventSpecError, "unknown event kind 'gt'"),
+    (lambda: make_event("eq", 1, level=0), EventSpecError, "need at least 2 outcome levels"),
+    (lambda: make_event("custom", 3), EventSpecError, "custom events need explicit coefficients"),
+    (lambda: EventSpec(coeffs=(1,), label="x"), EventSpecError, "event needs at least 2 levels"),
+    (lambda: OrdinalDistribution.from_counts([0, 0, 0]), InvalidDistributionError,
+     "counts sum to zero"),
+    (lambda: JointProbabilityMatrix(entries=np.full((2, 3), 1 / 6)), InvalidDistributionError,
+     "need a square matrix, got (2, 3)"),
+], ids=["unknown-kind", "one-level", "custom-without-coefficients", "one-coefficient",
+        "zero-counts", "non-square-joint"])
+def test_constructors_refuse_with_their_type_and_message(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message
 
 
 # --- pn_from_joint ----------------------------------------------------------
@@ -155,6 +182,42 @@ def test_every_one_cell_entry_refuses_a_malformed_cell_with_one_text(event, y, m
         with pytest.raises(CausalAttributionError) as err:
             entry()
         assert type(err.value) is CausalAttributionError and str(err.value) == message
+
+
+@pytest.mark.parametrize("y", [-1, 3], ids=["y=-1", "y=J"])
+def test_every_public_entry_refuses_an_evidence_level_out_of_range_before_a_kernel(
+    monkeypatch, capsys, y
+):
+    """The kernels trust their rows (y = -1 would read row J - 1), so each
+    entry checks the evidence level before one of them runs."""
+    def kernel(*args):
+        raise AssertionError("a kernel read the row of an unchecked evidence level")
+
+    for owner, name in ((bounds, "level_bounds"), (identify.PairFacts, "points"),
+                        (lp, "_feasible_base"), (oracle, "_Level")):
+        monkeypatch.setattr(owner, name, kernel)
+    pair = pair_from_laws([0.2, 0.3, 0.5], [0.4, 0.3, 0.3], Conditioning.UNCONDITIONAL)
+    event, mono = make_event("eq", 3, level=0), Assumptions.MONOTONICITY
+    claim = BoundsResult(0.0, 1.0, mono, Method.CLOSED_FORM)
+    for entry in (
+        lambda: bounds.cell_bounds(identify.pair_facts(pair), event, y, mono),
+        lambda: pn_bounds_marginal(pair, event, y),
+        lambda: pn_bounds_monotone(pair, event, y),
+        lambda: pc_bounds(pair, event, y, mono),
+        lambda: pn_point(pair, event, y),
+        lambda: pn_bounds_lp(pair, event, y, mono),
+        lambda: endpoint_witnesses(pair, event, y, mono),
+        lambda: verify_bounds(pair, event, y, mono, claim, 100, 0),
+    ):
+        with pytest.raises(CausalAttributionError) as err:
+            entry()
+        assert type(err.value) is CausalAttributionError
+        assert str(err.value) == f"evidence level {y} out of range"
+    data = Path(__file__).parent / "data"
+    assert cli.main(["--exp", str(data / "lalonde_experimental.csv"),
+                     "--obs", str(data / "lalonde_observational.csv"),
+                     "--event", "eq:0", "--evidence", str(y)]) == 2
+    assert capsys.readouterr().err == f"error: evidence level {y} out of range for 3 outcome levels\n"
 
 
 # --- distributions and matrices ---------------------------------------------

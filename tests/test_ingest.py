@@ -90,6 +90,10 @@ def test_experimental_route_requires_matching_levels_and_sources():
         counterfactual_margin_experimental(obs, exp)
     with pytest.raises(DataFormatError):
         counterfactual_margin_experimental(exp, obs_table([[1, 1], [1, 1]]))
+    with pytest.raises(DataFormatError) as err:
+        counterfactual_margin_experimental(exp, exp)
+    assert type(err.value) is DataFormatError
+    assert str(err.value) == "second table must be observational"
 
 
 def test_experimental_route_control_sums_to_one_on_random_valid_inputs():
@@ -119,6 +123,19 @@ def test_unconfounded_single_stratum_collapses():
     assert pair.treated_law.probs == pytest.approx(
         empirical_margin(table, 1).probs, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("strata,message", [
+    ((), "no strata given"),
+    ((("a", obs_table([[1, 2], [3, 4]])), ("b", obs_table([[1, 2, 3], [4, 5, 6]]))),
+     "strata disagree on level count: [2, 3]"),
+    ((("a", obs_table([[1, 2], [3, 4]])), ("b", exp_table([[1, 2], [3, 4]]))),
+     "stratum 'b' is not observational"),
+], ids=["none", "mixed-levels", "experimental"])
+def test_stratified_table_refusals_keep_their_messages(strata, message):
+    with pytest.raises(DataFormatError) as err:
+        StratifiedTable(strata=strata)
+    assert type(err.value) is DataFormatError and str(err.value) == message
 
 
 def test_unconfounded_two_symmetric_strata():
@@ -180,6 +197,8 @@ def test_csv_loader_round_trip(tmp_path):
     path.write_text("z,y,count\n0,0,5\n0,1,7\n1,0,2\n1,1,6\n")
     table = load_table_csv(path, Source.EXPERIMENTAL)
     assert table.counts.tolist() == [[5.0, 7.0], [2.0, 6.0]]
+    path.write_text("z,y,count\n0,0,5\n\n0,1,7\n , \n1,0,2\n1,1,6\n\n")  # blank lines skipped
+    assert load_table_csv(path, Source.EXPERIMENTAL).counts.tolist() == table.counts.tolist()
 
 
 def test_csv_loader_reports_file_and_line(tmp_path):
@@ -223,6 +242,10 @@ def test_strata_loader(tmp_path):
     bad.write_text('[{"id": "a"}]')
     with pytest.raises(DataFormatError, match="counts"):
         load_strata_json(bad)
+    bad.write_text('{"id": "a", "counts": [[3, 4], [5, 6]]}')
+    with pytest.raises(DataFormatError) as err:
+        load_strata_json(bad)
+    assert str(err.value) == f"{bad}: expected a JSON list of strata"
 
 
 @pytest.mark.parametrize("ids,repeated", [
@@ -297,6 +320,7 @@ _REFUSED_TABLES = [
     ("one_arm.csv", "z,y,count\n0,0,1\n0,1,3\n0,2,3\n",
      "{path}: each treatment arm needs at least one observation"),
     ("one_level.csv", "z,y,count\n0,0,1\n1,0,3\n", "{path}: need at least 2 outcome levels"),
+    ("arm_2.csv", "z,y,count\n0,0,1\n0,1,3\n2,0,4\n1,1,5\n", "{path}:4: z must be 0 or 1, got 2"),
     ("zeros.csv", "z,y,count\n0,0,0\n0,1,0\n1,0,0\n1,1,0\n", "{path}: table is empty"),
     ("nan.json", '{"counts": [[NaN, 1, 2], [3, 4, 5]]}',
      "{path}: counts must be nonnegative integers"),
