@@ -11,6 +11,7 @@ from .bounds import (
     Method,
     UnsupportedEventError,
     monotone_consistent,
+    pc_bounds,
     pn_bounds_marginal,
     pn_bounds_monotone,
 )
@@ -36,6 +37,7 @@ from .identify import (
     falsification_check,
     gap_sequence,
     identify_joint,
+    pc_point,
     pn_point,
 )
 from .ingest import (
@@ -60,7 +62,6 @@ from .oracle import (
     draw_samples,
     verify_bounds,
 )
-from .pc import pc_bounds, pc_point
 
 __all__ = [
     "ATOL",

@@ -30,7 +30,7 @@ from .core import (
     check_evidence,
     evidence_mass,
 )
-from .identify import PairFacts, pair_facts
+from .identify import PairFacts, _require_unconditional, pair_facts
 
 
 class UnsupportedEventError(CausalAttributionError):
@@ -115,6 +115,19 @@ def cell_bounds(
     check_evidence(facts.pair, event, y)
     lower, upper = level_bounds(facts, np.array([event.coeffs]), np.array([y]), assumptions)
     return BoundsResult(float(lower[0]), float(upper[0]), assumptions, Method.CLOSED_FORM)
+
+
+def pc_bounds(
+    pair: MarginalPair, event: EventSpec, y: int, assumptions: Assumptions
+) -> BoundsResult:
+    """Sharp bounds on the probability of causation: ``cell_bounds`` on a
+    randomized design's unconditional laws (other laws are refused), with
+    no LP.  ``incr`` gives the identified point as a closed-form [v, v] or
+    raises ``FalsificationError``; on monotone-inconsistent data every
+    ``mono`` cell raises ``UnsupportedEventError``.
+    """
+    _require_unconditional(pair)
+    return cell_bounds(pair_facts(pair), event, y, assumptions)
 
 
 def level_bounds(

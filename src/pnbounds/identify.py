@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     ATOL,
     CausalAttributionError,
+    Conditioning,
     EventSpec,
     JointProbabilityMatrix,
     MarginalPair,
@@ -185,3 +186,22 @@ def pn_point(pair: MarginalPair, event: EventSpec, y: int) -> float:
     """
     check_evidence(pair, event, y)
     return float(pair_facts(pair).points(np.array([event.coeffs]), np.array([y]))[0])
+
+
+def _require_unconditional(pair: MarginalPair) -> None:
+    if pair.conditioning is not Conditioning.UNCONDITIONAL:
+        raise CausalAttributionError(
+            "causation analyses need unconditional laws (a randomized design); "
+            f"got conditioning={pair.conditioning.value!r}"
+        )
+
+
+def pc_point(pair: MarginalPair, event: EventSpec, y: int) -> float:
+    """Point value of the event probability given treated potential outcome y.
+
+    The probability of causation is ``pn_point`` on a randomized design's
+    unconditional laws, which the two arms identify directly; other laws
+    are refused.
+    """
+    _require_unconditional(pair)
+    return pn_point(pair, event, y)

@@ -1036,18 +1036,25 @@ def test_a_scale_of_each_arm_leaves_every_pc_report_field_but_the_provenance(tmp
 def test_a_common_scale_of_every_stratum_leaves_every_report_field_but_the_provenance(tmp_path):
     """The strata route weights each stratum by its share of the treated
     units, so one factor for every stratum keeps the weights and each law
-    bit for bit (a factor per stratum would move the weights)."""
-    strata = json.loads(Path(STRATA).read_text())
+    bit for bit (a factor per stratum would move the weights).  The seeded
+    table's treated totals, 1 and 4, make a weight taken as
+    ``totals * (1 / sum)`` round differently: 7 * (1 / 35) != 1 * (1 / 5)."""
+    rng = np.random.default_rng(32)
+    seeded = [{"id": f"total-{total}",
+               "counts": [rng.integers(1, 30, 3).tolist(),
+                          rng.multinomial(total, [1 / 3] * 3).tolist()]}
+              for total in (1, 4)]
 
-    def report(scale):
-        path = tmp_path / f"strata-{scale}.json"
+    def report(name, strata, scale):
+        path = tmp_path / f"{name}-{scale}.json"
         path.write_text(json.dumps(
             [{**stratum, "counts": _scaled(stratum["counts"], scale, scale)} for stratum in strata]))
         return _verified_fields(tmp_path, ["--route", "unconfounded", "--strata", str(path)])
 
-    unscaled = report(1)
-    for scale in (7, 1000003, 2**20):
-        assert report(scale) == unscaled, scale
+    for name, strata in (("example", json.loads(Path(STRATA).read_text())), ("seeded", seeded)):
+        unscaled = report(name, strata, 1)
+        for scale in (7, 1000003, 2**20):
+            assert report(name, strata, scale) == unscaled, (name, scale)
 
 
 def test_verify_computes_the_pair_facts_once_per_report(tmp_path, monkeypatch):
@@ -1354,6 +1361,39 @@ def test_the_module_entry_point_runs_main(capsys, argv, code):
                              capture_output=True, env=env, timeout=60)
     assert (process.returncode, process.stdout, process.stderr) == (
         code, captured.out.encode(), captured.err.encode())
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import numpy
+bare = "numpy.random" in sys.modules
+from pnbounds.cli import main
+
+def run(runs):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [main(argv) for argv in runs]
+    return codes, "numpy.random" in sys.modules
+
+routes = json.loads(sys.argv[1])
+default = run([r + ["--all-canonical"] + t for r in routes for t in ([], ["--table"])])
+verify = run([r + ["--all-canonical", "--verify", "--samples", "100"] for r in routes])
+print(json.dumps([bare, default, verify]))
+"""
+
+
+def test_only_verify_imports_numpy_random():
+    """A default report draws nothing, so in a fresh process it never pays
+    for ``numpy.random``'s import; ``--verify`` samples and does."""
+    routes = [["--exp", EXP, "--obs", OBS], ["--route", "unconfounded", "--strata", STRATA],
+              ["--mode", "pc", "--exp", EXP]]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    process = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(routes)],
+                             capture_output=True, env=env, timeout=60, check=True)
+    bare, default, verify = json.loads(process.stdout)
+    if bare:
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert default == [[0] * 6, False]
+    assert verify == [[0] * 3, True]
 
 
 def test_stdout_json_when_no_out(capsys):

@@ -5,7 +5,9 @@ import pytest
 
 from pnbounds import (
     Assumptions,
+    CertificateError,
     JointProbabilityMatrix,
+    LpError,
     LpInfeasibleError,
     Method,
     allowed_mask,
@@ -596,3 +598,62 @@ def test_the_least_recently_used_polytope_is_evicted_and_solved_again():
     assert lp_outcome(pairs[1], event, 2, Assumptions.MONOTONICITY) == answers[1]
     info = lp._base_network.cache_info()
     assert (info.misses, info.currsize) == (cap + 2, cap)
+
+
+# --- the certificate's self-checks, each reached by a planted fault -----------
+
+@pytest.fixture
+def fresh_cache():
+    """Clear the phase-one cache before and after a test that corrupts it."""
+    lp._base_network.cache_clear()
+    yield
+    lp._base_network.cache_clear()
+
+
+def corrupt_and_solve(plant):
+    """Cache the LaLonde ``marginal`` network, hand it to ``plant``, then ask
+    ``pn_bounds_lp`` for a cell whose interval is wide (0.170 to 0.883)."""
+    pair = lalonde_pair()
+    plant(lp._feasible_base(pair, Assumptions.MARGINAL_ONLY))
+    pn_bounds_lp(pair, make_event("lt", 3, level=2), 2, Assumptions.MARGINAL_ONLY)
+
+
+def test_a_pivot_that_moves_nothing_hits_the_iteration_limit(fresh_cache, monkeypatch):
+    monkeypatch.setattr(_Network, "_pivot", lambda self, arc, reduced, leave=-1: None)
+    with pytest.raises(LpError, match="^simplex iteration limit exceeded$"):
+        corrupt_and_solve(lambda net: None)
+
+
+def test_shifted_potentials_do_not_fit_the_tree(fresh_cache, monkeypatch):
+    certify = _Network._certify
+
+    def shifted(self, c):
+        self.pi[np.flatnonzero(self.signs > 0)] += 1.0  # every row: every cell's slack moves
+        return certify(self, c)
+
+    monkeypatch.setattr(_Network, "_certify", shifted)
+    with pytest.raises(CertificateError, match="^potentials do not fit the tree$"):
+        corrupt_and_solve(lambda net: None)
+
+
+def test_a_tree_left_before_its_optimum_is_dual_infeasible(fresh_cache, monkeypatch):
+    # phase two prices no arc below -1e9, so it certifies the phase-one tree,
+    # which cannot be optimal for both c and -c on a wide interval
+    with pytest.raises(CertificateError, match="^dual infeasible: slack -"):
+        corrupt_and_solve(lambda net: monkeypatch.setattr(lp, "PIVOT_TOL", 1e9))
+
+
+def test_negated_dual_signs_open_a_duality_gap(fresh_cache):
+    def negate(net):
+        net.signs = -net.signs
+
+    with pytest.raises(CertificateError, match="^duality gap "):
+        corrupt_and_solve(negate)
+
+
+def test_moved_laws_are_caught_by_the_margin_check(fresh_cache):
+    def move(net):
+        net.laws = net.laws + 1e-6
+
+    with pytest.raises(CertificateError, match="^optimal point violates the margins$"):
+        corrupt_and_solve(move)
