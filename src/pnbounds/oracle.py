@@ -7,15 +7,16 @@ interval given the cells before it.  Seeded draws fill one cell at a time
 inside those intervals and meet the margins exactly, and bound endpoints
 are re-attained by explicit constructions at every level.
 
-A batch is held cell-major, (J, J, n), so that every per-cell step works on
-one contiguous length-n vector.  The cells of one (pair, level) are checked
-in one pass over one batch (``verify_cells``): one evidence level at a
-time, the level's witnesses built as one array and checked as the draws
+Draws are held cell-major, (J, J, n), so that every per-cell step works on
+one contiguous vector.  The cells of one (pair, level) are checked in one
+pass over one batch (``verify_cells``), drawn in chunks of ``_CHUNK_BUDGET``
+entries, the level's witnesses built as one array and checked as the draws
 are (``_check_feasible``), and under ``incr`` the one point evaluated once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 from math import inf
@@ -42,6 +43,10 @@ from .identify import FalsificationError, PairFacts, pair_facts
 MIX_GROUPS = 16
 #: Most entries, draws x J x J, that one batch may hold: 2**27 floats, 1 GiB.
 BATCH_BUDGET = 2**27
+#: Most entries that ``verify_cells`` checks at once (256 KiB), in whole 16-draw
+#: blocks, as OpenBLAS rounds a product's last (length mod 16) values apart; the
+#: last chunk takes in a lone last draw, which numpy would sum pairwise.
+_CHUNK_BUDGET = 2**15
 
 
 class ConstructionError(CausalAttributionError):
@@ -179,13 +184,13 @@ def _check_feasible(
     low, tol = float(-x.min()), level.tol
     if low > tol or _off_pattern(x, level):
         raise error(f"{what} failed: entry {-low:.3g} or mass off the zero pattern")
-    np.maximum(x, 0.0, out=x)
+    if low > 0:
+        np.maximum(x, 0.0, out=x)
     x /= x.sum(axis=(0, 1))
-    pair = level.pair
-    err = max(
-        np.abs(x.sum(axis=1) - pair.treated_law.probs[:, None]).max(),
-        np.abs(x.sum(axis=0) - pair.control_law.probs[:, None]).max(),
-    )
+    err = 0.0
+    for axis, law in ((1, level.pair.treated_law), (0, level.pair.control_law)):
+        off = x.sum(axis=axis)  # |margin - law|, in the margin's own array
+        err = max(err, np.abs(np.subtract(off, law.probs[:, None], out=off), out=off).max())
     if err > tol:
         raise error(f"{what} failed: margins off by {err:.3g} (tolerance {tol:.3g})")
 
@@ -193,23 +198,28 @@ def _check_feasible(
 def _sample_array(
     pair: MarginalPair, assumptions: Assumptions, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """n feasible matrices of the level, (n, J, J); see ``_draw``."""
-    return _draw(_Level(pair_facts(pair), assumptions), n, rng).transpose(2, 0, 1)
+    """n feasible matrices of the level, (n, J, J): ``_draw_chunks`` in one chunk."""
+    level = _Level(pair_facts(pair), assumptions)
+    return next(_draw_chunks(level, n, rng, n)).transpose(2, 0, 1)
 
 
-def _draw(level: _Level, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n feasible matrices of a level, cell-major (J, J, n), drawn exactly in
-    ``MIX_GROUPS`` groups.
+def _draw_chunks(
+    level: _Level, n: int, rng: np.random.Generator, size: int
+) -> Iterator[np.ndarray]:
+    """n feasible matrices of a level, cell-major, in checked chunks of
+    ``size`` draws, each the one buffer refilled; the last may be shorter, or
+    one draw longer.
 
-    ``marginal``: each group fills its own random row order.  ``mono``:
-    rows top-down, and every other group fills the mirrored problem (rows
-    and columns swapped, indices reversed), which is lower triangular too.
-    Each row visits its allowed columns in a random order per group.  The
-    fractions u follow the arcsine law, which puts more draws near the ends
-    of each cell's interval than a uniform u does; measured, that widens
-    the sampled range of every event; each group transforms only the
-    uniforms its fill reads.  ``incr``: the one feasible point, broadcast.
-    A batch of more than ``BATCH_BUDGET`` entries is refused unallocated.
+    Drawn exactly in ``MIX_GROUPS`` groups, whatever the size.  ``marginal``:
+    each group fills its own random row order.  ``mono``: rows top-down, and
+    every other group fills the mirrored problem (rows and columns swapped,
+    indices reversed), which is lower triangular too.  Each row visits its
+    allowed columns in a random order per group.  The fractions u follow the
+    arcsine law, which puts more draws near the ends of each cell's interval
+    than a uniform u does; measured, that widens the sampled range of every
+    event; each group transforms only the uniforms its fill reads.  ``incr``:
+    the one feasible point, broadcast, as one chunk.  A batch of more than
+    ``BATCH_BUDGET`` entries is refused unallocated.
     """
     levels = level.pair.levels
     if n < 1:
@@ -220,31 +230,39 @@ def _draw(level: _Level, n: int, rng: np.random.Generator) -> np.ndarray:
     if level.joint is not None:
         point = level.joint.entries[:, :, None].copy()
         _check_feasible(point, level, SamplingError, "sampler self-check")
-        return np.broadcast_to(point, (levels, levels, n))
-    x = np.empty((levels, levels, n))
-    edges = np.linspace(0, n, MIX_GROUPS + 1).astype(int)
+        yield np.broadcast_to(point, (levels, levels, n))
+        return
+    flat, held, left = np.empty(levels * levels * min(size + 1, n)), 0, n  # left: unyielded
     marginal = level.assumptions is Assumptions.MARGINAL_ONLY
     columns = [np.arange(*span) for span in level.spans]  # each row's allowed columns
     # the row of each cell that _fill draws, in visiting order: all but a row's last
     ks = np.repeat(np.arange(levels - 1), [cols.size - 1 for cols in columns[:-1]])
-    for g in range(MIX_GROUPS):
-        part = x[:, :, edges[g] : edges[g + 1]]
-        perm = rng.permutation(levels) if marginal else np.arange(levels)
+    for g, m in enumerate(np.diff(np.linspace(0, n, MIX_GROUPS + 1).astype(int)).tolist()):
+        perm = rng.permutation(levels) if marginal else slice(None)
         orders = [rng.permutation(cols) for cols in columns]
         ls = np.concatenate([o[:-1] for o in orders[:-1]])
-        u = rng.random((part.shape[2], levels, levels)).transpose(1, 2, 0)[ks, ls]
+        u = rng.random((m, levels, levels)).transpose(1, 2, 0)[ks, ls]
         # u = 0.5 - 0.5 * cos(pi * u), in place
         u *= np.pi
         np.cos(u, out=u)
         u *= -0.5
         u += 0.5
         if marginal or g % 2 == 0:
-            part[perm] = _fill(level.treated[perm], level.control, orders, u)
-        else:
-            mirrored = _fill(level.control[::-1], level.treated[::-1], orders, u)
-            part[:] = mirrored[::-1, ::-1].transpose(1, 0, 2)
-    _check_feasible(x, level, SamplingError, "sampler self-check")
-    return x
+            fill = _fill(level.treated[perm], level.control, orders, u)
+        else:  # the mirrored fill, turned back (perm is the identity)
+            fill = _fill(level.control[::-1], level.treated[::-1], orders, u)
+            fill = fill[::-1, ::-1].swapaxes(0, 1)
+        while fill.shape[2]:  # the group's draws into the buffer, a chunk at a time
+            if not held:  # a new chunk, contiguous: size draws, or all that is left
+                want = left if left <= size + 1 else size
+                chunk = flat[: levels * levels * want].reshape(levels, levels, want)
+            k = min(fill.shape[2], want - held)
+            chunk[:, :, held : held + k][perm] = fill[:, :, :k]
+            fill, held = fill[:, :, k:], held + k
+            if held == want:
+                _check_feasible(chunk, level, SamplingError, "sampler self-check")
+                yield chunk
+                left, held = left - held, 0
 
 
 def draw_samples(
@@ -253,7 +271,7 @@ def draw_samples(
     """(n, J, J) array of feasible joint matrices; deterministic in the seed.
 
     Every cell is drawn inside its exact feasible interval given the
-    residual margins (see ``_draw``), so each sample meets the
+    residual margins (see ``_draw_chunks``), so each sample meets the
     margins within the level's tolerance (``_Level.tol``) and its zero
     pattern exactly.  No draw is rejected: a batch that fails this
     self-check raises ``SamplingError``.  The batch depends only on (pair,
@@ -366,26 +384,37 @@ def _check_cells(
 ) -> list[VerificationReport]:
     """Check each (event, y, lower, upper) claim of a level against its batch.
 
-    The batch, ``_draw(level, n, default_rng(seed))``, is cell-major, (J, J,
-    n).  The witnesses of all cells are built first, in one checked batch;
-    the rows x[y] of each evidence level are summed once, and each event's
-    values go through one reused length-n buffer.  A witness's row y is
-    evaluated as ``pn_from_joint`` does.  Under ``incr`` the batch is n
-    copies of one point, which is evaluated once.
+    The batch, ``_draw_chunks(level, n, default_rng(seed), size)``, comes in
+    chunks of at most ``_CHUNK_BUDGET`` entries (16 draws at least).  Per
+    chunk each evidence level's rows x[y] are summed once and its distinct
+    events evaluated in one stacked product, keeping each event's least and
+    greatest value.  Then the witnesses of all cells are built, in one
+    checked batch; a witness's row y is evaluated as ``pn_from_joint`` does.
+    Under ``incr`` the batch is n copies of one point, evaluated once.
     """
-    x = _draw(level, n, np.random.default_rng(seed))
-    if level.joint is not None:
-        x = x[:, :, :1]
+    size = max(16, _CHUNK_BUDGET // level.pair.levels**2 // 16 * 16)
+    events: dict[int, dict[tuple[int, ...], int]] = {}  # y -> {each distinct event: its row}
+    for event, y, _, _ in cells:
+        rows = events.setdefault(y, {})
+        rows.setdefault(event.coeffs, len(rows))
+    vectors = {y: np.array(list(rows), dtype=float)[:, None, :] for y, rows in events.items()}
+    least, most = ({y: np.full(len(rows), v) for y, rows in events.items()} for v in (inf, -inf))
+    for x in _draw_chunks(level, n, np.random.default_rng(seed), size):
+        if level.joint is not None:
+            x = x[:, :, :1]
+        for y, stack in vectors.items():
+            # (k, 1, J) @ (J, m) runs one vector @ x[y] per event, each with its bits
+            values = np.matmul(stack, x[y])[:, 0]
+            values /= x[y].sum(axis=0)
+            np.minimum(least[y], values.min(axis=1), out=least[y])
+            np.maximum(most[y], values.max(axis=1), out=most[y])
     witnesses = level.witnesses(
         [spec for event, y, _, _ in cells for spec in _witness_specs(level, event, y)]
     )
-    mass = {y: x[y].sum(axis=0) for y in {cell[1] for cell in cells}}
-    values = np.empty(x.shape[2])
     reports = []
     for i, (event, y, lower, upper) in enumerate(cells):
-        np.matmul(event.vector, x[y], out=values)
-        values /= mass[y]
-        max_violation = max(0.0, float(lower - values.min()), float(values.max() - upper))
+        k = events[y][event.coeffs]
+        max_violation = max(0.0, float(lower - least[y][k]), float(most[y][k] - upper))
         low, up = (float(row @ event.vector / float(row.sum()))
                    for row in witnesses[2 * i : 2 * i + 2, y])
         reports.append(VerificationReport(

@@ -770,10 +770,10 @@ def test_verify_passes_on_good_data(tmp_path):
 def test_verify_fails_when_an_estimate_cannot_be_sampled(tmp_path, monkeypatch):
     from pnbounds import oracle
 
-    def empty(level, n, rng):
+    def empty(level, n, rng, size):
         raise oracle.SamplingError("no draw met the margins")
 
-    monkeypatch.setattr(oracle, "_draw", empty)
+    monkeypatch.setattr(oracle, "_draw_chunks", empty)
     code, report = report_from(
         tmp_path,
         ["--exp", EXP, "--obs", OBS, "--all-canonical", "--assume", "mono",
@@ -837,13 +837,13 @@ def test_verify_draws_one_batch_per_assumption_level(tmp_path, monkeypatch):
     from pnbounds.core import Assumptions
 
     drawn = []
-    draw = oracle._draw
+    draw = oracle._draw_chunks
 
-    def counting(level, n, rng):
+    def counting(level, n, rng, size):
         drawn.append(level.assumptions)
-        return draw(level, n, rng)
+        return draw(level, n, rng, size)
 
-    monkeypatch.setattr(oracle, "_draw", counting)
+    monkeypatch.setattr(oracle, "_draw_chunks", counting)
     code, report = report_from(
         tmp_path,
         ["--exp", EXP, "--obs", OBS, "--all-canonical", "--verify",
@@ -1180,7 +1180,7 @@ def test_an_oversized_verify_batch_exits_one_before_drawing(capsys, monkeypatch)
     def no_draw(*args):
         raise AssertionError("a batch was drawn")
 
-    monkeypatch.setattr(oracle, "_draw", no_draw)
+    monkeypatch.setattr(oracle, "_draw_chunks", no_draw)
     samples = 10**15  # 9e15 entries at J = 3: no numpy build could allocate them
     assert run(["--exp", EXP, "--obs", OBS, "--all-canonical", "--verify",
                 "--samples", str(samples)]) == 1

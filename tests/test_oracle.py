@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from pnbounds import (
     verify_bounds,
 )
 from pnbounds import oracle
+from pnbounds.bounds import cell_bounds
 from pnbounds.cli import main
 from pnbounds.core import EXACT_ATOL, SHARPNESS_TOL
 from pnbounds.identify import pair_facts
@@ -117,7 +119,7 @@ def test_one_cell_oracle_entries_refuse_a_malformed_cell_before_drawing(
     def no_draw(*args):
         raise AssertionError("drew a batch for a malformed cell")
 
-    monkeypatch.setattr(oracle, "_draw", no_draw)
+    monkeypatch.setattr(oracle, "_draw_chunks", no_draw)
     pair = pair_from_laws([0.2, 0.3, 0.5], [0.4, 0.3, 0.3])
     with pytest.raises(CausalAttributionError) as err:
         entry(pair, event, y)
@@ -321,7 +323,8 @@ def test_mass_off_the_zero_pattern_fails_the_self_check(assumptions, builder, cy
     # cells (k, m), (j, m) and (j, l): every margin holds and no entry falls
     # below -tol, so only the zero-pattern test can refuse the batch
     level = oracle._Level(pair_facts(builder(np.random.default_rng(607), 4)), assumptions)
-    x = np.array(oracle._draw(level, 500, np.random.default_rng(0)))
+    (x,) = oracle._draw_chunks(level, 500, np.random.default_rng(0), 500)
+    x = np.array(x)
     _cycle(x, *cycle, level.tol / 2)
     with pytest.raises(SamplingError, match="zero pattern"):
         oracle._check_feasible(x, level, SamplingError, "sampler self-check")
@@ -643,6 +646,106 @@ def test_the_level_pass_equals_a_recomputation_from_the_drawn_samples():
                 checked += 1
     assert checked > 2000
     assert verdicts == {(a, c) for a in Assumptions for c in (True, False)}
+
+
+def _chunk_cases():
+    """(pair, assumptions, n, evidence levels): J = 2, 30 and a seeded subset
+    between, each at every level, at draw counts around a 16-draw chunk, a
+    group of 10,000 draws (625) and groups of 187 and 188 draws (3001); from
+    J = 20 on, to keep the draws quick, only 1, 17 and 625."""
+    rng = np.random.default_rng(401)
+    for levels in [2, 30] + sorted(rng.choice(np.arange(3, 30), 4, replace=False).tolist()):
+        for assumptions in Assumptions:
+            builder = staircase_pair if assumptions is Assumptions.MONOTONIC_INCREMENT else (
+                lower_triangular_pair)
+            pair = builder(rng, levels)
+            ys = [y for y in range(levels) if pair.treated_law.probs[y] > 1e-9]
+            for n in (1, 15, 16, 17, 625, 3001) if levels < 20 else (1, 17, 625):
+                yield pair, assumptions, n, rng.choice(ys, min(2, len(ys)), replace=False).tolist()
+
+
+def test_chunked_checks_equal_the_whole_batch_bit_for_bit(monkeypatch):
+    """Each report field equals (==) the one computed from the whole batch of
+    ``draw_samples``, with chunks of 16 draws and of 112, which divides no
+    group.  Besides each cell's own bounds, two claims read each event's
+    least and greatest value exactly: (1.5 min, inf) leaves 1.5 min - min,
+    exact by Sterbenz, and (-inf, 0) leaves the max.  The chunks that the
+    check reads hold the whole batch's draws and give its event values,
+    draw for draw, each a whole number of 16-draw blocks but the last."""
+    draw, chunks, checked = oracle._draw_chunks, [], 0
+
+    def recording(*args):
+        for chunk in draw(*args):
+            chunks.append(chunk.copy())
+            yield chunk
+
+    monkeypatch.setattr(oracle, "_draw_chunks", recording)
+    for pair, assumptions, n, ys in _chunk_cases():
+        levels = pair.levels
+        seed = n + levels
+        facts = pair_facts(pair)
+        x = draw_samples(pair, assumptions, n, seed)
+        cells, expected, whole = [], [], {}
+        for y in ys:
+            custom = make_event("custom", levels, coeffs=[(y + l) % 2 for l in range(levels)])
+            kinds = ("noteq", "lt", "eq")
+            events = [custom] + [make_event(kind, levels, level=y) for kind in kinds]
+            for event in events:
+                values = x[:, y, :] @ event.vector / x[:, y, :].sum(1)
+                whole[y, event.coeffs] = event.vector @ x.transpose(1, 2, 0)[y]
+                res = cell_bounds(facts, event, y, assumptions)
+                low, up = endpoint_witnesses(pair, event, y, assumptions)
+                for lower, upper in ((res.lower, res.upper), (1.5 * values.min(), inf),
+                                     (-inf, 0.0)):
+                    violation = max(0.0, float(lower - values.min()), float(values.max() - upper))
+                    cells.append((event, y, lower, upper))
+                    expected.append(oracle.VerificationReport(
+                        contained=violation <= ATOL,
+                        max_violation=violation,
+                        sharpness_gap_lower=abs(pn_from_joint(low, event, y) - lower),
+                        sharpness_gap_upper=abs(pn_from_joint(up, event, y) - upper),
+                        n_samples=n,
+                        seed=seed,
+                    ))
+        for draws in (16, 112):
+            monkeypatch.setattr(oracle, "_CHUNK_BUDGET", draws * levels * levels)
+            chunks.clear()
+            assert oracle.verify_cells(facts, assumptions, cells, n, seed) == expected
+            start = 0
+            for chunk in chunks if assumptions is not Assumptions.MONOTONIC_INCREMENT else []:
+                m = chunk.shape[2]
+                assert m % 16 == 0 or start + m == n
+                assert np.array_equal(chunk[:, :, :m], x[start : start + m].transpose(1, 2, 0))
+                for (y, coeffs), products in whole.items():
+                    assert np.array_equal((np.array(coeffs, float) @ chunk[y])[:m],
+                                          products[start : start + m])
+                start += m
+            assert start == (0 if assumptions is Assumptions.MONOTONIC_INCREMENT else n)
+        checked += len(cells)
+    assert checked > 1500
+
+
+def test_a_level_is_checked_in_memory_bounded_by_the_chunk():
+    """numpy reports its buffers to tracemalloc.  At J = 30 and 2,000
+    ``marginal`` draws the whole batch is 13.7 MiB; the check holds one
+    chunk and a few group-sized temporaries of the fill (3.6 MiB)."""
+    import tracemalloc
+
+    pair = lower_triangular_pair(np.random.default_rng(409), 30)
+    facts = pair_facts(pair)
+    cells = [(make_event("noteq", 30, level=y), y, 0.0, 1.0) for y in (3, 17)]
+    n, entries = 2000, 30 * 30
+    group = -(-n // oracle.MIX_GROUPS)
+    chunk = max(16, oracle._CHUNK_BUDGET // entries // 16 * 16)
+    oracle.verify_cells(facts, Assumptions.MARGINAL_ONLY, cells, 16, 0)  # warm every import
+    tracemalloc.start()
+    try:
+        oracle.verify_cells(facts, Assumptions.MARGINAL_ONLY, cells, n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole = 8 * entries * n
+    assert peak < 8 * entries * (chunk + 5 * group) < whole
 
 
 def _witness_cases():
