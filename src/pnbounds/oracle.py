@@ -10,8 +10,9 @@ are re-attained by explicit constructions at every level.
 Draws are held cell-major, (J, J, n), so that every per-cell step works on
 one contiguous vector.  The cells of one (pair, level) are checked in one
 pass over one batch (``verify_cells``), drawn in chunks of ``_CHUNK_BUDGET``
-entries, the level's witnesses built as one array and checked as the draws
-are (``_check_feasible``), and under ``incr`` the one point evaluated once.
+entries, the level's witnesses built from its cells, each distinct one once
+in one array, and checked as the draws are (``_check_feasible``), and under
+``incr`` the one point evaluated once.
 """
 
 from __future__ import annotations
@@ -94,23 +95,30 @@ class _Level:
             self.control = np.maximum(treated + np.diff(clipped, prepend=0.0), 0.0)
         self.tol = EXACT_ATOL + (ATOL if low < 0 else 0.0)
 
-    def witnesses(self, specs: list[tuple[int, np.ndarray]]) -> np.ndarray:
-        """(len(specs), J, J): the witness of each (y, first) spec, or under
-        ``incr`` the level's joint.  Each distinct spec is filled once
-        (``_extremal_fills``), and the fill is checked, not trusted, in one
-        pass, as the draws are (``_check_feasible``, ``ConstructionError``)."""
+    def witnesses(self, cells: list[tuple[EventSpec, int]]) -> tuple[np.ndarray, np.ndarray]:
+        """(w, J, J): the endpoint witnesses of (event, y) cells, each distinct
+        one once, and (len(cells), 2): the index of each cell's lower and upper
+        witness (under ``incr`` both the level's joint).  Each (y, first) fill
+        is built once (``_extremal_fills``; an event's lower one is its
+        complement's upper one) and checked, not trusted, in one pass, as the
+        draws are (``_check_feasible``, ``ConstructionError``)."""
         if self.joint is not None:
-            fill, index = self.joint.entries[:, :, None], [0] * len(specs)
+            fill, index = self.joint.entries[:, :, None], [0] * (2 * len(cells))
         else:
+            specs = []  # (y, first): a fill takes the event's columns first for the upper
+            for event, y in cells:
+                upper = np.asarray(event.coeffs[: self.spans[y][1]], dtype=bool)
+                specs += [(y, ~upper), (y, upper)]
             slots: dict[tuple[int, bytes], int] = {}
             index = [slots.setdefault((y, first.tobytes()), len(slots)) for y, first in specs]
             # one spec per slot, in slot order: a dict key keeps its first place
             fill = _extremal_fills(self, list(dict(zip(index, specs)).values()))
         # witness-major, each witness one contiguous block, so that its flat
-        # sum is q.sum() of the witness alone
+        # sum is q.sum() of the witness alone; from here on held once
         q = fill.transpose(2, 0, 1).copy()
+        del fill
         _check_feasible(q.transpose(1, 2, 0), self, ConstructionError, "witness check")
-        return q[index]
+        return q, np.reshape(index, (-1, 2))
 
 
 def _fill(
@@ -321,12 +329,6 @@ def _extremal_fills(level: _Level, specs: list[tuple[int, np.ndarray]]) -> np.nd
     return q
 
 
-def _witness_specs(level: _Level, event: EventSpec, y: int) -> list[tuple[int, np.ndarray]]:
-    """The (y, first) specs of an event's lower and upper witness."""
-    first = np.asarray(event.coeffs[: level.spans[y][1]], dtype=bool)
-    return [(y, ~first), (y, first)]
-
-
 def endpoint_witnesses(
     pair: MarginalPair, event: EventSpec, y: int, assumptions: Assumptions
 ) -> tuple[JointProbabilityMatrix, JointProbabilityMatrix]:
@@ -335,12 +337,12 @@ def endpoint_witnesses(
     Explicit constructions at every level, with no LP and no bound
     formula: the extremal fills for ``marginal`` and ``mono``, and for
     ``incr`` the one feasible joint, ``identify_joint(pair)``, as both.  A
-    wrong closed form therefore shows as a sharpness gap.  Both are built
-    here, on a level of their own; the cells of one ``verify_cells`` call
+    wrong closed form therefore shows as a sharpness gap.  Built for this
+    one cell, on a level of its own; the cells of one ``verify_cells`` call
     share theirs.  Refused as ``pn_bounds_lp`` is (``_cell_level``).
     """
-    level = _cell_level(pair, event, y, assumptions)
-    low, up = level.witnesses(_witness_specs(level, event, y))
+    q, index = _cell_level(pair, event, y, assumptions).witnesses([(event, y)])
+    low, up = q[index[0]]
     return JointProbabilityMatrix(low), JointProbabilityMatrix(up)
 
 
@@ -388,8 +390,9 @@ def _check_cells(
     chunks of at most ``_CHUNK_BUDGET`` entries (16 draws at least).  Per
     chunk each evidence level's rows x[y] are summed once and its distinct
     events evaluated in one stacked product, keeping each event's least and
-    greatest value.  Then the witnesses of all cells are built, in one
-    checked batch; a witness's row y is evaluated as ``pn_from_joint`` does.
+    greatest value.  Then the cells' witnesses are built, each distinct one
+    once, in one checked batch; each cell's two, read through the index, are
+    evaluated on row y as ``pn_from_joint`` does.
     Under ``incr`` the batch is n copies of one point, evaluated once.
     """
     size = max(16, _CHUNK_BUDGET // level.pair.levels**2 // 16 * 16)
@@ -408,15 +411,12 @@ def _check_cells(
             values /= x[y].sum(axis=0)
             np.minimum(least[y], values.min(axis=1), out=least[y])
             np.maximum(most[y], values.max(axis=1), out=most[y])
-    witnesses = level.witnesses(
-        [spec for event, y, _, _ in cells for spec in _witness_specs(level, event, y)]
-    )
+    q, index = level.witnesses([(event, y) for event, y, _, _ in cells])
     reports = []
-    for i, (event, y, lower, upper) in enumerate(cells):
+    for (event, y, lower, upper), (i, j) in zip(cells, index.tolist()):
         k = events[y][event.coeffs]
         max_violation = max(0.0, float(lower - least[y][k]), float(most[y][k] - upper))
-        low, up = (float(row @ event.vector / float(row.sum()))
-                   for row in witnesses[2 * i : 2 * i + 2, y])
+        low, up = (float(row @ event.vector / float(row.sum())) for row in (q[i, y], q[j, y]))
         reports.append(VerificationReport(
             contained=max_violation <= ATOL,
             max_violation=max_violation,
@@ -436,9 +436,9 @@ def verify_cells(
     ``--verify`` makes per assumption level.
 
     Every cell shares one batch, ``draw_samples(facts.pair, assumptions, n,
-    seed)``, and the level's witnesses, each distinct construction built
-    once (the lower witness of an event is the upper witness of its
-    complement).  Containment: every sample gives an event probability
+    seed)``, and the witnesses built from its cells, each distinct
+    construction once (the lower witness of an event is the upper witness
+    of its complement).  Containment: every sample gives an event probability
     inside the claim.  Sharpness: each claimed endpoint's distance from what
     its witness attains.  Findings are report fields, never exceptions;
     ``SamplingError`` means the level cannot be sampled.  The cells are

@@ -518,6 +518,22 @@ def test_report_cells_equal_the_merged_per_level_fields(tmp_path):
                         repr(list(c.items())) for c in expected]
                     seen.update((c["assumptions"], c["kind"], c["method"],
                                  c.get("lp_cross_check"), c["event"][:6]) for c in cells)
+                    # rows without evidence: a mono refusal first, then zero
+                    # evidence, then failed incr brackets
+                    zero = [pair.treated_law.probs[c["evidence"]] <= ATOL for c in cells]
+                    for c, z in zip(cells, zero):
+                        if z and c["assumptions"] == "mono" and facts.mono_refusal is not None:
+                            assert (c["method"], c["note"]) == ("closed-form", facts.mono_refusal)
+                            seen.add(("mono", "refused", "closed-form", None, "zero, mono refused"))
+                        if z and c["assumptions"] == "incr":
+                            assert (c["method"], c["note"]) == (
+                                "none", str(ZeroEvidenceError.at_level(c["evidence"])))
+                            assert "lp_cross_check" not in c
+                            if not facts.brackets.passed:
+                                seen.add(("incr", "refused", "none", None, "zero, incr failed"))
+                    incr = [z for c, z in zip(cells, zero) if c["assumptions"] == "incr"]
+                    if incr and all(incr):
+                        seen.add(("incr", "refused", "none", None, "no incr row with evidence"))
     kinds = {s[:3] for s in seen}
     assert kinds == {  # every branch of the report was taken
         ("incr", "point", "point-identification"),
@@ -530,6 +546,9 @@ def test_report_cells_equal_the_merged_per_level_fields(tmp_path):
         ("mono", "refused", "none"),
     }
     assert ("incr", "refused", "point-identification", "infeasible", "custom") in seen
+    assert {("mono", "refused", "closed-form", None, "zero, mono refused"),
+            ("incr", "refused", "none", None, "zero, incr failed"),
+            ("incr", "refused", "none", None, "no incr row with evidence")} <= seen
     assert {s[0] for s in seen if s[4] == "custom" and s[1] != "refused"} == {
         "incr", "marginal", "mono"}
 
@@ -947,10 +966,10 @@ def test_verify_builds_each_distinct_witness_once(tmp_path, monkeypatch):
         built.extend((level.assumptions, y, first.tobytes()) for y, first in specs)
         return fill(level, specs)
 
-    def counting_witnesses(level, specs):
+    def counting_witnesses(level, cells):
         inside.append(level)
         try:
-            return witnesses(level, specs)
+            return witnesses(level, cells)
         finally:
             inside.pop()
 

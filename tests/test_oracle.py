@@ -562,12 +562,11 @@ def test_lower_witness_is_the_upper_witness_of_the_complement():
                 lower = endpoint_witnesses(pair, event, y, assumptions)[0]
                 upper = endpoint_witnesses(pair, event.complement(), y, assumptions)[1]
                 assert np.array_equal(lower.entries, upper.entries)
-                # on one level, the two are one construction
+                # on one level, the two are one construction, built once
                 level = oracle._Level(pair_facts(pair), assumptions)
-                specs = oracle._witness_specs(level, event, y)
-                specs += oracle._witness_specs(level, event.complement(), y)
-                witnesses = level.witnesses(specs)
-                assert np.array_equal(witnesses[0], witnesses[3])
+                q, index = level.witnesses([(event, y), (event.complement(), y)])
+                assert np.array_equal(q[index[0, 0]], q[index[1, 1]])
+                assert index[0, 0] == index[1, 1]
                 cells += 1
     assert cells > 150
 
@@ -748,6 +747,33 @@ def test_a_level_is_checked_in_memory_bounded_by_the_chunk():
     assert peak < 8 * entries * (chunk + 5 * group) < whole
 
 
+def test_a_level_holds_its_distinct_witnesses_at_most_twice():
+    """numpy reports its buffers to tracemalloc.  At J = 30 with 960 cells
+    the distinct witnesses take 12.7 MiB under ``marginal`` (1,856 of 1,920
+    endpoints) and 6.8 MiB under ``mono`` (984).  They are held twice while
+    they are built (the fill and its witness-major copy) and once after, and
+    never once per cell endpoint."""
+    import tracemalloc
+
+    pair = lower_triangular_pair(np.random.default_rng(409), 30)
+    facts = pair_facts(pair)
+    cells = [(event, y, 0.0, 1.0) for y in range(30) for event in [
+        make_event("noteq", 30, level=y), make_event("lt", 30, level=y),
+        *(make_event("eq", 30, level=l) for l in range(30))]]
+    assert len(cells) == 960
+    for assumptions in (Assumptions.MARGINAL_ONLY, Assumptions.MONOTONICITY):
+        level = oracle._Level(facts, assumptions)
+        distinct = level.witnesses([(event, y) for event, y, _, _ in cells])[0].nbytes
+        oracle.verify_cells(facts, assumptions, cells, 16, 0)  # warm every import
+        tracemalloc.start()
+        try:
+            oracle.verify_cells(facts, assumptions, cells, 16, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * distinct
+
+
 def _witness_cases():
     """(pair, its evidence levels to build) for ``_level_cases`` with every
     level, then J = 9-30 with two levels each, lower triangular or with a
@@ -773,30 +799,36 @@ def test_batched_witnesses_equal_witnesses_built_one_at_a_time():
                 level = oracle._Level(pair_facts(pair), assumptions)
             except SamplingError:
                 continue
-            specs = []
+            cells = []
             for y in ys:
                 custom = make_event("custom", levels, coeffs=rng.integers(0, 2, levels).tolist())
                 events = [custom, custom.complement()]
                 events += canonical_events(levels, y) if levels < 9 else [
                     make_event("noteq", levels, level=y)]
-                specs += [spec for event in events for spec in oracle._witness_specs(level, event, y)]
-            batched = level.witnesses(specs)
-            assert batched.shape == (len(specs), levels, levels)
-            alone = {}
-            for (y, first), witness in zip(specs, batched, strict=True):
-                key = (y, first.tobytes())
-                if key not in alone:
-                    c = np.clip(oracle._extremal_fills(level, [(y, first)])[:, :, 0], 0, None)
-                    alone[key] = c / c.sum()
-                assert np.array_equal(witness, alone[key])
-                built += 1
+                cells += [(event, y) for event in events]
+            q, index = level.witnesses(cells)
+            assert index.shape == (len(cells), 2)
+            assert q.shape == (len(np.unique(index)), levels, levels)
+            alone, slots = {}, {}
+            for (event, y), ends in zip(cells, index, strict=True):
+                upper = np.asarray(event.coeffs[: level.spans[y][1]], dtype=bool)
+                for first, k in zip((~upper, upper), ends, strict=True):
+                    key = (y, first.tobytes())
+                    if key not in alone:
+                        c = np.clip(oracle._extremal_fills(level, [(y, first)])[:, :, 0], 0, None)
+                        alone[key] = c / c.sum()
+                    assert np.array_equal(q[k], alone[key])
+                    assert slots.setdefault(key, k) == k
+                    built += 1
+            # each distinct (y, first) has one witness of its own
+            assert len(slots) == len(set(slots.values())) == len(q)
     assert built > 1500
-    # under incr every spec gets the level's joint
+    # under incr every cell gets the level's joint, twice
     pair = staircase_pair(rng, 6)
     level = oracle._Level(pair_facts(pair), Assumptions.MONOTONIC_INCREMENT)
-    specs = oracle._witness_specs(level, make_event("eq", 6, level=2), 3) * 3
+    q, index = level.witnesses([(make_event("eq", 6, level=2), 3)] * 3)
     c = np.clip(identify_joint(pair).entries, 0, None)
-    assert all(np.array_equal(w, c / c.sum()) for w in level.witnesses(specs))
+    assert all(np.array_equal(w, c / c.sum()) for w in q[index.ravel()])
 
 
 def test_concurrent_verification_matches_serial():
