@@ -12,7 +12,7 @@ one contiguous vector.  The cells of one (pair, level) are checked in one
 pass over one batch (``verify_cells``), drawn in chunks of ``_CHUNK_BUDGET``
 entries, the level's witnesses built from its cells, each distinct one once
 in one array, and checked as the draws are (``_check_feasible``), and under
-``incr`` the one point evaluated once.
+``incr`` the one point checked once, as its level is built, and evaluated once.
 """
 
 from __future__ import annotations
@@ -67,20 +67,19 @@ class _Level:
     the pair's except that a ``mono`` gap inside the band is clipped to zero
     (moving a level by at most ``ATOL``).  ``tol``: the margin tolerance of a
     draw or witness, ``EXACT_ATOL`` plus ``ATOL`` on a pair that meets the
-    level's conditions only inside the band.  ``joint``: the ``incr`` point.
-    ``spans``: the columns [first, end) that each row allows, one run in
-    every pattern.  A level is made by the caller that uses it and passed on
-    explicitly; nothing keeps one beyond that.
+    level's conditions only inside the band.  ``point``: the ``incr`` point
+    (J, J, 1), checked here, once.  ``spans``: the columns [first, end) that
+    each row allows, one run in every pattern.  A level is made by the caller
+    that uses it and passed on explicitly; nothing keeps one beyond that.
     """
 
     def __init__(self, facts: PairFacts, assumptions: Assumptions):
         self.pair = pair = facts.pair
-        self.assumptions, self.joint = assumptions, None
-        if assumptions is Assumptions.MONOTONIC_INCREMENT:
-            if not facts.brackets.passed:
-                raise SamplingError(str(FalsificationError(facts.brackets)))
-            self.joint = facts.joint()
-        elif assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
+        self.assumptions, self.point = assumptions, None
+        incr = assumptions is Assumptions.MONOTONIC_INCREMENT
+        if incr and not facts.brackets.passed:
+            raise SamplingError(str(FalsificationError(facts.brackets)))
+        if assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
             raise SamplingError(facts.mono_refusal)
         self.spans = [(int(row.argmax()), pair.levels - int(row[::-1].argmax()))
                       for row in allowed_mask(assumptions, pair.levels)]
@@ -88,31 +87,33 @@ class _Level:
         self.control = pair.control_law.probs
         gaps = facts.gaps
         low = gaps.min() if assumptions is not Assumptions.MARGINAL_ONLY else 0.0
-        if self.joint is not None:
+        if incr:
             low = min(low, (treated[1:] - gaps).min())
         elif assumptions is Assumptions.MONOTONICITY and low < 0:
             clipped = np.append(np.maximum(gaps, 0.0), 0.0)
             self.control = np.maximum(treated + np.diff(clipped, prepend=0.0), 0.0)
         self.tol = EXACT_ATOL + (ATOL if low < 0 else 0.0)
+        if incr:
+            self.point = facts.joint().entries[:, :, None].copy()
+            _check_feasible(self.point, self, SamplingError, "sampler self-check")
 
     def witnesses(self, cells: list[tuple[EventSpec, int]]) -> tuple[np.ndarray, np.ndarray]:
         """(w, J, J): the endpoint witnesses of (event, y) cells, each distinct
         one once, and (len(cells), 2): the index of each cell's lower and upper
-        witness (under ``incr`` both the level's joint).  Each (y, first) fill
-        is built once (``_extremal_fills``; an event's lower one is its
-        complement's upper one) and checked, not trusted, in one pass, as the
-        draws are (``_check_feasible``, ``ConstructionError``)."""
-        if self.joint is not None:
-            fill, index = self.joint.entries[:, :, None], [0] * (2 * len(cells))
-        else:
-            specs = []  # (y, first): a fill takes the event's columns first for the upper
-            for event, y in cells:
-                upper = np.asarray(event.coeffs[: self.spans[y][1]], dtype=bool)
-                specs += [(y, ~upper), (y, upper)]
-            slots: dict[tuple[int, bytes], int] = {}
-            index = [slots.setdefault((y, first.tobytes()), len(slots)) for y, first in specs]
-            # one spec per slot, in slot order: a dict key keeps its first place
-            fill = _extremal_fills(self, list(dict(zip(index, specs)).values()))
+        witness (under ``incr`` both the level's checked point, uncopied).  Each
+        (y, first) fill is built once (``_extremal_fills``; an event's lower one
+        is its complement's upper one) and checked, not trusted, in one pass, as
+        the draws are (``_check_feasible``, ``ConstructionError``)."""
+        if self.point is not None:
+            return self.point.transpose(2, 0, 1), np.zeros((len(cells), 2), dtype=int)
+        specs = []  # (y, first): a fill takes the event's columns first for the upper
+        for event, y in cells:
+            upper = np.asarray(event.coeffs[: self.spans[y][1]], dtype=bool)
+            specs += [(y, ~upper), (y, upper)]
+        slots: dict[tuple[int, bytes], int] = {}
+        index = [slots.setdefault((y, first.tobytes()), len(slots)) for y, first in specs]
+        # one spec per slot, in slot order: a dict key keeps its first place
+        fill = _extremal_fills(self, list(dict(zip(index, specs)).values()))
         # witness-major, each witness one contiguous block, so that its flat
         # sum is q.sum() of the witness alone; from here on held once
         q = fill.transpose(2, 0, 1).copy()
@@ -226,7 +227,7 @@ def _draw_chunks(
     arcsine law, which puts more draws near the ends of each cell's interval
     than a uniform u does; measured, that widens the sampled range of every
     event; each group transforms only the uniforms its fill reads.  ``incr``:
-    the one feasible point, broadcast, as one chunk.  A batch of more than
+    the level's checked point, broadcast, as one chunk.  A batch of more than
     ``BATCH_BUDGET`` entries is refused unallocated.
     """
     levels = level.pair.levels
@@ -235,10 +236,8 @@ def _draw_chunks(
     if n * levels * levels > BATCH_BUDGET:
         raise SamplingError(f"{n} draws of {levels} x {levels} joints exceed the batch budget "
                             f"of {BATCH_BUDGET} entries")
-    if level.joint is not None:
-        point = level.joint.entries[:, :, None].copy()
-        _check_feasible(point, level, SamplingError, "sampler self-check")
-        yield np.broadcast_to(point, (levels, levels, n))
+    if level.point is not None:
+        yield np.broadcast_to(level.point, (levels, levels, n))
         return
     flat, held, left = np.empty(levels * levels * min(size + 1, n)), 0, n  # left: unyielded
     marginal = level.assumptions is Assumptions.MARGINAL_ONLY
@@ -322,7 +321,7 @@ def _extremal_fills(level: _Level, specs: list[tuple[int, np.ndarray]]) -> np.nd
             budget[l:] = [b - cell for b in budget[l:]]
         rows[y, i] = 0.0
     orders = [np.arange(*span) for span in level.spans]
-    u = np.ones((levels * levels, len(specs)))
+    u = np.broadcast_to(1.0, (levels * levels, len(specs)))  # unit fractions, unallocated
     q = _fill(rows, control[:, None] - evidence, orders, u)
     for i, (y, _) in enumerate(specs):
         q[y, :, i] = evidence[:, i]
@@ -393,7 +392,7 @@ def _check_cells(
     greatest value.  Then the cells' witnesses are built, each distinct one
     once, in one checked batch; each cell's two, read through the index, are
     evaluated on row y as ``pn_from_joint`` does.
-    Under ``incr`` the batch is n copies of one point, evaluated once.
+    Under ``incr`` the batch broadcasts the level's checked point, evaluated once.
     """
     size = max(16, _CHUNK_BUDGET // level.pair.levels**2 // 16 * 16)
     events: dict[int, dict[tuple[int, ...], int]] = {}  # y -> {each distinct event: its row}
@@ -403,7 +402,7 @@ def _check_cells(
     vectors = {y: np.array(list(rows), dtype=float)[:, None, :] for y, rows in events.items()}
     least, most = ({y: np.full(len(rows), v) for y, rows in events.items()} for v in (inf, -inf))
     for x in _draw_chunks(level, n, np.random.default_rng(seed), size):
-        if level.joint is not None:
+        if level.point is not None:
             x = x[:, :, :1]
         for y, stack in vectors.items():
             # (k, 1, J) @ (J, m) runs one vector @ x[y] per event, each with its bits

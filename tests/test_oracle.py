@@ -547,6 +547,65 @@ def test_increment_witnesses_are_the_identified_joint():
         assert np.array_equal(up.entries, identify_joint(pair).entries)
 
 
+def test_the_incr_point_is_checked_once(monkeypatch):
+    """The ``incr`` level is one point, copied and self-checked once, when the
+    level is built: each oracle entry makes one check, and its draws,
+    witnesses and reports read that point, the clipped and rescaled
+    ``identify_joint``.  A faulty point fails that check in every entry."""
+    check, calls = oracle._check_feasible, []
+
+    def counting(x, level, error, what):
+        calls.append(what)
+        return check(x, level, error, what)
+
+    monkeypatch.setattr(oracle, "_check_feasible", counting)
+    incr, levels, y, n, seed = Assumptions.MONOTONIC_INCREMENT, 5, 2, 40, 3
+    pair = staircase_pair(np.random.default_rng(61), levels)
+    c = np.clip(identify_joint(pair).entries, 0, None)
+    point = c / c.sum()
+    event = make_event("noteq", levels, level=y)
+    value = pn_from_joint(JointProbabilityMatrix(point), event, y)
+    drawn = point[y] @ event.vector / point[y].sum()
+    # a claim around the point, and one that reads the drawn value exactly
+    claims = [(value - 0.25, value + 0.5), (1.5 * drawn, inf)]
+    expected = []
+    for lower, upper in claims:
+        violation = max(0.0, float(lower - drawn))
+        expected.append(oracle.VerificationReport(
+            contained=violation <= ATOL, max_violation=violation,
+            sharpness_gap_lower=abs(value - lower), sharpness_gap_upper=abs(value - upper),
+            n_samples=n, seed=seed,
+        ))
+    entries = {
+        "draw_samples": lambda: draw_samples(pair, incr, n, seed),
+        "endpoint_witnesses": lambda: [w.entries for w in endpoint_witnesses(pair, event, y, incr)],
+        "verify_bounds": lambda: [verify_bounds(pair, event, y, incr, BoundsResult(
+            lower, upper, incr, Method.CLOSED_FORM), n, seed) for lower, upper in claims[:1]],
+        "verify_cells": lambda: oracle.verify_cells(
+            pair_facts(pair), incr, [(event, y, *claim) for claim in claims], n, seed),
+    }
+    results = {}
+    for name, entry in entries.items():
+        calls.clear()
+        results[name] = entry()
+        assert calls == ["sampler self-check"], name
+    assert results["draw_samples"].shape == (n, levels, levels)
+    assert all(np.array_equal(x, point) for x in results["draw_samples"])
+    assert all(np.array_equal(w, point) for w in results["endpoint_witnesses"])
+    assert results["verify_bounds"] == expected[:1]
+    assert results["verify_cells"] == expected
+    # a faulty point, here mass below the subdiagonal, fails the one check
+    from pnbounds.identify import PairFacts
+
+    monkeypatch.setattr(PairFacts, "joint", lambda facts: JointProbabilityMatrix(
+        np.full((levels, levels), 1 / levels**2)))
+    for name, entry in entries.items():
+        calls.clear()
+        with pytest.raises(SamplingError, match="sampler self-check failed: .*zero pattern"):
+            entry()
+        assert calls == ["sampler self-check"], name
+
+
 def test_lower_witness_is_the_upper_witness_of_the_complement():
     rng = np.random.default_rng(53)
     cells = 0
