@@ -222,6 +222,11 @@ def run_analysis(
     assumption level takes one ``_level_cells`` pass (one LP emptiness test
     per report), laid out per (event, evidence).  ``loaded`` holds the facts
     (``identify.pair_facts``) and the provenance of ``load_marginals(cfg)``.
+    The levels share those facts and the events, each parsed once.  With
+    ``cfg.verify`` the report ends in a ``verification`` object (``samples``,
+    ``seed``, the checked ``cells``, and ``passed``: false when one failed or
+    was skipped); a batch over ``oracle.BATCH_BUDGET`` entries is refused
+    after the evidence and event checks, before any level is built.
     """
     facts, provenance = loaded
     pair = facts.pair
@@ -259,12 +264,21 @@ def run_analysis(
         "cells": [],
     }
     events = {spec: parse_event(spec, levels) for spec in dict.fromkeys(spec for spec, _ in grid)}
+    if cfg.verify and cfg.samples * levels * levels > oracle.BATCH_BUDGET:
+        raise _UsageError(f"--verify: --samples {cfg.samples} draws of {levels} x {levels} joints "
+                          f"exceed the batch budget of {oracle.BATCH_BUDGET} entries (2**27)")
     rows = (np.array([events[spec].coeffs for spec, _ in grid]), np.array([y for _, y in grid]))
     treated = pair.treated_law.probs.tolist()
     zero = {y: str(ZeroEvidenceError.at_level(y)) for y in evidence if treated[y] <= ATOL}
-    by_level = [_level_cells(facts, grid, events, rows, zero, assumptions)
+    verify = (cfg.samples, cfg.seed) if cfg.verify else None
+    by_level = [_level_cells(facts, grid, events, rows, zero, assumptions, verify)
                 for assumptions in _assumption_list(cfg.assume)]
-    report["cells"] = [cell for cells in zip(*by_level) for cell in cells]
+    report["cells"], entries = ([cell for row in zip(*level) for cell in row]
+                                for level in zip(*by_level))
+    if cfg.verify:
+        passed = not any(e["verification"]["status"] in ("failed", "skipped") for e in entries)
+        report["verification"] = {"samples": cfg.samples, "seed": cfg.seed, "cells": entries,
+                                  "passed": passed}
     return report
 
 
@@ -275,8 +289,9 @@ def _level_cells(
     rows: tuple[np.ndarray, np.ndarray],
     zero: dict[int, str],
     assumptions: Assumptions,
-) -> list[dict[str, Any]]:
-    """The report cells of one assumption level, in grid order.
+    verify: tuple[int, int] | None,
+) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+    """One assumption level's report cells and ``--verify`` entries, in grid order.
 
     ``rows`` holds the grid's event coefficients and evidence levels, and
     ``zero`` the refusal note of each evidence level without treated mass.
@@ -286,6 +301,15 @@ def _level_cells(
     the cells with evidence, which share one answer of ``lp.polytope_empty``
     (emptiness depends on no event or evidence level).  Each cell is built
     once, its keys in report order.
+
+    ``verify`` is ``--verify``'s sample count and seed.  The samples depend
+    only on the level, so its estimates go to one ``oracle.verify_cells``
+    call, which draws the level's batch, builds its witnesses in one batch
+    and reads each evidence level's rows once.  Each claim is its row's
+    bounds clamped to [0, 1] (the reported ``incr`` point is not), a point
+    being both ends.  Each entry is its cell plus a ``verification`` object,
+    the oracle's status first: ``ok`` or ``failed``; ``refused`` for a
+    refused cell; ``skipped`` for each estimate of a level it cannot sample.
     """
     assume = assumptions.value
     incr = assumptions is Assumptions.MONOTONIC_INCREMENT
@@ -298,78 +322,45 @@ def _level_cells(
     # the rows with evidence (the others are refused below); a slice copies nothing
     keep = [y not in zero for _, y in grid] if zero else slice(None)
     lower, upper = np.zeros((2, len(grid)))
+    checks: dict[int, dict[str, Any]] = {}  # the --verify check of each row with an estimate
     try:
         lower[keep], upper[keep] = bounds_mod.level_bounds(
             facts, *(r[keep] for r in rows), assumptions)
     except bounds_mod.UnsupportedEventError as exc:
-        return refused(str(exc))
+        cells, zero = refused(str(exc)), {}  # its note on every cell, zero evidence too
     except identify_mod.FalsificationError as exc:
         empty = polytope_empty(facts.pair, assumptions)  # not empty is a bug: the brackets failed
         cells = refused(str(exc),
                         lp_cross_check="infeasible" if empty else "feasible (inconsistent)")
     else:
+        lows, ups = lower.tolist(), upper.tolist()
         if incr:
             cells = [{"event": s, "label": events[s].label, "evidence": y, "assumptions": assume,
                       "kind": "point", "value": v, "method": method}
-                     for (s, y), v in zip(grid, lower.tolist())]
+                     for (s, y), v in zip(grid, lows)]
         else:
             cells = [{"event": s, "label": events[s].label, "evidence": y, "assumptions": assume,
                       "kind": "interval", "lower": lo, "upper": up, "method": method}
-                     for (s, y), lo, up in zip(grid, lower.tolist(), upper.tolist())]
+                     for (s, y), lo, up in zip(grid, lows, ups)]
+        estimated = [i for i, (_, y) in enumerate(grid) if y not in zero] if verify else []
+        if estimated:
+            claims = [(events[grid[i][0]], grid[i][1], max(0.0, lows[i]), min(1.0, ups[i]))
+                      for i in estimated]
+            try:
+                found = oracle.verify_cells(facts, assumptions, claims, *verify)
+                checks = {i: {name: getattr(check, name) for name in _CHECK_FIELDS}
+                          for i, check in zip(estimated, found)}
+            except oracle.SamplingError as exc:
+                checks = {i: {"status": "skipped", "reason": str(exc)} for i in estimated}
     if zero:
         for i, (s, y) in enumerate(grid):
             if y in zero:
                 cells[i] = {"event": s, "label": events[s].label, "evidence": y,
                             "assumptions": assume, "kind": "refused", "note": zero[y],
                             "method": "none"}
-    return cells
-
-
-def verify_report(
-    cfg: AnalysisConfig, facts: identify_mod.PairFacts, report: dict[str, Any]
-) -> dict[str, Any]:
-    """Re-check every cell by sampling and witness attainment.
-
-    The samples depend only on the assumption level (the pair, the sample
-    count and the seed are fixed), so each level's cells go to one
-    ``oracle.verify_cells`` call, one level at a time: it draws the level's
-    batch, builds the level's witnesses in one batch and reads the batch's
-    rows of each evidence level once.  The levels share the facts of the
-    pair, those the report was built on, and the events, parsed once.  Each
-    claim is clamped to [0, 1], a point being both ends (the report's
-    ``incr`` value itself is not clamped).  Each entry renders its check,
-    the oracle's status first: ``ok`` or ``failed``, or ``refused``, or
-    ``skipped`` for every cell of a level that cannot be sampled; ``passed``
-    is false when one failed or was skipped.  A batch of more than
-    ``oracle.BATCH_BUDGET`` entries is refused first.
-    """
-    levels = facts.pair.levels
-    if cfg.samples * levels * levels > oracle.BATCH_BUDGET:
-        raise _UsageError(f"--verify: --samples {cfg.samples} draws of {levels} x {levels} joints "
-                          f"exceed the batch budget of {oracle.BATCH_BUDGET} entries (2**27)")
-    entries = [dict(cell) for cell in report["cells"]]
-    events = {s: parse_event(s, levels) for s in {e["event"] for e in entries}}
-    by_level: dict[Assumptions, list[dict[str, Any]]] = {}
-    for entry in entries:
-        if entry["kind"] == "refused":
-            entry["verification"] = {"status": "refused", "reason": "no estimate to verify"}
-        else:
-            by_level.setdefault(Assumptions(entry["assumptions"]), []).append(entry)
-    for assumptions, cells in by_level.items():
-        claims = []
-        for e in cells:
-            lower, upper = (e["value"],) * 2 if e["kind"] == "point" else (e["lower"], e["upper"])
-            claims.append((events[e["event"]], e["evidence"], max(0.0, lower), min(1.0, upper)))
-        try:
-            checks = oracle.verify_cells(facts, assumptions, claims, cfg.samples, cfg.seed)
-        except oracle.SamplingError as exc:
-            for entry in cells:
-                entry["verification"] = {"status": "skipped", "reason": str(exc)}
-            continue
-        for entry, check in zip(cells, checks):
-            entry["verification"] = {name: getattr(check, name) for name in _CHECK_FIELDS}
-    passed = not any(e["verification"]["status"] in ("failed", "skipped") for e in entries)
-    return {"samples": cfg.samples, "seed": cfg.seed, "cells": entries, "passed": passed}
+    return cells, [{**cell, "verification": checks.get(i) or {
+        "status": "refused", "reason": "no estimate to verify"}} for i, cell in enumerate(cells)
+    ] if verify else []
 
 
 #: Exact types that the C encoder writes as ``json.dumps`` does
@@ -468,10 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _merge_config(args)
         _validate(cfg)
         pair, provenance = load_marginals(cfg)
-        facts = identify_mod.pair_facts(pair)
-        report = run_analysis(cfg, (facts, provenance))
-        if cfg.verify:
-            report["verification"] = verify_report(cfg, facts, report)
+        report = run_analysis(cfg, (identify_mod.pair_facts(pair), provenance))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

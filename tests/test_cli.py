@@ -36,7 +36,6 @@ from pnbounds.cli import (
     parse_event,
     render_table,
     run_analysis,
-    verify_report,
 )
 from helpers import lalonde_pair, merged_report_cells
 
@@ -357,10 +356,7 @@ def test_dumps_writes_keys_of_every_scalar_type_like_json_dumps(key):
 
 def test_verify_report_encodes_like_json_dumps():
     cfg = AnalysisConfig(exp=EXP, obs=OBS, all_canonical=True, verify=True, samples=2000)
-    pair, provenance = load_marginals(cfg)
-    facts = pair_facts(pair)
-    report = run_analysis(cfg, (facts, provenance))
-    report["verification"] = verify_report(cfg, facts, report)
+    report = analysis(cfg)
     assert any(c["verification"]["status"] == "ok" for c in report["verification"]["cells"])
     assert _dumps(report) == json.dumps(report, indent=2)
 
@@ -1208,6 +1204,20 @@ def test_an_oversized_verify_batch_exits_one_before_drawing(capsys, monkeypatch)
         f"budget of {oracle.BATCH_BUDGET} entries (2**27)\n"))
 
 
+def test_an_evidence_level_out_of_range_is_refused_before_the_verify_batch_budget(
+        capsys, monkeypatch):
+    from pnbounds import oracle
+
+    def no_draw(*args):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(oracle, "_draw_chunks", no_draw)
+    assert run(["--exp", EXP, "--obs", OBS, "--event", "noteq:2", "--evidence", "9",
+                "--verify", "--samples", str(10**15)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: evidence level 9 out of range for 3 outcome levels\n")
+
+
 # --- error paths ----------------------------------------------------------------------
 
 def test_usage_errors_exit_one(tmp_path):
@@ -1248,6 +1258,17 @@ def test_config_values_are_checked_like_their_flags(tmp_path, capsys, payload):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_the_config_key_of_event_is_events(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"exp": EXP, "obs": OBS, "event": ["eq:1"]}))
+    assert run(["--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", "error: unknown config key 'event'\n")
+    cfg.write_text(json.dumps({"exp": EXP, "obs": OBS, "events": ["eq:1"], "evidence": [2]}))
+    code, report = report_from(tmp_path, ["--config", str(cfg)])
+    assert code == 0
+    assert {(c["event"], c["evidence"]) for c in report["cells"]} == {("eq:1", 2)}
 
 
 def test_data_errors_exit_two(tmp_path):

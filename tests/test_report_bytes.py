@@ -4,7 +4,7 @@ Each case runs ``cli.main`` in process, in a directory that holds copies of
 ``tests/data`` and small seeded tables, and hashes its exit code, standard
 error, warnings and standard output with SHA-256.  The cases cover every
 table class on every route, ``--table``, custom events, zero evidence,
-``--config``, ``--verify`` and the error exits.  ``DIGESTS`` was recorded
+``--config``, ``--verify``, ``--help`` and the error exits.  ``DIGESTS`` was recorded
 before the report cells were built in one pass per assumption level, so a
 change to any report byte fails here.  ``error-csv-empty-arm`` was recorded
 when the refusal began to name the file, and ``error-json-string-counts``
@@ -16,9 +16,11 @@ whole batch at once; evaluating it per group of draws moves two of its
 an object that starts with its status; every figure in them stayed the
 same.  ``lalonde-table-mono``, ``lalonde-table-repeats`` and
 ``lalonde-table-verify`` were recorded before ``render_table`` became one
-pass over the cells.  The reports print floats to the last
+pass over the cells.  ``verify-zero-level``, ``verify-strata``, the four
+``error-route-*`` cases and ``help`` were recorded before ``--verify`` ran
+inside the report's pass over each assumption level.  The reports print floats to the last
 bit, so a numpy build whose sums or dot products round differently moves
-the digests too.
+the digests too, and ``help`` moves with the Python version's argparse.
 
 Print the digests of the code on ``sys.path``:
 
@@ -35,6 +37,7 @@ import os
 import shutil
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -131,6 +134,16 @@ def cases() -> dict[str, list[str]]:
                                 "--all-canonical"],
         "error-json-string-counts": ["--mode", "pc", "--exp", _write(
             "string_counts.json", {"counts": [["3", "4"], ["5", "6"]]}), "--all-canonical"],
+        # the four route refusals of the flag checks
+        "error-route-experimental": ["--exp", exp, "--all-canonical"],
+        "error-route-pc-exp": ["--mode", "pc", "--all-canonical"],
+        "error-route-unconfounded-strata": ["--route", "unconfounded", "--all-canonical"],
+        "error-route-pc-unconfounded": ["--mode", "pc", "--exp", exp, "--route", "unconfounded",
+                                        "--all-canonical"],
+        "help": ["--help"],
+        # a refused incr level (lp_cross_check: infeasible) beside verified levels
+        "verify-strata": ["--route", "unconfounded", "--strata", "strata_example.json",
+                          "--all-canonical", "--verify", "--samples", "200"],
     }
     rng = np.random.default_rng(20)
     for levels in LEVELS:
@@ -161,12 +174,18 @@ def cases() -> dict[str, list[str]]:
     argvs["verify-9-levels"] = ["--mode", "pc", "--exp", _write("verify9.json", {
         "counts": [q.sum(axis=0).tolist(), q.sum(axis=1).tolist()]}), "--all-canonical",
         "--verify", "--samples", "500"]
+    # zero-evidence rows refused inside verified levels
+    argvs["verify-zero-level"] = ["--mode", "pc", "--exp", "zerolevel4.pc.json",
+                                  "--all-canonical", "--verify", "--samples", "200"]
     return argvs
 
 
 def digest(argv: list[str]) -> str:
+    """The digest of one run; ``COLUMNS`` is fixed, since argparse wraps its
+    help to the terminal width."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
+            mock.patch.dict(os.environ, COLUMNS="80"), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = main(argv)
@@ -211,6 +230,12 @@ DIGESTS: dict[str, str] = {
     'error-incompatible': '237ffc04466fe823932122d9a2b6cea0e12597a547b6e188c338fef981853881',
     'error-csv-empty-arm': '1fbdb730a7fb3916bf90b3b33d57b1eb633b53ff31d87b9cce4a0879cf41e046',
     'error-json-string-counts': 'e70eaf872b0e3e4062bf8ec76ebd254e11de3cda2a6b869deed13df86bebe0ee',
+    'error-route-experimental': '2adf3522322e5054291cecc9c95925c655454ee6480462c68c77fd0edb589c68',
+    'error-route-pc-exp': '1b5bc3f33446c38d90544f6d78847af85ee610d149af68f4e1128fb869d86e2d',
+    'error-route-unconfounded-strata': '2336aebf667bca85f53f8fa2cc948f8f59e5a4f4b7e56a10a0190a35f4bb9c36',
+    'error-route-pc-unconfounded': 'c6695d85762924b003d73d20193cb3f736c3058c79595e9afa6853f8a54efd15',
+    'help': '64db251cd474f8aa7a713e79e72f688e41c4c64e2de78afee6418a666b9d0bc9',
+    'verify-strata': '4dacb09241c026cee97ef154233328bfd734338e63b4f61ab97f11924fbaedc5',
     'staircase3-exp': '7603897dc752b3a9d9995af67defd8d494e41dbf7f23a9cdcea61ce2c07800f3',
     'staircase3-strata': '6d5f7d50de28b1ba3f8ebbb53a95a6773b4ff0e4f2e950d92be0f11df8dbb88e',
     'staircase3-pc': 'e60f2ad097dc5bb25c540a2f4b334ea0591151abbc25b9d651280038a3e92192',
@@ -331,6 +356,7 @@ DIGESTS: dict[str, str] = {
     'zerolevel8-pc': '3e2a44cb9257dccb26161caf3b4a7d541a2931eaefd3af04b22c0c5cf3fbb89e',
     'zerolevel8-table': '66349bdaba390b0d8c8490393ef03e63f88c19a02c63d806868c265bd64328a3',
     'zerolevel8-custom': '1ed78c64c1eb2c5118d5e99b75f1b611034b9941d091d6f7562be91ea490f558',
+    'verify-zero-level': '9af1f3bf1d6a017cb3f301ceb559a3c077325ba11950aca7822ac0e431a3f35f',
 }
 
 
