@@ -188,9 +188,9 @@ def load_marginals(cfg: AnalysisConfig) -> tuple[MarginalPair, dict[str, Any]]:
 def parse_event(spec: str, levels: int) -> EventSpec:
     kind, _, arg = spec.partition(":")
     if kind == "custom":
-        if not arg or any(ch not in "01" for ch in arg):
+        if not arg or arg.strip("01"):
             raise _UsageError(f"bad custom event {spec!r}; expected custom:<bits>")
-        return make_event("custom", levels, coeffs=[int(ch) for ch in arg])
+        return make_event("custom", levels, coeffs=arg)
     if kind not in ("noteq", "eq", "lt"):
         raise _UsageError(f"unknown event kind in {spec!r}")
     try:
@@ -253,10 +253,10 @@ def run_analysis(
         },
         "gaps": facts.gaps.tolist(),
         "falsification": {
-            "passed": facts.brackets.passed,
+            "passed": facts.passed,
             "brackets": [
-                {"k": c.k, "lower": c.lower, "gap": c.gap, "upper": c.upper, "ok": c.ok}
-                for c in facts.brackets.checks
+                {"k": k, "lower": lower, "gap": gap, "upper": upper, "ok": within and diag}
+                for k, lower, gap, upper, within, diag in facts.cuts
             ],
         },
         "monotone_consistent": facts.mono_refusal is None,

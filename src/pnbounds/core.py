@@ -246,7 +246,7 @@ def make_event(
     kind: str,
     levels: int,
     level: int | None = None,
-    coeffs: Iterable[int] | None = None,
+    coeffs: Iterable[int | str] | None = None,
 ) -> EventSpec:
     """Build an event of one of the named families.
 
@@ -259,7 +259,7 @@ def make_event(
     if kind == "custom":
         if coeffs is None:
             raise EventSpecError("custom events need explicit coefficients")
-        bits = tuple(int(c) for c in coeffs)
+        bits = tuple(map(int, coeffs))
         if len(bits) != levels:
             raise EventSpecError(
                 f"custom event has {len(bits)} coefficients for {levels} levels"

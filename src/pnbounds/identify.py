@@ -83,16 +83,22 @@ def gap_sequence(pair: MarginalPair) -> np.ndarray:
 class PairFacts:
     """What every cell of one marginal pair reads, computed once by ``pair_facts``.
 
-    ``gaps`` is ``gap_sequence(pair)``; ``brackets`` is the
-    ``falsification_check`` report on those gaps; ``mono_refusal`` names
-    every cut whose gap is below ``-ATOL`` (the data contradict
-    monotonicity), or is None.
+    ``gaps`` is ``gap_sequence(pair)``; ``cuts`` holds each cut's bracket as
+    a row ``(k, lower, gap, upper, within_bracket, diag_nonnegative)``, and
+    ``passed`` is whether all hold; ``mono_refusal`` names every cut whose
+    gap is below ``-ATOL`` (the data contradict monotonicity), or is None.
     """
 
     pair: MarginalPair
     gaps: np.ndarray
-    brackets: FalsificationReport
+    cuts: tuple[tuple[int, float, float, float, bool, bool], ...]
+    passed: bool
     mono_refusal: str | None
+
+    @property
+    def brackets(self) -> FalsificationReport:
+        """The ``falsification_check`` report of the cuts, built when read."""
+        return FalsificationReport(self.passed, tuple(BracketCheck(*cut) for cut in self.cuts))
 
     def points(self, coeffs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """c_y + (c_{y-1} - c_y) * gap_y / treated[y] for each row's event
@@ -102,7 +108,7 @@ class PairFacts:
         brackets (``FalsificationError``).
         """
         mass = evidence_mass(self.pair, ys)
-        if not self.brackets.passed:
+        if not self.passed:
             raise FalsificationError(self.brackets)
         rows = np.arange(len(ys))
         c_y = coeffs[rows, ys]
@@ -111,7 +117,7 @@ class PairFacts:
 
     def joint(self) -> JointProbabilityMatrix:
         """The one joint on the diagonal-plus-subdiagonal pattern; see ``identify_joint``."""
-        if not self.brackets.passed:
+        if not self.passed:
             raise FalsificationError(self.brackets)
         gaps = self.gaps
         # treated[0], then treated[k] - gap_k on the diagonal; gap_k below it
@@ -121,7 +127,7 @@ class PairFacts:
 
 
 def pair_facts(pair: MarginalPair) -> PairFacts:
-    """The gaps, the bracket report and the monotone refusal of a pair.
+    """The gaps, the bracket rows and the monotone refusal of a pair.
 
     For each k = 1..J-1 the subdiagonal entry of the reconstructed joint
     equals the cumulative gap and must satisfy its two-event probability
@@ -136,24 +142,16 @@ def pair_facts(pair: MarginalPair) -> PairFacts:
     # Python floats: the same IEEE arithmetic as numpy scalars, without their overhead
     treated = pair.treated_law.probs.tolist()
     control = pair.control_law.probs.tolist()
-    checks = []
+    cuts = []
     for k, gap in enumerate(gaps.tolist(), start=1):
         lower = max(0.0, treated[k] + control[k - 1] - 1.0)
         upper = min(treated[k], control[k - 1])
-        checks.append(
-            BracketCheck(
-                k=k,
-                lower=lower,
-                gap=gap,
-                upper=upper,
-                within_bracket=lower - ATOL <= gap <= upper + ATOL,
-                diag_nonnegative=treated[k] - gap >= -ATOL,
-            )
-        )
-    brackets = FalsificationReport(passed=all(c.ok for c in checks), checks=tuple(checks))
-    bad = ", ".join(f"k={c.k}: gap {c.gap:.6g}" for c in checks if c.gap < -ATOL)
+        cuts.append((k, lower, gap, upper, lower - ATOL <= gap <= upper + ATOL,
+                     treated[k] - gap >= -ATOL))
+    passed = all(within and diag for *_, within, diag in cuts)
+    bad = ", ".join(f"k={k}: gap {gap:.6g}" for k, _, gap, *_ in cuts if gap < -ATOL)
     note = "monotonicity falsified by the data: negative cumulative gap at " + bad
-    return PairFacts(pair, gaps, brackets, note if bad else None)
+    return PairFacts(pair, gaps, tuple(cuts), passed, note if bad else None)
 
 
 def falsification_check(pair: MarginalPair) -> FalsificationReport:

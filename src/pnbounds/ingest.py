@@ -162,27 +162,20 @@ def counterfactual_margin_experimental(
 
 
 def counterfactual_margin_unconfounded(strata: StratifiedTable) -> MarginalPair:
-    """Identify the control law among treated units by stratum reweighting.
+    """Identify the control law among treated units by stratum reweighting:
 
-    control_law[y] = sum_x pr(Y=y | Z=0, x) * pr(x | Z=1).  Requires every
-    stratum to contain both arms (overlap), which each stratum's table
-    checks; the treated law pools treated counts across strata.
+        control_law[y] = sum_x w_x * pr(Y=y | Z=0, x), summed in stratum order,
+        w_x = (treated units in stratum x) / (all treated units).
+
+    Every stratum has both arms (overlap), as its table checks; the treated
+    law pools the treated counts across strata.
     """
-    levels = strata.levels
-    treated_counts = np.zeros(levels)
-    control = np.zeros(levels)
-    treated_totals = []
-    control_laws = []
-    for _, table in strata.strata:
-        arms = table.counts.sum(axis=1).tolist()  # both positive, as the table checks
-        treated_counts += table.counts[1]
-        treated_totals.append(arms[1])
-        control_laws.append(table.counts[0] / arms[0])  # empirical_margin(table, 0)
-    weights = np.asarray(treated_totals) / sum(treated_totals)
-    for w, law in zip(weights, control_laws):
-        control += w * law
+    counts = np.stack([table.counts for _, table in strata.strata])  # (stratum, arm, level)
+    arms = counts.sum(axis=2)  # both positive, as each table checks
+    weights = arms[:, 1] / sum(arms[:, 1].tolist())
+    control = (weights[:, None] * (counts[:, 0] / arms[:, :1])).sum(axis=0)
     return MarginalPair(
-        treated_law=OrdinalDistribution.from_counts(treated_counts),
+        treated_law=OrdinalDistribution.from_counts(counts[:, 1].sum(axis=0)),
         control_law=OrdinalDistribution(control),
         conditioning=Conditioning.GIVEN_TREATED,
     )

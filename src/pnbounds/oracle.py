@@ -77,7 +77,7 @@ class _Level:
         self.pair = pair = facts.pair
         self.assumptions, self.point = assumptions, None
         incr = assumptions is Assumptions.MONOTONIC_INCREMENT
-        if incr and not facts.brackets.passed:
+        if incr and not facts.passed:
             raise SamplingError(str(FalsificationError(facts.brackets)))
         if assumptions is Assumptions.MONOTONICITY and facts.mono_refusal is not None:
             raise SamplingError(facts.mono_refusal)

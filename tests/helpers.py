@@ -18,6 +18,7 @@ from pnbounds import (
     OrdinalDistribution,
     SamplingError,
     Source,
+    StratifiedTable,
     ZeroEvidenceError,
     allowed_mask,
     counterfactual_margin_experimental,
@@ -308,6 +309,30 @@ def scalar_brackets(pair: MarginalPair) -> tuple[tuple[BracketCheck, ...], str |
     bad = ", ".join(f"k={c.k}: gap {c.gap:.6g}" for c in checks if c.gap < -ATOL)
     note = "monotonicity falsified by the data: negative cumulative gap at " + bad
     return tuple(checks), note if bad else None
+
+
+# --- the stratum loop: the reference for ingest.counterfactual_margin_unconfounded ---
+
+def loop_unconfounded(strata: StratifiedTable) -> MarginalPair:
+    """The unconfounded laws pooled one stratum at a time, in stratum order."""
+    levels = strata.levels
+    treated_counts = np.zeros(levels)
+    control = np.zeros(levels)
+    treated_totals = []
+    control_laws = []
+    for _, table in strata.strata:
+        arms = table.counts.sum(axis=1).tolist()
+        treated_counts += table.counts[1]
+        treated_totals.append(arms[1])
+        control_laws.append(table.counts[0] / arms[0])
+    weights = np.asarray(treated_totals) / sum(treated_totals)
+    for w, law in zip(weights, control_laws):
+        control += w * law
+    return MarginalPair(
+        treated_law=OrdinalDistribution.from_counts(treated_counts),
+        control_law=OrdinalDistribution(control),
+        conditioning=Conditioning.GIVEN_TREATED,
+    )
 
 
 # --- the loop forms: the references for make_event and allowed_mask ---

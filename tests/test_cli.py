@@ -768,6 +768,57 @@ def test_a_default_report_computes_the_pair_facts_once(tmp_path, monkeypatch, ro
     assert report["falsification"]["passed"] is (route != "unconfounded")
 
 
+@pytest.mark.parametrize("route", sorted(LALONDE_ROUTES))
+def test_marginal_and_mono_cells_build_no_bracket_objects(tmp_path, monkeypatch, route):
+    from pnbounds import bounds, identify
+
+    built = count_every_binding(monkeypatch, identify.BracketCheck, identify.FalsificationReport)
+    for assume in ("marginal", "mono"):
+        code, report = report_from(
+            tmp_path, LALONDE_ROUTES[route] + ["--all-canonical", "--assume", assume])
+        assert code == 0 and report["falsification"]["brackets"]
+    pair, _ = load_marginals(cli._merge_config(cli._build_parser().parse_args(
+        LALONDE_ROUTES[route] + ["--all-canonical"])))
+    facts = pair_facts(pair)
+    for assumptions in (Assumptions.MARGINAL_ONLY, Assumptions.MONOTONICITY):
+        for y in range(1, 3):
+            for spec in cli.canonical_event_specs(3, y):
+                try:
+                    bounds.cell_bounds(facts, parse_event(spec, 3), y, assumptions)
+                except UnsupportedEventError:
+                    pass
+    assert built == []
+
+
+def test_an_incr_refusal_builds_its_report_once_per_raise(tmp_path, monkeypatch):
+    # the strata example fails the brackets, so every incr entry is refused
+    from pnbounds import bounds, identify, oracle
+    from pnbounds.identify import identify_joint
+
+    built = count_every_binding(monkeypatch, identify.FalsificationReport)
+    pair, _ = load_marginals(AnalysisConfig(route="unconfounded", strata=STRATA))
+    facts, event = pair_facts(pair), make_event("noteq", 3, level=2)
+    incr = Assumptions.MONOTONIC_INCREMENT
+    raises = [
+        (FalsificationError, lambda: bounds.cell_bounds(facts, event, 2, incr)),
+        (FalsificationError, lambda: pn_point(pair, event, 2)),
+        (FalsificationError, lambda: identify_joint(pair)),
+        (oracle.SamplingError, lambda: oracle.verify_cells(facts, incr, [(event, 2, 0.0, 1.0)],
+                                                            10, 1)),
+    ]
+    for error, call in raises:
+        before = len(built)
+        with pytest.raises(error):
+            call()
+        assert len(built) == before + 1
+    for extra in ([], ["--verify", "--samples", "10"]):
+        before = len(built)
+        code, report = report_from(tmp_path, ["--route", "unconfounded", "--strata", STRATA,
+                                              "--all-canonical"] + extra)
+        assert code == 0 and not report["falsification"]["passed"]
+        assert len(built) == before + 1  # the one refused incr level
+
+
 # --- verification -------------------------------------------------------------------
 
 def test_verify_passes_on_good_data(tmp_path):
@@ -1269,6 +1320,19 @@ def test_the_config_key_of_event_is_events(tmp_path, capsys):
     code, report = report_from(tmp_path, ["--config", str(cfg)])
     assert code == 0
     assert {(c["event"], c["evidence"]) for c in report["cells"]} == {("eq:1", 2)}
+
+
+@pytest.mark.parametrize("spec,code,message", [
+    ("custom:", 1, "bad custom event 'custom:'; expected custom:<bits>"),
+    ("custom:012", 1, "bad custom event 'custom:012'; expected custom:<bits>"),
+    ("custom:1a", 1, "bad custom event 'custom:1a'; expected custom:<bits>"),
+    ("custom:0a0", 1, "bad custom event 'custom:0a0'; expected custom:<bits>"),
+    ("custom:10", 2, "custom event has 2 coefficients for 3 levels"),
+    ("custom:1011", 2, "custom event has 4 coefficients for 3 levels"),
+])
+def test_custom_event_bits_are_checked_then_counted(capsys, spec, code, message):
+    assert run(["--exp", EXP, "--obs", OBS, "--event", spec, "--evidence", "2"]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_data_errors_exit_two(tmp_path):

@@ -16,13 +16,14 @@ from pnbounds import (
     randomized_margins,
 )
 from pnbounds.ingest import (
+    MAX_COUNT,
     MAX_LEVEL,
     load_strata_json,
     load_table,
     load_table_csv,
     load_table_json,
 )
-from helpers import lalonde_tables
+from helpers import lalonde_tables, loop_unconfounded
 
 
 def obs_table(counts):
@@ -158,6 +159,48 @@ def test_unconfounded_three_strata_against_direct_weighted_sum():
     )
     assert pair.control_law.probs == pytest.approx(expected, abs=1e-12)
     assert pair.control_law.probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def _laws(pair):
+    return pair.treated_law.probs.tobytes(), pair.control_law.probs.tobytes()
+
+
+def test_pooled_strata_equal_the_stratum_loop_bit_for_bit():
+    rng = np.random.default_rng(37)
+    seen = set()
+    for trial in range(1500):
+        n_strata = 1 + trial % 40
+        levels = int(rng.integers(2, 31))
+        top = int(rng.choice([10, 10**6, MAX_COUNT]))
+        counts = rng.integers(0, top, (n_strata, 2, levels), dtype=np.int64, endpoint=True)
+        if trial % 3 == 0:  # a zero-mass level, in every stratum and arm
+            counts[:, :, rng.integers(levels)] = 0
+            seen.add("zero-mass")
+        if trial % 4 == 0:  # a stratum with an empty treated level
+            counts[rng.integers(n_strata), 1, rng.integers(levels)] = 0
+            seen.add("empty-treated")
+        counts[:, :, 0] += counts.sum(axis=2) == 0  # every arm keeps a unit
+        strata = StratifiedTable(tuple((str(i), obs_table(c.astype(float)))
+                                       for i, c in enumerate(counts)))
+        assert _laws(counterfactual_margin_unconfounded(strata)) == _laws(loop_unconfounded(strata))
+        seen.update({("strata", n_strata), ("levels", levels)})
+        if counts[:, 1].sum(dtype=float) > 2**53:  # treated totals that round
+            seen.add("rounded")
+    assert {"zero-mass", "empty-treated", "rounded", ("strata", 1), ("strata", 40),
+            ("levels", 2), ("levels", 30)} <= seen
+
+
+def test_one_stratum_has_the_randomized_laws_bit_for_bit():
+    # the same counts, conditioned on the treated units rather than unconditional
+    rng = np.random.default_rng(38)
+    for trial in range(500):
+        levels = int(rng.integers(2, 31))
+        top = int(rng.choice([10, 10**6, MAX_COUNT]))
+        counts = rng.integers(0, top, (2, levels), dtype=np.int64, endpoint=True)
+        counts[:, 0] += counts.sum(axis=1) == 0
+        one = StratifiedTable((("only", obs_table(counts.astype(float))),))
+        randomized = randomized_margins(exp_table(counts.astype(float)))
+        assert _laws(counterfactual_margin_unconfounded(one)) == _laws(randomized)
 
 
 # --- randomized route ----------------------------------------------------------
