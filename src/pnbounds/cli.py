@@ -379,7 +379,9 @@ def _layout(indent: str) -> tuple[str, str, Any]:
 
 
 def _dumps(obj: Any, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)`` byte for byte; its indent path is pure Python.
+    """``json.dumps(obj, indent=2)`` byte for byte on what a report holds:
+    dicts with str keys, lists and scalars (no tuples, subclasses or other
+    keys); its indent path is pure Python.
 
     Each container of scalars goes to the C encoder in one call, with the
     newline and indent of its depth in the item separator (an encoded value
@@ -390,14 +392,13 @@ def _dumps(obj: Any, indent: str = "\n") -> str:
     containers are walked here.
     """
     inner, separator, encode = _layout(indent)
-    is_dict = isinstance(obj, dict)
-    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+    is_dict = type(obj) is dict
+    if not (is_dict or type(obj) is list) or not obj:
         return "".join(encode(obj, 0))
-    values = obj.values() if is_dict else obj
-    kinds = set(map(type, values))
+    kinds = set(map(type, obj.values() if is_dict else obj))
     if _SCALARS.issuperset(kinds):
         body = "".join(encode(obj, 0))[1:-1]
-    elif not is_dict and (kinds == {dict} or kinds <= {list, tuple}) and all(obj) and (
+    elif not is_dict and kinds in ({dict}, {list}) and all(obj) and (
         _SCALARS.issuperset(map(type, chain.from_iterable(
             map(dict.values, obj) if dict in kinds else obj)))
     ):
@@ -407,11 +408,8 @@ def _dumps(obj: Any, indent: str = "\n") -> str:
             end + field_separator + start, inner + end + separator + start + fields)
         body = start + fields + records + inner + end
     else:
-        items = [_dumps(v, inner) for v in values]
-        if is_dict:  # a str key as the encoder writes it; others via '{key: 0}' -> '"key": '
-            items = [_encode_str(k) + ": " + v if type(k) is str
-                     else "".join(encode({k: 0}, 0))[1:-2] + v for k, v in zip(obj, items)]
-        body = separator.join(items)
+        body = separator.join([_encode_str(k) + ": " + _dumps(v, inner) for k, v in obj.items()]
+                              if is_dict else [_dumps(v, inner) for v in obj])
     brackets = "{}" if is_dict else "[]"
     return brackets[0] + inner + body + indent + brackets[1]
 

@@ -217,8 +217,8 @@ def load_table_csv(path: str | Path, source: Source) -> ContingencyTable:
                 if not row or all(not c.strip() for c in row):
                     continue
                 try:
-                    z, y, count = int(row[0]), int(row[1]), int(row[2])
-                except (ValueError, IndexError):
+                    z, y, count = map(int, row)
+                except ValueError:
                     raise DataFormatError(
                         f"{path}:{lineno}: expected integers 'z,y,count', got {row}"
                     ) from None

@@ -174,7 +174,7 @@ def test_less_than_at_evidence_equals_complement_of_evidence_level():
         assert lt.upper == pytest.approx(noteq.upper, abs=1e-12)
 
 
-def test_crossed_interval_is_surfaced_not_clamped():
+def test_falsified_monotone_cell_is_refused_not_clamped():
     # the family forms cross on this pair; the cell is refused, not clamped
     pair = pair_from_laws([0.1, 0.1, 0.8], [0.05, 0.9, 0.05])
     assert not monotone_consistent(pair)
@@ -194,7 +194,7 @@ def test_no_falsified_note_on_a_gap_inside_the_band():
     assert result.lower > result.upper + ATOL
 
 
-def test_crossed_agrees_with_the_falsification_note():
+def test_mono_refusal_is_the_pair_facts_refusal_outside_the_band():
     third = 1.0 / 3.0
     inside_band = pair_from_laws(
         [third, third, 0.0, third], [third - 5e-10, third + 5e-10, 1 / 6, 1 / 6]
@@ -755,6 +755,6 @@ def test_binary_bounds_reduce_to_two_event_bracket():
 
 # --- result container ---------------------------------------------------------------
 
-def test_bounds_result_helpers():
+def test_bounds_result_has_four_fields():
     res = BoundsResult(0.2, 0.6, Assumptions.MARGINAL_ONLY, Method.CLOSED_FORM)
     assert [f.name for f in fields(res)] == ["lower", "upper", "assumptions", "method"]

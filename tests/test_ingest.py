@@ -251,6 +251,24 @@ def test_csv_loader_reports_file_and_line(tmp_path):
         load_table_csv(path, Source.EXPERIMENTAL)
 
 
+@pytest.mark.parametrize("line", ["1,0,5,99", "1,0,3,000", "1,0,5,"])
+def test_csv_line_with_extra_fields_exits_2_naming_it(tmp_path, capsys, line):
+    # '1,0,3,000' is a thousands separator, not a count of 3
+    from pnbounds.cli import main
+
+    path = tmp_path / "extra.csv"
+    rows = "1,1,5\n0,0,3\n0,1,4\n"
+    path.write_text(f"z,y,count\n{line}\n{rows}")
+    message = f"{path}:2: expected integers 'z,y,count', got {line.split(',')}"
+    with pytest.raises(DataFormatError) as err:
+        load_table(path, Source.EXPERIMENTAL)
+    assert str(err.value) == message
+    assert main(["--mode", "pc", "--exp", str(path), "--all-canonical"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    path.write_text(f"z,y,count\n1,0,5\n\n{rows}")  # a blank line is still skipped
+    assert load_table(path, Source.EXPERIMENTAL).counts.tolist() == [[3.0, 4.0], [5.0, 5.0]]
+
+
 def test_csv_loader_rejects_bad_header_and_duplicates(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("a,b,c\n0,0,5\n")

@@ -168,6 +168,18 @@ def test_deficit_of_a_pinned_pair(pair, assumptions, expected):
     assert abs(least_violation(*laws, assumptions) - expected) <= EXACT_ATOL
 
 
+def test_absorb_leaves_root_subtrees_that_no_cell_joins():
+    # a block-diagonal mask whose blocks' margins differ by 4e-10: phase one
+    # leaves 2e-10 at the root, inside the band, and no cell joins the two
+    # blocks' subtrees, so _absorb stops with both still on the root
+    supply, demand = np.array([0.5 + 2e-10, 0.5 - 2e-10]), np.array([0.5, 0.5])
+    net = _Network(supply, demand, np.eye(2, dtype=bool))
+    assert 0.0 < net.deficit <= INFEAS_TOL
+    assert abs(net.deficit - (supply[0] - demand[0])) <= EXACT_ATOL
+    assert len(net.children[-1]) == 2
+    assert imbalance(net) <= EXACT_ATOL
+
+
 def test_optimal_point_satisfies_constraints():
     pair = lalonde_pair()
     mask = allowed_mask(Assumptions.MONOTONICITY, 3)

@@ -6,6 +6,7 @@ from pnbounds import (
     CausalAttributionError,
     Conditioning,
     FalsificationError,
+    Method,
     falsification_check,
     make_event,
     monotone_consistent,
@@ -84,7 +85,7 @@ def test_pc_full_space_event_is_pinned_to_one():
     assert (res.lower, res.upper) == (1.0, 1.0)
 
 
-def test_pc_routes_unsupported_monotone_events_to_lp():
+def test_pc_bounds_a_custom_monotone_event_in_closed_form():
     res = pc_bounds(
         lalonde_pc_pair(),
         make_event("custom", 3, coeffs=[1, 0, 1]),
@@ -92,6 +93,7 @@ def test_pc_routes_unsupported_monotone_events_to_lp():
         Assumptions.MONOTONICITY,
     )
     assert 0.0 <= res.lower <= res.upper <= 1.0
+    assert res.method is Method.CLOSED_FORM
 
 
 def test_pc_equals_pn_under_randomized_design():

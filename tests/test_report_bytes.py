@@ -7,8 +7,10 @@ table class on every route, ``--table``, custom events, zero evidence,
 ``--config``, ``--verify``, ``--help`` and the error exits.  ``DIGESTS`` was recorded
 before the report cells were built in one pass per assumption level, so a
 change to any report byte fails here.  ``error-csv-empty-arm`` was recorded
-when the refusal began to name the file, and ``error-json-string-counts``
-when a JSON count's value refusal lost the ``bad counts layout:`` prefix.
+when the refusal began to name the file, ``error-json-string-counts``
+when a JSON count's value refusal lost the ``bad counts layout:`` prefix,
+and ``error-csv-extra-field`` when a CSV line with a fourth field began to
+be refused (before, its first three loaded).
 ``verify-9-levels`` was recorded on code that evaluates each event over the
 whole batch at once; evaluating it per group of draws moves two of its
 ``max_violation`` figures by 2.8e-17.  ``verify``, ``verify-vacuous`` and
@@ -127,6 +129,8 @@ def cases() -> dict[str, list[str]]:
                              "--all-canonical"],
         "error-csv-level": ["--mode", "pc", "--exp", _text(
             "level.csv", "z,y,count\n0,0,1\n0,1000,3\n1,0,4\n1,1,5\n"), "--all-canonical"],
+        "error-csv-extra-field": ["--mode", "pc", "--exp", _text(
+            "extra.csv", "z,y,count\n1,0,5,99\n1,1,5\n0,0,3\n0,1,4\n"), "--all-canonical"],
         "error-incompatible": ["--exp", _csv("inc_exp.csv", [[1, 99], [50, 50]]),
                                "--obs", _csv("inc_obs.csv", [[80, 20], [10, 90]]),
                                "--all-canonical"],
@@ -227,6 +231,7 @@ DIGESTS: dict[str, str] = {
     'error-missing-file': 'cc09931a10b5fb51992a14d67cfc7f34a1893ade64af6347e859e43e79c7d811',
     'error-csv-header': 'bbaeb963293bbd45fbe5f19e772c2a8835b4056b7c5a355be16551492c4b5073',
     'error-csv-level': 'ec3c69309006c0511b3bc973aa8d18fedfca50fac1409d4eaa6c34f2ee58837e',
+    'error-csv-extra-field': '07c0f8828bcf222abe82b54d14f7bb25c20398cb5d236b102a10dc52870233c6',
     'error-incompatible': '237ffc04466fe823932122d9a2b6cea0e12597a547b6e188c338fef981853881',
     'error-csv-empty-arm': '1fbdb730a7fb3916bf90b3b33d57b1eb633b53ff31d87b9cce4a0879cf41e046',
     'error-json-string-counts': 'e70eaf872b0e3e4062bf8ec76ebd254e11de3cda2a6b869deed13df86bebe0ee',
