@@ -145,18 +145,15 @@ def _check_config_value(key: str, value: Any, flag: argparse.Action, default: An
 
 
 def _validate(cfg: AnalysisConfig) -> None:
-    if cfg.mode == "pc":
-        # causation always uses the randomized route
-        if cfg.route == "unconfounded":
+    if cfg.route == "unconfounded":
+        if cfg.mode == "pc":  # causation always uses the randomized route
             raise _UsageError("--route unconfounded is a pn-mode option")
-        if not cfg.exp:
-            raise _UsageError("pc mode needs --exp")
-    elif cfg.route == "unconfounded":
         if not cfg.strata:
             raise _UsageError("--route unconfounded needs --strata")
-    else:
-        if not cfg.exp or not cfg.obs:
-            raise _UsageError("--route experimental needs --exp and --obs")
+    elif cfg.mode == "pc" and not cfg.exp:
+        raise _UsageError("pc mode needs --exp")
+    elif cfg.mode == "pn" and not (cfg.exp and cfg.obs):
+        raise _UsageError("--route experimental needs --exp and --obs")
     if not cfg.all_canonical and not cfg.events:
         raise _UsageError("give --event (repeatable) or --all-canonical")
     if cfg.samples < 1:
@@ -168,10 +165,6 @@ def _validate(cfg: AnalysisConfig) -> None:
 def load_marginals(cfg: AnalysisConfig) -> tuple[MarginalPair, dict[str, Any]]:
     """Load input tables per the configured route; returns pair + provenance."""
     provenance: dict[str, Any] = {"route": cfg.route, "mode": cfg.mode}
-    if cfg.mode == "pc":
-        exp = ingest.load_table(cfg.exp, ingest.Source.EXPERIMENTAL)
-        provenance["experimental_counts"] = exp.counts.astype(int).tolist()
-        return ingest.randomized_margins(exp), provenance
     if cfg.route == "unconfounded":
         strata = ingest.load_strata_json(cfg.strata)
         provenance["strata_counts"] = {
@@ -179,8 +172,10 @@ def load_marginals(cfg: AnalysisConfig) -> tuple[MarginalPair, dict[str, Any]]:
         }
         return ingest.counterfactual_margin_unconfounded(strata), provenance
     exp = ingest.load_table(cfg.exp, ingest.Source.EXPERIMENTAL)
-    obs = ingest.load_table(cfg.obs, ingest.Source.OBSERVATIONAL)
     provenance["experimental_counts"] = exp.counts.astype(int).tolist()
+    if cfg.mode == "pc":
+        return ingest.randomized_margins(exp), provenance
+    obs = ingest.load_table(cfg.obs, ingest.Source.OBSERVATIONAL)
     provenance["observational_counts"] = obs.counts.astype(int).tolist()
     return ingest.counterfactual_margin_experimental(exp, obs), provenance
 
@@ -458,12 +453,9 @@ def main(argv: list[str] | None = None) -> int:
         _validate(cfg)
         pair, provenance = load_marginals(cfg)
         report = run_analysis(cfg, (identify_mod.pair_facts(pair), provenance))
-    except _UsageError as exc:
+    except (_UsageError, CausalAttributionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except CausalAttributionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_EXIT
+        return USAGE_EXIT if isinstance(exc, _UsageError) else DATA_EXIT
     if cfg.out:
         try:
             with open(cfg.out, "w") as fh:

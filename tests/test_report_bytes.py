@@ -20,7 +20,9 @@ same.  ``lalonde-table-mono``, ``lalonde-table-repeats`` and
 ``lalonde-table-verify`` were recorded before ``render_table`` became one
 pass over the cells.  ``verify-zero-level``, ``verify-strata``, the four
 ``error-route-*`` cases and ``help`` were recorded before ``--verify`` ran
-inside the report's pass over each assumption level.  The reports print floats to the last
+inside the report's pass over each assumption level.  The eight cases from
+``error-route-none`` to ``strata-unread-exp`` were recorded before the flag
+checks and the loader took the routes in one order.  The reports print floats to the last
 bit, so a numpy build whose sums or dot products round differently moves
 the digests too, and ``help`` moves with the Python version's argparse.
 
@@ -144,6 +146,21 @@ def cases() -> dict[str, list[str]]:
         "error-route-unconfounded-strata": ["--route", "unconfounded", "--all-canonical"],
         "error-route-pc-unconfounded": ["--mode", "pc", "--exp", exp, "--route", "unconfounded",
                                         "--all-canonical"],
+        # which route refusal wins, and which file is read first
+        "error-route-none": ["--all-canonical"],
+        "error-route-obs-only": ["--obs", obs, "--all-canonical"],
+        "error-route-pc-obs-only": ["--mode", "pc", "--obs", obs, "--all-canonical"],
+        "error-route-pc-unconfounded-no-exp": ["--mode", "pc", "--route", "unconfounded",
+                                               "--all-canonical"],
+        "error-route-unconfounded-exp-obs": ["--route", "unconfounded", "--exp", exp,
+                                             "--obs", obs, "--all-canonical"],
+        "error-exp-before-obs": ["--exp", "nope_exp.csv", "--obs", "nope_obs.csv",
+                                 "--all-canonical"],
+        # a table flag that its route does not read: the digests of pc and strata
+        "pc-unread-obs": ["--mode", "pc", "--exp", exp, "--obs", "nope_obs.csv",
+                          "--all-canonical"],
+        "strata-unread-exp": ["--route", "unconfounded", "--strata", "strata_example.json",
+                              "--exp", "nope_exp.csv", "--all-canonical"],
         "help": ["--help"],
         # a refused incr level (lp_cross_check: infeasible) beside verified levels
         "verify-strata": ["--route", "unconfounded", "--strata", "strata_example.json",
@@ -239,6 +256,14 @@ DIGESTS: dict[str, str] = {
     'error-route-pc-exp': '1b5bc3f33446c38d90544f6d78847af85ee610d149af68f4e1128fb869d86e2d',
     'error-route-unconfounded-strata': '2336aebf667bca85f53f8fa2cc948f8f59e5a4f4b7e56a10a0190a35f4bb9c36',
     'error-route-pc-unconfounded': 'c6695d85762924b003d73d20193cb3f736c3058c79595e9afa6853f8a54efd15',
+    'error-route-none': '2adf3522322e5054291cecc9c95925c655454ee6480462c68c77fd0edb589c68',
+    'error-route-obs-only': '2adf3522322e5054291cecc9c95925c655454ee6480462c68c77fd0edb589c68',
+    'error-route-pc-obs-only': '1b5bc3f33446c38d90544f6d78847af85ee610d149af68f4e1128fb869d86e2d',
+    'error-route-pc-unconfounded-no-exp': 'c6695d85762924b003d73d20193cb3f736c3058c79595e9afa6853f8a54efd15',
+    'error-route-unconfounded-exp-obs': '2336aebf667bca85f53f8fa2cc948f8f59e5a4f4b7e56a10a0190a35f4bb9c36',
+    'error-exp-before-obs': '18d4e8818542429f188912b2fbebc63f60ae5ce38afd42781cd2a27df9a9f441',
+    'pc-unread-obs': 'c80707a904b41b4e6382bcc0aaa498e4efe91e46ddb2f7364b254647aeb1939a',
+    'strata-unread-exp': '234ce23a2d34b3ffcf020fa8ad35f5e0474eea824c71c29e9c07893f679a7051',
     'help': '64db251cd474f8aa7a713e79e72f688e41c4c64e2de78afee6418a666b9d0bc9',
     'verify-strata': '4dacb09241c026cee97ef154233328bfd734338e63b4f61ab97f11924fbaedc5',
     'staircase3-exp': '7603897dc752b3a9d9995af67defd8d494e41dbf7f23a9cdcea61ce2c07800f3',
