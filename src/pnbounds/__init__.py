@@ -6,113 +6,20 @@ the probability of causation (its unconditional twin under randomization),
 over a three-level assumption ladder, with LP and sampling self-checks.
 """
 
-from .bounds import (
-    BoundsResult,
-    Method,
-    UnsupportedEventError,
-    monotone_consistent,
-    pc_bounds,
-    pn_bounds_marginal,
-    pn_bounds_monotone,
-)
-from .core import (
-    ATOL,
-    Assumptions,
-    CausalAttributionError,
-    Conditioning,
-    EventSpec,
-    EventSpecError,
-    InvalidDistributionError,
-    JointProbabilityMatrix,
-    MarginalPair,
-    OrdinalDistribution,
-    ZeroEvidenceError,
-    allowed_mask,
-    make_event,
-    pn_from_joint,
-)
-from .identify import (
-    FalsificationError,
-    FalsificationReport,
-    falsification_check,
-    gap_sequence,
-    identify_joint,
-    pc_point,
-    pn_point,
-)
-from .ingest import (
-    ContingencyTable,
-    DataFormatError,
-    IncompatibleSourcesError,
-    Source,
-    StratifiedTable,
-    counterfactual_margin_experimental,
-    counterfactual_margin_unconfounded,
-    empirical_margin,
-    load_strata_json,
-    load_table,
-    randomized_margins,
-)
-from .lp import CertificateError, LpError, LpInfeasibleError, pn_bounds_lp
-from .oracle import (
-    ConstructionError,
-    SamplingError,
-    VerificationReport,
-    endpoint_witnesses,
-    draw_samples,
-    verify_bounds,
-)
+from . import bounds, core, identify, ingest, lp, oracle
+from .bounds import *
+from .core import *
+from .identify import *
+from .ingest import *
+from .lp import *
+from .oracle import *
 
-__all__ = [
-    "ATOL",
-    "Assumptions",
-    "BoundsResult",
-    "CausalAttributionError",
-    "CertificateError",
-    "Conditioning",
-    "ConstructionError",
-    "ContingencyTable",
-    "DataFormatError",
-    "EventSpec",
-    "EventSpecError",
-    "FalsificationError",
-    "FalsificationReport",
-    "IncompatibleSourcesError",
-    "InvalidDistributionError",
-    "JointProbabilityMatrix",
-    "LpError",
-    "LpInfeasibleError",
-    "MarginalPair",
-    "Method",
-    "OrdinalDistribution",
-    "SamplingError",
-    "Source",
-    "StratifiedTable",
-    "UnsupportedEventError",
-    "VerificationReport",
-    "ZeroEvidenceError",
-    "allowed_mask",
-    "counterfactual_margin_experimental",
-    "counterfactual_margin_unconfounded",
-    "empirical_margin",
-    "endpoint_witnesses",
-    "draw_samples",
-    "falsification_check",
-    "gap_sequence",
-    "identify_joint",
-    "load_strata_json",
-    "load_table",
-    "make_event",
-    "monotone_consistent",
-    "pc_bounds",
-    "pc_point",
-    "pn_bounds_lp",
-    "pn_bounds_marginal",
-    "pn_bounds_monotone",
-    "pn_from_joint",
-    "pn_point",
-    "randomized_margins",
-    "verify_bounds",
-]
+__all__: list[str] = []
+__all__ += bounds.__all__
+__all__ += core.__all__
+__all__ += identify.__all__
+__all__ += ingest.__all__
+__all__ += lp.__all__
+__all__ += oracle.__all__
 
 __version__ = "0.1.0"

@@ -32,6 +32,16 @@ from .core import (
 )
 from .identify import PairFacts, _require_unconditional, pair_facts
 
+__all__ = [
+    "BoundsResult",
+    "Method",
+    "UnsupportedEventError",
+    "monotone_consistent",
+    "pc_bounds",
+    "pn_bounds_marginal",
+    "pn_bounds_monotone",
+]
+
 
 class UnsupportedEventError(CausalAttributionError):
     """No ``mono`` cell has a bound: a cumulative gap below ``-ATOL`` empties

@@ -13,7 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Any
 
@@ -47,22 +47,36 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _flag(default: Any = None, **keywords: Any) -> Any:
+    """An ``AnalysisConfig`` field: its default, and its flag's ``add_argument``
+    keywords as metadata (a list default is a fresh list per config)."""
+    if isinstance(default, list):
+        return field(default_factory=list, metadata=keywords)
+    return field(default=default, metadata=keywords)
+
+
 @dataclass
 class AnalysisConfig:
-    mode: str = "pn"
-    route: str = "experimental"
-    exp: str | None = None
-    obs: str | None = None
-    strata: str | None = None
-    events: list[str] = field(default_factory=list)
-    evidence: list[int] = field(default_factory=list)
-    assume: str = "all"
-    all_canonical: bool = False
-    verify: bool = False
-    samples: int = 10000
-    seed: int = 42
-    table: bool = False
-    out: str | None = None
+    """Every flag but ``--config``, in ``--help`` order: ``--<name>`` with ``_``
+    as ``-`` (``events`` is ``--event``), the name also being its config key."""
+
+    exp: str | None = _flag(help="experimental count table (csv or json)")
+    obs: str | None = _flag(help="observational count table (csv or json)")
+    strata: str | None = _flag(help="stratified observational tables (json)")
+    mode: str = _flag("pn", choices=["pn", "pc"])
+    route: str = _flag("experimental", choices=["experimental", "unconfounded"])
+    events: list[str] = _flag([], action="append", metavar="SPEC",
+                              help="noteq:y | eq:y' | lt:y | custom:<bits>; repeatable")
+    evidence: list[int] = _flag([], action="append", type=int, metavar="Y", help="repeatable")
+    assume: str = _flag("all", choices=[a.value for a in Assumptions] + ["all"])
+    all_canonical: bool = _flag(
+        False, action="store_true",
+        help="run the five canonical event families at every evidence level")
+    verify: bool = _flag(False, action="store_true")
+    samples: int = _flag(10000, type=int)
+    seed: int = _flag(42, type=int)
+    table: bool = _flag(False, action="store_true", help="render a plain-text grid")
+    out: str | None = _flag(help="write the JSON report here")
 
 
 @functools.cache
@@ -76,34 +90,9 @@ def _build_parser() -> _Parser:
         argument_default=argparse.SUPPRESS,  # a flag not given sets nothing
     )
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--exp", help="experimental count table (csv or json)")
-    parser.add_argument("--obs", help="observational count table (csv or json)")
-    parser.add_argument("--strata", help="stratified observational tables (json)")
-    parser.add_argument("--mode", choices=["pn", "pc"])
-    parser.add_argument("--route", choices=["experimental", "unconfounded"])
-    parser.add_argument(
-        "--event",
-        action="append",
-        dest="events",
-        metavar="SPEC",
-        help="noteq:y | eq:y' | lt:y | custom:<bits>; repeatable",
-    )
-    parser.add_argument(
-        "--evidence", action="append", type=int, metavar="Y", help="repeatable"
-    )
-    parser.add_argument("--assume", choices=[a.value for a in Assumptions] + ["all"])
-    parser.add_argument(
-        "--all-canonical",
-        action="store_true",
-        help="run the five canonical event families at every evidence level",
-    )
-    parser.add_argument("--verify", action="store_true")
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument(
-        "--table", action="store_true", help="render a plain-text grid"
-    )
-    parser.add_argument("--out", help="write the JSON report here")
+    for f in fields(AnalysisConfig):
+        name = "event" if f.name == "events" else f.name
+        parser.add_argument("--" + name.replace("_", "-"), dest=f.name, **f.metadata)
     return parser
 
 

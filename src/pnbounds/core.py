@@ -19,6 +19,23 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+__all__ = [
+    "ATOL",
+    "Assumptions",
+    "CausalAttributionError",
+    "Conditioning",
+    "EventSpec",
+    "EventSpecError",
+    "InvalidDistributionError",
+    "JointProbabilityMatrix",
+    "MarginalPair",
+    "OrdinalDistribution",
+    "ZeroEvidenceError",
+    "allowed_mask",
+    "make_event",
+    "pn_from_joint",
+]
+
 # Every tolerance of the package is defined here, once.
 #: Probability comparisons: a law's sums and entries, zero evidence, the gap
 #: tests and sampled containment.  Inputs are ratios of counts, so this

@@ -26,6 +26,16 @@ from .core import (
     evidence_mass,
 )
 
+__all__ = [
+    "FalsificationError",
+    "FalsificationReport",
+    "falsification_check",
+    "gap_sequence",
+    "identify_joint",
+    "pc_point",
+    "pn_point",
+]
+
 
 @dataclass(frozen=True)
 class BracketCheck:

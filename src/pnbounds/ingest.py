@@ -27,6 +27,20 @@ from .core import (
     _readonly,
 )
 
+__all__ = [
+    "ContingencyTable",
+    "DataFormatError",
+    "IncompatibleSourcesError",
+    "Source",
+    "StratifiedTable",
+    "counterfactual_margin_experimental",
+    "counterfactual_margin_unconfounded",
+    "empirical_margin",
+    "load_strata_json",
+    "load_table",
+    "randomized_margins",
+]
+
 
 #: Largest count accepted: exact in a float, and any larger integer reads as >= 2**53.
 MAX_COUNT = 2**53 - 1
@@ -236,8 +250,10 @@ def load_table_csv(path: str | Path, source: Source) -> ContingencyTable:
                     raise DataFormatError(f"{path}:{lineno}: duplicate cell z={z}, y={y}")
                 cells[(z, y)] = count
                 max_y = max(max_y, y)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     if max_y < 1:
         raise DataFormatError(f"{path}: need at least 2 outcome levels")
     counts = np.zeros((2, max_y + 1))
@@ -258,6 +274,8 @@ def _read_json(path: str | Path) -> Any:
         raise DataFormatError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, or a number too long
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def _json_table(counts: Any, source: Source) -> ContingencyTable:

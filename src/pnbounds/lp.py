@@ -32,6 +32,13 @@ from .core import (
     evidence_mass,
 )
 
+__all__ = [
+    "CertificateError",
+    "LpError",
+    "LpInfeasibleError",
+    "pn_bounds_lp",
+]
+
 #: Pivots per arc before a solve is abandoned; strongly feasible trees
 #: terminate, so reaching it means a corrupt tree.
 _PIVOTS_PER_ARC = 50

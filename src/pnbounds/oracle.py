@@ -40,6 +40,15 @@ from .core import (
 )
 from .identify import FalsificationError, PairFacts, pair_facts
 
+__all__ = [
+    "ConstructionError",
+    "SamplingError",
+    "VerificationReport",
+    "endpoint_witnesses",
+    "draw_samples",
+    "verify_bounds",
+]
+
 #: Draws are split into this many groups, each with its own fill order.
 MIX_GROUPS = 16
 #: Most entries, draws x J x J, that one batch may hold: 2**27 floats, 1 GiB.

@@ -29,7 +29,7 @@ from pnbounds import (
     pn_point,
     verify_bounds,
 )
-from pnbounds import bounds, cli, identify, lp, oracle
+from pnbounds import bounds, cli, core, identify, ingest, lp, oracle
 from helpers import loop_allowed_mask, loop_event_bits, loop_pinned_cells, pair_from_laws
 
 from pnbounds.identify import gap_sequence
@@ -357,6 +357,40 @@ def test_every_exported_name_resolves():
     assert len(set(pnbounds.__all__)) == len(pnbounds.__all__)
     for name in pnbounds.__all__:
         assert namespace[name] is getattr(pnbounds, name)
+
+
+#: ``pnbounds.__all__`` when ``__init__.py`` still listed it by hand
+_EXPORTS = {
+    "ATOL", "Assumptions", "BoundsResult", "CausalAttributionError", "CertificateError",
+    "Conditioning", "ConstructionError", "ContingencyTable", "DataFormatError", "EventSpec",
+    "EventSpecError", "FalsificationError", "FalsificationReport", "IncompatibleSourcesError",
+    "InvalidDistributionError", "JointProbabilityMatrix", "LpError", "LpInfeasibleError",
+    "MarginalPair", "Method", "OrdinalDistribution", "SamplingError", "Source",
+    "StratifiedTable", "UnsupportedEventError", "VerificationReport", "ZeroEvidenceError",
+    "allowed_mask", "counterfactual_margin_experimental", "counterfactual_margin_unconfounded",
+    "empirical_margin", "endpoint_witnesses", "draw_samples", "falsification_check",
+    "gap_sequence", "identify_joint", "load_strata_json", "load_table", "make_event",
+    "monotone_consistent", "pc_bounds", "pc_point", "pn_bounds_lp", "pn_bounds_marginal",
+    "pn_bounds_monotone", "pn_from_joint", "pn_point", "randomized_margins", "verify_bounds",
+}
+
+
+def test_each_module_declares_what_it_defines_and_the_package_joins_them():
+    import types
+
+    import pnbounds
+
+    modules = [bounds, core, identify, ingest, lp, oracle]  # the order __init__ joins them in
+    for module in modules:
+        for name in module.__all__:
+            value = getattr(module, name)
+            if isinstance(value, (type, types.FunctionType)):
+                assert value.__module__ == module.__name__, name
+            else:  # the one exported constant
+                assert (module, name) == (core, "ATOL")
+    assert pnbounds.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(pnbounds.__all__)) == len(pnbounds.__all__) == len(_EXPORTS) == 49
+    assert set(pnbounds.__all__) == _EXPORTS
 
 
 def test_every_tolerance_is_defined_in_core():

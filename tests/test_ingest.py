@@ -355,6 +355,33 @@ def test_json_readers_name_the_file_alike(tmp_path, reader):
     assert str(err.value) == f"{bad}:2: invalid JSON: Expecting ',' delimiter"
 
 
+@pytest.mark.parametrize("flags,name,content,reason", [
+    (["--mode", "pc", "--exp"], "latin1.csv", b"z,y,count\n0,0,3\n# caf\xe9\n",
+     "'utf-8' codec can't decode byte 0xe9"),
+    (["--mode", "pc", "--exp"], "latin1.json", b'{"counts": [[1, 2], [3, 4]], "id": "caf\xe9"}',
+     "'utf-8' codec can't decode byte 0xe9"),
+    (["--route", "unconfounded", "--strata"], "latin1.json",
+     b'[{"id": "caf\xe9", "counts": [[1, 2], [3, 4]]}]', "'utf-8' codec can't decode byte 0xe9"),
+    (["--config"], "latin1.json", b'{"exp": "caf\xe9.csv"}', "'utf-8' codec can't decode byte 0xe9"),
+    (["--mode", "pc", "--exp"], "deep.json", b"[" * 100_000 + b"]" * 100_000,
+     "maximum recursion depth exceeded"),
+    (["--mode", "pc", "--exp"], "digits.json", b'{"counts": [[1, 2], [3, ' + b"1" * 5000 + b"]]}",
+     "Exceeds the limit (4300 digits)"),
+    (["--mode", "pc", "--exp"], "field.csv", b"z,y,count\n0,0," + b"1" * 140_000 + b"\n",
+     ":2: field larger than field limit (131072)"),
+], ids=["csv-not-utf8", "json-not-utf8", "strata-not-utf8", "config-not-utf8", "json-deep",
+        "json-long-number", "csv-long-field"])
+def test_an_undecodable_input_file_exits_2_naming_it(tmp_path, capsys, flags, name, content,
+                                                     reason):
+    from pnbounds.cli import main
+
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main(flags + [str(path), "--all-canonical"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}") and reason in err
+
+
 def test_contingency_table_validation():
     with pytest.raises(DataFormatError):
         ContingencyTable(counts=[[1, 2]], source=Source.EXPERIMENTAL)

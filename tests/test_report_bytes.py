@@ -9,8 +9,10 @@ before the report cells were built in one pass per assumption level, so a
 change to any report byte fails here.  ``error-csv-empty-arm`` was recorded
 when the refusal began to name the file, ``error-json-string-counts``
 when a JSON count's value refusal lost the ``bad counts layout:`` prefix,
-and ``error-csv-extra-field`` when a CSV line with a fourth field began to
-be refused (before, its first three loaded).
+``error-csv-extra-field`` when a CSV line with a fourth field began to
+be refused (before, its first three loaded), and ``error-csv-not-utf8`` and
+``error-config-not-utf8`` when an input file that is not UTF-8 began to
+exit 2 naming the file (before, it raised ``UnicodeDecodeError``).
 ``verify-9-levels`` was recorded on code that evaluates each event over the
 whole batch at once; evaluating it per group of draws moves two of its
 ``max_violation`` figures by 2.8e-17.  ``verify``, ``verify-vacuous`` and
@@ -69,8 +71,8 @@ def _class_counts(rng: np.random.Generator, cls: str, levels: int) -> np.ndarray
     return q
 
 
-def _text(name: str, text: str) -> str:
-    Path(name).write_text(text)
+def _text(name: str, text: str, encoding: str | None = None) -> str:
+    Path(name).write_text(text, encoding=encoding)
     return name
 
 
@@ -138,6 +140,12 @@ def cases() -> dict[str, list[str]]:
                                "--all-canonical"],
         "error-csv-empty-arm": ["--mode", "pc", "--exp", _csv("empty_arm.csv", [[0, 0], [3, 4]]),
                                 "--all-canonical"],
+        # input files that are not UTF-8
+        "error-csv-not-utf8": ["--mode", "pc", "--exp", _text(
+            "latin1.csv", "z,y,count\n0,0,3\n0,1,4\n1,0,5\n1,1,6\n# café\n", "latin-1"),
+            "--all-canonical"],
+        "error-config-not-utf8": ["--config", _text("latin1_cfg.json", '{"exp": "café.csv"}',
+                                                    "latin-1")],
         "error-json-string-counts": ["--mode", "pc", "--exp", _write(
             "string_counts.json", {"counts": [["3", "4"], ["5", "6"]]}), "--all-canonical"],
         # the four route refusals of the flag checks
@@ -251,6 +259,8 @@ DIGESTS: dict[str, str] = {
     'error-csv-extra-field': '07c0f8828bcf222abe82b54d14f7bb25c20398cb5d236b102a10dc52870233c6',
     'error-incompatible': '237ffc04466fe823932122d9a2b6cea0e12597a547b6e188c338fef981853881',
     'error-csv-empty-arm': '1fbdb730a7fb3916bf90b3b33d57b1eb633b53ff31d87b9cce4a0879cf41e046',
+    'error-csv-not-utf8': '0475c8fcced622916f58542b67f70c71421168f3dbe559873ee802f3c03ce8a8',
+    'error-config-not-utf8': '3d4c416b3605d6c4887a88e3186dfd525bc22120cdd700011d6b3842a294e140',
     'error-json-string-counts': 'e70eaf872b0e3e4062bf8ec76ebd254e11de3cda2a6b869deed13df86bebe0ee',
     'error-route-experimental': '2adf3522322e5054291cecc9c95925c655454ee6480462c68c77fd0edb589c68',
     'error-route-pc-exp': '1b5bc3f33446c38d90544f6d78847af85ee610d149af68f4e1128fb869d86e2d',
