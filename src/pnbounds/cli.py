@@ -290,10 +290,11 @@ def _level_cells(
     only on the level, so its estimates go to one ``oracle.verify_cells``
     call, which draws the level's batch, builds its witnesses in one batch
     and reads each evidence level's rows once.  Each claim is its row's
-    bounds clamped to [0, 1] (the reported ``incr`` point is not), a point
-    being both ends.  Each entry is its cell plus a ``verification`` object,
-    the oracle's status first: ``ok`` or ``failed``; ``refused`` for a
-    refused cell; ``skipped`` for each estimate of a level it cannot sample.
+    printed bounds, a point being both ends.  Each entry is its cell plus a
+    ``verification`` object, the oracle's status first: ``ok`` or
+    ``failed``; ``failed`` too for a cell whose ``lp_cross_check`` finds
+    the level feasible; ``refused`` for another refused cell; ``skipped``
+    for each estimate of a level it cannot sample.
     """
     assume = assumptions.value
     incr = assumptions is Assumptions.MONOTONIC_INCREMENT
@@ -306,7 +307,8 @@ def _level_cells(
     # the rows with evidence (the others are refused below); a slice copies nothing
     keep = [y not in zero for _, y in grid] if zero else slice(None)
     lower, upper = np.zeros((2, len(grid)))
-    checks: dict[int, dict[str, Any]] = {}  # the --verify check of each row with an estimate
+    estimated = [i for i, (_, y) in enumerate(grid) if y not in zero] if verify else []
+    checks: dict[int, dict[str, Any]] = {}  # the --verify check of each row in estimated
     try:
         lower[keep], upper[keep] = bounds_mod.level_bounds(
             facts, *(r[keep] for r in rows), assumptions)
@@ -316,6 +318,9 @@ def _level_cells(
         empty = polytope_empty(facts.pair, assumptions)  # not empty is a bug: the brackets failed
         cells = refused(str(exc),
                         lp_cross_check="infeasible" if empty else "feasible (inconsistent)")
+        if not empty:  # the engines disagree: each cell with evidence fails
+            checks = {i: {"status": "failed", "reason": "the LP finds the refused level feasible"}
+                      for i in estimated}
     else:
         lows, ups = lower.tolist(), upper.tolist()
         if incr:
@@ -326,10 +331,8 @@ def _level_cells(
             cells = [{"event": s, "label": events[s].label, "evidence": y, "assumptions": assume,
                       "kind": "interval", "lower": lo, "upper": up, "method": method}
                      for (s, y), lo, up in zip(grid, lows, ups)]
-        estimated = [i for i, (_, y) in enumerate(grid) if y not in zero] if verify else []
         if estimated:
-            claims = [(events[grid[i][0]], grid[i][1], max(0.0, lows[i]), min(1.0, ups[i]))
-                      for i in estimated]
+            claims = [(events[grid[i][0]], grid[i][1], lows[i], ups[i]) for i in estimated]
             try:
                 found = oracle.verify_cells(facts, assumptions, claims, *verify)
                 checks = {i: {name: getattr(check, name) for name in _CHECK_FIELDS}

@@ -213,7 +213,8 @@ def randomized_margins(exp: ContingencyTable) -> MarginalPair:
 # ---------------------------------------------------------------------------
 # File loading.  CSV is long form with header z,y,count; JSON carries explicit
 # 2 x J arrays (row 0 = control arm, row 1 = treated arm).  Strata come as a
-# JSON list of {"id": ..., "counts": [[...], [...]]} objects.
+# JSON list of {"id": ..., "counts": [[...], [...]]} objects.  Every file is
+# read as UTF-8 whatever the locale, a leading byte-order mark skipped.
 # ---------------------------------------------------------------------------
 
 
@@ -222,7 +223,7 @@ def load_table_csv(path: str | Path, source: Source) -> ContingencyTable:
     cells: dict[tuple[int, int], float] = {}
     max_y = -1
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip().lower() for h in header] != ["z", "y", "count"]:
@@ -268,7 +269,7 @@ def load_table_csv(path: str | Path, source: Source) -> ContingencyTable:
 def _read_json(path: str | Path) -> Any:
     """Decode one JSON file; an error names ``path`` as the caller passed it."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

@@ -26,7 +26,7 @@ from pnbounds import (
     randomized_margins,
 )
 from pnbounds import cli
-from pnbounds.core import ATOL
+from pnbounds.core import ATOL, SHARPNESS_TOL
 from pnbounds.identify import pair_facts
 from pnbounds.cli import (
     AnalysisConfig,
@@ -701,8 +701,9 @@ def test_a_report_computes_each_level_in_one_array_pass(tmp_path, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("level", ["mono", "incr"])
-def test_the_report_renders_the_refusal_that_level_bounds_raises(tmp_path, monkeypatch, level):
+def refuse_level(monkeypatch, level):
+    """Patch ``bounds.level_bounds`` to refuse every row of one assumption
+    level, and return the refusal it raises."""
     from pnbounds import bounds
 
     if level == "mono":
@@ -711,8 +712,6 @@ def test_the_report_renders_the_refusal_that_level_bounds_raises(tmp_path, monke
         brackets = pair_facts(lalonde_pair()).brackets
         failed = replace(brackets.checks[0], within_bracket=False)
         refusal = FalsificationError(replace(brackets, passed=False, checks=(failed,)))
-    args = LALONDE_ROUTES["experimental"] + ["--all-canonical"]
-    _, plain = report_from(tmp_path, args)
     level_bounds = bounds.level_bounds
 
     def refusing(facts, coeffs, ys, assumptions):
@@ -721,6 +720,14 @@ def test_the_report_renders_the_refusal_that_level_bounds_raises(tmp_path, monke
         return level_bounds(facts, coeffs, ys, assumptions)
 
     monkeypatch.setattr(bounds, "level_bounds", refusing)
+    return refusal
+
+
+@pytest.mark.parametrize("level", ["mono", "incr"])
+def test_the_report_renders_the_refusal_that_level_bounds_raises(tmp_path, monkeypatch, level):
+    args = LALONDE_ROUTES["experimental"] + ["--all-canonical"]
+    _, plain = report_from(tmp_path, args)
+    refusal = refuse_level(monkeypatch, level)
     code, report = report_from(tmp_path, args)
     assert code == 0 and len(report["cells"]) == len(plain["cells"]) == 30
     for cell, before in zip(report["cells"], plain["cells"]):
@@ -869,6 +876,44 @@ def test_verify_passes_on_a_gap_inside_the_band(tmp_path):
     for entry in verification["cells"]:
         assert entry["verification"]["contained"] is True
         assert entry["verification"]["sharp"] is True
+
+
+@pytest.mark.parametrize("counts,outside", [
+    ([[999999999, 3000000001], [1, 3]], -3.3333332390602283e-10),  # gap_1 = -2.5e-10
+    ([[4000000001, 2000000000, 1999999999], [1, 3, 4]], 3.3333336e-10),  # gap_1 - t_1 = 1.25e-10
+], ids=["below-0", "above-1"])
+def test_verify_checks_an_incr_point_printed_just_outside_the_unit_interval(
+        tmp_path, counts, outside):
+    # inside the ATOL band the point lt:1 | 1 = gap_1 / t_1 leaves [0, 1]; the
+    # check takes the printed point, which the clipped joint attains within ATOL
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({"counts": counts}))
+    code, report = report_from(
+        tmp_path, ["--mode", "pc", "--exp", str(exp), "--event", "lt:1", "--evidence", "1",
+                   "--assume", "incr", "--verify"])
+    assert code == 0 and report["falsification"]["passed"] is True
+    (entry,) = report["verification"]["cells"]
+    value, check = entry["value"], entry["verification"]
+    clipped = min(max(value, 0.0), 1.0)
+    assert value - clipped == pytest.approx(outside, rel=1e-6)
+    assert check["status"] == "ok" and check["max_violation"] <= ATOL
+    gap = abs(value - clipped)
+    assert check["sharpness_gap_lower"] == check["sharpness_gap_upper"] == gap < SHARPNESS_TOL
+
+
+def test_verify_fails_an_incr_point_outside_the_unit_interval_at_tiny_evidence_mass(tmp_path):
+    # gap_1 = -5e-10 passes the brackets, but t_1 = 1e-6 prints the point as
+    # -5e-4, which no joint attains
+    exp = tmp_path / "exp.json"
+    exp.write_text('{"counts": [[1999997999, 2001], [999999, 1]]}')
+    code, report = report_from(
+        tmp_path, ["--mode", "pc", "--exp", str(exp), "--event", "lt:1", "--evidence", "1",
+                   "--assume", "incr", "--verify"])
+    assert code == 3 and report["falsification"]["passed"] is True
+    (entry,) = report["verification"]["cells"]
+    assert entry["value"] == pytest.approx(-5e-4, rel=1e-6)
+    assert entry["verification"]["status"] == "failed"
+    assert entry["verification"]["max_violation"] == pytest.approx(5e-4, rel=1e-6)
 
 
 def test_mono_cells_refused_on_monotone_inconsistent_data(tmp_path):
@@ -1153,6 +1198,46 @@ def test_verify_widened_bounds_fail(tmp_path, monkeypatch):
     assert code == 3
     (cell,) = json.loads((tmp_path / "r.json").read_text())["verification"]["cells"]
     assert cell["verification"]["contained"] and not cell["verification"]["sharp"]
+
+
+def test_verify_fails_a_bound_printed_outside_the_unit_interval(tmp_path, monkeypatch):
+    from pnbounds import bounds
+
+    # a fault in a clip: the marginal upper bound of noteq:1 prints as 5.047
+    monkeypatch.setattr(bounds, "_min1", lambda x: x)
+    code, report = report_from(
+        tmp_path, ["--mode", "pc", "--exp", EXP, "--event", "noteq:1", "--evidence", "1",
+                   "--assume", "marginal", "--verify"])
+    assert code == 3
+    (entry,) = report["verification"]["cells"]
+    assert entry["upper"] > 1.0 and entry["verification"]["status"] == "failed"
+    assert entry["verification"]["contained"] and not entry["verification"]["sharp"]
+
+
+@pytest.mark.parametrize("counts", [None, [[5, 0, 5], [5, 0, 5]]], ids=["lalonde", "zero-level"])
+def test_verify_fails_a_refusal_that_the_lp_contradicts(tmp_path, monkeypatch, counts):
+    # both tables pass the brackets, so the LP finds the refused incr level
+    # feasible; a level without treated mass keeps its own refusal
+    args = LALONDE_ROUTES["experimental"]
+    if counts:
+        exp = tmp_path / "exp.json"
+        exp.write_text(json.dumps({"counts": counts}))
+        args = ["--mode", "pc", "--exp", str(exp)]
+    refuse_level(monkeypatch, "incr")
+    code, report = report_from(tmp_path, args + ["--all-canonical", "--verify"])
+    assert code == 3 and report["verification"]["passed"] is False
+    failed = 0
+    for entry in report["verification"]["cells"]:
+        if entry["method"] == "none":  # zero evidence
+            assert entry["verification"]["status"] == "refused"
+        elif entry["assumptions"] == "incr":
+            assert entry["lp_cross_check"] == "feasible (inconsistent)"
+            assert entry["verification"] == {
+                "status": "failed", "reason": "the LP finds the refused level feasible"}
+            failed += 1
+        else:
+            assert entry["verification"]["status"] == "ok"
+    assert failed == (10 if counts is None else 5)
 
 
 CHECK_FIELDS = ["status", "contained", "max_violation", "sharpness_gap_lower",

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pnbounds
 from pnbounds import (
     Conditioning,
     ContingencyTable,
@@ -380,6 +385,49 @@ def test_an_undecodable_input_file_exits_2_naming_it(tmp_path, capsys, flags, na
     assert main(flags + [str(path), "--all-canonical"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {path}") and reason in err
+
+
+DATA = Path(__file__).parent / "data"
+BOM = "\ufeff".encode()
+
+
+def read_table(path):
+    return load_table(path, Source.EXPERIMENTAL).counts.tolist()
+
+
+def read_strata(path):
+    return [(name, table.counts.tolist()) for name, table in load_strata_json(path).strata]
+
+
+@pytest.mark.parametrize("name,read", [
+    ("lalonde_experimental.csv", read_table),
+    ("lalonde_experimental.json", read_table),
+    ("strata_example.json", read_strata),
+    ("config.json", read_config),
+], ids=["csv", "json", "strata", "config"])
+def test_a_file_with_a_byte_order_mark_loads_as_its_unmarked_twin(tmp_path, name, read):
+    plain = DATA / name
+    if name == "config.json":
+        plain = tmp_path / "plain.json"
+        plain.write_text('{"mode": "pc", "exp": "x.csv", "evidence": [1, 2], "verify": true}')
+    marked = tmp_path / name
+    marked.write_bytes(BOM + plain.read_bytes())
+    assert read(str(marked)) == read(str(plain))
+
+
+def test_files_are_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # with the C locale and no UTF-8 mode, open() without an encoding reads ASCII
+    strata = tmp_path / "strata.json"
+    strata.write_text('[{"id": "caf\u00e9", "counts": [[3, 4], [5, 6]]}]', encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONIOENCODING="utf-8", PYTHONPATH=str(Path(pnbounds.__file__).parents[1]))
+    process = subprocess.run(
+        [sys.executable, "-m", "pnbounds.cli", "--route", "unconfounded", "--strata", str(strata),
+         "--event", "eq:0", "--evidence", "1", "--assume", "marginal"],
+        capture_output=True, env=env, timeout=60)
+    assert process.returncode == 0, process.stderr
+    report = json.loads(process.stdout)
+    assert list(report["provenance"]["strata_counts"]) == ["caf\u00e9"]
 
 
 def test_contingency_table_validation():
