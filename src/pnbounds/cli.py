@@ -44,6 +44,7 @@ _CHECK_FIELDS = ("status", "contained", "max_violation", "sharpness_gap_lower",
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
 
 
@@ -280,11 +281,12 @@ def _level_cells(
     ``rows`` holds the grid's event coefficients and evidence levels, and
     ``zero`` the refusal note of each evidence level without treated mass.
     The rows with evidence take one ``bounds.level_bounds`` call, and the
-    cells render its bounds or its refusal: ``UnsupportedEventError`` for
-    the whole level, zero evidence included, or ``FalsificationError`` for
-    the cells with evidence, which share one answer of ``lp.polytope_empty``
-    (emptiness depends on no event or evidence level).  Each cell is built
-    once, its keys in report order.
+    cells render its bounds or its refusal: ``UnsupportedEventError`` for a
+    ``mono`` level, zero evidence included, or ``FalsificationError`` for an
+    ``incr`` level's cells with evidence.  One answer of ``lp.polytope_empty``
+    (it depends on no row) confirms a refusal: for ``incr`` always, printed
+    as ``lp_cross_check``, and for ``mono`` under ``--verify``.  Each cell is
+    built once, its keys in report order.
 
     ``verify`` is ``--verify``'s sample count and seed.  The samples depend
     only on the level, so its estimates go to one ``oracle.verify_cells``
@@ -292,17 +294,17 @@ def _level_cells(
     and reads each evidence level's rows once.  Each claim is its row's
     printed bounds, a point being both ends.  Each entry is its cell plus a
     ``verification`` object, the oracle's status first: ``ok`` or
-    ``failed``; ``failed`` too for a cell whose ``lp_cross_check`` finds
-    the level feasible; ``refused`` for another refused cell; ``skipped``
-    for each estimate of a level it cannot sample.
+    ``failed``; ``failed`` too for each cell with evidence of a refused
+    level that the LP finds feasible; ``refused`` for another refused cell;
+    ``skipped`` for each estimate of a level it cannot sample.
     """
     assume = assumptions.value
     incr = assumptions is Assumptions.MONOTONIC_INCREMENT
     method = "point-identification" if incr else "closed-form"
 
-    def refused(note: str, **extra: Any) -> list[dict[str, Any]]:
-        return [{"event": s, "label": events[s].label, "evidence": y, "assumptions": assume,
-                 "kind": "refused", "note": note, "method": method, **extra} for s, y in grid]
+    def refused(s: str, y: int, note: str, method: str = method, **extra: Any) -> dict[str, Any]:
+        return {"event": s, "label": events[s].label, "evidence": y, "assumptions": assume,
+                "kind": "refused", "note": note, "method": method, **extra}
 
     # the rows with evidence (the others are refused below); a slice copies nothing
     keep = [y not in zero for _, y in grid] if zero else slice(None)
@@ -312,12 +314,12 @@ def _level_cells(
     try:
         lower[keep], upper[keep] = bounds_mod.level_bounds(
             facts, *(r[keep] for r in rows), assumptions)
-    except bounds_mod.UnsupportedEventError as exc:
-        cells, zero = refused(str(exc)), {}  # its note on every cell, zero evidence too
-    except identify_mod.FalsificationError as exc:
-        empty = polytope_empty(facts.pair, assumptions)  # not empty is a bug: the brackets failed
-        cells = refused(str(exc),
-                        lp_cross_check="infeasible" if empty else "feasible (inconsistent)")
+    except (bounds_mod.UnsupportedEventError, identify_mod.FalsificationError) as exc:
+        # phase one confirms the refusal (not empty is a bug: the data refuse the level)
+        empty = not (incr or verify) or polytope_empty(facts.pair, assumptions)
+        extra = {"lp_cross_check": "infeasible" if empty else "feasible (inconsistent)"}
+        cells = [refused(s, y, str(exc), **extra if incr else {}) for s, y in grid]
+        zero = zero if incr else {}  # a mono note goes on every cell, zero evidence too
         if not empty:  # the engines disagree: each cell with evidence fails
             checks = {i: {"status": "failed", "reason": "the LP finds the refused level feasible"}
                       for i in estimated}
@@ -339,12 +341,9 @@ def _level_cells(
                           for i, check in zip(estimated, found)}
             except oracle.SamplingError as exc:
                 checks = {i: {"status": "skipped", "reason": str(exc)} for i in estimated}
-    if zero:
-        for i, (s, y) in enumerate(grid):
-            if y in zero:
-                cells[i] = {"event": s, "label": events[s].label, "evidence": y,
-                            "assumptions": assume, "kind": "refused", "note": zero[y],
-                            "method": "none"}
+    for i, (s, y) in enumerate(grid):
+        if y in zero:
+            cells[i] = refused(s, y, zero[y], method="none")
     return cells, [{**cell, "verification": checks.get(i) or {
         "status": "refused", "reason": "no estimate to verify"}} for i, cell in enumerate(cells)
     ] if verify else []

@@ -282,7 +282,7 @@ def polytope_empty(pair: MarginalPair, assumptions: Assumptions) -> bool:
     """Whether no joint of the level meets the pair's margins: phase one's
     least mass off the allowed cells exceeds ``INFEAS_TOL``.  The one
     emptiness test; it depends on no event and no evidence level, so the
-    report asks it once per refused ``incr`` level."""
+    report asks it once per refused level (``mono`` under ``--verify``)."""
     return _feasible_base(pair, assumptions).deficit > INFEAS_TOL
 
 

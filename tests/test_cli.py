@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -28,6 +31,7 @@ from pnbounds import (
 from pnbounds import cli
 from pnbounds.core import ATOL, SHARPNESS_TOL
 from pnbounds.identify import pair_facts
+from pnbounds.ingest import MAX_COUNT
 from pnbounds.cli import (
     AnalysisConfig,
     _dumps,
@@ -1214,24 +1218,33 @@ def test_verify_fails_a_bound_printed_outside_the_unit_interval(tmp_path, monkey
     assert entry["verification"]["contained"] and not entry["verification"]["sharp"]
 
 
-@pytest.mark.parametrize("counts", [None, [[5, 0, 5], [5, 0, 5]]], ids=["lalonde", "zero-level"])
-def test_verify_fails_a_refusal_that_the_lp_contradicts(tmp_path, monkeypatch, counts):
-    # both tables pass the brackets, so the LP finds the refused incr level
-    # feasible; a level without treated mass keeps its own refusal
-    args = LALONDE_ROUTES["experimental"]
+@pytest.mark.parametrize("counts, level", [
+    pytest.param(None, "incr", id="lalonde"),
+    pytest.param([[5, 0, 5], [5, 0, 5]], "incr", id="zero-level"),
+    pytest.param(None, "mono", id="lalonde-mono"),
+    pytest.param([[5, 0, 5], [5, 0, 5]], "mono", id="zero-level-mono"),
+])
+def test_verify_fails_a_refusal_that_the_lp_contradicts(tmp_path, monkeypatch, counts, level):
+    # both tables pass the brackets and every cumulative gap, so the LP finds
+    # the refused level feasible; a level without treated mass keeps a refused
+    # entry (a refused mono level's note on it, as without --verify)
+    args, zero = LALONDE_ROUTES["experimental"], set()
     if counts:
         exp = tmp_path / "exp.json"
         exp.write_text(json.dumps({"counts": counts}))
-        args = ["--mode", "pc", "--exp", str(exp)]
-    refuse_level(monkeypatch, "incr")
+        args, zero = ["--mode", "pc", "--exp", str(exp)], {1}
+    refusal = refuse_level(monkeypatch, level)
     code, report = report_from(tmp_path, args + ["--all-canonical", "--verify"])
     assert code == 3 and report["verification"]["passed"] is False
     failed = 0
     for entry in report["verification"]["cells"]:
-        if entry["method"] == "none":  # zero evidence
+        if entry["assumptions"] == level == "mono":
+            assert entry["note"] == str(refusal) and "lp_cross_check" not in entry
+        if entry["evidence"] in zero:
             assert entry["verification"]["status"] == "refused"
-        elif entry["assumptions"] == "incr":
-            assert entry["lp_cross_check"] == "feasible (inconsistent)"
+        elif entry["assumptions"] == level:
+            if level == "incr":
+                assert entry["lp_cross_check"] == "feasible (inconsistent)"
             assert entry["verification"] == {
                 "status": "failed", "reason": "the LP finds the refused level feasible"}
             failed += 1
@@ -1353,7 +1366,7 @@ def test_an_evidence_level_out_of_range_is_refused_before_the_verify_batch_budge
 
 # --- error paths ----------------------------------------------------------------------
 
-def test_usage_errors_exit_one(tmp_path):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert run([]) == 1                                        # no inputs at all
     assert run(["--exp", EXP]) == 1                            # missing --obs
     assert run(["--exp", EXP, "--obs", OBS]) == 1              # no events
@@ -1366,6 +1379,18 @@ def test_usage_errors_exit_one(tmp_path):
     assert run(
         ["--mode", "pc", "--exp", EXP, "--route", "unconfounded", "--all-canonical"]
     ) == 1
+    # argparse's own refusals print the usage, then one line saying what is wrong
+    for args, message in [
+        (["--exp", EXP, "--assume", "foo"], "argument --assume: invalid choice: 'foo' "
+                                            "(choose from 'marginal', 'mono', 'incr', 'all')"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["--samples", "many"], "argument --samples: invalid int value: 'many'"),
+    ]:
+        capsys.readouterr()
+        assert run(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: pnbounds ")
+        assert err.endswith(f"\nerror: {message}\n") and err.count("error:") == 1
 
 
 @pytest.mark.parametrize(
@@ -1588,3 +1613,142 @@ def test_stdout_json_when_no_out(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["cells"][0]["value"] == pytest.approx(0.83, abs=0.005)
+
+
+# --- the exit contract on fuzzed inputs ------------------------------------------------
+
+#: An entry a table refuses: out of range, not an integer, or not a number
+_BAD_COUNTS = st.sampled_from([-1, MAX_COUNT + 1, 1.5, "3", True, None, float("nan"), "x"])
+
+
+@st.composite
+def _count_rows(draw, levels):
+    """The 2 x J counts of one table, each from the whole admitted range, and
+    now and then one entry that the readers refuse."""
+    counts = [draw(st.lists(st.integers(0, MAX_COUNT), min_size=levels, max_size=levels))
+              for _ in range(2)]
+    if _now_and_then(draw):
+        counts[draw(st.integers(0, 1))][draw(st.integers(0, levels - 1))] = draw(_BAD_COUNTS)
+    return counts
+
+
+@st.composite
+def _table_files(draw, levels):
+    """(suffix, text) of a count table: JSON (an object or a bare array) or
+    long-form CSV, its lines shuffled and maybe one dropped or doubled."""
+    counts = draw(_count_rows(levels))
+    if draw(st.booleans()):
+        return ".json", json.dumps({"counts": counts} if draw(st.booleans()) else counts)
+    lines = draw(st.permutations([f"{z},{y},{c}" for z in (0, 1) for y, c in enumerate(counts[z])]))
+    edit = _now_and_then(draw) and draw(st.sampled_from(["drop", "double", "extra field"]))
+    if edit == "drop":
+        lines = lines[1:]
+    elif edit == "double":
+        lines = lines + lines[:1]
+    elif edit == "extra field":
+        lines = [lines[0] + ",1"] + lines[1:]
+    return ".csv", "\n".join(["z,y,count"] + lines) + "\n"
+
+
+@st.composite
+def _event_specs(draw, levels):
+    """An event spec, its level or bits in range or just out of it, now and then one that
+    ``parse_event`` refuses."""
+    if _now_and_then(draw):
+        return draw(st.sampled_from(["bogus:1", "eq:x", "custom:", "custom:2x"]))
+    if draw(st.booleans()):
+        return draw(st.sampled_from(["noteq", "eq", "lt"])) + f":{draw(st.integers(-1, levels))}"
+    return "custom:" + draw(st.text("01", min_size=1, max_size=levels + 1))
+
+
+#: Flags that argparse refuses
+_ARGUMENT_FAULTS = st.sampled_from(
+    [["--bogus"], ["--samples", "many"], ["--evidence", "x"], ["--assume", "foo"], ["--mode"]])
+
+
+def _now_and_then(draw):
+    """True in about one draw in fourteen: hypothesis favours the ends of a
+    range, and its low end far more than its high one."""
+    return draw(st.integers(0, 7)) == 7
+
+
+@st.composite
+def _invocations(draw):
+    """(files, argv, verify): the input files by name, an argv naming them
+    under ``{dir}``, and whether the run verifies.  J is 2-8; the options go
+    to the command line or to a ``--config`` file, now and then with a fault."""
+    levels = draw(st.integers(2, 8))
+    files, argv = {}, []
+
+    def table(name):
+        suffix, text = draw(_table_files(levels))
+        files[name + suffix] = text
+        return "{dir}/" + name + suffix
+
+    route = draw(st.sampled_from(["pc", "experimental", "unconfounded"]))
+    if route == "pc":
+        argv += ["--mode", "pc", "--exp", table("exp")]
+    elif route == "experimental":
+        argv += ["--exp", table("exp"), "--obs", table("obs")]
+    else:
+        strata = [{"id": f"s{i}", "counts": draw(_count_rows(levels))}
+                  for i in range(draw(st.integers(1, 3)))]
+        files["strata.json"] = json.dumps(strata)
+        argv += ["--route", "unconfounded", "--strata", "{dir}/strata.json"]
+    options = {"assume": draw(st.sampled_from(["all", "marginal", "mono", "incr"]))}
+    if draw(st.booleans()):
+        options["all_canonical"] = True
+    else:
+        options["events"] = draw(st.lists(_event_specs(levels), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        options["evidence"] = draw(st.lists(st.integers(-1, levels), min_size=1, max_size=2))
+    verify = draw(st.booleans())
+    if verify:
+        options.update(verify=True, samples=draw(st.integers(1, 200)),
+                       seed=draw(st.integers(-1, 2**32)))
+    if draw(st.integers(0, 3)) == 3:
+        options["table"] = True
+    if draw(st.booleans()):
+        argv += ["--out", "{dir}/report.json"]
+    config = {key: options.pop(key) for key in draw(st.sets(st.sampled_from(sorted(options))))}
+    if _now_and_then(draw):
+        config[draw(st.sampled_from(["samples", "no_such_key"]))] = "bad"
+    if config:
+        files["config.json"] = json.dumps(config)
+        argv += ["--config", "{dir}/config.json"]
+    for key, value in options.items():
+        flag = "--" + ("event" if key == "events" else key).replace("_", "-")
+        for v in value if isinstance(value, list) else [value]:
+            argv += [flag] if v is True else [flag, str(v)]
+    return files, argv + (_now_and_then(draw) and draw(_ARGUMENT_FAULTS) or []), verify
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_invocations())
+def test_the_cli_keeps_its_exit_contract(invocation):
+    """Exit 0-3 and no exception; one ``error:`` line on exits 1 and 2, none
+    otherwise; 3 only under ``--verify``; every bound in [0, 1] and every
+    ``incr`` point within ``ATOL / treated[y]`` of it (the point is printed
+    unclipped, so a gap inside the band moves it that far)."""
+    files, argv, verify = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.replace("{dir}", tmp) for arg in argv])
+        saved = Path(tmp, "report.json")
+        text = saved.read_text() if saved.exists() else out.getvalue()
+    assert code in (0, 1, 2, 3) and (code != 3 or verify)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (code in (1, 2))
+    if code in (0, 3) and text.startswith("{"):
+        report = json.loads(text)
+        treated = report["marginals"]["treated_law"]
+        for cell in report["cells"]:
+            if cell["kind"] == "interval":
+                assert 0 <= cell["lower"] <= 1 and 0 <= cell["upper"] <= 1
+            elif cell["kind"] == "point":
+                band = ATOL / treated[cell["evidence"]]
+                assert -band <= cell["value"] <= 1 + band
+
